@@ -173,6 +173,12 @@ def _settings(args: argparse.Namespace):
                             backend=getattr(args, "backend", None))
 
 
+def _rate_note(rate: Optional[float]) -> str:
+    """An aggregate's instr/s for the sweep table; ``None`` (the
+    simulate time was too small to divide by) reads as n/a."""
+    return "n/a" if rate is None else f"{rate:,.0f}"
+
+
 def _run_sweep(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     # names were validated by main() before dispatch
@@ -254,18 +260,20 @@ def _run_sweep(args: argparse.Namespace,
     table.notes.append(stats.describe())
     metrics = runner.last_metrics
     if metrics.get("jobs_measured"):
-        # instr_per_sec is None when the measured simulate time is too
-        # small to divide by (e.g. every job answered from cache)
-        rate = metrics["instr_per_sec"]
-        rate_note = ("n/a" if rate is None else f"{rate:,.0f}")
         table.notes.append(
             f"phases: {metrics['decode_seconds']:.2f}s decode "
             f"({metrics['decode_cold']} cold / "
             f"{metrics['decode_cached']} LRU), "
             f"{metrics['simulate_seconds']:.2f}s simulate, "
             f"{metrics['store_write_seconds']:.2f}s store; "
-            f"{rate_note} instr/s over "
+            f"{_rate_note(metrics['instr_per_sec'])} instr/s over "
             f"{metrics['wall_seconds']:.2f}s wall")
+    if metrics.get("cached_jobs_measured"):
+        table.notes.append(
+            f"cached: {metrics['cached_jobs_measured']} job(s) recorded "
+            f"{metrics['cached_simulate_seconds']:.2f}s simulate at "
+            f"{_rate_note(metrics['cached_instr_per_sec'])} instr/s "
+            "in earlier runs")
     if cache_dir:
         table.notes.append(f"cache: {store.describe()}")
     print(table.render())

@@ -135,7 +135,9 @@ def prefetch(cells: Iterable[Tuple[str, MachineConfig]],
     telemetry.emit("experiment.prefetch", **runner.last_stats.__dict__,
                    **{k: v for k, v in runner.last_metrics.items()
                       if k in ("jobs_measured", "simulate_seconds",
-                               "wall_seconds", "instr_per_sec")})
+                               "wall_seconds", "instr_per_sec",
+                               "cached_jobs_measured",
+                               "cached_simulate_seconds")})
 
 
 def clear_cache() -> None:

@@ -15,14 +15,17 @@ SoCA/SoLA/IA) — exactly as the paper compares un/instrumented binaries.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AssemblyError, LayoutError
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Instruction, InstrKind, Opcode
 from repro.isa.program import DATA_BASE, Program, TEXT_BASE
 
 _B_OFF_LIMIT = (1 << 14) - 1  # 15-bit signed word offset
+_COND_BRANCH = int(InstrKind.COND_BRANCH)
 
 TargetRef = Union[str, int]
 
@@ -267,6 +270,19 @@ class Assembler:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Suspend the cyclic garbage collector for the block (reference
+    counting still frees everything that becomes unreachable)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def link(
     module: Module,
     *,
@@ -290,38 +306,44 @@ def link(
 
     labels: Dict[str, int] = {}
     placed: List[Instruction] = []
+    #: (placed instruction, symbolic target) for every control transfer,
+    #: resolved once all labels are bound
+    unresolved: List[Tuple[Instruction, TargetRef]] = []
     cursor = text_base
     pending_labels: List[str] = []
     boundary_count = 0
     last_slot = page_bytes - 4
 
-    for item in module.text:
-        if isinstance(item, str):
-            if item in labels or item in pending_labels:
-                raise AssemblyError(f"duplicate label '{item}'")
-            pending_labels.append(item)
-            continue
-        if boundary_branches and (cursor % page_bytes) == last_slot:
-            placed.append(
-                Instruction(Opcode.J, target=cursor + 4, address=cursor,
-                            is_boundary_branch=True, label="<boundary>")
-            )
+    # placement allocates one Instruction per slot and no reference
+    # cycles; with the cyclic collector running, those allocations set
+    # off full-heap scans that cost more than the placement itself
+    with _collector_paused():
+        for item in module.text:
+            if isinstance(item, str):
+                if item in labels or item in pending_labels:
+                    raise AssemblyError(f"duplicate label '{item}'")
+                pending_labels.append(item)
+                continue
+            if boundary_branches and cursor % page_bytes == last_slot:
+                placed.append(Instruction(Opcode.J, 0, 0, 0, 0, cursor + 4,
+                                          False, True, cursor, "<boundary>"))
+                cursor += 4
+                boundary_count += 1
+            if pending_labels:
+                for lbl in pending_labels:
+                    labels[lbl] = cursor
+                pending_labels.clear()
+            instr = Instruction(item.op, item.rd, item.rs, item.rt,
+                                item.imm, None, False, False, cursor,
+                                item.label)
+            placed.append(instr)
+            if item.target is not None:
+                unresolved.append((instr, item.target))
             cursor += 4
-            boundary_count += 1
-        for lbl in pending_labels:
-            labels[lbl] = cursor
-        pending_labels.clear()
-        placed.append(
-            Instruction(item.op, rd=item.rd, rs=item.rs, rt=item.rt,
-                        imm=item.imm, target=None, address=cursor,
-                        label=item.label)
-        )
-        cursor += 4
 
-    if pending_labels:
-        # trailing labels bind to the end of text (valid only as data refs)
-        for lbl in pending_labels:
-            labels[lbl] = cursor
+    # trailing labels bind to the end of text (valid only as data refs)
+    for lbl in pending_labels:
+        labels[lbl] = cursor
 
     # data layout (text labels are final here, so label-valued words can
     # be resolved to addresses)
@@ -344,24 +366,18 @@ def link(
         dcursor += 4 * ditem.zero_words
 
     # resolve control-flow targets
-    sym_iter = (item for item in module.text if isinstance(item, SymInstr))
-    for instr in placed:
-        if instr.is_boundary_branch:
-            continue
-        sym = next(sym_iter)
-        if sym.target is None:
-            continue
-        if isinstance(sym.target, str):
-            if sym.target not in labels:
-                raise AssemblyError(f"undefined label '{sym.target}'")
-            target = labels[sym.target]
+    for instr, ref in unresolved:
+        if isinstance(ref, str):
+            target = labels.get(ref)
+            if target is None:
+                raise AssemblyError(f"undefined label '{ref}'")
         else:
-            target = sym.target
-        if instr.op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
+            target = ref
+        if instr.kind_code == _COND_BRANCH:
             off_words = (target - (instr.address + 4)) // 4
             if abs(off_words) > _B_OFF_LIMIT:
                 raise AssemblyError(
-                    f"branch at {instr.address:#x} to '{sym.target}' out of "
+                    f"branch at {instr.address:#x} to '{ref}' out of "
                     f"range ({off_words} words)"
                 )
         instr.target = target

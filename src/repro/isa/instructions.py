@@ -226,6 +226,9 @@ _R_TYPE = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.AND,
 _I_TYPE = frozenset({Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI,
                      Opcode.SLTI, Opcode.SLLI, Opcode.SRLI, Opcode.LUI,
                      Opcode.LW, Opcode.SW, Opcode.FLW, Opcode.FSW})
+#: I-type opcodes whose immediate the executor masks to ``imm & 0xFFFF``
+#: (ANDI sign-extends, so it is not one of them)
+_LOW_HALF_IMM = frozenset({Opcode.LUI, Opcode.ORI, Opcode.XORI})
 _B_TYPE = frozenset({Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE})
 _J_TYPE = frozenset({Opcode.J, Opcode.JAL})
 
@@ -257,9 +260,12 @@ def encode(instr: Instruction) -> int:
                 | _check_field(instr.rs, 5, "rs") << 16
                 | _check_field(instr.rt, 5, "rt") << 11)
     if op in _I_TYPE:
+        # the executor reads only the low 16 bits of these immediates,
+        # so the unsigned form (an ``li`` upper/lower half) fits too
+        signed = not (op in _LOW_HALF_IMM and instr.imm >= 0)
         return (opnum | _check_field(instr.rd, 5, "rd") << 21
                 | _check_field(instr.rs, 5, "rs") << 16
-                | _check_field(instr.imm, 16, "imm", signed=True))
+                | _check_field(instr.imm, 16, "imm", signed=signed))
     if op in _B_TYPE:
         if instr.target is None or instr.address < 0:
             raise AssemblyError(f"cannot encode unlinked branch {instr}")

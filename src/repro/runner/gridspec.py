@@ -55,15 +55,19 @@ def plan_units(specs: Sequence[JobSpec]) -> List[WorkUnit]:
     Specs that agree on everything a shared pass needs — workload (and
     its content digest), window, scheme set, engine, and the config's
     shared-stream fields — are merged into one :class:`GridSpec`;
-    everything else stays a standalone :class:`JobSpec`.  Units come
-    back in first-appearance order with members in input order, and
-    :func:`expand_units` of the result is a permutation-free re-listing
-    of the input (the sweep relies on answering by key, not position).
+    everything else stays a standalone :class:`JobSpec`.  Standalone
+    jobs are grouped by (workload, page size), so the jobs that link the
+    same two binaries run back to back and share them (see
+    :func:`repro.workloads.synthetic.link_slot`).  Grids and groups come
+    back in first-appearance order, members and grouped jobs in input
+    order.  :func:`expand_units` of the result therefore lists every
+    input spec once but not always in input order: the sweep answers by
+    key, not by position.
     """
     groups: Dict[tuple, List[JobSpec]] = {}
     order: List[tuple] = []
     solo_marker = object()
-    for position, spec in enumerate(specs):
+    for spec in specs:
         if grid_eligible(spec):
             group_key = (
                 spec.workload, spec.workload_digest, spec.instructions,
@@ -72,7 +76,8 @@ def plan_units(specs: Sequence[JobSpec]) -> List[WorkUnit]:
                            separators=(",", ":")),
             )
         else:
-            group_key = (solo_marker, position)
+            group_key = (solo_marker, spec.workload,
+                         spec.config.mem.page_bytes)
         if group_key not in groups:
             groups[group_key] = []
             order.append(group_key)
@@ -80,7 +85,9 @@ def plan_units(specs: Sequence[JobSpec]) -> List[WorkUnit]:
     units: List[WorkUnit] = []
     for group_key in order:
         members = groups[group_key]
-        if len(members) > 1:
+        if group_key[0] is solo_marker:
+            units.extend(members)
+        elif len(members) > 1:
             units.append(GridSpec(members=tuple(members)))
         else:
             units.append(members[0])

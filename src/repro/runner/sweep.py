@@ -53,6 +53,7 @@ from repro.runner.jobspec import JobSpec
 from repro.runner.store import ResultStore
 from repro.sim.multi import CombinedRun
 from repro.telemetry.metrics import JobMetrics
+from repro.workloads.synthetic import link_slot
 
 
 def resolve_workers(workers: int) -> int:
@@ -263,7 +264,10 @@ class SweepRunner:
                        cached=stats.cached, queued=len(queue),
                        grids=stats.grids, backend=backend.name)
         try:
-            outcomes = backend.execute(units, self, stats)
+            # in-process jobs on one (workload, page size) share its two
+            # binaries; the planner put those jobs next to each other
+            with link_slot():
+                outcomes = backend.execute(units, self, stats)
         except SweepInterrupted as exc:
             # keep what finished: a re-run answers those from the cache
             for spec, (run, error) in exc.completed:
@@ -316,8 +320,11 @@ class SweepRunner:
         unique = [r for r in results
                   if r is not None and not (r.spec.key in seen
                                             or seen.add(r.spec.key))]
+        # a store hit's metrics are what an earlier run paid for it
         self.last_metrics = telemetry.aggregate(
-            (r.metrics for r in unique), wall_seconds=round(wall, 6))
+            (r.metrics for r in unique if not r.cached),
+            wall_seconds=round(wall, 6),
+            cached=(r.metrics for r in unique if r.cached))
         telemetry.emit("sweep.end", **stats.__dict__,
                        wall_seconds=round(wall, 3))
         return results  # type: ignore[return-value]  # every slot filled

@@ -159,10 +159,24 @@ def note_engine(engine: str, seconds: float, instructions: int) -> None:
 
 
 def aggregate(all_metrics: Iterable[Optional[JobMetrics]],
-              wall_seconds: float = 0.0) -> dict:
+              wall_seconds: float = 0.0,
+              cached: Iterable[Optional[JobMetrics]] = ()) -> dict:
     """Sum a sweep's per-job metrics into one fleet-level view (jobs
     missing metrics — failed, or cached from a pre-metrics store entry
-    — are counted but contribute nothing)."""
+    — are counted but contribute nothing).
+
+    ``all_metrics`` is the work this run did.  ``cached`` holds the
+    metrics restored with store hits: what producing those results cost
+    some earlier run.  Their totals go under the same names prefixed
+    ``cached_``, never into the fresh ones."""
+    out = _totals(all_metrics)
+    out["wall_seconds"] = wall_seconds
+    for key, value in _totals(cached).items():
+        out[f"cached_{key}"] = value
+    return out
+
+
+def _totals(all_metrics: Iterable[Optional[JobMetrics]]) -> dict:
     out = {
         "jobs_measured": 0,
         "jobs_unmeasured": 0,
@@ -174,7 +188,6 @@ def aggregate(all_metrics: Iterable[Optional[JobMetrics]],
         "instructions": 0,
         "stream_windows": 0,
         "stream_peak_bytes": 0,
-        "wall_seconds": wall_seconds,
     }
     for metrics in all_metrics:
         if metrics is None:

@@ -27,9 +27,10 @@ static call graph, which the code-layout extension
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import cycle
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.isa.assembler import Assembler, DataItem, Module, SymInstr, link
 from repro.isa.program import DATA_BASE, Program, TEXT_BASE
@@ -149,6 +150,44 @@ class WorkloadProfile:
     fp_frac: float = 0.08
 
 
+class _LinkSlot:
+    """The plain and instrumented binary of one (workload, page size).
+
+    Held by identity of the workload object: a workload re-registered
+    under the same name is a new object and can never be served the old
+    image."""
+
+    __slots__ = ("workload", "page_bytes", "programs")
+
+    def __init__(self) -> None:
+        self.workload: Optional["SyntheticWorkload"] = None
+        self.page_bytes = 0
+        self.programs: Dict[bool, Program] = {}
+
+
+#: the open link slot; ``None`` outside :func:`link_slot`
+_slot: Optional[_LinkSlot] = None
+
+
+@contextmanager
+def link_slot() -> Iterator[None]:
+    """Serve :meth:`SyntheticWorkload.link` from a one-pair slot while
+    the block runs.
+
+    Consecutive jobs on the same (workload, page size) then share one
+    plain and one instrumented binary.  A link for any other pair empties
+    the slot first, so at most the current job's two binaries are held —
+    what one job holds anyway.  The slot is dropped on exit, so nothing
+    linked inside outlives the block."""
+    global _slot
+    previous = _slot
+    _slot = _LinkSlot()
+    try:
+        yield
+    finally:
+        _slot = previous
+
+
 @dataclass
 class SyntheticWorkload:
     """A generated benchmark, ready to link (plain or instrumented)."""
@@ -161,7 +200,23 @@ class SyntheticWorkload:
 
     def link(self, *, page_bytes: int = 4096,
              instrumented: bool = False) -> Program:
-        """Produce the executable image a scheme set runs."""
+        """Produce the executable image a scheme set runs: a fresh
+        :class:`Program`, or inside :func:`link_slot` the slot's shared
+        one (engines only read a program)."""
+        slot = _slot
+        if slot is None:
+            return self._link(page_bytes, instrumented)
+        if slot.workload is not self or slot.page_bytes != page_bytes:
+            slot.programs.clear()  # before linking: one pair at a time
+            slot.workload = self
+            slot.page_bytes = page_bytes
+        program = slot.programs.get(instrumented)
+        if program is None:
+            program = self._link(page_bytes, instrumented)
+            slot.programs[instrumented] = program
+        return program
+
+    def _link(self, page_bytes: int, instrumented: bool) -> Program:
         if instrumented:
             return instrument_module(self.module, page_bytes=page_bytes,
                                      name=self.profile.name)

@@ -4,7 +4,9 @@ Pins today's headline reproduction numbers — Table 2 / Figure 4 metrics
 (iTLB lookups, per-scheme energies and savings) for all six SPEC
 stand-ins, plus the exact replay metrics of a small checked-in trace —
 and asserts *exact* equality on every future run.  Any simulator change
-that moves a counter or an energy by one bit fails here first.
+that moves a counter or an energy by one bit fails here first.  The
+linked images themselves are pinned too: a digest of every field of
+each stand-in's plain and instrumented binary at two page sizes.
 
 Intentional changes are recorded by regenerating the assets::
 
@@ -16,6 +18,7 @@ on-disk trace *format*: if this suite can no longer read it, the format
 changed and :data:`repro.trace.format.TRACE_VERSION` must be bumped.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,12 +28,16 @@ from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import combined_run, default_settings
 from repro.sim.multi import run_all_schemes
 from repro.trace import file_digest, load_trace_workload, record_trace
-from repro.workloads.spec2000 import BENCHMARK_NAMES
+from repro.workloads.spec2000 import BENCHMARK_NAMES, load_benchmark
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HEADLINE_FILE = GOLDEN_DIR / "headline.json"
 TRACE_FILE = GOLDEN_DIR / "mesa.trace.gz"
 TRACE_GOLDEN_FILE = GOLDEN_DIR / "trace_replay.json"
+LINKED_FILE = GOLDEN_DIR / "linked_programs.json"
+
+#: page sizes the linked-image digests cover
+LINK_PAGE_SIZES = (4096, 65536)
 
 #: identical to tests/test_experiments.py's SETTINGS, so a full suite
 #: run answers these cells from the shared in-process result store
@@ -102,6 +109,39 @@ def _compute_trace_golden() -> dict:
     }
 
 
+def program_digest(program) -> str:
+    """Digest of everything a linked image holds: every instruction's
+    fields, the symbol table, the data image and the layout facts."""
+    image = {
+        "instructions": [
+            [instr.op.name, instr.rd, instr.rs, instr.rt, instr.imm,
+             instr.target, instr.inpage_hint, instr.is_boundary_branch,
+             instr.address, instr.label]
+            for instr in program.instructions],
+        "labels": program.labels,
+        "data_words": sorted(program.data_words.items()),
+        "entry": program.entry,
+        "data_size": program.data_size,
+        "boundary_branch_count": program.boundary_branch_count,
+    }
+    canonical = json.dumps(image, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _compute_linked() -> dict:
+    digests = {}
+    for bench in BENCHMARK_NAMES:
+        workload = load_benchmark(bench)
+        for page_bytes in LINK_PAGE_SIZES:
+            for binary in ("plain", "instrumented"):
+                program = workload.link(
+                    page_bytes=page_bytes,
+                    instrumented=binary == "instrumented")
+                digests[f"{bench}/{binary}/{page_bytes}"] = \
+                    program_digest(program)
+    return digests
+
+
 def _write(path: Path, data: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
@@ -125,6 +165,22 @@ class TestHeadlineNumbers:
         # base does one lookup per instruction by construction: a sanity
         # anchor that the pinned numbers are the real ones
         assert mesa["schemes"]["base"]["lookups"] == mesa["instructions"]
+
+
+class TestLinkedPrograms:
+    def test_linker_reproduces_pinned_images(self, update_golden):
+        """Every stand-in's plain and instrumented image, at two page
+        sizes, is field-identical to the pinned link."""
+        computed = _compute_linked()
+        if update_golden:
+            _write(LINKED_FILE, computed)
+        golden = json.loads(LINKED_FILE.read_text(encoding="utf-8"))
+        moved = sorted(name for name in golden
+                       if computed.get(name) != golden[name])
+        assert sorted(computed) == sorted(golden)
+        assert not moved, (
+            f"linked images changed: {moved}; if intentional, regenerate "
+            "with --update-golden")
 
 
 class TestCheckedInTraceReplay:

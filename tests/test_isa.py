@@ -18,6 +18,7 @@ from repro.isa.instructions import (
 from repro.isa.program import TEXT_BASE
 from repro.isa.registers import REG_RA, REG_ZERO, reg_name, temp_regs
 from repro.workloads import microbench
+from repro.workloads.spec2000 import BENCHMARK_NAMES, load_benchmark
 
 
 class TestOpcodeMetadata:
@@ -101,6 +102,34 @@ class TestEncoding:
                             address=0x400000)
         out = decode(encode(instr), 0x400000)
         assert (out.rd, out.rs, out.imm) == (rd, rs, imm)
+
+    @pytest.mark.parametrize("op", [Opcode.LUI, Opcode.ORI, Opcode.XORI])
+    def test_low_half_imm_accepts_unsigned(self, op):
+        instr = Instruction(op, rd=5, rs=5, imm=0xF44E, address=0x400000)
+        assert self._roundtrip(instr).imm & 0xFFFF == 0xF44E
+
+    def test_andi_imm_stays_signed(self):
+        instr = Instruction(Opcode.ANDI, rd=5, rs=5, imm=0xF44E,
+                            address=0x400000)
+        with pytest.raises(AssemblyError):
+            encode(instr)
+
+    @pytest.mark.parametrize("bench", BENCHMARK_NAMES)
+    def test_stand_in_binaries_roundtrip(self, bench):
+        """Every instruction of both binaries encodes, and decodes to an
+        instruction the executor runs the same way."""
+        def executed(instr):
+            imm = instr.imm
+            if instr.op in (Opcode.LUI, Opcode.ORI, Opcode.XORI):
+                imm &= 0xFFFF  # all the executor reads of these
+            return (instr.op, instr.rd, instr.rs, instr.rt, imm,
+                    instr.target, instr.inpage_hint, instr.address)
+
+        workload = load_benchmark(bench)
+        for instrumented in (False, True):
+            program = workload.link(instrumented=instrumented)
+            for instr in program.instructions:
+                assert executed(self._roundtrip(instr)) == executed(instr)
 
     @given(off_words=st.integers(-(1 << 14) + 1, (1 << 14) - 1),
            hint=st.booleans())

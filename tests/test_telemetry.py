@@ -385,8 +385,10 @@ class TestJobMetrics:
         assert main(args + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stats"]["cached"] == 1
-        assert payload["metrics"]["jobs_measured"] == 1
-        assert payload["metrics"]["instr_per_sec"] is None
+        # the restored cost is reported apart from this run's work
+        assert payload["metrics"]["jobs_measured"] == 0
+        assert payload["metrics"]["cached_jobs_measured"] == 1
+        assert payload["metrics"]["cached_instr_per_sec"] is None
         assert main(args) == 0
         assert "n/a instr/s" in capsys.readouterr().out
 
@@ -398,6 +400,22 @@ class TestJobMetrics:
         assert agg["jobs_measured"] == 1  # dedup counted once
         assert agg["wall_seconds"] > 0.0
         assert agg["simulate_seconds"] > 0.0
+
+    def test_half_cached_sweep_reports_only_fresh_work(self):
+        """Metrics restored from store hits are an earlier run's cost:
+        they go under ``cached_*`` and never into this run's totals."""
+        runner = SweepRunner()
+        (first,) = runner.run([_spec(entries=8)])
+        results = runner.run([_spec(entries=8), _spec(entries=16)])
+        cached, fresh = results
+        assert cached.cached and not fresh.cached
+        agg = runner.last_metrics
+        assert agg["jobs_measured"] == 1
+        assert agg["simulate_seconds"] == fresh.metrics.simulate_seconds
+        assert agg["instructions"] == fresh.metrics.instructions
+        assert agg["cached_jobs_measured"] == 1
+        assert (agg["cached_simulate_seconds"]
+                == first.metrics.simulate_seconds)
 
     def test_stats_dict_stays_deterministic(self, tmp_path):
         """The aggregate lives on runner.last_metrics, never inside
