@@ -59,7 +59,6 @@ from repro.errors import (
 )
 from repro.runner import JobResult, JobSpec, ResultStore, SweepRunner
 from repro.trace import (
-    TraceRecorder,
     TraceWorkload,
     load_trace,
     load_trace_workload,
@@ -67,7 +66,6 @@ from repro.trace import (
 )
 from repro.sim import CombinedRun, Simulator, attach_energy, run_all_schemes
 from repro.cpu import (
-    BatchEngine,
     EngineResult,
     FastEngine,
     OutOfOrderEngine,
@@ -90,7 +88,6 @@ __all__ = [
     "ALL_SCHEMES",
     "AssemblyError",
     "BENCHMARK_NAMES",
-    "BatchEngine",
     "BranchPredictorConfig",
     "CacheAddressing",
     "CacheConfig",
@@ -126,7 +123,6 @@ __all__ = [
     "TWO_LEVEL_MONOLITHIC_BASELINES",
     "TWO_LEVEL_SWEEP",
     "TraceError",
-    "TraceRecorder",
     "TraceWorkload",
     "TwoLevelTLBConfig",
     "WorkloadProfile",

@@ -2,11 +2,11 @@
 
 PR 6's observability layer is cheap because it is *amortized*: one
 ``emit``/``count``/``span`` per phase, never per instruction.  The
-batched replay engines (``cpu/fast.py``, ``cpu/batch.py``,
-``cpu/grid.py``) process millions of trace records per second through
-run-length inner loops; a single telemetry call lexically inside one
-of those loop bodies turns an O(phases) cost into an O(instructions)
-cost and destroys the PR 5 speedup the bench harness pins.
+fast engine (``cpu/fast.py``, and ``cpu/grid.py`` on top of it)
+processes millions of stream records per second through run-length
+inner loops; a single telemetry call lexically inside one of those
+loop bodies turns an O(phases) cost into an O(instructions) cost and
+destroys the throughput the bench harness pins.
 
 The rule is lexical by design: a call to ``telemetry.emit`` /
 ``telemetry.count`` / ``telemetry.span`` (or the bare imported names)
@@ -34,7 +34,6 @@ from repro.analysis.core import (
 #: path suffixes of the hot-loop modules (the measured replay path)
 HOT_LOOP_MODULES = (
     ("cpu", "fast.py"),
-    ("cpu", "batch.py"),
     ("cpu", "grid.py"),
 )
 
@@ -63,7 +62,7 @@ class HotLoopTelemetryRule(Rule):
     title = "no telemetry calls inside hot replay loops"
     contract = (
         "telemetry is O(phases), not O(instructions) (PR 5/6): an "
-        "emit/count/span inside a fast/batch/grid replay loop body "
+        "emit/count/span inside a fast/grid engine loop body "
         "multiplies a per-job cost by the instruction count and "
         "regresses the benched replay throughput")
 

@@ -2,35 +2,29 @@
 ``benchmarks/bench_engines.py``).
 
 Measures replay throughput (instructions per second, min-of-N wall
-clock) for the two fast-engine evaluators over recorded traces, and
-writes a machine-readable ``BENCH_<n>.json`` so the repository carries a
+clock) of the fast engine over recorded traces, and writes a
+machine-readable ``BENCH_<n>.json`` so the repository carries a
 performance *trajectory*: every PR that touches a hot path can re-run
 the bench and compare against the committed numbers instead of
 asserting speedups in prose.
 
-Three views are measured per workload:
+Four views are measured per workload:
 
 ``engine``
-    One plain-binary engine pass over an already-decoded trace —
-    :class:`~repro.cpu.fast.FastEngine` (``scalar``) vs
-    :class:`~repro.cpu.batch.BatchEngine` (``batch``).  Isolates the
-    hot-loop win; decode time is excluded for both.
+    One plain-binary engine pass over an already-decoded trace.
+    Isolates the hot loop; decode time is excluded.
 ``job``
     A full :func:`~repro.sim.multi.run_all_schemes` evaluation (both
     binary passes, all schemes, energy attached) the way a sweep job
-    runs it.  The ``scalar`` row resolves the workload with a cold
-    decoded-trace cache before every run — the pre-batching per-job
-    cost, where each job re-gunzips and re-decodes the file — while the
-    ``batch`` row resolves through the warm per-process LRU.
+    runs it, resolving the workload through the warm per-process LRU.
 ``grid``
-    A :data:`GRID_POINTS`-geometry iTLB sweep.  The ``scalar``-named
-    row runs one independent :func:`~repro.sim.multi.run_all_schemes`
-    job per geometry (each already on the batched evaluator — this is
-    the pre-grid sweep cost); the ``batch``-named row evaluates every
-    geometry in one shared
+    A :data:`GRID_POINTS`-geometry iTLB sweep: the ``independent`` row
+    runs one :func:`~repro.sim.multi.run_all_schemes` job per geometry,
+    the ``grid`` row evaluates every geometry in one shared
     :func:`~repro.sim.multi.run_all_schemes_grid` pass.  Both rows
     retire the same summed instruction count, so the speedup ratio is
-    a pure wall-clock ratio.
+    a pure wall-clock ratio, and every member is compared with its
+    independent job for bit-identity.
 ``stream``
     The memory/speed trade of windowed decode: a full job with the
     decoded-trace cache cleared, once decoding eagerly (``eager`` row)
@@ -39,13 +33,13 @@ Three views are measured per workload:
     records ``peak_window_bytes`` — the largest decoded window a run
     held at once (for eager, the full segment) — so the JSON carries
     the memory bound next to the throughput cost of honouring it.  The
-    two runs are compared for bit-identity, like every other view.
+    two runs are compared for bit-identity.
 
 Timing uses ``time.perf_counter`` around engine execution only (trace
 recording and column decoding happen before the timed region, except in
-the cold-resolve ``job`` baseline, where re-decoding *is* the point).
-One scalar/batch result pair per workload is compared for bit-identity,
-so a bench run doubles as an equivalence check.
+the ``stream`` view, where decoding *is* the point).  The ``engine`` and
+``job`` views have one row each and so no ratio; ``grid`` and
+``stream`` report theirs in ``speedups``.
 """
 
 from __future__ import annotations
@@ -79,7 +73,7 @@ BENCH_FORMAT = 1
 DEFAULT_WORKLOADS = ("177.mesa", "micro.straight_line",
                      "micro.taken_pattern")
 
-#: the workload every floor check applies to must be present
+#: the workload ``--quick`` benches
 MESA = "177.mesa"
 
 #: iTLB geometries the ``grid`` view sweeps (fully associative entries)
@@ -91,7 +85,9 @@ class BenchRecord:
     """One (workload, evaluator, view) measurement."""
 
     workload: str
-    engine: str  #: "scalar" | "batch" ("eager" | "windowed" in "stream")
+    #: the row: "fast" ("engine"/"job"), "independent" | "grid"
+    #: ("grid"), "eager" | "windowed" ("stream")
+    engine: str
     mode: str  #: "engine" (one pass) | "job" (full run_all_schemes)
     #:  | "grid" (N-geometry sweep) | "stream" (decode-strategy trade)
     instructions: int  #: instructions retired per timed run
@@ -145,17 +141,27 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
                    config: Optional[MachineConfig] = None,
                    log: Callable[[str], None] = lambda _: None
                    ) -> List[BenchRecord]:
-    """Bench one recorded trace; returns the four measurement records
-    (scalar/batch × engine/job).  Raises :class:`RuntimeError` if the
-    two evaluators ever disagree — a bench must never publish numbers
-    for diverging engines."""
-    from repro.cpu.batch import BatchEngine
+    """Bench one recorded trace; returns one record per (view, row).
+    Raises :class:`RuntimeError` if a grid member or a windowed decode
+    ever disagrees with its reference — a bench must never publish
+    numbers for diverging evaluations."""
     from repro.cpu.fast import FastEngine
 
     config = config or default_config()
     trace_path = Path(trace_path)
     trace_name = f"trace:{trace_path}"
     records: List[BenchRecord] = []
+
+    def record(engine_name: str, mode: str, fn: Callable[[], int],
+               note: str = "") -> None:
+        best, mean, retired = _time(fn, repeats)
+        records.append(BenchRecord(
+            workload=workload, engine=engine_name, mode=mode,
+            instructions=retired, repeats=repeats, best_seconds=best,
+            mean_seconds=mean, instr_per_sec=retired / best))
+        log(f"{workload:24s} {engine_name:11s} {mode:6s} "
+            f"{retired / best:>12,.0f} instr/s (best of {repeats}: "
+            f"{best:.3f}s{note})")
 
     # -- engine view: one plain-binary pass, decode excluded ------------
     # stream=False pins the eager decode even under a forced
@@ -166,57 +172,23 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
     program = trace_workload.link(page_bytes=config.mem.page_bytes,
                                   instrumented=False)
     program.segment.columns()  # decode outside the timed region
-    results = {}
 
-    def run_engine(cls) -> Callable[[], int]:
-        def go() -> int:
-            engine = cls(
-                trace_workload.link(page_bytes=config.mem.page_bytes,
-                                    instrumented=False), config)
-            result = engine.run(instructions, warmup)
-            results[cls.__name__] = result
-            return result.shared.instructions + warmup
-        return go
+    def run_engine() -> int:
+        engine = FastEngine(
+            trace_workload.link(page_bytes=config.mem.page_bytes,
+                                instrumented=False), config)
+        return engine.run(instructions, warmup).shared.instructions + warmup
 
-    for engine_name, cls in (("scalar", FastEngine), ("batch", BatchEngine)):
-        best, mean, retired = _time(run_engine(cls), repeats)
-        records.append(BenchRecord(
-            workload=workload, engine=engine_name, mode="engine",
-            instructions=retired, repeats=repeats, best_seconds=best,
-            mean_seconds=mean, instr_per_sec=retired / best))
-        log(f"{workload:24s} {engine_name:7s} engine "
-            f"{retired / best:>12,.0f} instr/s (best of {repeats}: "
-            f"{best:.3f}s)")
-    a = json.dumps(results["FastEngine"].to_dict(), sort_keys=True)
-    b = json.dumps(results["BatchEngine"].to_dict(), sort_keys=True)
-    if a != b:
-        raise RuntimeError(
-            f"bench aborted: scalar and batch engines diverged on "
-            f"{workload} — run the equivalence suite "
-            "(tests/test_batch_engine.py)")
+    record("fast", "engine", run_engine)
 
     # -- job view: full run_all_schemes, resolve included ---------------
-    def run_job(engine: str, cold: bool) -> Callable[[], int]:
-        def go() -> int:
-            if cold:
-                clear_trace_cache()  # pre-batching jobs re-decoded per run
-            run = run_all_schemes(resolve(trace_name), config,
-                                  instructions=instructions, warmup=warmup,
-                                  engine=engine)
-            return (run.plain.shared.instructions
-                    + run.instrumented.shared.instructions + 2 * warmup)
-        return go
+    def run_job() -> int:
+        run = run_all_schemes(resolve(trace_name), config,
+                              instructions=instructions, warmup=warmup)
+        return (run.plain.shared.instructions
+                + run.instrumented.shared.instructions + 2 * warmup)
 
-    for engine_name, engine, cold in (("scalar", "scalar", True),
-                                      ("batch", "fast", False)):
-        best, mean, retired = _time(run_job(engine, cold), repeats)
-        records.append(BenchRecord(
-            workload=workload, engine=engine_name, mode="job",
-            instructions=retired, repeats=repeats, best_seconds=best,
-            mean_seconds=mean, instr_per_sec=retired / best))
-        log(f"{workload:24s} {engine_name:7s} job    "
-            f"{retired / best:>12,.0f} instr/s (best of {repeats}: "
-            f"{best:.3f}s)")
+    record("fast", "job", run_job)
 
     # -- grid view: N geometries, independent jobs vs one shared pass ---
     grid_configs = [config.with_itlb(TLBConfig(entries=entries))
@@ -243,16 +215,10 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
         grid_runs["grid"] = runs
         return _retired(runs)
 
-    for engine_name, fn in (("scalar", run_independent),
-                            ("batch", run_gridded)):
-        best, mean, retired = _time(fn, repeats)
-        records.append(BenchRecord(
-            workload=workload, engine=engine_name, mode="grid",
-            instructions=retired, repeats=repeats, best_seconds=best,
-            mean_seconds=mean, instr_per_sec=retired / best))
-        log(f"{workload:24s} {engine_name:7s} grid   "
-            f"{retired / best:>12,.0f} instr/s (best of {repeats}: "
-            f"{best:.3f}s, {len(GRID_POINTS)} geometries)")
+    for engine_name, fn in (("independent", run_independent),
+                            ("grid", run_gridded)):
+        record(engine_name, "grid", fn,
+               f", {len(GRID_POINTS)} geometries")
     for solo, member in zip(grid_runs["independent"], grid_runs["grid"]):
         if (json.dumps(solo.to_dict(), sort_keys=True)
                 != json.dumps(member.to_dict(), sort_keys=True)):
@@ -299,16 +265,9 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
         return go
 
     for engine_name, window in (("eager", None), ("windowed", window_bytes)):
-        best, mean, retired = _time(run_stream(engine_name, window), repeats)
-        peak = full_bytes if window is None else stream_peak["bytes"]
-        records.append(BenchRecord(
-            workload=workload, engine=engine_name, mode="stream",
-            instructions=retired, repeats=repeats, best_seconds=best,
-            mean_seconds=mean, instr_per_sec=retired / best,
-            peak_window_bytes=peak))
-        log(f"{workload:24s} {engine_name:8s} stream "
-            f"{retired / best:>11,.0f} instr/s (best of {repeats}: "
-            f"{best:.3f}s, peak window {peak:,} B)")
+        record(engine_name, "stream", run_stream(engine_name, window))
+        records[-1].peak_window_bytes = (
+            full_bytes if window is None else stream_peak["bytes"])
     if (json.dumps(stream_runs["eager"].to_dict(), sort_keys=True)
             != json.dumps(stream_runs["windowed"].to_dict(),
                           sort_keys=True)):
@@ -325,18 +284,17 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
 
 
 def speedups(records: Sequence[BenchRecord]) -> Dict[str, Dict[str, float]]:
-    """Per-workload instr-per-sec ratios, per view: batch/scalar for the
-    evaluator views, windowed/eager for ``stream`` (typically ≤ 1 — it
-    prices the memory bound, it does not chase a speedup)."""
+    """Per-workload instr-per-sec ratios of the two-row views:
+    grid/independent for ``grid``, windowed/eager for ``stream``
+    (typically ≤ 1 — it prices the memory bound, it does not chase a
+    speedup)."""
     by_key: Dict[tuple, BenchRecord] = {
         (r.workload, r.mode, r.engine): r for r in records}
     out: Dict[str, Dict[str, float]] = {}
     for workload in {r.workload for r in records}:
         entry = {}
         for mode, base_name, fast_name in (
-                ("engine", "scalar", "batch"),
-                ("job", "scalar", "batch"),
-                ("grid", "scalar", "batch"),
+                ("grid", "independent", "grid"),
                 ("stream", "eager", "windowed")):
             base = by_key.get((workload, mode, base_name))
             fast = by_key.get((workload, mode, fast_name))
@@ -369,21 +327,3 @@ def run_bench(*, workloads: Sequence[str] = DEFAULT_WORKLOADS,
         "results": [r.to_dict() for r in records],
         "speedups": speedups(records),
     }
-
-
-def check_floor(payload: dict, floor: float,
-                workloads: Optional[Sequence[str]] = None) -> List[str]:
-    """Failures (empty = pass): workloads whose engine-view speedup is
-    below ``floor``.  ``workloads=None`` checks every benched one."""
-    failures = []
-    for workload, entry in sorted(payload.get("speedups", {}).items()):
-        if workloads is not None and workload not in workloads:
-            continue
-        ratio = entry.get("engine")
-        if ratio is None:
-            failures.append(f"{workload}: no engine-view measurement")
-        elif ratio < floor:
-            failures.append(
-                f"{workload}: batch engine is {ratio:.2f}x the scalar "
-                f"engine (floor {floor:.2f}x)")
-    return failures

@@ -17,9 +17,10 @@ Subcommands:
   print a file's ``info``
 * ``cache``        — ``list`` / ``stats`` / ``purge`` a result-store
   cache directory (``purge --keep-bytes N`` size-bounds it, LRU)
-* ``bench``        — measure replay throughput (instr/sec, min-of-N)
-  for the scalar vs batched engine and write ``BENCH_<n>.json`` (the
-  repository's performance trajectory; see ``docs/performance.md``)
+* ``bench``        — measure the fast engine's replay throughput
+  (instr/sec, min-of-N) and the grid and streaming trade-offs, and
+  write ``BENCH_<n>.json`` (the repository's performance trajectory;
+  see ``docs/performance.md``)
 * ``status``       — one-shot or ``--watch`` dashboard over a
   ``queue:<dir>`` fleet: queue depth, worker liveness/throughput,
   stale leases, error tail; ``--json`` for scripts,
@@ -197,8 +198,7 @@ def _run_sweep(args: argparse.Namespace,
         for config in configs:
             specs.append(JobSpec(workload=name, config=config,
                                  instructions=args.instructions,
-                                 warmup=args.warmup, schemes=schemes,
-                                 engine=args.engine))
+                                 warmup=args.warmup, schemes=schemes))
 
     try:
         backend = resolve_backend(args.backend)
@@ -515,14 +515,14 @@ def _run_queue(args: argparse.Namespace) -> int:
 
 def _run_bench(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    from repro.bench import DEFAULT_WORKLOADS, MESA, check_floor, run_bench
+    from repro.bench import DEFAULT_WORKLOADS, MESA, run_bench
 
     workloads = args.workloads
     if workloads is None:
         workloads = [MESA] if args.quick else list(DEFAULT_WORKLOADS)
     if not workloads:
         # an empty list (e.g. an unset shell variable expanding to
-        # nothing) must not produce a vacuously-passing floor check
+        # nothing) must not produce a vacuous report
         parser.error("--workloads needs at least one workload name")
     _check_workloads(workloads, parser)
     instructions = (args.instructions if args.instructions is not None
@@ -543,16 +543,7 @@ def _run_bench(args: argparse.Namespace,
     for workload, entry in sorted(payload["speedups"].items()):
         views = "  ".join(f"{mode} {ratio:.2f}x"
                           for mode, ratio in sorted(entry.items()))
-        print(f"  {workload:24s} batch/scalar: {views}")
-
-    if args.fail_below is not None:
-        failures = check_floor(payload, args.fail_below)
-        if failures:
-            for failure in failures:
-                print(f"FLOOR FAILED {failure}", file=sys.stderr)
-            return 1
-        print(f"floor check passed (>= {args.fail_below:.2f}x "
-              "on every workload)")
+        print(f"  {workload:24s} {views}")
     return 0
 
 
@@ -662,13 +653,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="scheme subset (default: all)")
     p_sweep.add_argument("--il1", default="vi-pt",
                          choices=[a.value for a in CacheAddressing])
-    p_sweep.add_argument("--engine", default="fast",
-                         choices=["fast", "scalar", "batch"],
-                         help="evaluator: 'fast' auto-selects the "
-                              "batched engine for trace replays "
-                              "(bit-identical); 'scalar'/'batch' force "
-                              "one (forced runs cache under their own "
-                              "keys)")
     p_sweep.add_argument("--instructions", type=int, default=120_000)
     p_sweep.add_argument("--warmup", type=int, default=20_000)
     p_sweep.add_argument("--workers", type=int, default=1,
@@ -897,10 +881,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "import:<format>:<path>)")
     p_sim.add_argument("--il1", default="vi-pt",
                        choices=[a.value for a in CacheAddressing])
-    p_sim.add_argument("--engine", default="fast",
-                       choices=["fast", "scalar", "batch"],
-                       help="evaluator ('fast' auto-selects the batched "
-                            "engine for trace replays)")
     p_sim.add_argument("--profile", default=None, metavar="OUT.pstats",
                        help="profile the run with cProfile and write a "
                             "pstats dump (read with: "
@@ -917,11 +897,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_bench = sub.add_parser(
         "bench",
-        help="measure scalar vs batched replay throughput and write "
+        help="measure fast-engine replay throughput and write "
              "BENCH_<n>.json (see docs/performance.md)")
-    p_bench.add_argument("-o", "--output", default="BENCH_9.json",
+    p_bench.add_argument("-o", "--output", default="BENCH_13.json",
                          help="JSON report to write "
-                              "(default: BENCH_9.json)")
+                              "(default: BENCH_13.json)")
     p_bench.add_argument("--quick", action="store_true",
                          help="mesa only, smaller window, fewer repeats "
                               "(the CI smoke configuration)")
@@ -942,11 +922,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_bench.add_argument("--trace-dir", default=".bench-traces",
                          help="where bench traces are recorded/reused "
                               "(default: .bench-traces)")
-    p_bench.add_argument("--fail-below", type=float, default=None,
-                         metavar="RATIO",
-                         help="exit 1 if the batch engine's instr/sec "
-                              "is below RATIO x the scalar engine's on "
-                              "any benched workload (CI guards 0.9)")
     _add_trace_window_arg(p_bench)
 
     args = parser.parse_args(argv)
@@ -1053,8 +1028,7 @@ def _dispatch(args: argparse.Namespace,
             run = run_all_schemes(registry.resolve(args.benchmark),
                                   config,
                                   instructions=settings.instructions,
-                                  warmup=settings.warmup,
-                                  engine=args.engine)
+                                  warmup=settings.warmup)
             print(summarize_result(run.plain))
             print()
             print(summarize_result(run.instrumented))

@@ -8,7 +8,19 @@ Two observations from the paper make this engine possible:
    every scheme;
 2. each scheme's lookup decisions depend only on that shared stream plus
    its private CFR/iTLB state — so six small policy state machines can ride
-   along on a single functional pass.
+   along on a single pass.
+
+The same observation makes a program's committed stream pure data: it
+depends only on the program (binary and page size) and the window.  So
+the engine never interprets instructions itself.  It consumes the
+stream as flat ``array('q')`` columns
+(:class:`~repro.trace.format.SegmentColumns`), one
+:class:`~repro.trace.format.TraceWindow` at a time, from the program's
+window source: a live program executes functionally once into an
+in-memory segment (see :meth:`repro.isa.program.Program.window_source`),
+a replay decodes its trace, eagerly or in bounded windows.  Live and
+replayed runs therefore go through the one loop below, and stay
+bit-identical.
 
 Timing is a dependency-aware list-scheduling model of the Table 1 core:
 
@@ -28,7 +40,7 @@ the detailed out-of-order engine (see ``benchmarks/test_validation.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.branch.predictor import FrontEndPredictor
 from repro.config import CacheAddressing, MachineConfig, SchemeName
@@ -39,9 +51,17 @@ from repro.core.schemes import (
     build_all_policies,
 )
 from repro.cpu.results import EngineResult, SchemeResult, SharedStats
-from repro.isa.instructions import Opcode
+from repro.errors import ConfigError
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.trace.format import (
+    COL_FLAG_BOUNDARY,
+    COL_FLAG_CVTFI,
+    COL_FLAG_CVTIF,
+    COL_FLAG_FLW,
+    COL_FLAG_FSW,
+    trace_exhausted,
+)
 from repro.vm.os_model import AddressSpace
 from repro.vm.page_table import Protection
 from repro.vm.tlb import TLB
@@ -53,17 +73,11 @@ class FastEngine:
     """Single-pass multi-scheme simulator."""
 
     def __init__(self, program: Program, config: MachineConfig,
-                 schemes: Optional[Sequence[SchemeName]] = None,
-                 recorder=None) -> None:
+                 schemes: Optional[Sequence[SchemeName]] = None) -> None:
         self.program = program
         self.config = config
         self.addressing = config.mem.il1_addressing
         self.space = AddressSpace(program)
-        self.executor = program.make_executor(self.space)
-        if recorder is not None:
-            # trace capture: every committed StepResult is written to the
-            # recorder's trace file as a side effect of stepping
-            self.executor = recorder.attach(self.executor, program)
         self.hier = MemoryHierarchy(config.mem)
         self.predictor = FrontEndPredictor(config.branch)
         self.dtlb = TLB(config.dtlb, name="dtlb")
@@ -119,6 +133,13 @@ class FastEngine:
         self._group_remaining = 0
         self._group_block = -1
         self._redirect = True  # first fetch starts a group
+
+        # stream position: the window source is bound by the measured run
+        self._source = None
+        self._window = None  #: current TraceWindow (None before the first)
+        self._win_base = 0  #: absolute step offset of the current window
+        self._pos = 0  #: position *within* the current window
+        self._halted = False
 
         # stream-tracking state
         self._last_vpn = -1
@@ -180,11 +201,20 @@ class FastEngine:
 
     def _run_measured(self, instructions: int,
                       warmup: int = 0) -> List[EngineResult]:
-        if warmup:
-            self._run_window(warmup)
-        self._reset_measurement()
-        cycles_start = self._commit_cycle
-        self._run_window(instructions)
+        if self._source is not None:
+            raise ConfigError("an engine runs one measured window; "
+                              "build a new engine for the next one")
+        self._source = self.program.window_source(warmup + instructions)
+        try:
+            if warmup:
+                self._run_window(warmup)
+            self._reset_measurement()
+            cycles_start = self._commit_cycle
+            self._run_window(instructions)
+        finally:
+            # a window that ends before its stream does must not leave a
+            # streamed trace's file handle open
+            self._source.close()
         self._flush_bulk_counters()
         base_cycles = self._commit_cycle - cycles_start
         self.shared.base_cycles = base_cycles
@@ -262,112 +292,479 @@ class FastEngine:
             ))
         return collected
 
-    # -- main loop ------------------------------------------------------------
+    # -- main loop ----------------------------------------------------------
 
-    def _run_window(self, budget: int) -> None:
-        """Execute ``budget`` useful instructions."""
-        executor = self.executor
+    def _run_window(self, budget: int) -> None:  # noqa: C901 - hot loop
+        """Execute ``budget`` useful instructions from the columns.
+
+        The engine's mutable scalar state (timing clocks, stream
+        trackers, shared counters) lives in frame locals for the whole
+        window and is written back to the instance at its end.  The loop
+        alternates two regimes:
+
+        * a **per-event path** (page changes, control transfers, memory
+          operations, HALT, and the first fetch after any of those) that
+          runs the full model for one record;
+        * a **run-length path** that retires whole straight-line runs of
+          plain instructions (no control, no memory access) in chunks
+          bounded by iL1-block and page ends: the chunk's stream
+          bookkeeping is one bulk-counter update and its timing is the
+          plain-instruction subset of the list-scheduling model.
+
+        Columns come one :class:`~repro.trace.format.TraceWindow` at a
+        time.  When the position runs off the current window's end the
+        loop top pulls the next window and rebinds the column locals; a
+        run-length run truncated at a window boundary simply resumes on
+        the per-event path in the next window, which retires a plain
+        record bit-identically (the streaming equivalence suite pins
+        this).
+        """
+        source = self._source
+        instrs = source.instructions
+        window = self._window
+        win_base = self._win_base
+        if window is not None:
+            cols = window.columns()
+            pcs = cols.pc
+            nexts = cols.next_pc
+            kinds = cols.kind
+            auxs = cols.aux
+            rss = cols.rs
+            rts = cols.rt
+            rds = cols.rd
+            lats = cols.latency
+            flagss = cols.flags
+            idxs = cols.index
+            runs = cols.run
+            n_records = cols.steps
+        else:
+            n_records = 0  # the loop top binds the first window
+
         shared = self.shared
         page_shift = self._page_shift
         block_shift = self._block_shift
+        offset_mask = self._offset_mask
+        block_low_mask = (1 << block_shift) - 1
         page_table = self.space.page_table
         vivt = self.addressing is CacheAddressing.VIVT
+        policies = self.policies
+        event_policies = self._event_policies
+        base_policies = self._base_policies
+        predictor_observe = self.predictor.observe
+        hier_fetch = self.hier.fetch
+        data_access = self._data_access
+        fetch_width = self._fetch_width
+        commit_width = self._commit_width
+        mispredict_penalty = self._mispredict_penalty
+        ready_int = self._ready_int
+        ready_fp = self._ready_fp
+        pools = self._fu_pools
+        ring = self._commit_ring
+        ring_size = self._ring_size
+
+        # engine scalar state, local for the whole window
+        pos = self._pos
+        halted = self._halted
+        last_vpn = self._last_vpn
+        last_pfn = self._last_pfn
+        last_fetch_block = self._last_fetch_block
+        il1_bulk = self._il1_bulk_hits
+        first_fetch = self._first_fetch
+        base_structural = self._base_structural
+        prev_outcome = self._prev_outcome
+        redirect = self._redirect
+        fetch_clock = self._fetch_clock
+        commit_cycle = self._commit_cycle
+        commit_slots = self._commit_slots
+        group_remaining = self._group_remaining
+        group_block = self._group_block
+        group_count = self._group_count
+        ring_pos = self._ring_pos
+
+        # shared counters, local for the whole window
+        c_instructions = 0
+        c_boundary = 0
+        c_loads = 0
+        c_stores = 0
+        c_branches = 0
+        c_taken = 0
+        c_cross_branch = 0
+        c_cross_boundary = 0
+
         useful = 0
-        while useful < budget and not executor.halted:
-            pc = executor.pc
-            vpn = pc >> page_shift
-            page_changed = vpn != self._last_vpn
-            prev_outcome = self._prev_outcome
+        try:
+            while useful < budget and not halted:
+                if pos >= n_records:
+                    nxt = source.next_window()
+                    if nxt is None:
+                        raise trace_exhausted(win_base + pos)
+                    win_base += n_records
+                    window = nxt
+                    cols = nxt.columns()
+                    pcs = cols.pc
+                    nexts = cols.next_pc
+                    kinds = cols.kind
+                    auxs = cols.aux
+                    rss = cols.rs
+                    rts = cols.rt
+                    rds = cols.rd
+                    lats = cols.latency
+                    flagss = cols.flags
+                    idxs = cols.index
+                    runs = cols.run
+                    n_records = cols.steps
+                    pos = 0
+                    continue
 
-            # ---- page-change accounting and translation housekeeping ----
-            if page_changed:
-                self._last_vpn = vpn
-                pte = page_table.translate(vpn, prot=Protection.EXEC,
-                                           allocate=False)
-                self._last_pfn = pte.pfn
-                if prev_outcome is not None and prev_outcome.taken:
-                    if prev_outcome.instr.is_boundary_branch:
-                        shared.page_crossings_boundary += 1
+                # =================== per-event path ====================
+                pc = pcs[pos]
+                vpn = pc >> page_shift
+
+                # ---- page-change accounting and translation ----
+                if vpn != last_vpn:
+                    page_changed = True
+                    last_vpn = vpn
+                    pte = page_table.translate(vpn, prot=Protection.EXEC,
+                                               allocate=False)
+                    last_pfn = pte.pfn
+                    if prev_outcome is not None and prev_outcome.taken:
+                        if prev_outcome.instr.is_boundary_branch:
+                            c_cross_boundary += 1
+                        else:
+                            c_cross_branch += 1
                     else:
-                        shared.page_crossings_branch += 1
+                        c_cross_boundary += 1
                 else:
-                    shared.page_crossings_boundary += 1
-            pa = (self._last_pfn << page_shift) | (pc & self._offset_mask)
+                    page_changed = False
+                pa = (last_pfn << page_shift) | (pc & offset_mask)
 
-            # ---- scheme triggers at the fetch point (VI-PT / PI-PT) ----
-            if not vivt and (prev_outcome is not None or page_changed
-                             or self._first_fetch):
-                seq_boundary = not (prev_outcome is not None
-                                    and prev_outcome.taken)
-                for policy in self._event_policies:
-                    if policy.wants_lookup(vpn):
-                        reason = policy.fetch_reason(seq_boundary)
-                        policy.extra_cycles += (policy.serial_penalty
-                                                + policy.lookup(vpn, reason))
-                if self._base_policies and (page_changed
-                                            or self._first_fetch):
-                    # one structural event per trigger — member-invariant,
-                    # driven by the shared stream, so counted once
-                    self._base_structural += 1
-                    for base in self._base_policies:
-                        base.extra_cycles += (base.serial_penalty
-                                              + base.lookup(
-                                                  vpn, LookupReason.BRANCH))
-            self._first_fetch = False
+                # ---- scheme triggers at the fetch point (non-VI-VT) ----
+                if not vivt and (prev_outcome is not None or page_changed
+                                 or first_fetch):
+                    seq_boundary = not (prev_outcome is not None
+                                        and prev_outcome.taken)
+                    for policy in event_policies:
+                        if policy.wants_lookup(vpn):
+                            reason = policy.fetch_reason(seq_boundary)
+                            policy.extra_cycles += (
+                                policy.serial_penalty
+                                + policy.lookup(vpn, reason))
+                    if base_policies and (page_changed or first_fetch):
+                        # one structural event per trigger (shared-stream
+                        # driven), charged to every member's base policy
+                        base_structural += 1
+                        for base_policy in base_policies:
+                            base_policy.extra_cycles += (
+                                base_policy.serial_penalty
+                                + base_policy.lookup(
+                                    vpn, LookupReason.BRANCH))
+                first_fetch = False
 
-            # ---- iL1 fetch (with same-block fast path) ----
-            fetch_block = pa >> block_shift
-            fetch_stall = 0
-            if fetch_block == self._last_fetch_block:
-                self._il1_bulk_hits += 1
-            else:
-                self._last_fetch_block = fetch_block
-                outcome = self.hier.fetch(pc, pa)
-                if not outcome.il1_hit:
-                    fetch_stall = outcome.latency - 1
-                    if vivt:
-                        for policy in self.policies:
-                            if policy.wants_lookup(vpn):
-                                reason = policy.fetch_reason(True)
-                                policy.extra_cycles += (
-                                    policy.serial_penalty
-                                    + policy.lookup(vpn, reason))
+                # ---- iL1 fetch (with same-block fast path) ----
+                fetch_block = pa >> block_shift
+                fetch_stall = 0
+                if fetch_block == last_fetch_block:
+                    il1_bulk += 1
+                else:
+                    last_fetch_block = fetch_block
+                    fetched = hier_fetch(pc, pa)
+                    if not fetched.il1_hit:
+                        fetch_stall = fetched.latency - 1
+                        if vivt:
+                            for policy in policies:
+                                if policy.wants_lookup(vpn):
+                                    reason = policy.fetch_reason(True)
+                                    policy.extra_cycles += (
+                                        policy.serial_penalty
+                                        + policy.lookup(vpn, reason))
+                                else:
+                                    policy.serve_from_cfr()
+
+                # ---- retire (the columns hold the step facts) ----
+                kind = kinds[pos]
+                aux = auxs[pos]
+                flags = flagss[pos]
+                c_instructions += 1
+                if flags & COL_FLAG_BOUNDARY:
+                    c_boundary += 1
+                else:
+                    useful += 1
+
+                # ---- data access ----
+                mem_stall = 0
+                if kind == 6:  # LOAD
+                    mem_stall = data_access(aux, False)
+                    c_loads += 1
+                elif kind == 7:  # STORE
+                    mem_stall = data_access(aux, True)
+                    c_stores += 1
+                elif kind == 14:  # HALT
+                    halted = True
+
+                # ---- control resolution ----
+                outcome = None
+                if 8 <= kind <= 12:
+                    instr = instrs[idxs[pos]]
+                    taken = kind != 8 or aux != 0
+                    c_branches += 1
+                    if taken:
+                        c_taken += 1
+                    outcome = predictor_observe(pc, instr, taken,
+                                                nexts[pos])
+                    prediction = outcome.prediction
+                    for policy in event_policies:
+                        # on_control(outcome), unrolled
+                        policy.on_predict(instr, prediction)
+                        policy.on_resolve(outcome)
+                prev_outcome = outcome
+
+                # ---- timing ----
+                vblock = pc >> block_shift
+                if redirect or group_remaining == 0 or vblock != group_block:
+                    fetch_clock += 1
+                    group_count += 1
+                    group_remaining = fetch_width
+                    group_block = vblock
+                    redirect = False
+                group_remaining -= 1
+                if fetch_stall:
+                    fetch_clock += fetch_stall
+                fetch_t = fetch_clock
+                oldest = ring[ring_pos]
+                if oldest > fetch_t:
+                    fetch_t = oldest
+                    fetch_clock = oldest
+                issue_t = fetch_t + _FRONT_DEPTH
+                rs = rss[pos]
+                rt = rts[pos]
+                rd = rds[pos]
+                # ready_int[0] is invariantly 0 (int-file writes are
+                # guarded by ``if rd:``), so r0 sources read directly
+                if 3 <= kind <= 5:  # FP ops read the FP file
+                    if flags & COL_FLAG_CVTIF:
+                        src1 = ready_int[rs]
+                    else:
+                        src1 = ready_fp[rs]
+                    src2 = ready_fp[rt]
+                    if src1 > issue_t:
+                        issue_t = src1
+                    if src2 > issue_t:
+                        issue_t = src2
+                else:
+                    src1 = ready_int[rs]
+                    src2 = ready_int[rt]
+                    if src1 > issue_t:
+                        issue_t = src1
+                    if src2 > issue_t:
+                        issue_t = src2
+                    if kind == 7 and rd:  # stores also read the value
+                        src3 = (ready_fp[rd] if flags & COL_FLAG_FSW
+                                else ready_int[rd])
+                        if src3 > issue_t:
+                            issue_t = src3
+                pool = pools[kind]
+                if pool is not None:
+                    best_t = min(pool)
+                    if best_t > issue_t:
+                        issue_t = best_t
+                    pool[pool.index(best_t)] = issue_t + 1
+                latency = lats[pos]
+                if kind == 6:  # load: memory latency beyond a 1-cycle hit
+                    latency += mem_stall
+                elif kind == 7:
+                    latency = 1  # stores complete into the store queue
+                    if mem_stall:
+                        latency += mem_stall >> 3
+                complete_t = issue_t + latency
+                if 3 <= kind <= 5:
+                    if flags & COL_FLAG_CVTFI:
+                        if rd:
+                            ready_int[rd] = complete_t
+                    else:
+                        ready_fp[rd] = complete_t
+                elif kind == 6:  # loads (FLW fills the FP file)
+                    if flags & COL_FLAG_FLW:
+                        ready_fp[rd] = complete_t
+                    elif rd:
+                        ready_int[rd] = complete_t
+                elif kind <= 2:
+                    if rd:
+                        ready_int[rd] = complete_t
+                elif kind == 10 or kind == 12:  # calls write ra
+                    ready_int[31] = complete_t
+                candidate = complete_t + 1
+                if candidate > commit_cycle:
+                    commit_cycle = candidate
+                    commit_slots = 1
+                else:
+                    commit_slots += 1
+                    if commit_slots > commit_width:
+                        commit_cycle += 1
+                        commit_slots = 1
+                ring[ring_pos] = commit_cycle
+                ring_pos += 1
+                if ring_pos == ring_size:
+                    ring_pos = 0
+                if outcome is not None:
+                    if outcome.path_diverged:
+                        fetch_clock += mispredict_penalty
+                        redirect = True
+                    elif outcome.taken:
+                        redirect = True
+                pos += 1
+
+                # =================== run-length path ===================
+                # After an event-free step the stream is straight-line
+                # plain instructions until the next event; retire the
+                # whole run in chunks bounded by iL1-block/page ends.
+                if outcome is not None or halted or useful >= budget:
+                    continue
+                if pos >= n_records:
+                    continue
+                run = runs[pos]
+                if run == 0:
+                    continue
+                remaining = budget - useful
+                if run > remaining:
+                    run = remaining
+
+                while run > 0:
+                    pc = pcs[pos]
+                    if pc >> page_shift != last_vpn:
+                        break  # sequential crossing: event path handles it
+                    # chunk ends at the iL1 block (or page) boundary;
+                    # within a page the physical and virtual boundaries
+                    # coincide
+                    room = ((pc | block_low_mask) + 1 - pc) >> 2
+                    page_room = ((pc | offset_mask) + 1 - pc) >> 2
+                    if page_room < room:
+                        room = page_room
+                    n = run if run < room else room
+                    pa = (last_pfn << page_shift) | (pc & offset_mask)
+                    fetch_block = pa >> block_shift
+                    fs = 0
+                    if fetch_block == last_fetch_block:
+                        il1_bulk += n
+                    else:
+                        last_fetch_block = fetch_block
+                        fetched = hier_fetch(pc, pa)
+                        il1_bulk += n - 1
+                        if not fetched.il1_hit:
+                            fs = fetched.latency - 1
+                            if vivt:
+                                vpn = pc >> page_shift
+                                for policy in policies:
+                                    if policy.wants_lookup(vpn):
+                                        reason = policy.fetch_reason(True)
+                                        policy.extra_cycles += (
+                                            policy.serial_penalty
+                                            + policy.lookup(vpn, reason))
+                                    else:
+                                        policy.serve_from_cfr()
+                    vblock = pc >> block_shift
+
+                    # ---- plain-instruction timing (the subset of the
+                    # model reachable with no memory stall, no control
+                    # outcome, and no redirect pending) ----
+                    end = pos + n
+                    while pos < end:
+                        if group_remaining == 0 or vblock != group_block:
+                            fetch_clock += 1
+                            group_count += 1
+                            group_remaining = fetch_width
+                            group_block = vblock
+                        group_remaining -= 1
+                        if fs:
+                            fetch_clock += fs
+                            fs = 0
+                        fetch_t = fetch_clock
+                        oldest = ring[ring_pos]
+                        if oldest > fetch_t:
+                            fetch_t = oldest
+                            fetch_clock = oldest
+                        issue_t = fetch_t + _FRONT_DEPTH
+                        kind = kinds[pos]
+                        rs = rss[pos]
+                        rt = rts[pos]
+                        if 3 <= kind <= 5:  # FP ops read the FP file
+                            if flagss[pos] & COL_FLAG_CVTIF:
+                                src1 = ready_int[rs]
                             else:
-                                policy.serve_from_cfr()
+                                src1 = ready_fp[rs]
+                            src2 = ready_fp[rt]
+                        else:
+                            src1 = ready_int[rs]
+                            src2 = ready_int[rt]
+                        if src1 > issue_t:
+                            issue_t = src1
+                        if src2 > issue_t:
+                            issue_t = src2
+                        pool = pools[kind]
+                        if pool is not None:
+                            best_t = min(pool)
+                            if best_t > issue_t:
+                                issue_t = best_t
+                            pool[pool.index(best_t)] = issue_t + 1
+                        complete_t = issue_t + lats[pos]
+                        rd = rds[pos]
+                        if 3 <= kind <= 5:
+                            if flagss[pos] & COL_FLAG_CVTFI:
+                                if rd:
+                                    ready_int[rd] = complete_t
+                            else:
+                                ready_fp[rd] = complete_t
+                        elif kind <= 2:
+                            if rd:
+                                ready_int[rd] = complete_t
+                        candidate = complete_t + 1
+                        if candidate > commit_cycle:
+                            commit_cycle = candidate
+                            commit_slots = 1
+                        else:
+                            commit_slots += 1
+                            if commit_slots > commit_width:
+                                commit_cycle += 1
+                                commit_slots = 1
+                        ring[ring_pos] = commit_cycle
+                        ring_pos += 1
+                        if ring_pos == ring_size:
+                            ring_pos = 0
+                        pos += 1
 
-            # ---- execute ----
-            step = executor.step()
-            instr = step.instr
-            shared.instructions += 1
-            if instr.is_boundary_branch:
-                shared.boundary_instructions += 1
-            else:
-                useful += 1
-                shared.useful_instructions += 1
-
-            # ---- data access ----
-            mem_stall = 0
-            if step.mem_addr is not None:
-                mem_stall = self._data_access(step.mem_addr, step.is_store)
-                if step.is_store:
-                    shared.stores += 1
-                else:
-                    shared.loads += 1
-
-            # ---- control resolution ----
-            outcome = None
-            if instr.is_control:
-                shared.dynamic_branches += 1
-                if step.taken:
-                    shared.taken_branches += 1
-                outcome = self.predictor.observe(pc, instr, step.taken,
-                                                 step.next_pc)
-                for policy in self._event_policies:
-                    policy.on_control(outcome)
-            self._prev_outcome = outcome
-
-            # ---- timing ----
-            self._account_timing(pc, instr, fetch_stall, mem_stall, outcome)
+                    c_instructions += n
+                    useful += n
+                    run -= n
+        finally:
+            # write the hoisted engine state back (also on the
+            # trace-exhausted raise, so the instance stays coherent)
+            self._window = window
+            self._win_base = win_base
+            self._pos = pos
+            self._halted = halted
+            self._last_vpn = last_vpn
+            self._last_pfn = last_pfn
+            self._last_fetch_block = last_fetch_block
+            self._il1_bulk_hits = il1_bulk
+            self._first_fetch = first_fetch
+            self._base_structural = base_structural
+            self._prev_outcome = prev_outcome
+            self._redirect = redirect
+            self._fetch_clock = fetch_clock
+            self._commit_cycle = commit_cycle
+            self._commit_slots = commit_slots
+            self._group_remaining = group_remaining
+            self._group_block = group_block
+            self._group_count = group_count
+            self._ring_pos = ring_pos
+            shared.instructions += c_instructions
+            shared.useful_instructions += useful
+            shared.boundary_instructions += c_boundary
+            shared.loads += c_loads
+            shared.stores += c_stores
+            shared.dynamic_branches += c_branches
+            shared.taken_branches += c_taken
+            shared.page_crossings_branch += c_cross_branch
+            shared.page_crossings_boundary += c_cross_boundary
 
     # -- data-side helper ------------------------------------------------------
 
@@ -402,119 +799,3 @@ class FastEngine:
             if not outcome.dl1_hit:
                 stall += outcome.latency - 1
         return stall
-
-    # -- timing model ------------------------------------------------------------
-
-    def _account_timing(self, pc: int, instr, fetch_stall: int,
-                        mem_stall: int, outcome) -> None:
-        # -- front end: group formation --
-        fetch_block = pc >> self._block_shift
-        if (self._redirect or self._group_remaining == 0
-                or fetch_block != self._group_block):
-            self._fetch_clock += 1
-            self._group_count += 1
-            self._group_remaining = self._fetch_width
-            self._group_block = fetch_block
-            self._redirect = False
-        self._group_remaining -= 1
-        if fetch_stall:
-            self._fetch_clock += fetch_stall
-        fetch_t = self._fetch_clock
-
-        # -- RUU occupancy limit --
-        ring = self._commit_ring
-        pos = self._ring_pos
-        oldest_commit = ring[pos]
-        if oldest_commit > fetch_t:
-            fetch_t = oldest_commit
-            self._fetch_clock = oldest_commit
-
-        # -- issue: dependences + functional unit --
-        ready_int = self._ready_int
-        issue_t = fetch_t + _FRONT_DEPTH
-        op = instr.op
-        kind = instr.kind_code
-        # ready_int[0] is invariantly 0 (every int-file write is guarded
-        # by ``if rd:``), so r0 sources read the array directly
-        if kind in (3, 4, 5):  # FP ops read the FP file (CVTIF reads int)
-            ready_fp = self._ready_fp
-            if op is Opcode.CVTIF:
-                src1 = ready_int[instr.rs]
-            else:
-                src1 = ready_fp[instr.rs]
-            src2 = ready_fp[instr.rt]
-            if src1 > issue_t:
-                issue_t = src1
-            if src2 > issue_t:
-                issue_t = src2
-        else:
-            src1 = ready_int[instr.rs]
-            src2 = ready_int[instr.rt]
-            if src1 > issue_t:
-                issue_t = src1
-            if src2 > issue_t:
-                issue_t = src2
-            if kind == 7 and instr.rd:  # stores also read the stored value
-                src3 = (self._ready_fp[instr.rd] if op is Opcode.FSW
-                        else ready_int[instr.rd])
-                if src3 > issue_t:
-                    issue_t = src3
-
-        fu_pool = self._fu_pools[kind]
-        if fu_pool is not None:
-            # first unit to free up (ties to the lowest index, exactly as
-            # the explicit scan did; min/index run at C speed)
-            best_t = min(fu_pool)
-            if best_t > issue_t:
-                issue_t = best_t
-            fu_pool[fu_pool.index(best_t)] = issue_t + 1
-
-        latency = instr.latency  # precomputed op.latency
-        if kind == 6:  # load: memory latency beyond the 1-cycle hit
-            latency += mem_stall
-        elif kind == 7:
-            latency = 1  # stores complete into the store queue
-            if mem_stall:
-                # the miss is handled off the critical path; charge a
-                # fraction as store-buffer pressure
-                latency += mem_stall >> 3
-        complete_t = issue_t + latency
-
-        # -- destination ready --
-        if kind in (3, 4, 5):
-            if op is Opcode.CVTFI:
-                if instr.rd:
-                    ready_int[instr.rd] = complete_t
-            else:
-                self._ready_fp[instr.rd] = complete_t
-        elif kind == 6:  # loads (FLW fills the FP file)
-            if op is Opcode.FLW:
-                self._ready_fp[instr.rd] = complete_t
-            elif instr.rd:
-                ready_int[instr.rd] = complete_t
-        elif kind <= 2:
-            if instr.rd:
-                ready_int[instr.rd] = complete_t
-        elif kind in (10, 12):  # calls write ra
-            ready_int[31] = complete_t
-
-        # -- in-order commit, commit_width per cycle --
-        candidate = complete_t + 1
-        if candidate > self._commit_cycle:
-            self._commit_cycle = candidate
-            self._commit_slots = 1
-        else:
-            self._commit_slots += 1
-            if self._commit_slots > self._commit_width:
-                self._commit_cycle += 1
-                self._commit_slots = 1
-        ring[pos] = self._commit_cycle
-        self._ring_pos = (pos + 1) % self._ring_size
-
-        # -- control-flow redirects --
-        if outcome is not None:
-            if outcome.path_diverged:
-                self._fetch_clock += self._mispredict_penalty
-                self._redirect = True
-            elif outcome.taken:
-                self._redirect = True

@@ -2,8 +2,9 @@
 
 :class:`Executor` is the single source of truth for what instructions *do*:
 both engines drive their timing models off the stream of
-:class:`StepResult` records it produces, so architectural behaviour can
-never diverge between them.
+:class:`StepResult` records it produces — the detailed engine by
+stepping it, the fast engine through :func:`committed_stream` — so
+architectural behaviour can never diverge between them.
 
 Integer registers hold unsigned 32-bit values (``0 .. 2**32-1``); signed
 operators (``slt``, ``blt``, ``bge``, ``div``) reinterpret on the fly.
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import ExecutionError, MemoryFault
+from repro.isa.assembler import collector_paused
 from repro.isa.instructions import Instruction, InstrKind, Opcode
 from repro.isa.program import Program, STACK_TOP
 from repro.isa.registers import REG_RA, REG_SP
@@ -238,3 +240,28 @@ class Executor:
         while not self.halted and self.retired - start < max_instructions:
             self.step()
         return self.retired - start
+
+
+def committed_stream(program: Program, budget: int):
+    """Execute ``program`` until ``budget`` useful (non-boundary)
+    instructions have retired, or it halts, and return the committed
+    stream as an in-memory :class:`~repro.trace.format.TraceSegment` —
+    the same records a trace recorded over that window holds."""
+    from repro.trace.format import MemorySink, program_meta
+    sink = MemorySink()
+    sink.begin_segment(program_meta(
+        program, "instrumented" if program.instrumented else "plain"))
+    write = sink.write_step
+    executor = Executor(program, AddressSpace(program))
+    step = executor.step
+    useful = 0
+    # every record survives into the segment, so the collector's scans
+    # during the loop find nothing to free — and, run often enough, they
+    # grow into full-heap passes over whatever else the process holds
+    with collector_paused():
+        while useful < budget and not executor.halted:
+            result = step()
+            write(result)
+            if not result.instr.is_boundary_branch:
+                useful += 1
+    return sink.segments[0]

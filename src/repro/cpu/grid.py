@@ -1,24 +1,25 @@
-"""The grid engine: one decoded pass, N machine configurations.
+"""The grid engine: one shared pass, N machine configurations.
 
-PR 5's batch engine hit a ceiling: the shared per-event machinery
-(predictor training, iL1/L2 timing, per-scheme policy triggers) must run
-identically for bit-identity, so a single config can't get much faster.
-But the paper's own evaluation trick (Section 3.3.4: no iTLB scheme
-perturbs the shared stream) generalizes *sideways* — the same decoded
+The shared per-event machinery (predictor training, iL1/L2 timing,
+per-scheme policy triggers) must run identically for bit-identity, so a
+single config can't get much faster.  But the paper's own evaluation
+trick (Section 3.3.4: no iTLB scheme perturbs the shared stream)
+generalizes *sideways* — the same
 :class:`~repro.trace.format.SegmentColumns` stream, predictor, caches,
 and dTLB can score **N whole machine configurations** at once, as long
 as the configs differ only in what rides along additively: iTLB
 geometry (mono or two-level) and energy accounting
 (:data:`~repro.config.GRID_MEMBER_FIELDS`).
 
-:class:`MultiConfigEngine` subclasses :class:`~repro.cpu.batch.
-BatchEngine` and adds nothing to the hot loop: it simply installs one
+:class:`MultiConfigEngine` subclasses :class:`~repro.cpu.fast.
+FastEngine` and adds nothing to the hot loop: it simply installs one
 policy set per member (via :meth:`~repro.cpu.fast.FastEngine.
 _install_member`) into the flat lists the inherited loop already
 iterates.  Each policy mutates only its own counters/iTLB, and
 ``SchemeResult.cycles = base_cycles + extra_cycles`` per policy, so
 every member's numbers are **bit-identical** to the run it would get
-alone — pinned by ``tests/test_batch_engine.py``'s grid suite.
+alone — pinned by ``tests/test_batch_engine.py``'s grid suite.  Live
+programs and replays grid alike: both reach the loop as columns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 from typing import List, Optional, Sequence
 
 from repro.config import MachineConfig, SchemeName
-from repro.cpu.batch import BatchEngine
+from repro.cpu.fast import FastEngine
 from repro.errors import ConfigError
 from repro.isa.program import Program
 
@@ -59,8 +60,8 @@ def grid_invariants_key(config: MachineConfig) -> str:
                       separators=(",", ":"))
 
 
-class MultiConfigEngine(BatchEngine):
-    """Batched replay of one decoded stream under N configurations.
+class MultiConfigEngine(FastEngine):
+    """One pass over a committed stream under N configurations.
 
     Construction takes the full member list; ``configs[0]`` seeds the
     shared machinery (caches, predictor, dTLB — identical across members

@@ -28,7 +28,6 @@ from repro.config import (
     default_config,
 )
 from repro.core.dcfr import DataCFR
-from repro.cpu.fast import FastEngine
 from repro.energy.cacti import CactiLikeModel
 from repro.experiments.common import (
     ExperimentSettings,
@@ -40,6 +39,7 @@ from repro.experiments.common import (
     short_name,
 )
 from repro.sim.simulator import Simulator
+from repro.trace.format import committed_steps
 from repro.vm.os_model import AddressSpace
 from repro.vm.tlb import TLB
 from repro.workloads.registry import resolve
@@ -62,19 +62,16 @@ def run_dcfr(settings: Optional[ExperimentSettings] = None) -> TableResult:
         program = workload.link(page_bytes=config.mem.page_bytes)
         for registers in (1, 2, 4):
             space = AddressSpace(program)
-            # via the program's executor hook: a replayed trace feeds
-            # its recorded data-address stream through the dCFR
-            executor = program.make_executor(space)
-            executor.run(settings.warmup)
             dtlb = TLB(config.dtlb, name="dtlb")
             dcfr = DataCFR(dtlb, space.page_table,
                            config.mem.page_shift, registers=registers)
-            executed = 0
-            while executed < settings.instructions and not executor.halted:
-                step = executor.step()
-                executed += 1
-                if step.mem_addr is not None:
-                    dcfr.translate(step.mem_addr, step.is_store)
+            # the program's committed stream: a replayed trace feeds its
+            # recorded data addresses through the dCFR
+            for instr, aux in committed_steps(program, settings.warmup,
+                                              settings.instructions):
+                kind = instr.kind_code
+                if kind == 6 or kind == 7:  # LOAD / STORE
+                    dcfr.translate(aux, kind == 7)
             counters = dcfr.counters
             refs = counters.references or 1
             base_energy = refs * dtlb_ea

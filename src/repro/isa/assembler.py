@@ -271,7 +271,7 @@ class Assembler:
 
 
 @contextmanager
-def _collector_paused() -> Iterator[None]:
+def collector_paused() -> Iterator[None]:
     """Suspend the cyclic garbage collector for the block (reference
     counting still frees everything that becomes unreachable)."""
     enabled = gc.isenabled()
@@ -317,7 +317,7 @@ def link(
     # placement allocates one Instruction per slot and no reference
     # cycles; with the cyclic collector running, those allocations set
     # off full-heap scans that cost more than the placement itself
-    with _collector_paused():
+    with collector_paused():
         for item in module.text:
             if isinstance(item, str):
                 if item in labels or item in pending_labels:

@@ -9,10 +9,13 @@ the decoded instruction stream as a flat list for O(1) fetch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.errors import LayoutError, MemoryFault
 from repro.isa.instructions import Instruction
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.trace.format import TraceSegment
 
 TEXT_BASE = 0x0040_0000
 DATA_BASE = 0x1000_0000
@@ -51,6 +54,12 @@ class Program:
     instrumented: bool = False
     boundary_branch_count: int = 0
     name: str = "a.out"
+    #: the memoized committed stream (see :meth:`window_source`) and the
+    #: useful-instruction budget it was executed for
+    _stream: Optional["TraceSegment"] = field(
+        default=None, init=False, repr=False, compare=False)
+    _stream_budget: int = field(
+        default=0, init=False, repr=False, compare=False)
 
     # -- geometry --------------------------------------------------------
 
@@ -86,13 +95,30 @@ class Program:
         return self.text_base <= address < self.text_end and address % 4 == 0
 
     def make_executor(self, space):
-        """The executor that produces this program's committed instruction
-        stream.  The engines create their executor through this hook so a
-        program can substitute its own source of :class:`StepResult`
-        records — :class:`repro.trace.replay.ReplayProgram` overrides it
-        to feed a recorded trace instead of architectural execution."""
+        """An architectural interpreter for this program in ``space``
+        (what the detailed engine steps, wrong paths included)."""
         from repro.cpu.functional import Executor
         return Executor(self, space)
+
+    def window_source(self, budget: int):
+        """The committed stream of this program's first ``budget`` useful
+        instructions, as a window source of
+        :class:`~repro.trace.format.TraceWindow`\\ s — what the fast
+        engine consumes.
+
+        The stream depends on nothing but the program and the window, so
+        the program executes functionally once and keeps the stream for
+        the largest budget asked so far: a shorter window replays a
+        prefix of it.  A program shared by the jobs of a sweep (see
+        :func:`repro.workloads.synthetic.link_slot`) therefore executes
+        once per sweep, and its stream goes when the program does.
+        :class:`repro.trace.replay.ReplayProgram` overrides this to hand
+        out its recorded stream instead."""
+        if self._stream is None or self._stream_budget < budget:
+            from repro.cpu.functional import committed_stream
+            self._stream = committed_stream(self, budget)
+            self._stream_budget = budget
+        return self._stream.window_source()
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)

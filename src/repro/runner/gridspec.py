@@ -1,4 +1,4 @@
-"""A grid of JobSpecs sharing one decoded simulation pass.
+"""A grid of JobSpecs sharing one simulation pass.
 
 A :class:`GridSpec` bundles N :class:`~repro.runner.jobspec.JobSpec`
 members that differ only in the fields a
@@ -27,19 +27,11 @@ from typing import Dict, List, Sequence, Tuple, Union
 from repro.errors import ConfigError
 from repro.runner.jobspec import SPEC_FORMAT, UNREADABLE_DIGEST, JobSpec
 
-#: engines whose evaluation can share a decoded pass (see
-#: :func:`repro.sim.simulator.run_program_grid`)
-GRID_ENGINES = ("fast", "batch")
-
-
 def grid_eligible(spec: JobSpec) -> bool:
-    """Whether ``spec`` may join a grid at all: a readable file-backed
-    replay workload on a batchable engine.  Live (generated) workloads
-    have no decoded stream to share; the scalar/ooo engines step one
-    config at a time; an unreadable-digest spec must fail as itself."""
-    from repro.workloads.registry import IMPORT_PREFIX, TRACE_PREFIX
-    return (spec.workload.startswith((TRACE_PREFIX, IMPORT_PREFIX))
-            and spec.engine in GRID_ENGINES
+    """Whether ``spec`` may join a grid at all: a fast-engine job (the
+    ooo engine steps one config at a time) whose workload is readable
+    (an unreadable-digest spec must fail as itself)."""
+    return (spec.engine == "fast"
             and spec.workload_digest != UNREADABLE_DIGEST)
 
 
@@ -55,42 +47,37 @@ def plan_units(specs: Sequence[JobSpec]) -> List[WorkUnit]:
     Specs that agree on everything a shared pass needs — workload (and
     its content digest), window, scheme set, engine, and the config's
     shared-stream fields — are merged into one :class:`GridSpec`;
-    everything else stays a standalone :class:`JobSpec`.  Standalone
-    jobs are grouped by (workload, page size), so the jobs that link the
-    same two binaries run back to back and share them (see
-    :func:`repro.workloads.synthetic.link_slot`).  Grids and groups come
-    back in first-appearance order, members and grouped jobs in input
-    order.  :func:`expand_units` of the result therefore lists every
-    input spec once but not always in input order: the sweep answers by
-    key, not by position.
+    everything else stays a standalone :class:`JobSpec`.  Grids and
+    standalone jobs alike are ordered by the first appearance of their
+    (workload, page size), so the units that link the same two binaries
+    run back to back and share them (see
+    :func:`repro.workloads.synthetic.link_slot`); within one (workload,
+    page size), grids and jobs keep first-appearance order, and members
+    input order.  :func:`expand_units` of the result therefore lists
+    every input spec once but not always in input order: the sweep
+    answers by key, not by position.
     """
-    groups: Dict[tuple, List[JobSpec]] = {}
-    order: List[tuple] = []
-    solo_marker = object()
-    for spec in specs:
+    binaries: Dict[tuple, Dict[tuple, List[JobSpec]]] = {}
+    for position, spec in enumerate(specs):
         if grid_eligible(spec):
-            group_key = (
-                spec.workload, spec.workload_digest, spec.instructions,
-                spec.warmup, spec.schemes, spec.engine,
+            group_key: tuple = (
+                spec.workload_digest, spec.instructions, spec.warmup,
+                spec.schemes, spec.engine,
                 json.dumps(spec.config.grid_invariants(), sort_keys=True,
                            separators=(",", ":")),
             )
         else:
-            group_key = (solo_marker, spec.workload,
-                         spec.config.mem.page_bytes)
-        if group_key not in groups:
-            groups[group_key] = []
-            order.append(group_key)
-        groups[group_key].append(spec)
+            group_key = (position,)  # never shared
+        groups = binaries.setdefault(
+            (spec.workload, spec.config.mem.page_bytes), {})
+        groups.setdefault(group_key, []).append(spec)
     units: List[WorkUnit] = []
-    for group_key in order:
-        members = groups[group_key]
-        if group_key[0] is solo_marker:
-            units.extend(members)
-        elif len(members) > 1:
-            units.append(GridSpec(members=tuple(members)))
-        else:
-            units.append(members[0])
+    for groups in binaries.values():
+        for members in groups.values():
+            if len(members) > 1:
+                units.append(GridSpec(members=tuple(members)))
+            else:
+                units.append(members[0])
     return units
 
 
@@ -120,8 +107,7 @@ class GridSpec:
         if not grid_eligible(anchor):
             raise ConfigError(
                 f"spec '{anchor.describe()}' cannot join a grid: grids "
-                "replay decoded trace:/import: workloads on the "
-                f"{'/'.join(GRID_ENGINES)} engines")
+                "share one fast-engine pass over a readable workload")
         invariants = anchor.config.grid_invariants()
         seen = set()
         for position, member in enumerate(self.members):
@@ -130,7 +116,7 @@ class GridSpec:
                 if getattr(member, field) != getattr(anchor, field):
                     raise ConfigError(
                         f"grid member {position} differs from member 0 "
-                        f"in '{field}' — a grid shares one decoded pass, "
+                        f"in '{field}' — a grid shares one pass, "
                         "so everything but the machine config must match")
             if member.config.grid_invariants() != invariants:
                 raise ConfigError(

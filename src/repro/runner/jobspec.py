@@ -49,12 +49,9 @@ class JobSpec:
     warmup: int = 0
     #: None means every scheme (the :func:`run_all_schemes` default)
     schemes: Optional[Tuple[SchemeName, ...]] = None
-    #: evaluator name (see :data:`repro.sim.simulator.ENGINE_NAMES`).
-    #: ``"fast"`` auto-selects the batched evaluator for ``trace:`` /
-    #: ``import:`` workloads — results (and therefore cached entries)
-    #: are bit-identical, so existing ``"fast"`` cache keys stay valid.
-    #: ``"scalar"``/``"batch"`` force one evaluator (they hash into
-    #: :attr:`key`, so forced runs cache separately).
+    #: evaluator name, one of :data:`repro.sim.simulator.ENGINE_NAMES`
+    #: (hashed into :attr:`key`; anything else is refused at
+    #: construction)
     engine: str = "fast"
     #: content identity of file-backed workloads.  ``trace:<path>`` and
     #: ``import:<format>:<path>`` names resolve to whatever bytes the
@@ -71,8 +68,13 @@ class JobSpec:
     workload_digest: Optional[str] = None
 
     def __post_init__(self) -> None:
-        from repro.errors import RegistryError
+        from repro.errors import ConfigError, RegistryError
+        from repro.sim.simulator import ENGINE_NAMES, unknown_engine
         from repro.workloads.registry import file_backed_path
+        if self.engine not in ENGINE_NAMES:
+            # a queue file or script naming a retired engine must fail
+            # here, not after hashing into a key and reaching a worker
+            raise ConfigError(unknown_engine(self.engine))
         if self.workload_digest is None:
             try:
                 path = file_backed_path(self.workload)

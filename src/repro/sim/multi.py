@@ -128,22 +128,16 @@ def run_all_schemes(
     warmup: int = 0,
     schemes: Optional[Sequence[SchemeName]] = None,
     engine: str = "fast",
-    recorder=None,
 ) -> CombinedRun:
     """Two-pass evaluation of every scheme over one workload.
 
     ``workload`` is anything with a ``profile.name`` and a
     ``link(page_bytes=..., instrumented=...)`` — a generated
     :class:`SyntheticWorkload` or a replayed
-    :class:`~repro.trace.replay.TraceWorkload`.  A
-    :class:`~repro.trace.record.TraceRecorder` passed as ``recorder``
-    captures one trace segment per binary pass.
+    :class:`~repro.trace.replay.TraceWorkload`.
 
     ``engine`` is passed through to
-    :meth:`~repro.sim.simulator.Simulator.run_program`; with the default
-    ``"fast"``, trace replays are evaluated by the batched engine
-    (bit-identical, several times faster) and live workloads by the
-    scalar fast engine.
+    :meth:`~repro.sim.simulator.Simulator.run_program`.
     """
     selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
     plain_set = tuple(s for s in selected if not s.needs_instrumented_binary)
@@ -154,8 +148,7 @@ def run_all_schemes(
     plain_program = workload.link(page_bytes=page_bytes, instrumented=False)
     plain_result = simulator.run_program(
         plain_program, instructions=instructions, warmup=warmup,
-        schemes=plain_set or (SchemeName.BASE,), engine=engine,
-        recorder=recorder)
+        schemes=plain_set or (SchemeName.BASE,), engine=engine)
 
     if instr_set:
         instr_program = workload.link(page_bytes=page_bytes,
@@ -164,8 +157,7 @@ def run_all_schemes(
         # same-binary normalization reference (see CombinedRun._base_for)
         instr_result = simulator.run_program(
             instr_program, instructions=instructions, warmup=warmup,
-            schemes=instr_set + (SchemeName.BASE,), engine=engine,
-            recorder=recorder)
+            schemes=instr_set + (SchemeName.BASE,), engine=engine)
     else:
         instr_result = plain_result
 

@@ -47,9 +47,7 @@ class JobMetrics:
     """Phase accounting for one executed job."""
 
     workload: str = ""
-    #: the evaluator that actually ran (``"batch"``/``"scalar"``/
-    #: ``"ooo"``) — *not* :attr:`EngineResult.engine`, which reports the
-    #: interchangeability class (``"fast"``) rather than the evaluator
+    #: the engine that ran the job's passes (``"fast"`` or ``"ooo"``)
     engine: str = ""
     started_at: float = 0.0  #: unix seconds the job began
     decode_seconds: float = 0.0  #: cold trace decode (gunzip + parse)

@@ -1,8 +1,8 @@
 """Trace-driven workloads: record, inspect, and replay instruction streams.
 
 The paper's evaluation is driven by instruction streams; this subsystem
-makes streams first-class.  :class:`~repro.trace.record.TraceRecorder`
-captures the committed stream of any live run into a versioned,
+makes streams first-class.  :func:`~repro.trace.record.record_trace`
+writes the committed stream of any live run into a versioned,
 self-describing binary file (:mod:`repro.trace.format`), and
 :class:`~repro.trace.replay.TraceWorkload` replays such a file through
 the unchanged TLB/cache/branch/energy machinery — bit-identical to the
@@ -42,11 +42,9 @@ from repro.trace.importers import (
     import_trace,
     load_imported_workload,
 )
-from repro.trace.record import TraceRecorder, record_trace
+from repro.trace.record import record_trace
 from repro.trace.replay import (
     ReplayProgram,
-    StreamingTraceExecutor,
-    TraceExecutor,
     TraceWorkload,
     load_trace_workload,
 )
@@ -56,15 +54,12 @@ __all__ = [
     "SegmentColumns",
     "StreamSegment",
     "StreamTraceFile",
-    "StreamingTraceExecutor",
     "TraceFile",
     "TraceReader",
-    "TraceRecorder",
     "TraceSegment",
     "TraceWindow",
     "TraceWorkload",
     "TraceWriter",
-    "TraceExecutor",
     "ImportedTraceWorkload",
     "ReplayProgram",
     "available_formats",

@@ -59,7 +59,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import TraceError
 from repro.isa.instructions import ANALYZABLE_KINDS, Instruction, Opcode
@@ -100,6 +100,20 @@ def aux_kind(kind_code: int) -> int:
     if kind_code in (6, 7):  # LOAD / STORE
         return AUX_MEM_ADDR
     return AUX_NONE
+
+
+def step_aux(step) -> int:
+    """The dynamic payload a step record of ``step`` (a
+    :class:`~repro.cpu.functional.StepResult`) carries: the taken flag,
+    the indirect target, the memory address, or ``-1``."""
+    kind = aux_kind(step.instr.kind_code)
+    if kind == AUX_TAKEN:
+        return 1 if step.taken else 0
+    if kind == AUX_NEXT_PC:
+        return step.next_pc
+    if kind == AUX_MEM_ADDR:
+        return step.mem_addr
+    return -1
 
 
 def program_meta(program, binary: str) -> dict:
@@ -198,10 +212,14 @@ class TraceWriter:
     def write_step(self, step) -> None:
         """Append one committed step (a
         :class:`~repro.cpu.functional.StepResult`)."""
+        self.write_record(step.instr, step_aux(step))
+
+    def write_record(self, instr: Instruction, aux: int) -> None:
+        """Append one step record: ``instr`` with its dynamic payload
+        ``aux`` (see :func:`step_aux`)."""
         if not self._in_segment:
             raise TraceError("write_step outside a segment "
                              "(call begin_segment first)")
-        instr = step.instr
         index = self._intern.get(id(instr))
         if index is None:
             index = self._intern_instruction(instr)
@@ -209,11 +227,9 @@ class TraceWriter:
         self._fh.write(_U32.pack(index))
         kind = aux_kind(instr.kind_code)
         if kind == AUX_TAKEN:
-            self._fh.write(_U8.pack(1 if step.taken else 0))
-        elif kind == AUX_NEXT_PC:
-            self._fh.write(_U32.pack(step.next_pc))
-        elif kind == AUX_MEM_ADDR:
-            self._fh.write(_U32.pack(step.mem_addr))
+            self._fh.write(_U8.pack(1 if aux else 0))
+        elif kind != AUX_NONE:
+            self._fh.write(_U32.pack(aux))
         self.steps_written += 1
 
     # -- lifecycle -----------------------------------------------------
@@ -260,6 +276,30 @@ class TraceWriter:
             self.close()
 
 
+class MemorySink:
+    """Builds :class:`TraceSegment` objects in memory, mirroring the
+    :class:`TraceWriter` surface (``begin_segment`` / ``write_step``),
+    so a producer of committed steps is sink-agnostic."""
+
+    def __init__(self) -> None:
+        self.segments: List["TraceSegment"] = []
+        self._intern: Dict[int, int] = {}
+
+    def begin_segment(self, meta: dict) -> None:
+        self.segments.append(TraceSegment(meta=meta))
+        self._intern = {}
+
+    def write_step(self, step) -> None:
+        segment = self.segments[-1]
+        instr = step.instr
+        index = self._intern.get(id(instr))
+        if index is None:
+            index = len(segment.instructions)
+            segment.instructions.append(instr)
+            self._intern[id(instr)] = index
+        segment.records.append((index, step_aux(step)))
+
+
 # ---------------------------------------------------------------------------
 # Reading
 # ---------------------------------------------------------------------------
@@ -267,7 +307,7 @@ class TraceWriter:
 
 #: kind codes whose steps carry no event the engines must react to — no
 #: control transfer, no memory access, no halt.  Maximal runs of these
-#: are what the batch engine retires in bulk.
+#: are what the fast engine retires in bulk.
 PLAIN_KINDS = frozenset({0, 1, 2, 3, 4, 5, 13})
 
 #: :attr:`SegmentColumns.flags` bits (per step)
@@ -281,7 +321,7 @@ COL_FLAG_FSW = 0x20       #: Opcode.FSW (store reading the FP file)
 #: decoded-column footprint of one step record: 11 parallel ``array('q')``
 #: slots of 8 bytes each.  Window budgets (``REPRO_TRACE_WINDOW``, the
 #: byte-budgeted LRU) are stated in these bytes because the columns are
-#: what actually occupies memory during a batched replay.
+#: what actually occupies memory during an engine pass.
 COLUMN_BYTES_PER_STEP = 88
 
 
@@ -341,7 +381,7 @@ class SegmentColumns:
     """Decode-once flat-array view of one segment's dynamic stream.
 
     Parallel ``array('q')`` columns, one slot per step record, in stream
-    order — everything the batched replay engine consumes without
+    order — everything the fast engine consumes without
     touching :class:`~repro.isa.instructions.Instruction` objects or
     allocating :class:`~repro.cpu.functional.StepResult`\\ s:
 
@@ -361,13 +401,13 @@ class SegmentColumns:
                   ``Instruction`` object on the slow, per-event path)
     ``run``       length of the maximal run of *plain* steps (kind in
                   :data:`PLAIN_KINDS`) starting at this slot — the
-                  batch engine's run-length fast path consumes this many
+                  fast engine's run-length path consumes this many
                   steps without per-step event checks.  In a windowed
-                  view runs are truncated at the window end; the batch
-                  engine's slow path retires a plain record identically
-                  to the fast path, so the truncation is invisible in
-                  the results (the streaming bit-identity suite pins
-                  this).
+                  view runs are truncated at the window end; the
+                  engine's per-event path retires a plain record
+                  identically to the run-length path, so the
+                  truncation is invisible in the results (the
+                  streaming bit-identity suite pins this).
 
     Columns are immutable once built and safe to share across engines
     (and, via the trace LRU, across jobs in one process).
@@ -465,9 +505,9 @@ class TraceWindow:
     ``records`` is the raw ``(static index, aux)`` batch (indices are
     absolute into the source's growing instruction list), ``base`` its
     absolute step offset in the segment.  :meth:`columns` builds — and
-    memoizes — the flat-array view lazily, so the scalar replay path
-    (which steps records directly) never pays for columns it does not
-    read.
+    memoizes — the flat-array view lazily, so a consumer that only
+    walks the records (recording, the functional experiment hooks)
+    never pays for columns it does not read.
     """
 
     __slots__ = ("records", "base", "_tables", "_columns", "_memoized")
@@ -499,6 +539,50 @@ class TraceWindow:
         return self._columns
 
 
+def trace_exhausted(steps: int) -> TraceError:
+    """The error for a window that runs past the end of a stream."""
+    return TraceError(
+        f"trace exhausted after {steps:,} steps; the requested "
+        "simulation window (warmup + instructions) is longer than the "
+        "recorded one — re-record with a larger window")
+
+
+def iter_steps(source) -> Iterator[Tuple[Instruction, int]]:
+    """Every step of a window source's stream as ``(instruction, aux)``,
+    window after window.  Raises :func:`trace_exhausted` past the end,
+    so a consumer stops at its own budget or at a HALT."""
+    instrs = source.instructions
+    steps = 0
+    while True:
+        window = source.next_window()
+        if window is None:
+            raise trace_exhausted(steps)
+        for index, aux in window.records:
+            yield instrs[index], aux
+        steps += len(window.records)
+
+
+def committed_steps(program, skip: int,
+                    count: int) -> Iterator[Tuple[Instruction, int]]:
+    """Steps ``skip`` to ``skip + count - 1`` of ``program``'s committed
+    stream (see :meth:`~repro.isa.program.Program.window_source`) as
+    ``(instruction, aux)``, ending early after a HALT — the functional
+    view the experiments read besides the engine (Table 4's dynamic
+    branch classes, the data-side CFR)."""
+    if count <= 0:
+        return
+    end = skip + count
+    source = program.window_source(end)
+    try:
+        for position, (instr, aux) in enumerate(iter_steps(source), 1):
+            if position > skip:
+                yield instr, aux
+            if position == end or instr.kind_code == 14:  # HALT
+                return
+    finally:
+        source.close()
+
+
 class _EagerWindowSource:
     """A fully-decoded segment presented as a single window.
 
@@ -521,6 +605,9 @@ class _EagerWindowSource:
         self._emitted = True
         return TraceWindow(self._segment.records, 0,
                            memoized=self._segment.columns)
+
+    def close(self) -> None:
+        """Nothing to release: the segment is already in memory."""
 
 
 @dataclass

@@ -57,12 +57,9 @@ from repro.errors import TraceError
 from repro.isa.instructions import InstrKind, Instruction, Opcode
 from repro.isa.program import DATA_BASE, TEXT_BASE
 from repro.trace.format import (
-    AUX_MEM_ADDR,
-    AUX_NEXT_PC,
-    AUX_TAKEN,
+    MemorySink,
     TraceSegment,
     TraceWriter,
-    aux_kind,
     file_digest,
 )
 from repro.workloads.synthetic import WorkloadProfile
@@ -459,39 +456,6 @@ def synthesize_geometry(scan: ScanResult, page_bytes: int) -> Geometry:
 # ---------------------------------------------------------------------------
 # Pass 2..n: emission (one pass per segment)
 # ---------------------------------------------------------------------------
-
-
-class MemorySink:
-    """Builds :class:`TraceSegment` objects in memory, mirroring the
-    :class:`~repro.trace.format.TraceWriter` surface (``begin_segment``
-    / ``write_step``) so the emission pass is sink-agnostic."""
-
-    def __init__(self) -> None:
-        self.segments: List[TraceSegment] = []
-        self._intern: Dict[int, int] = {}
-
-    def begin_segment(self, meta: dict) -> None:
-        self.segments.append(TraceSegment(meta=meta))
-        self._intern = {}
-
-    def write_step(self, step: StepResult) -> None:
-        segment = self.segments[-1]
-        instr = step.instr
-        index = self._intern.get(id(instr))
-        if index is None:
-            index = len(segment.instructions)
-            segment.instructions.append(instr)
-            self._intern[id(instr)] = index
-        kind = aux_kind(instr.kind_code)
-        if kind == AUX_TAKEN:
-            aux = 1 if step.taken else 0
-        elif kind == AUX_NEXT_PC:
-            aux = step.next_pc
-        elif kind == AUX_MEM_ADDR:
-            aux = step.mem_addr
-        else:
-            aux = -1
-        segment.records.append((index, aux))
 
 
 def emit_segment(importer: Importer, scan: ScanResult,

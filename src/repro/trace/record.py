@@ -1,17 +1,15 @@
-"""Recording: capture the committed stream of a live run into a trace.
+"""Recording: write the committed stream of a live run to a trace.
 
-The hook point is executor creation (see
-:meth:`repro.isa.program.Program.make_executor`): the fast engine hands
-its executor to :meth:`TraceRecorder.attach`, which wraps it so every
-committed :class:`~repro.cpu.functional.StepResult` is appended to the
-trace file as a side effect of stepping.  The engine's behaviour — and
-therefore the recorded run's counters — is untouched.
-
-:func:`record_trace` is the one-call form the CLI uses: it performs the
-standard two-pass :func:`~repro.sim.multi.run_all_schemes` evaluation
-with a recorder attached, producing a trace with one segment per binary
-*and* returning the live run, so callers can immediately check
-record→replay equivalence.
+A fast-engine pass consumes its program's committed stream, which the
+program keeps once it has executed (see
+:meth:`repro.isa.program.Program.window_source`).  Recording is
+therefore no engine feature: :func:`record_trace` runs the standard
+two-pass :func:`~repro.sim.multi.run_all_schemes` evaluation, then
+writes each pass's stream — the first ``warmup + instructions`` useful
+instructions of it — through a
+:class:`~repro.trace.format.TraceWriter`, one segment per binary.  It
+returns the live run, so callers can immediately check record→replay
+equivalence.
 """
 
 from __future__ import annotations
@@ -20,77 +18,32 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.config import MachineConfig, SchemeName
-from repro.trace.format import TraceWriter, program_meta
+from repro.trace.format import TraceWriter, iter_steps, program_meta
+from repro.workloads.synthetic import link_slot
 
 
-class _RecordingExecutor:
-    """Transparent executor proxy that tees StepResults to a writer."""
-
-    __slots__ = ("_inner", "_writer")
-
-    def __init__(self, inner, writer: TraceWriter) -> None:
-        self._inner = inner
-        self._writer = writer
-
-    @property
-    def pc(self) -> int:
-        return self._inner.pc
-
-    @property
-    def halted(self) -> bool:
-        return self._inner.halted
-
-    @property
-    def retired(self) -> int:
-        return self._inner.retired
-
-    def step(self):
-        step = self._inner.step()
-        self._writer.write_step(step)
-        return step
-
-    def run(self, max_instructions: int) -> int:
-        start = self._inner.retired
-        while not self._inner.halted \
-                and self._inner.retired - start < max_instructions:
-            self.step()
-        return self._inner.retired - start
-
-
-class TraceRecorder:
-    """Captures every engine pass it is attached to as one trace segment.
-
-    Pass an instance as the ``recorder`` argument of
-    :meth:`repro.sim.simulator.Simulator.run_program` (or
-    :func:`~repro.sim.multi.run_all_schemes`); close it — or use it as a
-    context manager — to finalize the file.
-    """
-
-    def __init__(self, path: Union[str, Path], *, header: dict) -> None:
-        self.writer = TraceWriter(path, header=header)
-
-    def attach(self, executor, program) -> _RecordingExecutor:
-        """Called by the engine at construction: opens a segment for
-        ``program``'s binary and returns the wrapped executor."""
-        binary = "instrumented" if program.instrumented else "plain"
-        self.writer.begin_segment(program_meta(program, binary))
-        return _RecordingExecutor(executor, self.writer)
-
-    def close(self) -> None:
-        self.writer.close()
-
-    def abort(self) -> None:
-        """Delete the partial output (the run being recorded failed)."""
-        self.writer.abort()
-
-    def __enter__(self) -> "TraceRecorder":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.abort()
-        else:
-            self.close()
+def write_pass(writer: TraceWriter, program, budget: int) -> None:
+    """Write ``program``'s committed stream as one segment: every step
+    up to the ``budget``-th useful (non-boundary) instruction, or up to
+    a HALT — exactly the steps a fast-engine pass of that window
+    retires."""
+    binary = "instrumented" if program.instrumented else "plain"
+    writer.begin_segment(program_meta(program, binary))
+    source = program.window_source(budget)
+    try:
+        useful = 0
+        steps = iter_steps(source) if budget > 0 else ()
+        for instr, aux in steps:
+            writer.write_record(instr, aux)
+            if instr.kind_code == 14:  # HALT
+                break
+            if not instr.is_boundary_branch:
+                useful += 1
+                if useful == budget:
+                    break
+    finally:
+        source.close()
+    writer.end_segment()
 
 
 def record_trace(workload, config: MachineConfig, *,
@@ -126,14 +79,23 @@ def record_trace(workload, config: MachineConfig, *,
         "page_bytes": config.mem.page_bytes,
         "page_sizes": sizes,
     }
-    with TraceRecorder(path, header=header) as recorder:
+    budget = warmup + instructions
+    # the slot hands the writer the very programs the passes ran on,
+    # whose streams are already executed
+    with TraceWriter(path, header=header) as writer, link_slot():
         primary = None
         for size in sizes:
             sized = (config if size == config.mem.page_bytes
                      else config.with_page_bytes(size))
             run = run_all_schemes(
                 workload, sized, instructions=instructions, warmup=warmup,
-                schemes=schemes, recorder=recorder)
+                schemes=schemes)
+            binaries = [False]
+            if run.instrumented is not run.plain:
+                binaries.append(True)
+            for instrumented in binaries:
+                write_pass(writer, workload.link(
+                    page_bytes=size, instrumented=instrumented), budget)
             if size == config.mem.page_bytes:
                 primary = run
         return primary

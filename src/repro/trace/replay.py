@@ -1,14 +1,14 @@
 """Replay: run a recorded trace through the live simulation machinery.
 
 A :class:`TraceWorkload` is a drop-in workload: ``link()`` yields a
-:class:`ReplayProgram` whose executor feeds the recorded stream back to
-the engine instead of architecturally executing instructions.  Because
-the fast engine derives *everything* — iTLB scheme decisions, cache and
+:class:`ReplayProgram` whose window source hands the engine the recorded
+stream instead of the stream of a functional execution.  Because the
+fast engine derives *everything* — iTLB scheme decisions, cache and
 predictor behaviour, page-crossing classification, timing — from the
-committed :class:`~repro.cpu.functional.StepResult` stream plus
-deterministic address-space construction, a replay is bit-identical to
-the live run it was recorded from (the record→replay equivalence suite
-in ``tests/test_trace_replay.py`` pins this per workload).
+committed stream plus deterministic address-space construction, a
+replay is bit-identical to the live run it was recorded from (the
+record→replay equivalence suite in ``tests/test_trace_replay.py`` pins
+this per workload).
 
 Replays are valid for any simulation window up to the recorded one and
 for any machine configuration sharing the trace's page size: the
@@ -22,10 +22,9 @@ not contain — and fails with a :class:`~repro.errors.TraceError`.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Union
 
-from repro.cpu.functional import StepResult
-from repro.errors import ExecutionError, TraceError
+from repro.errors import TraceError
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.trace.format import (
@@ -36,140 +35,6 @@ from repro.trace.format import (
     load_trace,
 )
 from repro.workloads.synthetic import WorkloadProfile
-
-
-class TraceExecutor:
-    """Replays a recorded segment as a stream of StepResults.
-
-    Mirrors the :class:`~repro.cpu.functional.Executor` surface the
-    engines use (``pc``, ``halted``, ``retired``, ``step()``, ``run()``).
-    """
-
-    def __init__(self, segment: TraceSegment) -> None:
-        self._instrs: List[Instruction] = segment.instructions
-        self._records: List[Tuple[int, int]] = segment.records
-        self._pos = 0
-        self._base = 0  #: absolute step offset of ``_records[0]``
-        self.retired = 0
-        self.halted = False
-        # the pc the engine observes before each step: the next record's
-        # address (matches the live executor, whose pc always points at
-        # the instruction about to execute)
-        self.pc = (self._instrs[self._records[0][0]].address
-                   if self._records else 0)
-
-    def _next_batch(self) -> bool:
-        """Advance to the next record batch; ``False`` at stream end.
-        The eager executor holds the whole segment — there is never a
-        next batch."""
-        return False
-
-    def step(self) -> StepResult:
-        if self.halted:
-            raise ExecutionError("stepping a halted executor")
-        if self._pos >= len(self._records) and not self._next_batch():
-            raise TraceError(
-                f"trace exhausted after {self._base + self._pos:,} steps; "
-                "the requested "
-                "simulation window (warmup + instructions) is longer than "
-                "the recorded one — re-record with a larger window")
-        index, aux = self._records[self._pos]
-        instr = self._instrs[index]
-        pc = instr.address
-        kind = instr.kind_code
-        taken = False
-        mem_addr = None
-        is_store = False
-        if kind == 8:  # COND_BRANCH
-            taken = bool(aux)
-            next_pc = instr.target if taken else pc + 4
-        elif kind in (9, 10):  # JUMP / CALL: static target
-            taken = True
-            next_pc = instr.target
-        elif kind in (11, 12):  # indirect: recorded target
-            taken = True
-            next_pc = aux
-        elif kind == 6:  # LOAD
-            mem_addr = aux
-            next_pc = pc + 4
-        elif kind == 7:  # STORE
-            mem_addr = aux
-            is_store = True
-            next_pc = pc + 4
-        elif kind == 14:  # HALT
-            next_pc = pc
-            self.halted = True
-        else:
-            next_pc = pc + 4
-        self._pos += 1
-        self.retired += 1
-        self.pc = next_pc
-        return StepResult(pc=pc, instr=instr, next_pc=next_pc, taken=taken,
-                          mem_addr=mem_addr, is_store=is_store)
-
-    def run(self, max_instructions: int) -> int:
-        """Functional-run counterpart (used by the calibration helpers)."""
-        start = self.retired
-        while not self.halted and self.retired - start < max_instructions:
-            self.step()
-        return self.retired - start
-
-    @property
-    def remaining(self) -> int:
-        return len(self._records) - self._pos
-
-
-class StreamingTraceExecutor(TraceExecutor):
-    """A :class:`TraceExecutor` over a windowed stream.
-
-    Produces the identical :class:`~repro.cpu.functional.StepResult`
-    sequence while holding only the current window's records (plus the
-    growing interned-instruction list, which the format bounds by the
-    number of *distinct* instructions, not the stream length).
-
-    The stream is opened lazily, on the first ``pc`` read or ``step()``
-    — :class:`~repro.cpu.batch.BatchEngine` constructs an executor it
-    never steps (it inherits :class:`~repro.cpu.fast.FastEngine`'s
-    constructor), and that executor must not cost a file handle and a
-    skip-parse of the trace.
-    """
-
-    def __init__(self, segment: StreamSegment) -> None:
-        self._source = segment.window_source()
-        self._instrs = self._source.instructions
-        self._records: List[Tuple[int, int]] = []
-        self._pos = 0
-        self._base = 0
-        self.retired = 0
-        self.halted = False
-        self._pc: Optional[int] = None  # resolved on first read
-
-    def _next_batch(self) -> bool:
-        window = self._source.next_window()
-        if window is None:
-            return False
-        self._base += len(self._records)
-        self._records = window.records
-        self._pos = 0
-        return True
-
-    # ``pc`` turns into a lazy property: the first read primes the
-    # stream so it can report the first record's address, exactly as the
-    # eager executor does from its constructor.  ``step()`` assigns
-    # ``self.pc`` per retire, hence the setter.
-
-    @property
-    def pc(self) -> int:
-        if self._pc is None:
-            if self._pos >= len(self._records):
-                self._next_batch()
-            self._pc = (self._instrs[self._records[self._pos][0]].address
-                        if self._pos < len(self._records) else 0)
-        return self._pc
-
-    @pc.setter
-    def pc(self, value: int) -> None:
-        self._pc = value
 
 
 class ReplayProgram(Program):
@@ -215,10 +80,16 @@ class ReplayProgram(Program):
             "stream was recorded, so the detailed (ooo) engine and other "
             "wrong-path consumers cannot run a trace — use the fast engine")
 
-    def make_executor(self, space) -> TraceExecutor:
-        if isinstance(self.segment, TraceSegment):
-            return TraceExecutor(self.segment)
-        return StreamingTraceExecutor(self.segment)
+    def make_executor(self, space):
+        raise TraceError(
+            "replay programs carry no executor: only the committed "
+            "stream was recorded, so the detailed (ooo) engine cannot "
+            "run a trace — use the fast engine")
+
+    def window_source(self, budget: int):
+        """The recorded stream, whatever ``budget`` is: the engine stops
+        at its window, and raises past the end of the recording."""
+        return self.segment.window_source()
 
 
 class TraceWorkload:

@@ -26,6 +26,7 @@ from typing import Dict, Optional
 from repro.config import MachineConfig, SchemeName, default_config
 from repro.cpu.fast import FastEngine
 from repro.isa.instructions import InstrKind
+from repro.trace.format import committed_steps
 from repro.workloads.spec2000 import PAPER_REFERENCE, PaperRow
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -102,21 +103,11 @@ def _dynamic_branch_classes(workload: SyntheticWorkload,
                             warmup: int) -> tuple[int, int, int]:
     """Count (analyzable, analyzable-and-in-page, total) over the dynamic
     control instructions of the committed stream — Table 4's dynamic half."""
-    from repro.vm.os_model import AddressSpace
-
     program = workload.link(page_bytes=config.mem.page_bytes)
-    space = AddressSpace(program)
-    # through the program's executor hook, so replayed traces classify
-    # their recorded stream instead of re-executing
-    executor = program.make_executor(space)
-    executor.run(warmup)
     page_bytes = config.mem.page_bytes
     analyzable = in_page = total = 0
-    executed = 0
-    while executed < instructions and not executor.halted:
-        step = executor.step()
-        executed += 1
-        instr = step.instr
+    # the program's committed stream (recorded, for a replayed trace)
+    for instr, _ in committed_steps(program, warmup, instructions):
         if not instr.is_control:
             continue
         total += 1

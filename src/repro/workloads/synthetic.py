@@ -178,14 +178,17 @@ def link_slot() -> Iterator[None]:
     plain and one instrumented binary.  A link for any other pair empties
     the slot first, so at most the current job's two binaries are held —
     what one job holds anyway.  The slot is dropped on exit, so nothing
-    linked inside outlives the block."""
+    linked inside outlives the block.  A block nested in an open one
+    shares the open slot."""
     global _slot
-    previous = _slot
+    if _slot is not None:
+        yield
+        return
     _slot = _LinkSlot()
     try:
         yield
     finally:
-        _slot = previous
+        _slot = None
 
 
 @dataclass

@@ -20,7 +20,8 @@ import pytest
 from repro.config import TLBConfig, default_config
 from repro.runner import JobSpec, ResultStore, SweepRunner
 from repro.sim.simulator import Simulator
-from repro.trace.record import TraceRecorder
+from repro.trace.format import TraceWriter
+from repro.trace.record import write_pass
 from repro.workloads import registry, synthetic
 from repro.workloads.synthetic import WorkloadProfile, link_slot
 
@@ -149,9 +150,9 @@ class TestEnginesLeaveSharedProgramsAlone:
         before = _image(program)
         simulator = Simulator(config)
         window = {"instructions": 400, "warmup": 100}
-        simulator.run_program(program, engine="scalar", **window)
+        simulator.run_program(program, engine="fast", **window)
         simulator.run_program(program, engine="ooo", **window)
-        with TraceRecorder(tmp_path / "pass.trace.gz",
-                           header={"workload": "177.mesa"}) as recorder:
-            simulator.run_program(program, recorder=recorder, **window)
+        with TraceWriter(tmp_path / "pass.trace.gz",
+                         header={"workload": "177.mesa"}) as writer:
+            write_pass(writer, program, 500)
         assert _image(program) == before

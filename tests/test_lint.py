@@ -277,7 +277,7 @@ class TestHotLoopTelemetryRule:
         text = ("from repro.telemetry import count\n"
                 "while n:\n"
                 "    count('spin')\n")
-        assert len(_findings("src/repro/cpu/batch.py", text,
+        assert len(_findings("src/repro/cpu/grid.py", text,
                              "TEL001")) == 1
 
     def test_emit_outside_loop_allowed(self):

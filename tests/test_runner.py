@@ -22,6 +22,7 @@ from repro.config import (
     TwoLevelTLBConfig,
     default_config,
 )
+from repro.errors import ConfigError
 from repro.runner import JobSpec, ResultStore, SweepRunner
 from repro.runner.jobspec import SPEC_FORMAT
 from repro.sim.multi import CombinedRun
@@ -118,6 +119,17 @@ class TestJobSpec:
 
     def test_hashable(self):
         assert len({_spec(), _spec(), _spec(instructions=999)}) == 2
+
+    @pytest.mark.parametrize("engine", ["scalr", "scalar", "batch"])
+    def test_unknown_engine_refused_up_front(self, engine):
+        """A misspelled or retired engine fails at construction, before
+        it hashes into a key — from a script or from a queue file."""
+        with pytest.raises(ConfigError, match="engines: fast, ooo"):
+            _spec(engine=engine)
+        data = _spec().to_dict()
+        data["engine"] = engine
+        with pytest.raises(ConfigError, match="engines: fast, ooo"):
+            JobSpec.from_dict(data)
 
 
 class TestResultStore:

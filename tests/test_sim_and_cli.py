@@ -238,8 +238,12 @@ class TestCLISweep:
         # repeat: served entirely from the on-disk store
         assert cli_main(args) == 0
         second = json.loads(capsys.readouterr().out)
+        # each benchmark's iTLB sizes shared one pass; a cached job
+        # plans no pass at all
+        assert first["stats"]["grids"] == 2
         assert second["stats"] == {**first["stats"], "cached": 4,
-                                   "simulated": 0, "parallel": False}
+                                   "simulated": 0, "parallel": False,
+                                   "grids": 0, "grid_members": 0}
         for a, b in zip(first["jobs"], second["jobs"]):
             assert b["cached"] and a["result"] == b["result"]
 

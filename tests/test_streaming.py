@@ -1,15 +1,16 @@
 """Streaming (windowed) trace decode: bit-identity and bounded memory.
 
-The streaming pipeline's one invariant mirrors the batch engine's:
-replaying through bounded decode windows must be *bit-identical* to the
-eager whole-file decode — every counter, cycle, and energy number of
-``to_dict()``, every content-addressed store filename — for every
-workload, engine (scalar / batch / grid), and backend (serial / pool /
-queue).  This suite pins that over the six micro workloads, the mesa
-golden trace, and both converted foreign fixtures, plus the edge
+The streaming pipeline's one invariant: replaying through bounded
+decode windows must be *bit-identical* to the eager whole-file decode —
+every counter, cycle, and energy number of ``to_dict()``, every
+content-addressed store filename, every step a per-step reader sees —
+for every workload, evaluation (solo / grid), and backend (serial /
+pool / queue).  This suite pins that over the six micro workloads, the
+mesa golden trace, and both converted foreign fixtures, plus the edge
 geometry that makes windowing subtle: a window boundary splitting a
 run-length run, a truncated final window, a window larger than the
-whole trace, and a recorder attached mid-replay.
+whole trace, re-recording from a streamed replay, and a pass that stops
+before its stream ends (the file handle must still close).
 
 The decode *policy* (``REPRO_TRACE_WINDOW``, the size threshold, the
 byte-budgeted LRU of satellite ``REPRO_TRACE_LRU_BYTES``) and the
@@ -19,16 +20,19 @@ are pinned here too.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.config import SchemeName, TLBConfig, default_config
+from repro.cpu.fast import FastEngine
 from repro.errors import TraceError
 from repro.runner import FileQueueBackend, JobSpec, ResultStore, SweepRunner
 from repro.sim.multi import run_all_schemes
@@ -46,10 +50,12 @@ from repro.trace.format import (
     COLUMN_BYTES_PER_STEP,
     DEFAULT_WINDOW_BYTES,
     _TRACE_LRU,
+    committed_steps,
+    iter_steps,
     parse_byte_size,
 )
 from repro.trace.record import record_trace
-from repro.trace.replay import StreamingTraceExecutor
+from repro.trace.replay import TraceWorkload
 from repro.workloads.registry import MICROBENCH_NAMES
 
 GOLDEN_MESA = Path(__file__).parent / "golden" / "mesa.trace.gz"
@@ -94,7 +100,7 @@ def _canon(run) -> str:
     return json.dumps(run.to_dict(), sort_keys=True)
 
 
-def _replay(path, engine, instructions, warmup, *, window=None):
+def _replay(path, instructions, warmup, *, window=None):
     """One full evaluation, freshly loaded, optionally with a forced
     streaming window."""
     clear_trace_cache()
@@ -107,10 +113,8 @@ def _replay(path, engine, instructions, warmup, *, window=None):
         workload = load_trace_workload(path)
         if window is not None:
             assert isinstance(workload.trace, StreamTraceFile)
-        kwargs = {} if engine is None else {"engine": engine}
         return run_all_schemes(workload, default_config(),
-                               instructions=instructions, warmup=warmup,
-                               **kwargs)
+                               instructions=instructions, warmup=warmup)
     finally:
         if saved is None:
             os.environ.pop(WINDOW_ENV, None)
@@ -119,27 +123,47 @@ def _replay(path, engine, instructions, warmup, *, window=None):
         clear_trace_cache()
 
 
-class TestBitIdentity:
-    """Forced-streaming replay == eager replay, byte for byte, for
-    every workload and engine."""
+def _steps(path, instructions, warmup, *, stream):
+    """The committed steps of both binaries' windows as a step-at-a-time
+    reader sees them (recording, calibration, the dCFR experiment)."""
+    trace = load_trace(path, use_cache=False, stream=stream)
+    steps = []
+    for segment in trace.segments:
+        program = TraceWorkload(path, trace).link(
+            page_bytes=segment.page_bytes,
+            instrumented=segment.binary == "instrumented")
+        steps.append([(instr.address, instr.kind_code, aux)
+                      for instr, aux in committed_steps(program, warmup,
+                                                        instructions)])
+    return steps
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+
+class TestBitIdentity:
+    """Forced-streaming replay == eager replay, for every workload and
+    both consumers of a window source: the step-at-a-time reader
+    (``scalar``) and the engine's column batches (``batch``)."""
+
+    @pytest.mark.parametrize("consumer", ["scalar", "batch"])
     @pytest.mark.parametrize("name", [f"micro.{m}"
                                       for m in MICROBENCH_NAMES]
                              + ["177.mesa", "imported.eio",
                                 "imported.champsim"])
-    def test_workload(self, traces, name, engine):
+    def test_workload(self, traces, name, consumer):
         path, instructions, warmup = traces[name]
-        eager = _replay(path, engine, instructions, warmup)
-        streamed = _replay(path, engine, instructions, warmup,
-                           window=TINY_WINDOW)
+        if consumer == "scalar":
+            eager = _steps(path, instructions, warmup, stream=False)
+            assert eager[0]
+            assert _steps(path, instructions, warmup,
+                          stream=4 * COLUMN_BYTES_PER_STEP) == eager
+            return
+        eager = _replay(path, instructions, warmup)
+        streamed = _replay(path, instructions, warmup, window=TINY_WINDOW)
         assert _canon(eager) == _canon(streamed)
 
     def test_auto_engine_selection_unchanged_by_streaming(self, traces):
         path, instructions, warmup = traces["177.mesa"]
-        eager = _replay(path, None, instructions, warmup)
-        streamed = _replay(path, None, instructions, warmup,
-                           window="8k")
+        eager = _replay(path, instructions, warmup)
+        streamed = _replay(path, instructions, warmup, window="8k")
         assert _canon(eager) == _canon(streamed)
         assert streamed.plain.engine == "fast"
 
@@ -151,18 +175,17 @@ class TestBitIdentity:
         eager = run_all_schemes(
             load_trace_workload(path), default_config(),
             instructions=instructions, warmup=warmup,
-            schemes=(SchemeName.SOCA, SchemeName.IA), engine="batch")
+            schemes=(SchemeName.SOCA, SchemeName.IA))
         streamed = run_all_schemes(
             _stream_workload(path, 4096), default_config(),
             instructions=instructions, warmup=warmup,
-            schemes=(SchemeName.SOCA, SchemeName.IA), engine="batch")
+            schemes=(SchemeName.SOCA, SchemeName.IA))
         assert _canon(eager) == _canon(streamed)
 
 
 def _stream_workload(path, window_bytes):
     """A workload over an explicitly stream-loaded trace (the
     ``stream=`` API path, no environment involved)."""
-    from repro.trace.replay import TraceWorkload
     return TraceWorkload(path, load_trace(path, stream=window_bytes))
 
 
@@ -266,22 +289,22 @@ class TestWindowEdges:
     def test_window_boundary_splits_run_length_runs(self, traces):
         """micro.counted_loop is one long plain-kind run; a 4-step
         window truncates the precomputed run column at every window
-        edge.  The batch fast path must retire across the seam
+        edge.  The run-length path must retire across the seam
         bit-identically."""
         path, instructions, warmup = traces["micro.counted_loop"]
-        eager = _replay(path, "batch", instructions, warmup)
+        eager = _replay(path, instructions, warmup)
         for window in (TINY_WINDOW,  # 4 steps
                        str(COLUMN_BYTES_PER_STEP),  # 1 step: worst case
                        str(7 * COLUMN_BYTES_PER_STEP)):  # non-divisor
-            streamed = _replay(path, "batch", instructions, warmup,
+            streamed = _replay(path, instructions, warmup,
                                window=window)
             assert _canon(eager) == _canon(streamed), window
 
     def test_window_larger_than_trace(self, traces):
         path, instructions, warmup = traces["micro.counted_loop"]
-        eager = _replay(path, "batch", instructions, warmup)
+        eager = _replay(path, instructions, warmup)
         with collect() as metrics:
-            streamed = _replay(path, "batch", instructions, warmup,
+            streamed = _replay(path, instructions, warmup,
                                window="1g")
         assert _canon(eager) == _canon(streamed)
         # the whole segment fits one window; the full evaluation
@@ -297,8 +320,8 @@ class TestWindowEdges:
         steps = len(trace.segments[0].records)
         window_steps = 13
         assert steps % window_steps != 0  # the case under test
-        eager = _replay(path, "batch", instructions, warmup)
-        streamed = _replay(path, "batch", instructions, warmup,
+        eager = _replay(path, instructions, warmup)
+        streamed = _replay(path, instructions, warmup,
                            window=str(window_steps
                                       * COLUMN_BYTES_PER_STEP))
         assert _canon(eager) == _canon(streamed)
@@ -306,18 +329,15 @@ class TestWindowEdges:
     def test_exhaustion_error_identical_under_streaming(self):
         """Running past the final window raises the same typed error,
         with the same total step count, as running past an eager
-        segment — through the batch engine and the scalar executor."""
-        from repro.cpu.batch import BatchEngine
-
+        segment — through the engine and the step-at-a-time reader."""
         path = GOLDEN_MESA  # the micros halt; mesa runs off the end
 
         def exhaust(stream):
             clear_trace_cache()
             trace = load_trace(path, use_cache=False, stream=stream)
-            from repro.trace.replay import TraceWorkload
             program = TraceWorkload(path, trace).link(page_bytes=4096)
             with pytest.raises(TraceError) as err:
-                BatchEngine(program, default_config()).run(10_000_000)
+                FastEngine(program, default_config()).run(10_000_000)
             return str(err.value)
 
         eager_message = exhaust(False)
@@ -325,18 +345,15 @@ class TestWindowEdges:
         assert exhaust(4 * COLUMN_BYTES_PER_STEP) == eager_message
 
     def test_scalar_exhaustion_matches_eager(self):
-        from repro.trace.replay import TraceWorkload
-
         path = GOLDEN_MESA  # the micros halt; mesa runs off the end
 
         def exhaust(stream):
             clear_trace_cache()
             trace = load_trace(path, use_cache=False, stream=stream)
             program = TraceWorkload(path, trace).link(page_bytes=4096)
-            executor = program.make_executor(None)
             with pytest.raises(TraceError) as err:
-                while True:
-                    executor.step()
+                for _ in committed_steps(program, 0, 10_000_000):
+                    pass
             return str(err.value)
 
         eager_message = exhaust(False)
@@ -344,24 +361,27 @@ class TestWindowEdges:
         assert exhaust(4 * COLUMN_BYTES_PER_STEP) == eager_message
 
     def test_scalar_executor_streams_lazily(self, traces):
-        """The streaming executor opens no window until first use —
-        BatchEngine constructs one it never steps — and resolves its pc
-        on first read."""
+        """The step-at-a-time reader decodes a window only when its
+        steps are due: ten steps of 4-step windows pull three."""
         path, _, _ = traces["micro.counted_loop"]
         trace = load_trace(path, stream=4 * COLUMN_BYTES_PER_STEP)
         segment = trace.segment_for(instrumented=False,
                                     page_bytes=4096)
-        executor = StreamingTraceExecutor(segment)
-        assert executor.retired == 0
-        assert executor.pc > 0  # first read pulls the first window
-        for _ in range(10):
-            executor.step()
-        assert executor.retired == 10
+        source = segment.window_source()
+        try:
+            with collect() as metrics:
+                steps = iter_steps(source)
+                assert metrics.stream_windows == 0
+                for _ in range(10):
+                    next(steps)
+            assert metrics.stream_windows == 3
+        finally:
+            source.close()
 
     def test_recorder_attached_mid_replay(self, traces, tmp_path):
         """Re-recording *from* a streaming replay must produce the same
-        trace bytes as re-recording from an eager one (the recorder
-        consumes the scalar StepResult stream either way)."""
+        trace bytes as re-recording from an eager one (recording writes
+        the replayed stream either way)."""
         path, _, _ = traces["micro.taken_pattern"]
         out_eager = tmp_path / "eager.trace.gz"
         out_stream = tmp_path / "stream.trace.gz"
@@ -380,6 +400,22 @@ class TestWindowEdges:
         assert out_eager.read_bytes() == out_stream.read_bytes()
 
 
+    def test_pass_closes_a_stream_it_stops_short_of(self):
+        """A pass that ends before its streamed segment does still
+        releases the trace file handle."""
+        clear_trace_cache()
+        workload = TraceWorkload(GOLDEN_MESA,
+                                 load_trace(GOLDEN_MESA, stream=8192))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run_all_schemes(workload, default_config(), instructions=500,
+                            warmup=100)
+            gc.collect()
+        leaks = [w for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+
+
 class TestMetricsAccounting:
     """JobMetrics tells the decode story: which path ran, how many
     windows, how big the biggest one was."""
@@ -389,7 +425,7 @@ class TestMetricsAccounting:
         path, instructions, warmup = traces["micro.counted_loop"]
         budget = 16 * COLUMN_BYTES_PER_STEP
         with collect() as metrics:
-            _replay(path, "batch", instructions, warmup,
+            _replay(path, instructions, warmup,
                     window=str(budget))
         assert metrics.stream_windows > 1
         assert 0 < metrics.stream_peak_bytes <= budget
@@ -399,7 +435,7 @@ class TestMetricsAccounting:
     def test_eager_run_has_no_stream_fields(self, traces):
         path, instructions, warmup = traces["micro.counted_loop"]
         with collect() as metrics:
-            _replay(path, "batch", instructions, warmup)
+            _replay(path, instructions, warmup)
         assert metrics.stream_windows == 0
         assert metrics.stream_peak_bytes == 0
         assert metrics.decode_cold == 1

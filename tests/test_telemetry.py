@@ -200,9 +200,9 @@ class TestOffPathEquivalence:
         assert small == large > 0
 
     def test_disabled_overhead_under_two_percent(self, mesa_workload):
-        """The bench floor guard: with telemetry disabled, the batch
-        replay path must run within 2% of a build with the telemetry
-        calls short-circuited entirely (min-of-N keeps this stable)."""
+        """With telemetry disabled, the fast engine's replay path must
+        run within 2% of a build with the telemetry calls
+        short-circuited entirely (min-of-N keeps this stable)."""
         from repro.sim.multi import run_all_schemes
 
         def once() -> float:
@@ -241,7 +241,7 @@ class TestJobMetrics:
         (result,) = runner.run([_spec()])
         metrics = result.metrics
         assert metrics.workload == "micro.counted_loop"
-        assert metrics.engine == "scalar"  # live program: scalar loop
+        assert metrics.engine == "fast"
         assert metrics.passes == 2  # plain + instrumented
         assert metrics.instructions > 0
         assert metrics.simulate_seconds > 0.0
@@ -249,7 +249,7 @@ class TestJobMetrics:
         assert metrics.instr_per_sec > 0.0
 
     def test_metrics_round_trip(self):
-        metrics = JobMetrics(workload="w", engine="batch",
+        metrics = JobMetrics(workload="w", engine="fast",
                              simulate_seconds=2.0, passes=2,
                              instructions=100)
         data = json.loads(json.dumps(metrics.to_dict()))
@@ -264,12 +264,12 @@ class TestJobMetrics:
         assert first.metrics.store_write_seconds > 0.0
         entry = json.loads(
             runner.store.path_for(spec).read_text())
-        assert entry["metrics"]["engine"] == "scalar"
+        assert entry["metrics"]["engine"] == "fast"
         # a fresh store (fresh process, conceptually) restores them
         reader = SweepRunner(store=ResultStore(tmp_path))
         (hit,) = reader.run([spec])
         assert hit.cached
-        assert hit.metrics.engine == "scalar"
+        assert hit.metrics.engine == "fast"
         assert hit.metrics.instructions == first.metrics.instructions
 
     def test_cached_result_without_metrics_entry(self, tmp_path):
@@ -292,7 +292,7 @@ class TestJobMetrics:
         ok, payload = _execute_payload(_spec().to_dict())
         assert ok
         side = payload.pop("__metrics__")
-        assert side["engine"] == "scalar" and side["passes"] == 2
+        assert side["engine"] == "fast" and side["passes"] == 2
         from repro.sim.multi import CombinedRun
         run = CombinedRun.from_dict(payload)  # clean after the pop
         assert "__metrics__" not in run.to_dict()
@@ -302,7 +302,7 @@ class TestJobMetrics:
         results = runner.run([_spec(entries=8), _spec(entries=32)])
         for result in results:
             assert result.metrics is not None
-            assert result.metrics.engine == "scalar"
+            assert result.metrics.engine == "fast"
 
     def test_failed_job_has_no_metrics(self):
         bad = JobSpec(workload="trace:/nonexistent.trace",
@@ -322,7 +322,7 @@ class TestJobMetrics:
         runner = SweepRunner()
         spec = _spec(workload=f"trace:{trace}")
         (cold,) = runner.run([spec])
-        assert cold.metrics.engine == "batch"
+        assert cold.metrics.engine == "fast"
         assert cold.metrics.decode_cold >= 1
         assert cold.metrics.decode_seconds > 0.0
         # same trace again in this process: pure LRU hits
@@ -760,7 +760,7 @@ class TestCLI:
                      "--warmup", "400", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["jobs_measured"] == 1
-        assert payload["jobs"][0]["metrics"]["engine"] == "scalar"
+        assert payload["jobs"][0]["metrics"]["engine"] == "fast"
         assert "metrics" not in payload["stats"]
 
     def test_sweep_table_phase_note(self, capsys):
