@@ -28,8 +28,8 @@ Four views are measured per workload:
 ``stream``
     The memory/speed trade of windowed decode: a full job with the
     decoded-trace cache cleared, once decoding eagerly (``eager`` row)
-    and once under a forced ``REPRO_TRACE_WINDOW`` budget of a quarter
-    of the largest segment's columns (``windowed`` row).  Each row
+    and once under a forced window budget of a quarter of the largest
+    segment's columns (``windowed`` row).  Each row
     records ``peak_window_bytes`` — the largest decoded window a run
     held at once (for eager, the full segment) — so the JSON carries
     the memory bound next to the throughput cost of honouring it.  The
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import platform
 import sys
 import time
@@ -230,7 +229,7 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
     # -- stream view: eager vs windowed decode of the same cold job -----
     # window budget: a quarter of the largest segment's columns, so the
     # windowed run provably never holds the decoded trace whole
-    full_bytes = max(COLUMN_BYTES_PER_STEP * len(s.records)
+    full_bytes = max(COLUMN_BYTES_PER_STEP * s.steps
                      for s in trace_workload.trace.segments)
     window_bytes = max(COLUMN_BYTES_PER_STEP, full_bytes // 4)
     stream_runs: Dict[str, object] = {}
@@ -240,28 +239,17 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
                    window: Optional[int]) -> Callable[[], int]:
         def go() -> int:
             clear_trace_cache()  # both rows pay the cold decode
-            saved = os.environ.get("REPRO_TRACE_WINDOW")
-            if window is None:
-                os.environ.pop("REPRO_TRACE_WINDOW", None)
-            else:
-                os.environ["REPRO_TRACE_WINDOW"] = str(window)
-            try:
-                with collect() as metrics:
-                    run = run_all_schemes(resolve(trace_name), config,
-                                          instructions=instructions,
-                                          warmup=warmup)
-                if (window is not None
-                        and metrics.stream_peak_bytes
-                        > stream_peak["bytes"]):
-                    stream_peak["bytes"] = metrics.stream_peak_bytes
-                stream_runs[engine_name] = run
-                return (run.plain.shared.instructions
-                        + run.instrumented.shared.instructions + 2 * warmup)
-            finally:
-                if saved is None:
-                    os.environ.pop("REPRO_TRACE_WINDOW", None)
-                else:
-                    os.environ["REPRO_TRACE_WINDOW"] = saved
+            with collect() as metrics:
+                run = run_all_schemes(
+                    TraceWorkload(trace_path, load_trace(
+                        trace_path, stream=window or False)),
+                    config, instructions=instructions, warmup=warmup)
+            if (window is not None
+                    and metrics.stream_peak_bytes > stream_peak["bytes"]):
+                stream_peak["bytes"] = metrics.stream_peak_bytes
+            stream_runs[engine_name] = run
+            return (run.plain.shared.instructions
+                    + run.instrumented.shared.instructions + 2 * warmup)
         return go
 
     for engine_name, window in (("eager", None), ("windowed", window_bytes)):

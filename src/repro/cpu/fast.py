@@ -14,11 +14,11 @@ The same observation makes a program's committed stream pure data: it
 depends only on the program (binary and page size) and the window.  So
 the engine never interprets instructions itself.  It consumes the
 stream as flat ``array('q')`` columns
-(:class:`~repro.trace.format.SegmentColumns`), one
-:class:`~repro.trace.format.TraceWindow` at a time, from the program's
-window source: a live program executes functionally once into an
-in-memory segment (see :meth:`repro.isa.program.Program.window_source`),
-a replay decodes its trace, eagerly or in bounded windows.  Live and
+(:class:`~repro.trace.format.SegmentColumns`), one window at a time,
+from the program's window source: a live program executes functionally
+once into an in-memory segment (see
+:meth:`repro.isa.program.Program.window_source`), a replay decodes its
+trace, eagerly or in bounded windows.  Live and
 replayed runs therefore go through the one loop below, and stay
 bit-identical.
 
@@ -136,7 +136,7 @@ class FastEngine:
 
         # stream position: the window source is bound by the measured run
         self._source = None
-        self._window = None  #: current TraceWindow (None before the first)
+        self._window = None  #: current window's columns (None before one)
         self._win_base = 0  #: absolute step offset of the current window
         self._pos = 0  #: position *within* the current window
         self._halted = False
@@ -311,34 +311,21 @@ class FastEngine:
           bookkeeping is one bulk-counter update and its timing is the
           plain-instruction subset of the list-scheduling model.
 
-        Columns come one :class:`~repro.trace.format.TraceWindow` at a
-        time.  When the position runs off the current window's end the
-        loop top pulls the next window and rebinds the column locals; a
-        run-length run truncated at a window boundary simply resumes on
-        the per-event path in the next window, which retires a plain
-        record bit-identically (the streaming equivalence suite pins
-        this).
+        Columns come one window at a time.  When the position runs off
+        the current window's end the loop top pulls the next window and
+        rebinds the column locals; a run-length run truncated at a
+        window boundary simply resumes on the per-event path in the next
+        window, which retires a plain step bit-identically (the
+        streaming equivalence suite pins this).
         """
         source = self._source
         instrs = source.instructions
-        window = self._window
+        cols = self._window
         win_base = self._win_base
-        if window is not None:
-            cols = window.columns()
-            pcs = cols.pc
-            nexts = cols.next_pc
-            kinds = cols.kind
-            auxs = cols.aux
-            rss = cols.rs
-            rts = cols.rt
-            rds = cols.rd
-            lats = cols.latency
-            flagss = cols.flags
-            idxs = cols.index
-            runs = cols.run
-            n_records = cols.steps
-        else:
-            n_records = 0  # the loop top binds the first window
+        # the loop top binds the column locals: first to the window an
+        # earlier call stopped in, if any, then to each next window
+        resume = cols is not None
+        n_records = 0
 
         shared = self.shared
         page_shift = self._page_shift
@@ -395,12 +382,15 @@ class FastEngine:
         try:
             while useful < budget and not halted:
                 if pos >= n_records:
-                    nxt = source.next_window()
-                    if nxt is None:
-                        raise trace_exhausted(win_base + pos)
-                    win_base += n_records
-                    window = nxt
-                    cols = nxt.columns()
+                    if resume:
+                        resume = False
+                    else:
+                        nxt = source.next_window()
+                        if nxt is None:
+                            raise trace_exhausted(win_base + pos)
+                        win_base += n_records
+                        cols = nxt
+                        pos = 0
                     pcs = cols.pc
                     nexts = cols.next_pc
                     kinds = cols.kind
@@ -413,7 +403,6 @@ class FastEngine:
                     idxs = cols.index
                     runs = cols.run
                     n_records = cols.steps
-                    pos = 0
                     continue
 
                 # =================== per-event path ====================
@@ -737,7 +726,7 @@ class FastEngine:
         finally:
             # write the hoisted engine state back (also on the
             # trace-exhausted raise, so the instance stays coherent)
-            self._window = window
+            self._window = cols
             self._win_base = win_base
             self._pos = pos
             self._halted = halted

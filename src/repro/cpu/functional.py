@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import ExecutionError, MemoryFault
-from repro.isa.assembler import collector_paused
 from repro.isa.instructions import Instruction, InstrKind, Opcode
 from repro.isa.program import Program, STACK_TOP
 from repro.isa.registers import REG_RA, REG_SP
@@ -246,7 +245,7 @@ def committed_stream(program: Program, budget: int):
     """Execute ``program`` until ``budget`` useful (non-boundary)
     instructions have retired, or it halts, and return the committed
     stream as an in-memory :class:`~repro.trace.format.TraceSegment` —
-    the same records a trace recorded over that window holds."""
+    the same steps a trace recorded over that window holds."""
     from repro.trace.format import MemorySink, program_meta
     sink = MemorySink()
     sink.begin_segment(program_meta(
@@ -255,13 +254,9 @@ def committed_stream(program: Program, budget: int):
     executor = Executor(program, AddressSpace(program))
     step = executor.step
     useful = 0
-    # every record survives into the segment, so the collector's scans
-    # during the loop find nothing to free — and, run often enough, they
-    # grow into full-heap passes over whatever else the process holds
-    with collector_paused():
-        while useful < budget and not executor.halted:
-            result = step()
-            write(result)
-            if not result.instr.is_boundary_branch:
-                useful += 1
+    while useful < budget and not executor.halted:
+        result = step()
+        write(result)
+        if not result.instr.is_boundary_branch:
+            useful += 1
     return sink.segments[0]

@@ -103,8 +103,8 @@ class Program:
     def window_source(self, budget: int):
         """The committed stream of this program's first ``budget`` useful
         instructions, as a window source of
-        :class:`~repro.trace.format.TraceWindow`\\ s — what the fast
-        engine consumes.
+        :class:`~repro.trace.format.SegmentColumns` windows — what the
+        fast engine consumes.
 
         The stream depends on nothing but the program and the window, so
         the program executes functionally once and keeps the stream for

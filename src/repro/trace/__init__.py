@@ -24,12 +24,9 @@ names).  The ``repro trace`` CLI (``record`` / ``info`` / ``import`` /
 from repro.trace.format import (
     TRACE_VERSION,
     SegmentColumns,
-    StreamSegment,
-    StreamTraceFile,
     TraceFile,
     TraceReader,
     TraceSegment,
-    TraceWindow,
     TraceWriter,
     clear_trace_cache,
     file_digest,
@@ -52,12 +49,9 @@ from repro.trace.replay import (
 __all__ = [
     "TRACE_VERSION",
     "SegmentColumns",
-    "StreamSegment",
-    "StreamTraceFile",
     "TraceFile",
     "TraceReader",
     "TraceSegment",
-    "TraceWindow",
     "TraceWorkload",
     "TraceWriter",
     "ImportedTraceWorkload",

@@ -35,7 +35,7 @@ that enum is a format break and requires a :data:`TRACE_VERSION` bump
 Files whose name ends in ``.gz`` are written gzip-compressed (with a
 zeroed mtime, so identical streams produce identical bytes — the
 property :attr:`JobSpec.workload_digest` content-addressing relies on);
-the reader sniffs the gzip magic instead of trusting the suffix.  Every
+the reader sniffs the gzip (or xz) magic instead of trusting the suffix.  Every
 read-side failure — bad magic, unsupported version, truncation, corrupt
 gzip, dangling step index — raises :class:`~repro.errors.TraceError`.
 
@@ -51,6 +51,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import lzma
 import os
 import struct
 import time
@@ -59,7 +60,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import TraceError
 from repro.isa.instructions import ANALYZABLE_KINDS, Instruction, Opcode
@@ -78,6 +79,9 @@ _STATIC = struct.Struct("<IBBBBiIB")
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _NO_TARGET = 0xFFFFFFFF
+
+_GZIP_MAGIC = b"\x1f\x8b"
+_XZ_MAGIC = b"\xfd7zXZ\x00"
 
 _STATIC_FLAG_INPAGE = 0x01
 _STATIC_FLAG_BOUNDARY = 0x02
@@ -278,8 +282,9 @@ class TraceWriter:
 
 class MemorySink:
     """Builds :class:`TraceSegment` objects in memory, mirroring the
-    :class:`TraceWriter` surface (``begin_segment`` / ``write_step``),
-    so a producer of committed steps is sink-agnostic."""
+    :class:`TraceWriter` surface (``begin_segment`` / ``write_step`` /
+    ``write_record``), so a producer of committed steps is
+    sink-agnostic."""
 
     def __init__(self) -> None:
         self.segments: List["TraceSegment"] = []
@@ -290,14 +295,17 @@ class MemorySink:
         self._intern = {}
 
     def write_step(self, step) -> None:
+        self.write_record(step.instr, step_aux(step))
+
+    def write_record(self, instr: Instruction, aux: int) -> None:
         segment = self.segments[-1]
-        instr = step.instr
         index = self._intern.get(id(instr))
         if index is None:
             index = len(segment.instructions)
             segment.instructions.append(instr)
             self._intern[id(instr)] = index
-        segment.records.append((index, step_aux(step)))
+        segment.index.append(index)
+        segment.aux.append(aux)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +338,10 @@ class _StaticTables:
 
     The column fill loop needs eight facts per interned instruction
     (address, kind, operands, latency, flag bits, taken target).  An
-    eager decode builds them once for the whole segment; a streaming
+    in-memory segment builds them once for the whole segment; a windowed
     decode appends as new statics arrive — statics always precede their
     first referencing step, so tables extended through the end of a
-    window cover every record in it.  Lists only ever append, so column
+    window cover every step in it.  Lists only ever append, so column
     views built against an earlier length stay valid.
     """
 
@@ -378,9 +386,10 @@ class _StaticTables:
 
 
 class SegmentColumns:
-    """Decode-once flat-array view of one segment's dynamic stream.
+    """Flat-array view of a segment's dynamic stream, or of one window
+    of it.
 
-    Parallel ``array('q')`` columns, one slot per step record, in stream
+    Parallel ``array('q')`` columns, one slot per step, in stream
     order — everything the fast engine consumes without
     touching :class:`~repro.isa.instructions.Instruction` objects or
     allocating :class:`~repro.cpu.functional.StepResult`\\ s:
@@ -404,31 +413,23 @@ class SegmentColumns:
                   fast engine's run-length path consumes this many
                   steps without per-step event checks.  In a windowed
                   view runs are truncated at the window end; the
-                  engine's per-event path retires a plain record
+                  engine's per-event path retires a plain step
                   identically to the run-length path, so the
                   truncation is invisible in the results (the
                   streaming bit-identity suite pins this).
 
-    Columns are immutable once built and safe to share across engines
-    (and, via the trace LRU, across jobs in one process).
-
-    Built either from a whole decoded segment (``SegmentColumns(seg)``)
-    or, on the streaming path, from one window's record batch plus the
-    stream's incremental :class:`_StaticTables`
-    (``SegmentColumns(tables=..., records=...)``).
+    ``index`` and ``aux`` are the arrays the decoder (or a
+    :class:`MemorySink`) filled, adopted as they are; every other
+    column is derived from them and the static ``tables``.  Columns are
+    immutable once built and safe to share across engines (and, via the
+    trace LRU, across jobs in one process).
     """
 
     __slots__ = ("pc", "next_pc", "kind", "aux", "rs", "rt", "rd",
                  "latency", "flags", "index", "run", "steps")
 
-    def __init__(self, segment: Optional["TraceSegment"] = None, *,
-                 tables: Optional[_StaticTables] = None,
-                 records: Optional[List[Tuple[int, int]]] = None) -> None:
-        if segment is not None:
-            tables = _StaticTables()
-            tables.extend(segment.instructions)
-            records = segment.records
-        assert tables is not None and records is not None
+    def __init__(self, tables: _StaticTables, index: array,
+                 aux: array) -> None:
         s_pc = tables.pc
         s_kind = tables.kind
         s_rs = tables.rs
@@ -438,37 +439,33 @@ class SegmentColumns:
         s_flags = tables.flags
         s_target = tables.target
 
-        n = len(records)
+        n = len(index)
         self.steps = n
         pc = array("q", bytes(8 * n))
         next_pc = array("q", bytes(8 * n))
         kind = array("q", bytes(8 * n))
-        aux_col = array("q", bytes(8 * n))
         rs = array("q", bytes(8 * n))
         rt = array("q", bytes(8 * n))
         rd = array("q", bytes(8 * n))
         latency = array("q", bytes(8 * n))
         flags = array("q", bytes(8 * n))
-        index = array("q", bytes(8 * n))
         run = array("q", bytes(8 * n))
-        for i, (idx, aux) in enumerate(records):
+        for i, idx in enumerate(index):
             a = s_pc[idx]
             k = s_kind[idx]
             pc[i] = a
             kind[i] = k
-            aux_col[i] = aux
             rs[i] = s_rs[idx]
             rt[i] = s_rt[idx]
             rd[i] = s_rd[idx]
             latency[i] = s_lat[idx]
             flags[i] = s_flags[idx]
-            index[i] = idx
             if k == 8:  # COND_BRANCH: recorded direction picks the successor
-                next_pc[i] = s_target[idx] if aux else a + 4
+                next_pc[i] = s_target[idx] if aux[i] else a + 4
             elif k in (9, 10):  # JUMP / CALL: static target
                 next_pc[i] = s_target[idx]
             elif k in (11, 12):  # indirect: recorded target
-                next_pc[i] = aux
+                next_pc[i] = aux[i]
             elif k == 14:  # HALT
                 next_pc[i] = a
             else:
@@ -483,7 +480,7 @@ class SegmentColumns:
         self.pc = pc
         self.next_pc = next_pc
         self.kind = kind
-        self.aux = aux_col
+        self.aux = aux
         self.rs = rs
         self.rt = rt
         self.rd = rd
@@ -497,46 +494,6 @@ class SegmentColumns:
         return sum(getattr(self, name).itemsize * len(getattr(self, name))
                    for name in ("pc", "next_pc", "kind", "aux", "rs", "rt",
                                 "rd", "latency", "flags", "index", "run"))
-
-
-class TraceWindow:
-    """One bounded batch of a segment's step records.
-
-    ``records`` is the raw ``(static index, aux)`` batch (indices are
-    absolute into the source's growing instruction list), ``base`` its
-    absolute step offset in the segment.  :meth:`columns` builds — and
-    memoizes — the flat-array view lazily, so a consumer that only
-    walks the records (recording, the functional experiment hooks)
-    never pays for columns it does not read.
-    """
-
-    __slots__ = ("records", "base", "_tables", "_columns", "_memoized")
-
-    def __init__(self, records: List[Tuple[int, int]], base: int, *,
-                 tables: Optional[_StaticTables] = None,
-                 memoized=None) -> None:
-        self.records = records
-        self.base = base
-        self._tables = tables
-        self._memoized = memoized
-        self._columns: Optional[SegmentColumns] = None
-
-    @property
-    def steps(self) -> int:
-        return len(self.records)
-
-    def nbytes(self) -> int:
-        """Decoded-column footprint of this window."""
-        return COLUMN_BYTES_PER_STEP * len(self.records)
-
-    def columns(self) -> SegmentColumns:
-        if self._columns is None:
-            if self._memoized is not None:
-                self._columns = self._memoized()
-            else:
-                self._columns = SegmentColumns(tables=self._tables,
-                                               records=self.records)
-        return self._columns
 
 
 def trace_exhausted(steps: int) -> TraceError:
@@ -554,12 +511,12 @@ def iter_steps(source) -> Iterator[Tuple[Instruction, int]]:
     instrs = source.instructions
     steps = 0
     while True:
-        window = source.next_window()
-        if window is None:
+        cols = source.next_window()
+        if cols is None:
             raise trace_exhausted(steps)
-        for index, aux in window.records:
+        for index, aux in zip(cols.index, cols.aux):
             yield instrs[index], aux
-        steps += len(window.records)
+        steps += cols.steps
 
 
 def committed_steps(program, skip: int,
@@ -583,42 +540,49 @@ def committed_steps(program, skip: int,
         source.close()
 
 
-class _EagerWindowSource:
-    """A fully-decoded segment presented as a single window.
+class _MemoryWindowSource:
+    """An in-memory segment's window source: its memoized columns,
+    handed out as one window."""
 
-    The eager fast path of the streaming seam: engines consume every
-    segment through ``window_source()``, and a small (already-decoded)
-    trace costs exactly what it did before windows existed — one
-    memoized :class:`SegmentColumns`, no re-parse, no copies.
-    """
-
-    __slots__ = ("instructions", "_segment", "_emitted")
+    __slots__ = ("instructions", "_segment")
 
     def __init__(self, segment: "TraceSegment") -> None:
         self.instructions = segment.instructions
-        self._segment = segment
-        self._emitted = False
+        self._segment: Optional[TraceSegment] = segment
 
-    def next_window(self) -> Optional[TraceWindow]:
-        if self._emitted:
-            return None
-        self._emitted = True
-        return TraceWindow(self._segment.records, 0,
-                           memoized=self._segment.columns)
+    def next_window(self) -> Optional[SegmentColumns]:
+        segment, self._segment = self._segment, None
+        return None if segment is None else segment.columns()
 
     def close(self) -> None:
-        """Nothing to release: the segment is already in memory."""
+        self._segment = None
 
 
 @dataclass
 class TraceSegment:
-    """One fully-decoded binary pass of a trace."""
+    """One binary pass of a trace.
+
+    An in-memory segment (decoded eagerly, executed live, or imported)
+    holds its interned statics and its stream as the ``index``/``aux``
+    arrays the decoder or a :class:`MemorySink` filled; its columns are
+    built from them on first use.  A file-backed segment
+    (``window_steps`` > 0) holds only its position in the file and
+    decodes its stream in windows of that many steps, per consumer.
+    """
 
     meta: dict
     #: interned static instructions, in first-execution order
     instructions: List[Instruction] = field(default_factory=list)
-    #: dynamic stream: (static index, aux payload; -1 when none)
-    records: List[Tuple[int, int]] = field(default_factory=list)
+    #: dynamic stream: static index and aux payload (-1 when none) of
+    #: every step
+    index: array = field(default_factory=lambda: array("q"))
+    aux: array = field(default_factory=lambda: array("q"))
+    #: file-backed segments: the file, this segment's position in it
+    #: (gzip cannot seek, so a window source skip-parses the segments
+    #: before it) and the window budget in steps
+    path: Optional[Path] = None
+    ordinal: int = 0
+    window_steps: int = 0
     #: memoized flat-array view (built on first :meth:`columns` call)
     _columns: Optional[SegmentColumns] = field(
         default=None, repr=False, compare=False)
@@ -631,36 +595,53 @@ class TraceSegment:
     def page_bytes(self) -> int:
         return self.meta["page_bytes"]
 
+    @property
+    def steps(self) -> int:
+        """Steps held in memory (0 for a file-backed segment)."""
+        return len(self.index)
+
     def columns(self) -> SegmentColumns:
-        """The decode-once flat-array view of this segment's stream.
+        """The flat-array view of an in-memory segment's stream.
 
         Built on first use and memoized on the segment, so every engine
         pass (and every sweep job sharing this segment through the trace
         LRU) reuses one set of arrays."""
         if self._columns is None:
-            self._columns = SegmentColumns(self)
+            tables = _StaticTables()
+            tables.extend(self.instructions)
+            self._columns = SegmentColumns(tables, self.index, self.aux)
         return self._columns
 
     def window_source(self):
-        """The uniform decode seam: every engine consumes a segment as
-        a sequence of :class:`TraceWindow`\\ s.  A decoded segment is
-        one window backed by the memoized columns."""
-        return _EagerWindowSource(self)
+        """The uniform decode seam: every engine consumes a segment as a
+        sequence of :class:`SegmentColumns` windows — one memoized
+        window for an in-memory segment, bounded windows decoded on
+        demand for a file-backed one."""
+        if self.window_steps:
+            return _StreamWindowSource(self.path, self.ordinal,
+                                       self.window_steps)
+        return _MemoryWindowSource(self)
 
     def describe(self) -> str:
-        return (f"{self.binary}: {len(self.records):,} steps over "
-                f"{len(self.instructions):,} distinct instructions "
-                f"({self.meta.get('name', '?')}, "
+        if self.window_steps:
+            body = f"streaming decode, {self.window_steps:,}-step windows"
+        else:
+            body = (f"{self.steps:,} steps over "
+                    f"{len(self.instructions):,} distinct instructions")
+        return (f"{self.binary}: {body} ({self.meta.get('name', '?')}, "
                 f"{self.page_bytes}-byte pages)")
 
 
 @dataclass
 class TraceFile:
-    """A decoded trace: creation header plus one segment per binary."""
+    """A trace: creation header plus one segment per binary."""
 
     path: Path
     header: dict
     segments: List[TraceSegment]
+    #: the window budget, in steps, of a trace opened for windowed
+    #: decode (its segments are file-backed); 0 when decoded eagerly
+    window_steps: int = 0
 
     @property
     def workload_name(self) -> str:
@@ -681,25 +662,80 @@ class TraceFile:
             "configuration")
 
 
-class _StreamReader:
-    """Byte-level reading with truncation/corruption mapped to
-    :class:`TraceError`."""
+def open_sniffed(path: Union[str, Path]) -> BinaryIO:
+    """Open ``path`` for binary reading, decompressing gzip or xz
+    content — sniffed from its magic bytes, not trusted to the suffix.
+    Closing the returned file closes the underlying one.  Raises
+    :class:`OSError`; callers name the failure in their own terms."""
+    with open(path, "rb") as probe:
+        head = probe.read(len(_XZ_MAGIC))
+    if head[:2] == _GZIP_MAGIC:
+        return gzip.open(path, "rb")  # type: ignore[return-value]
+    if head == _XZ_MAGIC:
+        return lzma.open(path, "rb")  # type: ignore[return-value]
+    return open(path, "rb")
 
-    def __init__(self, fh, path: Path) -> None:
-        self._fh = fh
-        self._path = path
+
+#: decompressed bytes read per refill of a reader's buffer, and the
+#: largest segment item (a tagged static entry): the item parser tops
+#: the buffer up whenever less than one such item remains unread
+_CHUNK_BYTES = 1 << 16
+_MAX_ITEM = 1 + _STATIC.size
+
+#: the step limit of a whole-segment parse
+_NO_LIMIT = 1 << 62
+
+
+class _StreamReader:
+    """A trace file open for forward reading through a byte buffer, with
+    truncation and corruption mapped to :class:`TraceError`.  Reads and
+    checks the preamble on open."""
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = Path(path)
+        try:
+            self._fh = open_sniffed(self.path)
+        except OSError as exc:
+            raise TraceError(f"cannot open trace {path}: {exc}") from exc
+        #: unread bytes are ``buf[pos:]``
+        self.buf = b""
+        self.pos = 0
+        try:
+            self.header = self._read_preamble()
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def top_up(self, count: int, what: str) -> None:
+        """Buffer at least ``count`` unread bytes, or every byte left."""
+        chunks = [self.buf[self.pos:]]
+        have = len(chunks[0])
+        while have < count:
+            try:
+                data = self._fh.read(max(_CHUNK_BYTES, count - have))
+            except (OSError, EOFError, zlib.error, lzma.LZMAError) as exc:
+                raise TraceError(
+                    f"{self.path}: corrupt trace stream while reading "
+                    f"{what} ({exc})") from exc
+            if not data:
+                break
+            chunks.append(data)
+            have += len(data)
+        self.buf = b"".join(chunks)
+        self.pos = 0
 
     def exact(self, count: int, what: str) -> bytes:
-        try:
-            data = self._fh.read(count)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise TraceError(
-                f"{self._path}: corrupt trace stream while reading {what} "
-                f"({exc})") from exc
+        if len(self.buf) - self.pos < count:
+            self.top_up(count, what)
+        data = self.buf[self.pos:self.pos + count]
         if len(data) != count:
             raise TraceError(
-                f"{self._path}: truncated trace (wanted {count} bytes of "
+                f"{self.path}: truncated trace (wanted {count} bytes of "
                 f"{what}, got {len(data)})")
+        self.pos += count
         return data
 
     def json(self, length: int, what: str) -> dict:
@@ -708,42 +744,40 @@ class _StreamReader:
             value = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TraceError(
-                f"{self._path}: corrupt {what} block ({exc})") from exc
+                f"{self.path}: corrupt {what} block ({exc})") from exc
         if not isinstance(value, dict):
-            raise TraceError(f"{self._path}: {what} block is not an object")
+            raise TraceError(f"{self.path}: {what} block is not an object")
         return value
 
+    def _read_preamble(self) -> dict:
+        magic, version, _flags, hlen = _PREAMBLE.unpack(
+            self.exact(_PREAMBLE.size, "preamble"))
+        if magic != MAGIC:
+            raise TraceError(
+                f"{self.path}: not a repro trace (bad magic {magic!r})")
+        if version != TRACE_VERSION:
+            raise TraceError(
+                f"{self.path}: unsupported trace version {version} "
+                f"(this build reads version {TRACE_VERSION})")
+        return self.json(hlen, "header")
 
-def _open_trace(path: Path):
-    """Open ``path`` for reading, sniffing the gzip magic; returns
-    ``(fh, raw)`` where ``raw`` is the underlying file when wrapped."""
-    try:
-        raw = open(path, "rb")
-    except OSError as exc:
-        raise TraceError(f"cannot open trace {path}: {exc}") from exc
-    head = raw.read(2)
-    raw.seek(0)
-    if head == b"\x1f\x8b":
-        return gzip.GzipFile(fileobj=raw, mode="rb"), raw
-    return raw, None
-
-
-def _read_preamble(stream: _StreamReader, path: Path) -> dict:
-    magic, version, _flags, hlen = _PREAMBLE.unpack(
-        stream.exact(_PREAMBLE.size, "preamble"))
-    if magic != MAGIC:
-        raise TraceError(
-            f"{path}: not a repro trace (bad magic {magic!r})")
-    if version != TRACE_VERSION:
-        raise TraceError(
-            f"{path}: unsupported trace version {version} "
-            f"(this build reads version {TRACE_VERSION})")
-    return stream.json(hlen, "header")
+    def next_segment_meta(self) -> Optional[dict]:
+        """Consume the next ``TAG_SEGMENT`` and return its meta, or
+        ``None`` once ``TAG_END_TRACE`` is reached."""
+        tag = self.exact(1, "record tag")[0]
+        if tag == TAG_END_TRACE:
+            return None
+        if tag != TAG_SEGMENT:
+            raise TraceError(
+                f"{self.path}: record tag {tag:#x} outside a segment")
+        (mlen,) = _U32.unpack(self.exact(4, "segment meta size"))
+        return self.json(mlen, "segment meta")
 
 
-def _decode_static(payload: bytes, path: Path) -> Instruction:
-    address, opnum, rd, rs, rt, imm, target, flags = _STATIC.unpack(
-        payload)
+def _static_op(fields: tuple, path: Path) -> Opcode:
+    """The opcode of an unpacked static entry, checked: a known opcode
+    number, and a taken target on every direct control instruction."""
+    address, opnum, _rd, _rs, _rt, _imm, target, _flags = fields
     op = _NUM_TO_OP.get(opnum)
     if op is None:
         raise TraceError(f"{path}: unknown opcode number {opnum}")
@@ -753,85 +787,133 @@ def _decode_static(payload: bytes, path: Path) -> Instruction:
         raise TraceError(
             f"{path}: direct control instruction "
             f"({op.mnemonic}) at {address:#010x} has no target")
-    return Instruction(
-        op, rd=rd, rs=rs, rt=rt, imm=imm,
-        target=None if target == _NO_TARGET else target,
-        inpage_hint=bool(flags & _STATIC_FLAG_INPAGE),
-        is_boundary_branch=bool(flags & _STATIC_FLAG_BOUNDARY),
-        address=address)
+    return op
+
+
+def _parse_items(reader: _StreamReader, kinds: List[int], limit: int,
+                 instrs: Optional[List[Instruction]] = None,
+                 index: Optional[array] = None,
+                 aux: Optional[array] = None) -> int:
+    """Parse the current segment's items until ``limit`` steps or its end
+    tag; returns the step count (fewer than ``limit`` means the end tag
+    was consumed).
+
+    The one reading of a segment body.  Given ``instrs``, ``index`` and
+    ``aux`` it decodes: statics become :class:`Instruction`\\ s and each
+    step appends its static index and aux payload — a whole segment
+    with no limit, one window with the window's.  Without them it skips
+    (the segment index scan, reaching segment *n* of a gzip stream):
+    statics are checked but never built and steps are sized but not
+    kept.  ``kinds`` holds the aux payload kind of every static seen so
+    far in the segment, carried from window to window.
+    """
+    path = reader.path
+    keep = instrs is not None
+    if keep:
+        add_index = index.append
+        add_aux = aux.append
+    unpack_u32 = _U32.unpack_from
+    known = len(kinds)
+    buf = reader.buf
+    pos = reader.pos
+    end = len(buf)
+    steps = 0
+    try:
+        while steps < limit:
+            if end - pos < _MAX_ITEM:
+                reader.pos = pos
+                reader.top_up(_MAX_ITEM, "segment items")
+                buf = reader.buf
+                pos = 0
+                end = len(buf)
+            tag = buf[pos]
+            if tag == TAG_STEP:
+                (static,) = unpack_u32(buf, pos + 1)
+                if static >= known:
+                    raise TraceError(
+                        f"{path}: step references static entry "
+                        f"{static} before its definition")
+                kind = kinds[static]
+                if kind == AUX_NONE:
+                    value = -1
+                    pos += 5
+                elif kind == AUX_TAKEN:
+                    value = buf[pos + 5]
+                    pos += 6
+                else:
+                    (value,) = unpack_u32(buf, pos + 5)
+                    pos += 9
+                if keep:
+                    add_index(static)
+                    add_aux(value)
+                steps += 1
+            elif tag == TAG_STATIC:
+                fields = _STATIC.unpack_from(buf, pos + 1)
+                pos += _MAX_ITEM
+                op = _static_op(fields, path)
+                kinds.append(aux_kind(int(op.kind)))
+                known += 1
+                if keep:
+                    address, _, rd, rs, rt, imm, target, flags = fields
+                    instrs.append(Instruction(
+                        op, rd=rd, rs=rs, rt=rt, imm=imm,
+                        target=None if target == _NO_TARGET else target,
+                        inpage_hint=bool(flags & _STATIC_FLAG_INPAGE),
+                        is_boundary_branch=bool(
+                            flags & _STATIC_FLAG_BOUNDARY),
+                        address=address))
+            elif tag == TAG_END_SEGMENT:
+                pos += 1
+                break
+            elif tag in (TAG_SEGMENT, TAG_END_TRACE):
+                raise TraceError(f"{path}: unterminated segment")
+            else:
+                raise TraceError(f"{path}: unknown record tag {tag:#x}")
+    except (IndexError, struct.error):
+        # the buffer holds every byte left, and the item runs past them
+        raise TraceError(
+            f"{path}: truncated trace (the stream ends inside a "
+            "segment)") from None
+    reader.pos = pos
+    return steps
+
+
+def _read_trace(path: Union[str, Path], window_steps: int) -> TraceFile:
+    """Read ``path`` in one forward pass: every segment decoded into
+    memory, or — given a window budget — skipped over and kept as a
+    file-backed segment (the segment index of a windowed decode)."""
+    reader = _StreamReader(path)
+    try:
+        segments: List[TraceSegment] = []
+        while True:
+            meta = reader.next_segment_meta()
+            if meta is None:
+                return TraceFile(reader.path, reader.header, segments,
+                                 window_steps)
+            if window_steps:
+                segment = TraceSegment(meta, path=reader.path,
+                                       ordinal=len(segments),
+                                       window_steps=window_steps)
+                _parse_items(reader, [], _NO_LIMIT)
+            else:
+                segment = TraceSegment(meta)
+                _parse_items(reader, [], _NO_LIMIT, segment.instructions,
+                             segment.index, segment.aux)
+            segments.append(segment)
+    finally:
+        reader.close()
 
 
 class TraceReader:
     """Parse a trace file; :meth:`read` decodes everything, and
-    :meth:`info` summarizes without materializing instruction objects."""
+    :meth:`info` summarizes it."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
 
-    def _open(self):
-        return _open_trace(self.path)
-
-    def _read_preamble(self, stream: _StreamReader) -> dict:
-        return _read_preamble(stream, self.path)
-
     def read(self) -> TraceFile:
-        """Decode the whole trace into memory."""
-        fh, raw = self._open()
-        try:
-            stream = _StreamReader(fh, self.path)
-            header = self._read_preamble(stream)
-            segments: List[TraceSegment] = []
-            segment: Optional[TraceSegment] = None
-            aux_kinds: List[int] = []
-            while True:
-                tag = stream.exact(1, "record tag")[0]
-                if tag == TAG_END_TRACE:
-                    break
-                if tag == TAG_SEGMENT:
-                    (mlen,) = _U32.unpack(stream.exact(4, "segment meta size"))
-                    segment = TraceSegment(
-                        meta=stream.json(mlen, "segment meta"))
-                    segments.append(segment)
-                    aux_kinds = []
-                    continue
-                if segment is None:
-                    raise TraceError(
-                        f"{self.path}: record tag {tag:#x} outside a segment")
-                if tag == TAG_END_SEGMENT:
-                    segment = None
-                elif tag == TAG_STATIC:
-                    instr = self._decode_static(
-                        stream.exact(_STATIC.size, "static entry"))
-                    segment.instructions.append(instr)
-                    aux_kinds.append(aux_kind(instr.kind_code))
-                elif tag == TAG_STEP:
-                    (index,) = _U32.unpack(stream.exact(4, "step index"))
-                    if index >= len(aux_kinds):
-                        raise TraceError(
-                            f"{self.path}: step references static entry "
-                            f"{index} before its definition")
-                    kind = aux_kinds[index]
-                    if kind == AUX_TAKEN:
-                        aux = stream.exact(1, "branch outcome")[0]
-                    elif kind in (AUX_NEXT_PC, AUX_MEM_ADDR):
-                        (aux,) = _U32.unpack(stream.exact(4, "step payload"))
-                    else:
-                        aux = -1
-                    segment.records.append((index, aux))
-                else:
-                    raise TraceError(
-                        f"{self.path}: unknown record tag {tag:#x}")
-            if segment is not None:
-                raise TraceError(f"{self.path}: unterminated segment")
-            return TraceFile(path=self.path, header=header,
-                             segments=segments)
-        finally:
-            fh.close()
-            if raw is not None:
-                raw.close()
-
-    def _decode_static(self, payload: bytes) -> Instruction:
-        return _decode_static(payload, self.path)
+        """Decode the whole trace into memory, in one forward pass."""
+        return _read_trace(self.path, 0)
 
     def info(self) -> dict:
         """Header plus per-segment step/static counts (full decode, but
@@ -845,7 +927,7 @@ class TraceReader:
             "segments": [
                 {
                     "binary": s.binary,
-                    "steps": len(s.records),
+                    "steps": s.steps,
                     "distinct_instructions": len(s.instructions),
                     "meta": s.meta,
                 }
@@ -854,278 +936,70 @@ class TraceReader:
         }
 
 
-# ---------------------------------------------------------------------------
-# Streaming (windowed) decode
-# ---------------------------------------------------------------------------
-
-
-class _TraceScanner:
-    """Forward-only parser over an open trace stream.
-
-    Shared by the streaming window source (which decodes one segment's
-    records in bounded batches) and the stream-file segment index (which
-    only wants metadata).  gzip streams cannot seek, so reaching segment
-    *k* means parsing past segments ``0..k-1`` — :meth:`skip_segment_body`
-    does that without building a single :class:`Instruction` or record
-    tuple: statics are unpacked only far enough to learn each step's aux
-    payload size.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._fh, self._raw = _open_trace(self.path)
-        self.stream = _StreamReader(self._fh, self.path)
-        self.header = _read_preamble(self.stream, self.path)
-        self._done = False
-
-    def close(self) -> None:
-        if self._fh is None:
-            return
-        self._fh.close()
-        if self._raw is not None:
-            self._raw.close()
-        self._fh = None
-
-    def next_segment_meta(self) -> Optional[dict]:
-        """Consume the next ``TAG_SEGMENT`` and return its meta, or
-        ``None`` once ``TAG_END_TRACE`` is reached."""
-        if self._done:
-            return None
-        tag = self.stream.exact(1, "record tag")[0]
-        if tag == TAG_END_TRACE:
-            self._done = True
-            return None
-        if tag != TAG_SEGMENT:
-            raise TraceError(
-                f"{self.path}: record tag {tag:#x} outside a segment")
-        (mlen,) = _U32.unpack(self.stream.exact(4, "segment meta size"))
-        return self.stream.json(mlen, "segment meta")
-
-    def skip_segment_body(self) -> int:
-        """Consume the current segment's items undecoded; returns the
-        step count skipped."""
-        stream = self.stream
-        aux_kinds: List[int] = []
-        steps = 0
-        while True:
-            tag = stream.exact(1, "record tag")[0]
-            if tag == TAG_END_SEGMENT:
-                return steps
-            if tag == TAG_STATIC:
-                payload = stream.exact(_STATIC.size, "static entry")
-                opnum = payload[4]  # <I address, then B op
-                op = _NUM_TO_OP.get(opnum)
-                if op is None:
-                    raise TraceError(
-                        f"{self.path}: unknown opcode number {opnum}")
-                aux_kinds.append(aux_kind(int(op.kind)))
-            elif tag == TAG_STEP:
-                (index,) = _U32.unpack(stream.exact(4, "step index"))
-                if index >= len(aux_kinds):
-                    raise TraceError(
-                        f"{self.path}: step references static entry "
-                        f"{index} before its definition")
-                kind = aux_kinds[index]
-                if kind == AUX_TAKEN:
-                    stream.exact(1, "branch outcome")
-                elif kind in (AUX_NEXT_PC, AUX_MEM_ADDR):
-                    stream.exact(4, "step payload")
-                steps += 1
-            else:
-                raise TraceError(
-                    f"{self.path}: unknown record tag {tag:#x}")
-
-
 class _StreamWindowSource:
-    """Yields one segment's stream as bounded :class:`TraceWindow`\\ s.
+    """Decodes one file-backed segment's stream in windows of at most
+    ``window_steps`` steps.
 
-    Each source owns its file handle, interned-instruction list, and
-    static tables — two sources over the same :class:`StreamSegment`
-    (say, the plain and instrumented passes of one job, or a retry)
-    never share mutable state.  ``instructions`` grows in place as
-    statics arrive, so an engine may bind it once: indices in earlier
-    windows stay valid forever.
+    Each source owns its reader, interned-instruction list, and static
+    tables — two sources over the same segment (say, the plain and
+    instrumented passes of one job, or a retry) never share mutable
+    state.  ``instructions`` grows in place as statics arrive, so an
+    engine may bind it once: indices in earlier windows stay valid
+    forever.
     """
 
     def __init__(self, path: Union[str, Path], ordinal: int,
                  window_steps: int) -> None:
         self.instructions: List[Instruction] = []
+        self._kinds: List[int] = []
         self._tables = _StaticTables()
-        self._window_steps = max(1, window_steps)
+        self._window_steps = window_steps
         self._base = 0
-        self._aux_kinds: List[int] = []
         self._exhausted = False
-        self._scanner = _TraceScanner(path)
-        seen = 0
-        while True:
-            meta = self._scanner.next_segment_meta()
-            if meta is None:
-                raise TraceError(
-                    f"{self._scanner.path}: trace holds only {seen} "
-                    f"segment(s); segment #{ordinal} disappeared between "
-                    "the index scan and the decode — was the file "
-                    "rewritten mid-run?")
-            if seen == ordinal:
-                break
-            self._scanner.skip_segment_body()
-            seen += 1
+        self._reader = _StreamReader(path)
+        try:
+            for seen in range(ordinal + 1):
+                if self._reader.next_segment_meta() is None:
+                    raise TraceError(
+                        f"{self._reader.path}: trace holds only {seen} "
+                        f"segment(s); segment #{ordinal} disappeared "
+                        "between the index scan and the decode — was "
+                        "the file rewritten mid-run?")
+                if seen < ordinal:
+                    _parse_items(self._reader, [], _NO_LIMIT)
+        except BaseException:
+            self._reader.close()
+            raise
 
     def close(self) -> None:
         self._exhausted = True
-        self._scanner.close()
+        self._reader.close()
 
-    def next_window(self) -> Optional[TraceWindow]:
-        """Decode up to the window budget of step records; ``None`` once
-        the segment is exhausted (the file handle closes with it)."""
+    def next_window(self) -> Optional[SegmentColumns]:
+        """Decode up to the window budget of steps into columns; ``None``
+        once the segment is exhausted (the file handle closes with
+        it)."""
         if self._exhausted:
             return None
         from repro.telemetry import emit, note_stream_window
         started = time.perf_counter()
-        path = self._scanner.path
-        stream = self._scanner.stream
-        instrs = self.instructions
-        aux_kinds = self._aux_kinds
-        records: List[Tuple[int, int]] = []
-        limit = self._window_steps
-        while len(records) < limit:
-            tag = stream.exact(1, "record tag")[0]
-            if tag == TAG_END_SEGMENT:
-                self.close()
-                break
-            if tag == TAG_STATIC:
-                instr = _decode_static(
-                    stream.exact(_STATIC.size, "static entry"), path)
-                instrs.append(instr)
-                aux_kinds.append(aux_kind(instr.kind_code))
-            elif tag == TAG_STEP:
-                (index,) = _U32.unpack(stream.exact(4, "step index"))
-                if index >= len(aux_kinds):
-                    raise TraceError(
-                        f"{path}: step references static entry "
-                        f"{index} before its definition")
-                kind = aux_kinds[index]
-                if kind == AUX_TAKEN:
-                    aux = stream.exact(1, "branch outcome")[0]
-                elif kind in (AUX_NEXT_PC, AUX_MEM_ADDR):
-                    (aux,) = _U32.unpack(stream.exact(4, "step payload"))
-                else:
-                    aux = -1
-                records.append((index, aux))
-            else:
-                raise TraceError(
-                    f"{path}: unknown record tag {tag:#x}")
-        if not records:
+        index = array("q")
+        aux = array("q")
+        steps = _parse_items(self._reader, self._kinds, self._window_steps,
+                             self.instructions, index, aux)
+        if steps < self._window_steps:
+            self.close()
+        if not steps:
             return None
-        self._tables.extend(instrs)
-        window = TraceWindow(records, self._base, tables=self._tables)
-        self._base += len(records)
-        note_stream_window(window.nbytes(),
-                           time.perf_counter() - started)
-        emit("trace.stream_window", level="debug", path=str(path),
-             base=window.base, steps=len(records),
-             bytes=window.nbytes())
+        self._tables.extend(self.instructions)
+        window = SegmentColumns(self._tables, index, aux)
+        nbytes = COLUMN_BYTES_PER_STEP * steps
+        note_stream_window(nbytes, time.perf_counter() - started)
+        emit("trace.stream_window", level="debug",
+             path=str(self._reader.path), base=self._base, steps=steps,
+             bytes=nbytes)
+        self._base += steps
         return window
-
-
-@dataclass
-class StreamSegment:
-    """One binary pass of a trace, decoded on demand in bounded windows.
-
-    Structurally a :class:`TraceSegment` stand-in everywhere replay
-    needs one — ``meta``/``binary``/``page_bytes`` for geometry, and
-    ``window_source()`` as the decode seam — but it holds no records:
-    each source re-reads the file forward, keeping at most one window's
-    columns alive.
-    """
-
-    path: Path
-    meta: dict
-    #: position of this segment in the file (gzip cannot seek, so the
-    #: source skip-parses earlier segments to reach it)
-    ordinal: int
-    #: window budget, in step records (derived from the byte budget)
-    window_steps: int
-
-    @property
-    def binary(self) -> str:
-        return self.meta.get("binary", "plain")
-
-    @property
-    def page_bytes(self) -> int:
-        return self.meta["page_bytes"]
-
-    def window_source(self) -> _StreamWindowSource:
-        return _StreamWindowSource(self.path, self.ordinal,
-                                   self.window_steps)
-
-    def describe(self) -> str:
-        return (f"{self.binary}: streaming decode, "
-                f"{self.window_steps:,}-step windows "
-                f"({self.meta.get('name', '?')}, "
-                f"{self.page_bytes}-byte pages)")
-
-
-class StreamTraceFile:
-    """A trace opened for windowed decode: header read eagerly, segment
-    bodies never held in memory.
-
-    Mirrors the :class:`TraceFile` surface replay consumes
-    (``workload_name``, ``segment_for``, ``segments``) so
-    :class:`~repro.trace.replay.TraceWorkload` works unchanged; the
-    segment index is a decode-less skip-parse of the file, done once on
-    first need and cached.
-    """
-
-    def __init__(self, path: Union[str, Path], window_steps: int) -> None:
-        self.path = Path(path)
-        self.window_steps = max(1, window_steps)
-        scanner = _TraceScanner(self.path)
-        try:
-            self.header = scanner.header
-        finally:
-            scanner.close()
-        self._metas: Optional[List[dict]] = None
-
-    @property
-    def workload_name(self) -> str:
-        return self.header.get("workload", str(self.path))
-
-    def _segment_metas(self) -> List[dict]:
-        if self._metas is None:
-            metas: List[dict] = []
-            scanner = _TraceScanner(self.path)
-            try:
-                while True:
-                    meta = scanner.next_segment_meta()
-                    if meta is None:
-                        break
-                    metas.append(meta)
-                    scanner.skip_segment_body()
-            finally:
-                scanner.close()
-            self._metas = metas
-        return self._metas
-
-    @property
-    def segments(self) -> List[StreamSegment]:
-        return [StreamSegment(self.path, meta, i, self.window_steps)
-                for i, meta in enumerate(self._segment_metas())]
-
-    def segment_for(self, *, instrumented: bool,
-                    page_bytes: int) -> StreamSegment:
-        wanted = "instrumented" if instrumented else "plain"
-        metas = self._segment_metas()
-        for i, meta in enumerate(metas):
-            if (meta.get("binary", "plain") == wanted
-                    and meta.get("page_bytes") == page_bytes):
-                return StreamSegment(self.path, meta, i, self.window_steps)
-        have = ", ".join(
-            f"{m.get('binary', 'plain')}@{m.get('page_bytes')}B"
-            for m in metas) or "none"
-        raise TraceError(
-            f"{self.path}: no {wanted} segment for {page_bytes}-byte pages "
-            f"(trace contains: {have}); re-record the trace for this "
-            "configuration")
 
 
 # ---------------------------------------------------------------------------
@@ -1212,7 +1086,7 @@ def trace_window_bytes() -> Optional[int]:
 
 #: how many decoded traces one process keeps alive at once.  Sweeps
 #: typically iterate configs over a handful of traces; the decoded form
-#: (instructions + records + flat columns) is a few MB per trace, so a
+#: (instructions + flat columns) is a few MB per trace, so a
 #: small LRU captures the reuse without unbounded growth.  The default
 #: can be overridden per process with ``REPRO_TRACE_LRU_CAPACITY``
 #: (pool and queue workers inherit the parent's environment, so one
@@ -1237,8 +1111,8 @@ def trace_cache_bytes() -> int:
 def _trace_nbytes(trace: TraceFile) -> int:
     """Decoded-column footprint estimate of one cached trace: the flat
     columns dominate the decoded form, so the byte-budgeted eviction
-    charges :data:`COLUMN_BYTES_PER_STEP` per step record."""
-    return sum(COLUMN_BYTES_PER_STEP * len(segment.records)
+    charges :data:`COLUMN_BYTES_PER_STEP` per step."""
+    return sum(COLUMN_BYTES_PER_STEP * segment.steps
                for segment in trace.segments)
 
 
@@ -1265,7 +1139,7 @@ _TRACE_LRU: "OrderedDict[Tuple[str, str], TraceFile]" = OrderedDict()
 
 
 def load_trace(path: Union[str, Path], *, use_cache: bool = True,
-               stream=None) -> Union[TraceFile, StreamTraceFile]:
+               stream=None) -> TraceFile:
     """Read and decode ``path``, memoizing per process.
 
     A six-config sweep over one trace used to gunzip and re-decode the
@@ -1286,11 +1160,11 @@ def load_trace(path: Union[str, Path], *, use_cache: bool = True,
     * ``False`` — always eager (bench's decode-excluded views).
     * ``True`` or an ``int`` byte budget — always streaming.
 
-    A streamed trace returns a :class:`StreamTraceFile`: nothing is
-    decoded up front and nothing enters the LRU — each engine pass
-    re-reads the file forward, holding at most one window's columns,
-    so replay memory is bounded by the window budget instead of the
-    trace.  Results are bit-identical either way (the streaming
+    A streamed trace is a :class:`TraceFile` of file-backed segments:
+    loading it only skip-parses the file for its segment index, and
+    nothing enters the LRU — each engine pass re-reads the file
+    forward, holding at most one window's columns, so replay memory is bounded by the window budget instead
+    of the trace.  Results are bit-identical either way (the streaming
     equivalence suite pins this)."""
     from repro.telemetry import emit, note_decode
     from repro.faults import fire
@@ -1307,7 +1181,7 @@ def load_trace(path: Union[str, Path], *, use_cache: bool = True,
     if stream:
         window_bytes = DEFAULT_WINDOW_BYTES if stream is True else int(stream)
         window_steps = max(1, window_bytes // COLUMN_BYTES_PER_STEP)
-        trace = StreamTraceFile(path, window_steps)
+        trace = _read_trace(path, window_steps)
         emit("trace.stream_open", level="debug", path=str(path),
              window_bytes=window_bytes, window_steps=window_steps)
         return trace

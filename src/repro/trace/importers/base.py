@@ -45,14 +45,13 @@ non-cooperating compiler would give them.
 
 from __future__ import annotations
 
-import gzip
 import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (BinaryIO, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
-from repro.cpu.functional import StepResult
 from repro.errors import TraceError
 from repro.isa.instructions import InstrKind, Instruction, Opcode
 from repro.isa.program import DATA_BASE, TEXT_BASE
@@ -61,6 +60,7 @@ from repro.trace.format import (
     TraceSegment,
     TraceWriter,
     file_digest,
+    open_sniffed,
 )
 from repro.workloads.synthetic import WorkloadProfile
 
@@ -154,21 +154,20 @@ class Importer(ABC):
 
     # -- shared parser helpers -----------------------------------------
 
-    def open_text(self, path: Union[str, Path]):
-        """Open ``path`` as text, transparently decompressing gzip
-        content (sniffed, like the native reader — not suffix-trusted).
-        """
-        path = Path(path)
+    def open_binary(self, path: Union[str, Path]) -> BinaryIO:
+        """Open ``path`` for binary reading, transparently decompressing
+        gzip or xz content (sniffed, like the native reader — not
+        suffix-trusted); closing it closes the file."""
         try:
-            raw = open(path, "rb")
-            head = raw.read(2)
-            raw.seek(0)
+            return open_sniffed(path)
         except OSError as exc:
             raise TraceError(
                 f"cannot open {self.name} trace {path}: {exc}") from exc
-        if head == b"\x1f\x8b":
-            raw = gzip.GzipFile(fileobj=raw, mode="rb")
-        return io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
+
+    def open_text(self, path: Union[str, Path]):
+        """Like :meth:`open_binary`, as UTF-8 text."""
+        return io.TextIOWrapper(self.open_binary(path), encoding="utf-8",
+                                errors="replace")
 
     def error(self, path, line: int, message: str) -> TraceError:
         return TraceError(f"{path}, line {line}: {message}")
@@ -481,18 +480,11 @@ def emit_segment(importer: Importer, scan: ScanResult,
                         else entry.target + delta),
                 address=event.pc + delta)
             intern[event.pc] = instr
-        pc = instr.address
+        # the step's aux payload (see repro.trace.format.step_aux)
         kind = instr.kind_code
-        taken = False
-        mem_addr = None
-        is_store = False
-        next_pc = pc + 4
+        aux = -1
         if kind == InstrKind.COND_BRANCH:
-            taken = event.taken
-            next_pc = instr.target if taken else pc + 4
-        elif kind in (InstrKind.JUMP, InstrKind.CALL):
-            taken = True
-            next_pc = instr.target
+            aux = 1 if event.taken else 0
         elif kind in (InstrKind.INDIRECT_JUMP, InstrKind.INDIRECT_CALL):
             dest = event.next_pc
             if dest is None:
@@ -501,8 +493,7 @@ def emit_segment(importer: Importer, scan: ScanResult,
                 dest = event.pc + 4
             # alignment and range were settled in the scan pass (the
             # bounds cover every claimed destination)
-            taken = True
-            next_pc = dest + delta
+            aux = dest + delta
         elif kind in (InstrKind.LOAD, InstrKind.STORE):
             addr = event.mem_addr
             if addr is None:
@@ -510,14 +501,9 @@ def emit_segment(importer: Importer, scan: ScanResult,
                     scan.source, event.line,
                     f"memory instruction at pc {event.pc:#x} carries "
                     "no effective address")
-            mem_addr = ((data_map[addr >> shift] << shift)
-                        | (addr & offset_mask & ~3))
-            is_store = kind == InstrKind.STORE
-        elif kind == InstrKind.HALT:
-            next_pc = pc
-        sink.write_step(StepResult(pc=pc, instr=instr, next_pc=next_pc,
-                                   taken=taken, mem_addr=mem_addr,
-                                   is_store=is_store))
+            aux = ((data_map[addr >> shift] << shift)
+                   | (addr & offset_mask & ~3))
+        sink.write_record(instr, aux)
         steps += 1
     return steps
 
@@ -662,7 +648,7 @@ class ImportedTraceWorkload:
                 (page_bytes, twin),
                 TraceSegment(meta=geometry.meta(self.profile.name, twin),
                              instructions=segment.instructions,
-                             records=segment.records))
+                             index=segment.index, aux=segment.aux))
         return ReplayProgram(segment)
 
     def describe(self) -> str:

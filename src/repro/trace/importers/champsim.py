@@ -43,19 +43,12 @@ synthesized streams are.  Files may be plain, gzip-, or xz-compressed
 
 from __future__ import annotations
 
-import gzip
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterator, Optional, Tuple, Union
 
-from repro.errors import TraceError
 from repro.isa.instructions import InstrKind
 from repro.trace.importers.base import ForeignStep, Importer
-
-try:  # pragma: no cover - stdlib module, absent only on minimal builds
-    import lzma
-except ImportError:  # pragma: no cover
-    lzma = None  # type: ignore[assignment]
 
 #: one trace record: ip, is_branch, branch_taken, 2 destination
 #: registers, 4 source registers, 2 store addresses, 4 load addresses
@@ -66,9 +59,6 @@ RECORD_BYTES = RECORD.size  # 64
 REG_STACK_POINTER = 6
 REG_FLAGS = 25
 REG_INSTRUCTION_POINTER = 26
-
-_GZIP_MAGIC = b"\x1f\x8b"
-_XZ_MAGIC = b"\xfd7zXZ\x00"
 
 _Record = Tuple[int, bool, bool, Tuple[int, ...], Tuple[int, ...],
                 Tuple[int, ...], Tuple[int, ...]]
@@ -83,7 +73,7 @@ class ChampSimImporter(Importer):
                    "lookahead")
 
     def events(self, path: Union[str, Path]) -> Iterator[ForeignStep]:
-        with self._open(path) as stream:
+        with self.open_binary(path) as stream:
             number = 1
             record = self._read_record(stream, path, number)
             while record is not None:
@@ -95,29 +85,6 @@ class ChampSimImporter(Importer):
                 number += 1
 
     # -- raw records ---------------------------------------------------
-
-    def _open(self, path: Union[str, Path]) -> BinaryIO:
-        """Open ``path`` as a binary stream, transparently
-        decompressing gzip or xz content (sniffed, not suffix-trusted).
-        """
-        path = Path(path)
-        try:
-            raw = open(path, "rb")
-            head = raw.read(len(_XZ_MAGIC))
-            raw.seek(0)
-        except OSError as exc:
-            raise TraceError(
-                f"cannot open {self.name} trace {path}: {exc}") from exc
-        if head[:2] == _GZIP_MAGIC:
-            return gzip.GzipFile(fileobj=raw, mode="rb")  # type: ignore
-        if head == _XZ_MAGIC:
-            if lzma is None:  # pragma: no cover - lzma is stdlib
-                raw.close()
-                raise TraceError(
-                    f"{path} is xz-compressed but the lzma module is "
-                    "unavailable in this python build")
-            return lzma.LZMAFile(raw)  # type: ignore[return-value]
-        return raw
 
     def _read_record(self, stream: BinaryIO, path,
                      number: int) -> Optional[_Record]:

@@ -27,13 +27,7 @@ from typing import Union
 from repro.errors import TraceError
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
-from repro.trace.format import (
-    StreamSegment,
-    StreamTraceFile,
-    TraceFile,
-    TraceSegment,
-    load_trace,
-)
+from repro.trace.format import TraceFile, TraceSegment, load_trace
 from repro.workloads.synthetic import WorkloadProfile
 
 
@@ -46,8 +40,7 @@ class ReplayProgram(Program):
     sees the committed stream.
     """
 
-    def __init__(self,
-                 segment: Union[TraceSegment, StreamSegment]) -> None:
+    def __init__(self, segment: TraceSegment) -> None:
         meta = segment.meta
         super().__init__(
             text_base=meta["text_base"],
@@ -101,7 +94,7 @@ class TraceWorkload:
     """
 
     def __init__(self, path: Union[str, Path],
-                 trace: Union[TraceFile, StreamTraceFile]) -> None:
+                 trace: TraceFile) -> None:
         self.path = Path(path)
         self.trace = trace
         self.profile = WorkloadProfile(name=trace.workload_name)

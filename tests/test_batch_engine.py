@@ -21,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,7 @@ from repro.runner import FileQueueBackend, JobSpec, ResultStore, SweepRunner
 from repro.sim.multi import run_all_schemes
 from repro.sim.simulator import Simulator
 from repro.trace.format import (
+    COLUMN_BYTES_PER_STEP,
     PLAIN_KINDS,
     TRACE_CACHE_CAPACITY,
     clear_trace_cache,
@@ -351,8 +353,10 @@ class TestEngineSelection:
                      instructions=500, warmup=0, path=live)
         rerecorded = load_trace_workload(out)
         assert rerecorded.trace.segments
-        assert (load_trace(out, use_cache=False).segments[0].records
-                == load_trace(live, use_cache=False).segments[0].records)
+        replayed = load_trace(out, use_cache=False).segments[0].columns()
+        recorded = load_trace(live, use_cache=False).segments[0].columns()
+        assert replayed.index == recorded.index
+        assert replayed.aux == recorded.aux
 
     def test_batch_engine_rejects_recorder(self):
         """A replay carries no executor: only its committed stream, which
@@ -379,21 +383,31 @@ class TestSegmentColumns:
         segment = trace.segments[0]
         cols = segment.columns()
         assert segment.columns() is cols
-        assert cols.steps == len(segment.records)
+        assert cols.steps == segment.steps
         assert len(cols.pc) == cols.steps
         assert cols.nbytes() > 0
 
     def test_columns_agree_with_records(self):
+        """The whole-segment columns against an independent decode of
+        the same segment: a stream of one-step windows."""
         trace = load_trace(GOLDEN_MESA, use_cache=False)
-        for segment in trace.segments:
+        streamed = load_trace(GOLDEN_MESA, stream=COLUMN_BYTES_PER_STEP)
+        for segment, single in zip(trace.segments, streamed.segments):
             cols = segment.columns()
-            for i, (idx, aux) in enumerate(segment.records[:2000]):
-                instr = segment.instructions[idx]
-                assert cols.pc[i] == instr.address
-                assert cols.kind[i] == instr.kind_code
-                assert cols.aux[i] == aux
-                assert cols.index[i] == idx
-                assert cols.latency[i] == instr.latency
+            source = single.window_source()
+            try:
+                for i in range(min(cols.steps, 2000)):
+                    window = source.next_window()
+                    assert window.steps == 1
+                    idx, aux = window.index[0], window.aux[0]
+                    instr = source.instructions[idx]
+                    assert cols.pc[i] == instr.address
+                    assert cols.kind[i] == instr.kind_code
+                    assert cols.aux[i] == aux
+                    assert cols.index[i] == idx
+                    assert cols.latency[i] == instr.latency
+            finally:
+                source.close()
 
     def test_run_lengths(self):
         trace = load_trace(GOLDEN_MESA, use_cache=False)
@@ -425,10 +439,10 @@ class TestLiveStream:
         assert calls == [1_000, 2_000]
 
     def test_executed_with_the_collector_paused(self):
-        """Every record survives into the segment, so the cyclic
-        collector must not scan the heap while the stream is built: at
-        most the one young-generation pass when it resumes, where a
-        running collector makes dozens and reaches the older ones."""
+        """The stream is built into flat arrays, so the build keeps no
+        per-step objects for the cyclic collector to track: without any
+        pause it makes at most one young-generation pass, never dozens
+        reaching the older generations."""
         program = resolve("177.mesa").link()
         enabled = gc.isenabled()
         started = []
@@ -443,9 +457,24 @@ class TestLiveStream:
             segment = committed_stream(program, 20_000)
         finally:
             gc.callbacks.remove(note)
-        assert len(segment.records) >= 20_000
+        assert segment.steps >= 20_000
         assert started in ([], [0])
         assert gc.isenabled() == enabled
+
+    def test_stream_holds_no_per_step_objects(self):
+        """A live stream is its flat columns: the eleven 8-byte slots
+        of a step and little else, with no Python object kept per
+        step."""
+        program = resolve("177.mesa").link()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            segment = committed_stream(program, 20_000)
+            segment.columns()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / segment.steps < 120, held / segment.steps
 
 
 class TestTraceMemoization:

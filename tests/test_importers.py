@@ -13,8 +13,10 @@ The acceptance-critical properties:
   naming the file and line, never a bare ``ValueError``/``KeyError``.
 """
 
+import gc
 import gzip
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,20 @@ class TestFixtureConversion:
                 _convert(fmt, tmp_path, page_bytes=bad)
         with pytest.raises(TraceError, match="power of two"):
             _convert(fmt, tmp_path, page_sizes=[12345])
+
+
+class TestCompressedSources:
+    def test_compressed_sources_close_their_files(self, tmp_path):
+        """Converting a gzip'd foreign trace releases the underlying
+        file, not only the decompressing wrapper around it."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for fmt in ("gem5", "champsim"):
+                _convert(fmt, tmp_path / fmt)
+            gc.collect()
+        leaks = [w for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
 
 class TestEIOMalformed:
@@ -373,7 +389,8 @@ class TestGem5Semantics:
         segment = TraceReader(out).read().segments[0]
         by_addr = {i.address: i for i in segment.instructions}
         assert by_addr[TEXT_BASE].kind is InstrKind.STORE
-        index, aux = segment.records[0]
+        cols = segment.columns()
+        index, aux = cols.index[0], cols.aux[0]
         assert segment.instructions[index].address == TEXT_BASE
         assert aux != -1  # the remapped store address rode along
 
@@ -422,7 +439,8 @@ class TestGem5Semantics:
         from repro.isa.program import TEXT_BASE
         assert by_addr[TEXT_BASE].op is Opcode.JR
         # both dynamic instances carry their own observed destination
-        dests = [aux for idx, aux in segment.records
+        cols = segment.columns()
+        dests = [aux for idx, aux in zip(cols.index, cols.aux)
                  if segment.instructions[idx].address == TEXT_BASE]
         assert len(dests) == 2 and dests[0] != dests[1]
 

@@ -38,8 +38,6 @@ from repro.runner import FileQueueBackend, JobSpec, ResultStore, SweepRunner
 from repro.sim.multi import run_all_schemes
 from repro.telemetry.metrics import JobMetrics, aggregate, collect
 from repro.trace import (
-    StreamTraceFile,
-    TraceFile,
     clear_trace_cache,
     import_trace,
     load_trace,
@@ -96,6 +94,20 @@ def traces(tmp_path_factory):
     return table
 
 
+def _file_backed(trace) -> bool:
+    """Whether ``trace`` was opened for windowed decode: every segment
+    decodes its windows from the file and holds no steps in memory."""
+    return all(segment.window_steps and not segment.steps
+               for segment in trace.segments)
+
+
+def _in_memory(trace) -> bool:
+    """Whether ``trace`` was decoded eagerly: every segment holds its
+    whole stream in memory."""
+    return all(segment.steps and not segment.window_steps
+               for segment in trace.segments)
+
+
 def _canon(run) -> str:
     return json.dumps(run.to_dict(), sort_keys=True)
 
@@ -112,7 +124,7 @@ def _replay(path, instructions, warmup, *, window=None):
     try:
         workload = load_trace_workload(path)
         if window is not None:
-            assert isinstance(workload.trace, StreamTraceFile)
+            assert _file_backed(workload.trace)
         return run_all_schemes(workload, default_config(),
                                instructions=instructions, warmup=warmup)
     finally:
@@ -317,7 +329,7 @@ class TestWindowEdges:
         short final window; it must decode and retire like any other."""
         path, instructions, warmup = traces["177.mesa"]
         trace = load_trace(path, use_cache=False, stream=False)
-        steps = len(trace.segments[0].records)
+        steps = trace.segments[0].steps
         window_steps = 13
         assert steps % window_steps != 0  # the case under test
         eager = _replay(path, instructions, warmup)
@@ -485,14 +497,13 @@ class TestDecodePolicy:
     def test_small_file_defaults_to_eager(self, monkeypatch):
         monkeypatch.delenv(WINDOW_ENV, raising=False)
         clear_trace_cache()
-        assert isinstance(load_trace(GOLDEN_MESA, use_cache=False),
-                          TraceFile)
+        assert _in_memory(load_trace(GOLDEN_MESA, use_cache=False))
 
     def test_env_forces_streaming(self, monkeypatch):
         monkeypatch.setenv(WINDOW_ENV, "8k")
         clear_trace_cache()
         trace = load_trace(GOLDEN_MESA)
-        assert isinstance(trace, StreamTraceFile)
+        assert _file_backed(trace)
         # ... and never occupies an eager-cache slot
         assert not _TRACE_LRU
         clear_trace_cache()
@@ -500,15 +511,14 @@ class TestDecodePolicy:
     def test_explicit_stream_false_beats_env(self, monkeypatch):
         monkeypatch.setenv(WINDOW_ENV, "8k")
         clear_trace_cache()
-        assert isinstance(
-            load_trace(GOLDEN_MESA, use_cache=False, stream=False),
-            TraceFile)
+        assert _in_memory(
+            load_trace(GOLDEN_MESA, use_cache=False, stream=False))
         clear_trace_cache()
 
     def test_explicit_stream_true_uses_default_window(self, monkeypatch):
         monkeypatch.delenv(WINDOW_ENV, raising=False)
         trace = load_trace(GOLDEN_MESA, stream=True)
-        assert isinstance(trace, StreamTraceFile)
+        assert _file_backed(trace)
         assert (trace.window_steps
                 == DEFAULT_WINDOW_BYTES // COLUMN_BYTES_PER_STEP)
 
@@ -517,12 +527,13 @@ class TestDecodePolicy:
         monkeypatch.setattr("repro.trace.format.STREAM_THRESHOLD_BYTES",
                             1)
         clear_trace_cache()
-        assert isinstance(load_trace(GOLDEN_MESA), StreamTraceFile)
+        assert _file_backed(load_trace(GOLDEN_MESA))
+        assert not _TRACE_LRU
         clear_trace_cache()
 
     def test_stream_trace_file_surface(self, monkeypatch):
-        """StreamTraceFile mirrors TraceFile's lookup surface,
-        including the typed no-such-segment error."""
+        """A trace opened for windowed decode has the eager lookup
+        surface, including the typed no-such-segment error."""
         trace = load_trace(GOLDEN_MESA, stream=4096)
         eager = load_trace(GOLDEN_MESA, use_cache=False, stream=False)
         assert trace.workload_name == eager.workload_name

@@ -8,6 +8,7 @@ or ``EOFError``.
 
 import gzip
 import json
+import lzma
 import struct
 
 import pytest
@@ -74,14 +75,15 @@ class TestRoundTrip:
         assert [s.binary for s in trace.segments] == ["plain",
                                                       "instrumented"]
         plain = trace.segments[0]
-        assert len(plain.records) == 5
+        cols = plain.columns()
+        assert cols.steps == 5
         assert len(plain.instructions) == 4
         # interning: the repeated ALU step reuses index 0
-        assert plain.records[0][0] == plain.records[3][0] == 0
+        assert cols.index[0] == cols.index[3] == 0
         # aux payloads
-        assert plain.records[1][1] == 0x10000000  # load address
-        assert plain.records[2][1] == 1  # branch taken
-        assert plain.records[4][1] == 0x400010  # indirect target
+        assert cols.aux[1] == 0x10000000  # load address
+        assert cols.aux[2] == 1  # branch taken
+        assert cols.aux[4] == 0x400010  # indirect target
         ops = [i.op for i in plain.instructions]
         assert ops == [Opcode.ADDI, Opcode.LW, Opcode.BNE, Opcode.JR]
 
@@ -90,11 +92,18 @@ class TestRoundTrip:
         with open(path, "rb") as fh:
             assert fh.read(2) == b"\x1f\x8b"
         trace = TraceReader(path).read()
-        assert len(trace.segments[0].records) == 5
+        assert trace.segments[0].columns().steps == 5
         # gzip content is sniffed, not suffix-trusted
         renamed = tmp_path / "no_suffix.bin"
         renamed.write_bytes(path.read_bytes())
         assert len(TraceReader(renamed).read().segments) == 2
+
+    def test_xz_content_is_sniffed(self, tmp_path):
+        plain = _write_sample(tmp_path / "t.trace").read_bytes()
+        packed = tmp_path / "t.bin"
+        packed.write_bytes(lzma.compress(plain))
+        trace = TraceReader(packed).read()
+        assert [s.columns().steps for s in trace.segments] == [5, 1]
 
     def test_gzip_output_is_deterministic(self, tmp_path):
         a = _write_sample(tmp_path / "a.trace.gz").read_bytes()
@@ -161,6 +170,12 @@ class TestMalformedInput:
     def test_garbage_with_gz_suffix(self, tmp_path):
         bad = tmp_path / "bad.trace.gz"
         bad.write_bytes(b"\x1f\x8b" + b"\xde\xad\xbe\xef" * 16)
+        with pytest.raises(TraceError):
+            TraceReader(bad).read()
+
+    def test_garbage_with_xz_magic(self, tmp_path):
+        bad = tmp_path / "bad.trace.xz"
+        bad.write_bytes(b"\xfd7zXZ\x00" + b"\xde\xad\xbe\xef" * 16)
         with pytest.raises(TraceError):
             TraceReader(bad).read()
 
