@@ -212,8 +212,7 @@ def _run_sweep(args: argparse.Namespace,
     store = ResultStore(cache_dir)
     runner = SweepRunner(store=store,
                          workers=resolve_workers(args.workers),
-                         backend=backend,
-                         grid=not args.no_grid)
+                         backend=backend)
     results = runner.run(specs)
     stats = runner.last_stats
 
@@ -669,12 +668,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.add_argument("--cache-dir", default=None,
                          help="persist results here and reuse them on "
                               "repeat invocations")
-    p_sweep.add_argument("--no-grid", action="store_true",
-                         help="disable single-pass grid evaluation: run "
-                              "every job as its own decode+simulate pass "
-                              "even when jobs differ only in iTLB "
-                              "geometry (results are bit-identical "
-                              "either way; see docs/performance.md)")
     p_sweep.add_argument("--json", action="store_true",
                          help="machine-readable output (full simulation "
                               "records, including the normalization Base "

@@ -11,10 +11,14 @@ predictor, schemes):
   trace replays run through its one loop; this is what the experiment
   harness sweeps run on.
 * :mod:`repro.cpu.grid` — the fast engine scoring N machine
-  configurations (iTLB geometry, energy) in one shared pass.
+  configurations (iTLB geometry, energy) in one shared pass.  Every
+  fast-engine simulation runs as such a pass
+  (:func:`~repro.sim.simulator.run_program_grid`); a single
+  configuration is a one-member grid.
 * :mod:`repro.cpu.ooo` — a cycle-driven out-of-order model of the Table 1
   core (RUU + LSQ, 4-wide, speculative wrong-path fetch with squash) for
-  one scheme at a time.  Slower; used for validation and examples.
+  one configuration and one scheme at a time.  Slower; used for
+  validation and examples.
 
 :mod:`repro.cpu.functional` holds the architectural state and instruction
 semantics: the out-of-order engine steps it directly, and a live

@@ -22,7 +22,7 @@ Injection points threaded through the tree::
     atomic_write.rename  between the temp-file write and ``os.replace``
     store.put            ResultStore.put, before serialisation
     store.get            ResultStore.get, before the read
-    queue.submit         FileQueue.submit / submit_grid, before the job write
+    queue.submit         FileQueue.submit, before the job write
     queue.claim          FileQueue.claim_next, before the scan
     queue.reclaim        FileQueue.reclaim_stale, before the scan
     worker.execute       queue worker, after parsing a claim, before execute

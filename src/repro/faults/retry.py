@@ -11,7 +11,7 @@ The fleet distinguishes two failure classes:
   dead-letters immediately.
 
 Queue workers only see failures as traceback strings (the
-``execute_spec`` contract), so classification works on the final
+``execute_grid`` contract), so classification works on the final
 ``Module.Class: message`` line of the traceback.
 
 The backoff schedule is jitter-free by design: ``delay(attempt) =

@@ -24,7 +24,6 @@ from repro.runner.backends.base import (
     Outcome,
     SweepInterrupted,
     execute_grid,
-    execute_spec,
 )
 from repro.runner.backends.filequeue import (
     FileQueue,
@@ -76,7 +75,6 @@ __all__ = [
     "SweepInterrupted",
     "WorkerStats",
     "execute_grid",
-    "execute_spec",
     "resolve_backend",
     "run_worker",
 ]

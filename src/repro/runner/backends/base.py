@@ -1,16 +1,19 @@
 """The execution-backend contract the :class:`SweepRunner` delegates to.
 
-A backend answers exactly one question: *given the de-duplicated list of
-cache-missing specs, what is each one's outcome?*  Everything around
+A backend answers exactly one question: *given the planned units of
+cache-missing specs, what is each member's outcome?*  Every unit is a
+:class:`~repro.runner.gridspec.GridSpec` — one shared pass over one or
+more members, a lone job being a one-member pass — and
+:func:`execute_grid` is the one in-process executor.  Everything around
 that — store probes, duplicate sharing, result ordering, persistence,
 stats bookkeeping — stays in :meth:`repro.runner.sweep.SweepRunner.run`,
 which is why swapping backends can never change a sweep's results, only
 where the simulations physically execute.
 
 Outcomes are ``(run, error)`` pairs: exactly one side is set.  A backend
-must return one outcome per input spec, in input order, and must capture
-per-job failures as outcomes rather than raising (a raise means the
-*backend* broke, not a job).  The single sanctioned exception is
+must return one outcome per member spec, in unit then member order, and
+must capture per-job failures as outcomes rather than raising (a raise
+means the *backend* broke, not a job).  The single sanctioned exception is
 :class:`SweepInterrupted` — a ``KeyboardInterrupt`` subclass carrying
 the outcomes that completed before Ctrl-C, so the runner can persist
 them before re-raising.
@@ -54,51 +57,32 @@ class SweepInterrupted(KeyboardInterrupt):
         self.completed = list(completed)
 
 
-def execute_spec(spec: JobSpec) -> Outcome:
-    """Run one spec in this process with per-job fault capture (the
-    in-process half every backend shares).
+def execute_grid(grid: GridSpec) -> List[Outcome]:
+    """Run one unit's shared pass in this process with per-job fault
+    capture (the in-process half every backend shares); one outcome per
+    member, in member order.
 
     Opens a :func:`repro.telemetry.metrics.collect` window around the
-    job so the instrumented layers below (trace decode, engine run)
-    have somewhere to report; the finished :class:`JobMetrics` rides on
-    ``run.job_metrics`` — an attribute, never part of
+    pass so the instrumented layers below (trace decode, engine run)
+    have somewhere to report; each member's :class:`JobMetrics` rides
+    on ``run.job_metrics`` — an attribute, never part of
     ``CombinedRun.to_dict()``, so results stay bit-identical.
-    """
-    started = time.perf_counter()
-    with telemetry.collect(workload=spec.workload) as metrics:
-        try:
-            run = spec.run()
-        except Exception:
-            metrics.total_seconds = time.perf_counter() - started
-            telemetry.emit("job.error", level="error", key=spec.key,
-                           workload=spec.workload,
-                           seconds=metrics.total_seconds)
-            return None, traceback.format_exc()
-        metrics.total_seconds = time.perf_counter() - started
-        run.job_metrics = metrics
-        telemetry.emit("job.done", level="debug", key=spec.key,
-                       workload=spec.workload, engine=metrics.engine,
-                       seconds=metrics.total_seconds,
-                       instructions=metrics.instructions)
-        return run, None
-
-
-def execute_grid(grid: GridSpec) -> List[Outcome]:
-    """Run one grid's shared pass in this process; one outcome per
-    member, in member order.
 
     A failure of the shared pass is every member's failure (the same
     traceback repeated), mirroring what N independent jobs over the
-    same broken workload would each report.  On success the single
-    collected :class:`JobMetrics` is fanned out per member: the shared
-    wall-clock phases (decode, simulate, total) are split evenly so the
-    members' attributed seconds sum back to the actual pass, while
+    same broken workload would each report.  On success the collected
+    metrics are fanned out per member: the shared wall-clock phases
+    (decode, simulate, total) are split evenly so the members'
+    attributed seconds sum back to the actual pass, while
     ``instructions``/``passes`` stay whole per member (each member's
     result really does cover the full window) and the decode counters
     land on member 0 only (the pass decoded once, not N times).
+    ``grid_members`` carries the fan-in of a shared pass (0 for a lone
+    job).
     """
     members = grid.members
     count = len(members)
+    fan_in = count if count > 1 else 0
     started = time.perf_counter()
     with telemetry.collect(workload=grid.workload) as metrics:
         try:
@@ -106,7 +90,7 @@ def execute_grid(grid: GridSpec) -> List[Outcome]:
         except Exception:
             metrics.total_seconds = time.perf_counter() - started
             telemetry.emit("job.error", level="error", key=grid.key,
-                           workload=grid.workload, grid_members=count,
+                           workload=grid.workload, grid_members=fan_in,
                            seconds=metrics.total_seconds)
             failure = traceback.format_exc()
             return [(None, failure) for _ in members]
@@ -120,12 +104,12 @@ def execute_grid(grid: GridSpec) -> List[Outcome]:
             total_seconds=metrics.total_seconds / count,
             decode_cold=metrics.decode_cold if position == 0 else 0,
             decode_cached=metrics.decode_cached if position == 0 else 0,
-            grid_members=count,
+            grid_members=fan_in,
         )
         run.job_metrics = share
         telemetry.emit("job.done", level="debug", key=member.key,
                        workload=member.workload, engine=share.engine,
-                       grid_members=count, seconds=share.total_seconds,
+                       grid_members=fan_in, seconds=share.total_seconds,
                        instructions=share.instructions)
         outcomes.append((run, None))
     return outcomes
@@ -138,9 +122,10 @@ class ExecutionBackend(ABC):
     name: str = "?"
 
     @abstractmethod
-    def execute(self, queue: List[JobSpec], runner: "SweepRunner",
+    def execute(self, queue: List[GridSpec], runner: "SweepRunner",
                 stats: "SweepStats") -> List[Outcome]:
-        """Execute ``queue``, returning one outcome per spec in order.
+        """Execute ``queue``, returning one outcome per member spec, in
+        :func:`~repro.runner.gridspec.expand_units` order.
 
         ``runner`` supplies the process-pool seams
         (:meth:`~repro.runner.sweep.SweepRunner._map_in_pool` et al.) so

@@ -4,7 +4,7 @@ The queue is a directory (any filesystem all participants can see —
 local disk for multi-process, NFS-style shares for multi-machine) with
 five subdirectories::
 
-    <queue>/jobs/<key>.json            pending job (the JobSpec payload)
+    <queue>/jobs/<key>.json            pending job (the unit's spec payload)
     <queue>/claims/<key>.<owner>.json  leased job (owner heartbeats mtime)
     <queue>/errors/<key>.json          attempt record / final failure
     <queue>/dead/<key>.json            dead-lettered job (see below)
@@ -14,10 +14,11 @@ Coordination uses nothing but atomic renames, so it works on any POSIX
 filesystem with no server, no locks, and no partial states:
 
 * **submit** writes ``jobs/<key>.json`` atomically (temp + fsync +
-  rename); the filename is the spec's content-address, so duplicate
-  submissions of the same job collapse to one file.  The payload is
-  *sealed*: it carries its own length + sha256, so a torn or bit-rotted
-  file is detected before it is ever parsed as a job.
+  rename); the filename is the unit's content-address (a lone job's
+  own spec key; a shared pass's hash over its member keys), so
+  duplicate submissions of the same job collapse to one file.  The
+  payload is *sealed*: it carries its own length + sha256, so a torn
+  or bit-rotted file is detected before it is ever parsed as a job.
 * **claim** renames ``jobs/<key>.json`` to
   ``claims/<key>.<owner>.json``.  Rename either succeeds or raises —
   two workers racing for one job get exactly one winner.  A job whose
@@ -83,9 +84,8 @@ from repro.runner.backends.base import (
     Outcome,
     SweepInterrupted,
     execute_grid,
-    execute_spec,
 )
-from repro.runner.gridspec import GridSpec, WorkUnit, expand_units
+from repro.runner.gridspec import GridSpec, expand_units
 from repro.runner.jobspec import JobSpec
 from repro.runner.store import ResultStore, atomic_write_text
 
@@ -221,38 +221,30 @@ class FileQueue:
 
     # -- submit side ---------------------------------------------------
 
-    def submit(self, spec: JobSpec) -> bool:
-        """Enqueue ``spec`` unless it is already pending or claimed.
-        A stale error file (and any dead-lettered copy) for the same
-        key is cleared first, so re-submitting a previously failed job
-        retries it from a clean slate."""
-        key = spec.key
-        self._clear_final_error(key)
-        if (self.jobs_dir / f"{key}.json").exists() or self.claims(key):
-            return False
-        faults.fire("queue.submit", key=key, workload=spec.workload)
-        self._clear_dead(key)
-        payload = {"format": QUEUE_FORMAT, "key": key,
-                   "spec": spec.to_dict()}
-        atomic_write_text(self.jobs_dir / f"{key}.json",
-                          seal_payload(payload))
-        return True
-
-    def submit_grid(self, grid: GridSpec) -> bool:
-        """Enqueue a whole shared-pass grid as one job file, named by
-        the grid's transient key (results still land under each
-        member's own store key).  Stale *member* error files are
-        cleared so a failed grid retries."""
-        key = grid.key
-        for member in grid.members:
+    def submit(self, unit: Union[GridSpec, JobSpec]) -> bool:
+        """Enqueue ``unit`` unless it is already pending or claimed (a
+        bare JobSpec is enqueued as its one-member pass).  The job file
+        is named by the unit's key (a lone job's own spec key) and
+        carries the unit's dict.  Stale final error files — the unit's
+        and its members' — and any dead-lettered copy are cleared
+        first, so re-submitting a previously failed job retries it from
+        a clean slate."""
+        if isinstance(unit, JobSpec):
+            unit = GridSpec(members=(unit,))
+        key = unit.key
+        for member in unit.members:
             self._clear_final_error(member.key)
         self._clear_final_error(key)
         if (self.jobs_dir / f"{key}.json").exists() or self.claims(key):
             return False
-        faults.fire("queue.submit", key=key, workload=grid.workload)
+        faults.fire("queue.submit", key=key, workload=unit.workload)
         self._clear_dead(key)
-        payload = {"format": QUEUE_FORMAT, "key": key, "kind": "grid",
-                   "spec": grid.to_dict()}
+        spec = unit.to_dict()
+        payload = {"format": QUEUE_FORMAT, "key": key, "spec": spec}
+        if "kind" in spec:
+            # format 2's envelope mirrors a grid spec's kind; keep it so
+            # job files stay byte-identical across versions
+            payload["kind"] = spec["kind"]
         atomic_write_text(self.jobs_dir / f"{key}.json",
                           seal_payload(payload))
         return True
@@ -627,7 +619,7 @@ class FileQueueBackend(ExecutionBackend):
     def describe(self) -> str:
         return f"queue:{self.root}"
 
-    def execute(self, queue: List[WorkUnit], runner: "SweepRunner",
+    def execute(self, queue: List[GridSpec], runner: "SweepRunner",
                 stats: "SweepStats") -> List[Outcome]:
         members = expand_units(queue)
         stats.parallel = len(members) > 1
@@ -636,36 +628,26 @@ class FileQueueBackend(ExecutionBackend):
         outcome_for: Dict[str, Outcome] = {}
         pending: Dict[str, JobSpec] = {}
         for unit in queue:
-            if isinstance(unit, GridSpec):
-                # per-member pre-probe: a worker (or concurrent sweep)
-                # may have answered some members already; the grid job
-                # still runs as one unit, overwrite=False keeps the
-                # existing (identical) entries
-                missing = []
-                for member in unit.members:
-                    run = store.get(member)
-                    if run is not None:
-                        outcome_for[member.key] = (run, None)
-                    else:
-                        missing.append(member)
-                if not missing:
-                    continue
-                fq.submit_grid(unit)
-                telemetry.emit("queue.submit", level="debug",
-                               key=unit.key, workload=unit.workload,
-                               grid_members=len(unit.members),
-                               queue=str(self.root))
-                for member in missing:
-                    pending[member.key] = member
-                continue
-            run = store.get(unit)  # a worker may already have answered
-            if run is not None:
-                outcome_for[unit.key] = (run, None)
+            # per-member pre-probe: a worker (or concurrent sweep) may
+            # have answered some members already; the unit still runs
+            # whole, and overwrite=False keeps the existing (identical)
+            # entries
+            missing = []
+            for member in unit.members:
+                run = store.get(member)
+                if run is not None:
+                    outcome_for[member.key] = (run, None)
+                else:
+                    missing.append(member)
+            if not missing:
                 continue
             fq.submit(unit)
             telemetry.emit("queue.submit", level="debug", key=unit.key,
-                           workload=unit.workload, queue=str(self.root))
-            pending[unit.key] = unit
+                           workload=unit.workload,
+                           grid_members=len(unit.members),
+                           queue=str(self.root))
+            for member in missing:
+                pending[member.key] = member
         telemetry.emit("queue.batch", queue=str(self.root),
                        submitted=len(pending),
                        answered=len(outcome_for))
@@ -836,10 +818,9 @@ def run_worker(root: Union[str, Path], *,
     return stats
 
 
-def _parse_claim(claim: Claim) -> Union[JobSpec, GridSpec]:
-    """The spec (or grid of specs) a claim holds; raises
-    :class:`ConfigError` on any malformed, foreign-format, or tampered
-    payload."""
+def _parse_claim(claim: Claim) -> GridSpec:
+    """The unit a claim holds; raises :class:`ConfigError` on any
+    malformed, foreign-format, or tampered payload."""
     payload = claim.payload
     if not isinstance(payload, dict):
         raise ConfigError("job file is not a JSON object")
@@ -847,16 +828,12 @@ def _parse_claim(claim: Claim) -> Union[JobSpec, GridSpec]:
         raise ConfigError(
             f"unsupported queue job format {payload.get('format')!r} "
             f"(this worker speaks format {QUEUE_FORMAT})")
-    if payload.get("kind") == "grid":
-        spec: Union[JobSpec, GridSpec] = GridSpec.from_dict(
-            payload["spec"])
-    else:
-        spec = JobSpec.from_dict(payload["spec"])
-    if payload.get("key") != spec.key:
+    unit = GridSpec.from_dict(payload["spec"])
+    if payload.get("key") != unit.key:
         raise ConfigError(
             "job file key does not match its spec (tampered, renamed, "
             "or produced by an incompatible version)")
-    return spec
+    return unit
 
 
 def _fail_claim(queue: FileQueue, claim: Claim, error: str, owner: str,
@@ -899,10 +876,19 @@ def _process_claim(queue: FileQueue, store: ResultStore, claim: Claim,
                    emit: Callable[[str], None],
                    record: Optional[WorkerRecord] = None, *,
                    retry: Optional[RetryPolicy] = None) -> None:
+    """Execute one claimed unit: one shared pass, each member stored
+    under its own key (errors likewise per member, so the submitter
+    waits on member keys alone).
+
+    Retry accounting lives under the *claim* key (the unit that is
+    claimed and backed off); the records of members whose keys differ
+    from it mirror that account, so a submitter sees a member's
+    failure exactly when the unit as a whole gives up.
+    """
     retry = retry or RetryPolicy()
     touch = record.touch if record is not None else None
     try:
-        spec = _parse_claim(claim)
+        unit = _parse_claim(claim)
     except Exception:
         # poisoned job file: dead-letter it (requeueing would just
         # bounce it between workers forever) with a final record
@@ -913,95 +899,39 @@ def _process_claim(queue: FileQueue, store: ResultStore, claim: Claim,
         telemetry.emit("worker.bad_job", level="error", owner=owner,
                        key=claim.key)
         return
-    if isinstance(spec, GridSpec):
-        _process_grid_claim(queue, store, claim, spec, owner,
-                            lease_seconds, stats, emit, touch, retry)
-        return
-    if store.get(spec) is not None:
+    count = len(unit.members)
+    if all(store.get(member) is not None for member in unit.members):
         # answered while queued (reclaimed job whose first owner died
         # after the put, or a concurrent sweep) — exactly-once holds
         claim.release()
         stats.cached += 1
-        emit(f"cached {claim.key[:16]} {spec.describe()}")
+        emit(f"cached {claim.key[:16]} {unit.describe()}")
         telemetry.emit("worker.cached", owner=owner, key=claim.key,
-                       workload=spec.workload)
+                       workload=unit.workload, grid_members=count)
         return
-    emit(f"run    {claim.key[:16]} {spec.describe()}")
+    emit(f"run    {claim.key[:16]} {unit.describe()}")
     try:
         # an injected fault here is a job failure like any other —
         # classified, retried or dead-lettered — not a worker crash
         faults.fire("worker.execute", key=claim.key, owner=owner)
     except Exception:
-        run, error = None, traceback.format_exc()
+        outcomes = [(None, traceback.format_exc()) for _ in unit.members]
     else:
         with _Heartbeat(claim, interval=lease_seconds / 4, also=touch):
-            run, error = execute_spec(spec)
-    if run is not None:
-        try:
-            # overwrite=False: if our lease was reclaimed and the other
-            # worker beat us to the put, keep its (identical) entry
-            store.put(spec, run, overwrite=False)
-        except OSError:
-            # the simulation succeeded but the shared store did not take
-            # the result (ENOSPC, NFS hiccup, torn rename): a transient
-            # job failure, not a worker crash
-            run, error = None, traceback.format_exc()
-    if run is not None:
-        queue.clear_error(spec.key)
-        stats.executed += 1
-        emit(f"done   {claim.key[:16]}")
-        job = getattr(run, "job_metrics", None)
-        telemetry.emit("worker.done", owner=owner, key=claim.key,
-                       workload=spec.workload,
-                       seconds=(None if job is None
-                                else round(job.total_seconds, 6)))
-        claim.release()
-    else:
-        _fail_claim(queue, claim, error or "unknown failure", owner,
-                    stats, emit, retry, workload=spec.workload)
-        telemetry.emit("worker.error", level="error", owner=owner,
-                       key=claim.key, workload=spec.workload)
-
-
-def _process_grid_claim(queue: FileQueue, store: ResultStore,
-                        claim: Claim, grid: GridSpec, owner: str,
-                        lease_seconds: float, stats: WorkerStats,
-                        emit: Callable[[str], None],
-                        touch: Optional[Callable[[], None]],
-                        retry: RetryPolicy) -> None:
-    """Execute one claimed grid: one shared pass, each member stored
-    under its own key (errors likewise per member, so the submitter's
-    per-member waiting protocol needs no grid awareness).
-
-    Retry accounting lives under the *grid* key (the unit that is
-    claimed and backed off); member records mirror it so submitters see
-    a member's failure exactly when the grid as a whole gives up.
-    """
-    if all(store.get(member) is not None for member in grid.members):
-        claim.release()
-        stats.cached += 1
-        emit(f"cached {claim.key[:16]} {grid.describe()}")
-        telemetry.emit("worker.cached", owner=owner, key=claim.key,
-                       workload=grid.workload,
-                       grid_members=len(grid.members))
-        return
-    emit(f"run    {claim.key[:16]} {grid.describe()}")
-    try:
-        faults.fire("worker.execute", key=claim.key, owner=owner)
-    except Exception:
-        outcomes = [(None, traceback.format_exc())
-                    for _ in grid.members]
-    else:
-        with _Heartbeat(claim, interval=lease_seconds / 4, also=touch):
-            outcomes = execute_grid(grid)
+            outcomes = execute_grid(unit)
     failures = []
     seconds = None
-    for member, (run, error) in zip(grid.members, outcomes):
+    for member, (run, error) in zip(unit.members, outcomes):
         if run is not None:
             try:
-                # overwrite=False: first writer wins, identical entries
+                # overwrite=False: if our lease was reclaimed and the
+                # other worker beat us to the put, keep its (identical)
+                # entry
                 store.put(member, run, overwrite=False)
             except OSError:
+                # the simulation succeeded but the shared store did not
+                # take the result (ENOSPC, NFS hiccup, torn rename): a
+                # transient job failure, not a worker crash
                 run, error = None, traceback.format_exc()
         if run is not None:
             queue.clear_error(member.key)
@@ -1011,24 +941,24 @@ def _process_grid_claim(queue: FileQueue, store: ResultStore,
         else:
             failures.append((member, error or "unknown failure"))
     if failures:
-        grid_record = _fail_claim(queue, claim, failures[0][1], owner,
-                                  stats, emit, retry,
-                                  workload=grid.workload)
+        claim_record = _fail_claim(queue, claim, failures[0][1], owner,
+                                   stats, emit, retry,
+                                   workload=unit.workload)
         for member, error in failures:
-            # member records surface only once the grid is final
-            queue.record_failure(member.key, error, owner, policy=retry,
-                                 force_final=grid_record["final"])
+            if member.key != claim.key:
+                # member records surface only once the unit is final
+                queue.record_failure(member.key, error, owner,
+                                     policy=retry,
+                                     force_final=claim_record["final"])
         telemetry.emit("worker.error", level="error", owner=owner,
-                       key=claim.key, workload=grid.workload,
-                       grid_members=len(grid.members),
-                       failed_members=len(failures))
+                       key=claim.key, workload=unit.workload,
+                       grid_members=count, failed_members=len(failures))
     else:
-        queue.clear_error(grid.key)
+        queue.clear_error(claim.key)
         stats.executed += 1
         emit(f"done   {claim.key[:16]}")
         telemetry.emit("worker.done", owner=owner, key=claim.key,
-                       workload=grid.workload,
-                       grid_members=len(grid.members),
+                       workload=unit.workload, grid_members=count,
                        seconds=(None if seconds is None
                                 else round(seconds, 6)))
         claim.release()

@@ -14,15 +14,14 @@ fallback chain is unchanged:
   and one ``JobResult.error``, never the parent or the batch;
 * fewer than two pool-eligible units — parallelism cannot pay, go serial.
 
-Units may be single :class:`JobSpec` jobs or :class:`GridSpec` shared
-passes; a grid crosses the pipe as one payload and its member outcomes
-come back flattened (see ``_execute_payload``), so the backend still
+Every unit is a :class:`GridSpec` shared pass (a lone job is a
+one-member pass); a unit crosses the pipe as one payload and its member
+outcomes come back as a list (see ``_execute_payload``), so the backend
 returns one outcome per *member* in expansion order.
 
 Custom workload registrations live only in the parent process, so under
 a non-``fork`` start method their jobs execute in-process while builtin
-workloads still go to the pool (grids are always pool-eligible: their
-``trace:``/``import:`` workloads resolve in any process).
+workloads still go to the pool.
 """
 
 from __future__ import annotations
@@ -35,8 +34,9 @@ from repro.runner.backends.base import (
     ExecutionBackend,
     Outcome,
     SweepInterrupted,
+    execute_grid,
 )
-from repro.runner.gridspec import GridSpec, WorkUnit, expand_units
+from repro.runner.gridspec import GridSpec
 from repro.sim.multi import CombinedRun
 from repro.telemetry.metrics import JobMetrics
 
@@ -63,19 +63,15 @@ def _reconstruct(payload: dict) -> CombinedRun:
     return run
 
 
-def _unit_outcomes(unit: WorkUnit, ok: bool, payload: dict
+def _unit_outcomes(unit: GridSpec, ok: bool, payload: dict
                    ) -> List[Outcome]:
     """Expand one unit's raw wire result into per-member outcomes."""
-    if isinstance(unit, GridSpec):
-        if not ok:  # the grid itself failed to parse/build remotely
-            error = payload["traceback"]
-            return [(None, error) for _ in unit.members]
-        return [((_reconstruct(member_payload), None) if member_ok
-                 else (None, member_payload["traceback"]))
-                for member_ok, member_payload in payload["__grid__"]]
-    if ok:
-        return [(_reconstruct(payload), None)]
-    return [(None, payload["traceback"])]
+    if not ok:  # the unit itself failed to parse/build remotely
+        error = payload["traceback"]
+        return [(None, error) for _ in unit.members]
+    return [((_reconstruct(member_payload), None) if member_ok
+             else (None, member_payload["traceback"]))
+            for member_ok, member_payload in payload["members"]]
 
 
 class PoolBackend(ExecutionBackend):
@@ -83,7 +79,7 @@ class PoolBackend(ExecutionBackend):
 
     name = "pool"
 
-    def execute(self, queue: List[WorkUnit], runner: "SweepRunner",
+    def execute(self, queue: List[GridSpec], runner: "SweepRunner",
                 stats: "SweepStats") -> List[Outcome]:
         from repro.runner.backends.serial import SerialBackend
         from repro.runner.sweep import _MapInterrupted
@@ -115,8 +111,7 @@ class PoolBackend(ExecutionBackend):
             # back in submission order, so the finished prefix lines up)
             completed = []
             for unit, (ok, payload) in zip(remote, exc.raw):
-                members = expand_units([unit])
-                completed.extend(zip(members,
+                completed.extend(zip(unit.members,
                                      _unit_outcomes(unit, ok, payload)))
             raise SweepInterrupted(completed) from None
         except (OSError, NotImplementedError):
@@ -144,38 +139,28 @@ class PoolBackend(ExecutionBackend):
         outcomes: List[Outcome] = []
         for i, unit in enumerate(queue):
             if i in local:
-                if isinstance(unit, GridSpec):
-                    outcomes.extend(runner._run_grid(unit))
-                else:
-                    outcomes.append(runner._run_one(unit))
+                outcomes.extend(execute_grid(unit))
             else:
                 ok, payload = next(remote_raw)
                 outcomes.extend(_unit_outcomes(unit, ok, payload))
         return outcomes
 
     @staticmethod
-    def _run_quarantined(queue: List[WorkUnit], local: Set[int],
+    def _run_quarantined(queue: List[GridSpec], local: Set[int],
                          runner: "SweepRunner") -> List[Outcome]:
         """Recovery path after a broken pool: one disposable
         single-worker pool per remaining unit."""
         outcomes: List[Outcome] = []
         for i, unit in enumerate(queue):
-            members = expand_units([unit])
             if i in local:
-                if isinstance(unit, GridSpec):
-                    outcomes.extend(runner._run_grid(unit))
-                else:
-                    outcomes.append(runner._run_one(unit))
+                outcomes.extend(execute_grid(unit))
                 continue
             try:
                 ok, payload = runner._apply_in_pool(unit.to_dict())
             except (OSError, NotImplementedError):
                 # pools just became unavailable (not a job death):
                 # in-process is the only option left
-                if isinstance(unit, GridSpec):
-                    outcomes.extend(runner._run_grid(unit))
-                else:
-                    outcomes.append(runner._run_one(unit))
+                outcomes.extend(execute_grid(unit))
                 continue
             except Exception:
                 error = (
@@ -183,7 +168,7 @@ class PoolBackend(ExecutionBackend):
                     "(killed by the OS — out of memory?); the job was "
                     "quarantined so the rest of the sweep could "
                     f"complete\n{traceback.format_exc()}")
-                outcomes.extend((None, error) for _ in members)
+                outcomes.extend((None, error) for _ in unit.members)
                 continue
             outcomes.extend(_unit_outcomes(unit, ok, payload))
         return outcomes

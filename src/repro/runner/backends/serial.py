@@ -13,8 +13,9 @@ from repro.runner.backends.base import (
     ExecutionBackend,
     Outcome,
     SweepInterrupted,
+    execute_grid,
 )
-from repro.runner.gridspec import GridSpec, WorkUnit
+from repro.runner.gridspec import GridSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runner.sweep import SweepRunner, SweepStats
@@ -25,23 +26,19 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def execute(self, queue: List[WorkUnit], runner: "SweepRunner",
+    def execute(self, queue: List[GridSpec], runner: "SweepRunner",
                 stats: "SweepStats") -> List[Outcome]:
         stats.parallel = False
         done: List[Outcome] = []
         finished: List = []  # member specs matching `done`, for ^C
         try:
             for unit in queue:
-                if isinstance(unit, GridSpec):
-                    done.extend(runner._run_grid(unit))
-                    finished.extend(unit.members)
-                else:
-                    done.append(runner._run_one(unit))
-                    finished.append(unit)
+                done.extend(execute_grid(unit))
+                finished.extend(unit.members)
         except KeyboardInterrupt:
-            # _run_one captures Exception only, so ^C lands here; hand
-            # the finished prefix to the runner for persistence (a grid
-            # interrupted mid-pass contributes nothing — its members
+            # execute_grid captures Exception only, so ^C lands here;
+            # hand the finished prefix to the runner for persistence (a
+            # pass interrupted midway contributes nothing — its members
             # simply re-run next time)
             raise SweepInterrupted(list(zip(finished, done))) from None
         return done

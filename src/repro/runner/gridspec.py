@@ -1,19 +1,22 @@
-"""A grid of JobSpecs sharing one simulation pass.
+"""The unit of work: one or more JobSpecs sharing one simulation pass.
 
-A :class:`GridSpec` bundles N :class:`~repro.runner.jobspec.JobSpec`
-members that differ only in the fields a
-:class:`~repro.cpu.grid.MultiConfigEngine` can replicate per member
-(iTLB geometry, energy accounting — :data:`~repro.config.
-GRID_MEMBER_FIELDS`).  Running the grid costs roughly one member's wall
-clock and produces one :class:`~repro.sim.multi.CombinedRun` per member,
-each **bit-identical** to its member's independent :meth:`JobSpec.run`.
+Every unit a backend executes is a :class:`GridSpec`: N
+:class:`~repro.runner.jobspec.JobSpec` members that differ only in the
+fields a :class:`~repro.cpu.grid.MultiConfigEngine` can replicate per
+member (iTLB geometry, energy accounting — :data:`~repro.config.
+GRID_MEMBER_FIELDS`).  Running it costs roughly one member's wall
+clock and produces one :class:`~repro.sim.multi.CombinedRun` per
+member, each **bit-identical** to its member's :meth:`JobSpec.run`.  A
+lone job — an ``ooo`` job, an unreadable-workload job, or any spec
+with no partner — is simply a one-member pass.
 
-Grids are a *planning* construct, not a result identity: every member
+A unit is a *planning* construct, not a result identity: every member
 result lands in the :class:`~repro.runner.store.ResultStore` under the
-member's own unchanged key, so cache hits stay free for future
-single-config jobs and a grid never mints new cache entries.  The grid's
-own :attr:`key` (hashed over the member keys) names only transient
-artifacts — file-queue job files and telemetry.
+member's own unchanged key, so a pass never mints new cache entries.
+The unit's own :attr:`~GridSpec.key` names only transient artifacts —
+file-queue job files, failure records and telemetry — and a one-member
+pass keys and serializes exactly as its member does, so those
+artifacts look the same whether or not a job found partners.
 """
 
 from __future__ import annotations
@@ -22,10 +25,16 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
+from repro.cpu.grid import grid_invariants_key
 from repro.errors import ConfigError
-from repro.runner.jobspec import SPEC_FORMAT, UNREADABLE_DIGEST, JobSpec
+from repro.runner.jobspec import (
+    SPEC_FORMAT,
+    UNREADABLE_DIGEST,
+    JobSpec,
+    run_pass,
+)
 
 def grid_eligible(spec: JobSpec) -> bool:
     """Whether ``spec`` may join a grid at all: a fast-engine job (the
@@ -35,27 +44,20 @@ def grid_eligible(spec: JobSpec) -> bool:
             and spec.workload_digest != UNREADABLE_DIGEST)
 
 
-#: what a backend executes: a single job, or a grid of them sharing a
-#: pass.  Backends flatten a grid's outcomes into member order, so a
-#: planned queue of units always answers the expanded spec list.
-WorkUnit = Union[JobSpec, "GridSpec"]
-
-
-def plan_units(specs: Sequence[JobSpec]) -> List[WorkUnit]:
-    """Partition unique cache-missing specs into shareable grids.
+def plan_units(specs: Sequence[JobSpec]) -> List["GridSpec"]:
+    """Partition unique cache-missing specs into shared passes.
 
     Specs that agree on everything a shared pass needs — workload (and
     its content digest), window, scheme set, engine, and the config's
     shared-stream fields — are merged into one :class:`GridSpec`;
-    everything else stays a standalone :class:`JobSpec`.  Grids and
-    standalone jobs alike are ordered by the first appearance of their
-    (workload, page size), so the units that link the same two binaries
-    run back to back and share them (see
-    :func:`repro.workloads.synthetic.link_slot`); within one (workload,
-    page size), grids and jobs keep first-appearance order, and members
-    input order.  :func:`expand_units` of the result therefore lists
-    every input spec once but not always in input order: the sweep
-    answers by key, not by position.
+    every other spec becomes a one-member pass.  Units are ordered by
+    the first appearance of their (workload, page size), so the units
+    that link the same two binaries run back to back and share them
+    (see :func:`repro.workloads.synthetic.link_slot`); within one
+    (workload, page size), units keep first-appearance order, and
+    members input order.  :func:`expand_units` of the result therefore
+    lists every input spec once but not always in input order: the
+    sweep answers by key, not by position.
     """
     binaries: Dict[tuple, Dict[tuple, List[JobSpec]]] = {}
     for position, spec in enumerate(specs):
@@ -63,39 +65,26 @@ def plan_units(specs: Sequence[JobSpec]) -> List[WorkUnit]:
             group_key: tuple = (
                 spec.workload_digest, spec.instructions, spec.warmup,
                 spec.schemes, spec.engine,
-                json.dumps(spec.config.grid_invariants(), sort_keys=True,
-                           separators=(",", ":")),
+                grid_invariants_key(spec.config),
             )
         else:
             group_key = (position,)  # never shared
         groups = binaries.setdefault(
             (spec.workload, spec.config.mem.page_bytes), {})
         groups.setdefault(group_key, []).append(spec)
-    units: List[WorkUnit] = []
-    for groups in binaries.values():
-        for members in groups.values():
-            if len(members) > 1:
-                units.append(GridSpec(members=tuple(members)))
-            else:
-                units.append(members[0])
-    return units
+    return [GridSpec(members=tuple(members))
+            for groups in binaries.values() for members in groups.values()]
 
 
-def expand_units(units: Sequence[WorkUnit]) -> List[JobSpec]:
+def expand_units(units: Sequence["GridSpec"]) -> List[JobSpec]:
     """The member specs of ``units``, flattened in execution order —
     the order backends return outcomes in."""
-    expanded: List[JobSpec] = []
-    for unit in units:
-        if isinstance(unit, GridSpec):
-            expanded.extend(unit.members)
-        else:
-            expanded.append(unit)
-    return expanded
+    return [member for unit in units for member in unit.members]
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """N same-stream JobSpecs evaluated in one shared pass."""
+    """One or more same-stream JobSpecs evaluated in one shared pass."""
 
     members: Tuple[JobSpec, ...]
 
@@ -103,6 +92,8 @@ class GridSpec:
         if not self.members:
             raise ConfigError("a grid needs at least one member spec")
         object.__setattr__(self, "members", tuple(self.members))
+        if len(self.members) == 1:
+            return  # any spec runs as its own one-member pass
         anchor = self.members[0]
         if not grid_eligible(anchor):
             raise ConfigError(
@@ -139,14 +130,21 @@ class GridSpec:
 
     def describe(self) -> str:
         anchor = self.members[0]
+        if len(self.members) == 1:
+            return anchor.describe()
         entries = ",".join(str(m.config.itlb.entries) for m in self.members)
         return (f"grid[{len(self.members)}] {anchor.workload} "
                 f"[{anchor.config.il1_addressing.value}, iTLB {entries}] "
                 f"{anchor.instructions:,}i/{anchor.warmup:,}w")
 
     # -- identity ------------------------------------------------------
+    #
+    # The wire format: a one-member pass is its member's JobSpec dict
+    # and key; only passes of two or more members use the grid form.
 
     def to_dict(self) -> dict:
+        if len(self.members) == 1:
+            return self.members[0].to_dict()
         return {
             "format": SPEC_FORMAT,
             "kind": "grid",
@@ -155,23 +153,25 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridSpec":
+        if data.get("kind") != "grid":
+            return cls(members=(JobSpec.from_dict(data),))
         fmt = data.get("format", SPEC_FORMAT)
         if fmt != SPEC_FORMAT:
             raise ConfigError(
                 f"grid spec has format {fmt!r}; this version speaks "
                 f"format {SPEC_FORMAT} (mixed-version queue?)")
-        if data.get("kind") != "grid":
-            raise ConfigError(
-                f"expected a grid spec, got kind {data.get('kind')!r}")
         return cls(members=tuple(JobSpec.from_dict(member)
                                  for member in data["members"]))
 
     @cached_property
     def key(self) -> str:
-        """Identity of the *grid as a unit of work* — hashed over the
-        member keys, so the same member set always names the same queue
-        job file.  Results never persist under this key (each member
-        stores under its own :attr:`JobSpec.key`)."""
+        """Identity of the pass *as a unit of work*: a lone member's own
+        key, else a hash over the member keys, so the same member set
+        always names the same queue job file.  Results never persist
+        under a grid key (each member stores under its own
+        :attr:`JobSpec.key`)."""
+        if len(self.members) == 1:
+            return self.members[0].key
         canonical = json.dumps(
             {"format": SPEC_FORMAT, "kind": "grid",
              "members": [member.key for member in self.members]},
@@ -183,11 +183,4 @@ class GridSpec:
     def run(self) -> List:
         """Execute the shared pass; one CombinedRun per member, in
         member order (no caching — the sweep layer handles stores)."""
-        from repro.sim.multi import run_all_schemes_grid
-        from repro.workloads.registry import resolve
-        anchor = self.members[0]
-        return run_all_schemes_grid(
-            resolve(anchor.workload),
-            [member.config for member in self.members],
-            instructions=anchor.instructions, warmup=anchor.warmup,
-            schemes=anchor.schemes, engine=anchor.engine)
+        return run_pass(self.members)

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, SchemeName
 
@@ -175,22 +175,34 @@ class JobSpec:
     def run(self):
         """Execute the job (no caching — callers wanting cache hits go
         through :class:`~repro.runner.sweep.SweepRunner` or the store)."""
-        if self.workload_digest == UNREADABLE_DIGEST:
-            # the file may have appeared since construction, but this
-            # spec's identity was sealed as "unreadable" — running it
-            # anyway would store a result under the sentinel key, which
-            # a later spec over *different* file bytes could then hit.
-            # Refuse deterministically; a fresh JobSpec picks up the
-            # file's real digest.
-            from repro.errors import TraceError
-            raise TraceError(
-                f"workload file for '{self.workload}' was missing or "
-                "unreadable when this JobSpec was constructed; construct "
-                "a new spec now that the file exists (spec identity is "
-                "bound to the file's content)")
-        from repro.sim.multi import run_all_schemes
-        from repro.workloads.registry import resolve
-        return run_all_schemes(
-            resolve(self.workload), self.config,
-            instructions=self.instructions, warmup=self.warmup,
-            schemes=self.schemes, engine=self.engine)
+        return run_pass((self,))[0]
+
+
+def run_pass(members: Sequence[JobSpec]) -> list:
+    """One shared simulation pass over ``members`` (specs that differ
+    only in grid member fields, as :class:`~repro.runner.gridspec.
+    GridSpec` checks); one CombinedRun per member, in order.
+
+    Behind both :meth:`JobSpec.run` and :meth:`GridSpec.run`, so the
+    unreadable-workload refusal below guards every execution path.
+    """
+    anchor = members[0]
+    if anchor.workload_digest == UNREADABLE_DIGEST:
+        # the file may have appeared since construction, but this
+        # spec's identity was sealed as "unreadable" — running it
+        # anyway would store a result under the sentinel key, which
+        # a later spec over *different* file bytes could then hit.
+        # Refuse deterministically; a fresh JobSpec picks up the
+        # file's real digest.
+        from repro.errors import TraceError
+        raise TraceError(
+            f"workload file for '{anchor.workload}' was missing or "
+            "unreadable when this JobSpec was constructed; construct "
+            "a new spec now that the file exists (spec identity is "
+            "bound to the file's content)")
+    from repro.sim.multi import run_all_schemes_grid
+    from repro.workloads.registry import resolve
+    return run_all_schemes_grid(
+        resolve(anchor.workload), [member.config for member in members],
+        instructions=anchor.instructions, warmup=anchor.warmup,
+        schemes=anchor.schemes, engine=anchor.engine)

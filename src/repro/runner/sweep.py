@@ -46,7 +46,6 @@ from repro.runner.backends.base import (
     ExecutionBackend,
     SweepInterrupted,
     execute_grid,
-    execute_spec,
 )
 from repro.runner.gridspec import GridSpec, expand_units, plan_units
 from repro.runner.jobspec import JobSpec
@@ -68,48 +67,37 @@ def resolve_workers(workers: int) -> int:
 
 
 def _execute_payload(payload: dict) -> Tuple[bool, dict]:
-    """Worker-side entry point: spec dict in, (ok, result-or-traceback)
-    out.  Module-level so every start method can import it.
+    """Worker-side entry point: one unit's dict in (see
+    :meth:`GridSpec.to_dict`), ``(ok, data)`` out.  Module-level so
+    every start method can import it.
 
-    Telemetry config rides across the process boundary as environment
-    variables (non-``fork`` start methods get a fresh interpreter), and
-    the job's phase metrics ride back as a ``__metrics__`` side key the
-    parent pops before reconstructing the run —
-    ``CombinedRun.from_dict`` reads fields by name, so the extra key is
-    invisible to everything that doesn't look for it.
+    ``ok`` is False only when the unit itself cannot be built, and
+    ``data`` is then ``{"traceback": ...}``; otherwise ``data`` is
+    ``{"members": [(ok, result-or-traceback), ...]}``, one pair per
+    member in member order.  Telemetry config rides across the process
+    boundary as environment variables (non-``fork`` start methods get a
+    fresh interpreter), and each member's phase metrics ride back as a
+    ``__metrics__`` side key the parent pops before reconstructing the
+    run — ``CombinedRun.from_dict`` reads fields by name, so the extra
+    key is invisible to everything that doesn't look for it.
     """
     telemetry.configure_from_env()
     faults.configure_from_env()
-    if payload.get("kind") == "grid":
-        # a whole grid crosses as one payload; the member outcomes ride
-        # back under a "__grid__" key, each in the single-job wire shape
-        try:
-            grid = GridSpec.from_dict(payload)
-        except Exception:
-            return False, {"traceback": traceback.format_exc()}
-        raw: List[Tuple[bool, dict]] = []
-        for run, error in execute_grid(grid):
-            if run is None:
-                raw.append((False, {"traceback": error}))
-            else:
-                data = run.to_dict()
-                metrics = getattr(run, "job_metrics", None)
-                if metrics is not None:
-                    data["__metrics__"] = metrics.to_dict()
-                raw.append((True, data))
-        return True, {"__grid__": raw}
     try:
-        spec = JobSpec.from_dict(payload)
+        unit = GridSpec.from_dict(payload)
     except Exception:
         return False, {"traceback": traceback.format_exc()}
-    run, error = execute_spec(spec)
-    if run is None:
-        return False, {"traceback": error}
-    data = run.to_dict()
-    metrics = getattr(run, "job_metrics", None)
-    if metrics is not None:
-        data["__metrics__"] = metrics.to_dict()
-    return True, data
+    raw: List[Tuple[bool, dict]] = []
+    for run, error in execute_grid(unit):
+        if run is None:
+            raw.append((False, {"traceback": error}))
+        else:
+            data = run.to_dict()
+            metrics = getattr(run, "job_metrics", None)
+            if metrics is not None:
+                data["__metrics__"] = metrics.to_dict()
+            raw.append((True, data))
+    return True, {"members": raw}
 
 
 class _MapInterrupted(KeyboardInterrupt):
@@ -161,7 +149,7 @@ class SweepStats:
     deduplicated: int = 0
     parallel: bool = False
     backend: str = "serial"  #: which execution backend ran the misses
-    grids: int = 0  #: shared passes the planner formed (0 = none)
+    grids: int = 0  #: passes of two or more members (0 = none)
     grid_members: int = 0  #: jobs that rode on those shared passes
 
     def describe(self) -> str:
@@ -190,18 +178,14 @@ class SweepRunner:
 
     def __init__(self, store: Optional[ResultStore] = None,
                  workers: int = 1,
-                 backend: Union[str, ExecutionBackend, None] = None,
-                 grid: bool = True) -> None:
+                 backend: Union[str, ExecutionBackend, None] = None
+                 ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         from repro.runner.backends import resolve_backend
         self.store = store if store is not None else ResultStore()
         self.workers = workers
         self.backend = resolve_backend(backend)
-        #: plan cache-missing specs into shared-pass grids when their
-        #: workload and engine-invariant fields match (bit-identical
-        #: results either way; ``False`` forces one pass per job)
-        self.grid = grid
         self.last_stats = SweepStats()
         #: fleet-level phase aggregate of the last run (see
         #: :func:`repro.telemetry.metrics.aggregate`); kept off
@@ -248,13 +232,13 @@ class SweepRunner:
             indices_for[key] = [i]
             queue.append(spec)
 
-        # partition the misses into shared-pass grids where the specs
-        # allow it; the expanded member list replaces `queue` as the
-        # order outcomes come back in (same key set either way)
-        units = plan_units(queue) if self.grid else list(queue)
+        # partition the misses into shared passes (a spec with no
+        # partner is a one-member pass); the expanded member list
+        # replaces `queue` as the order outcomes come back in
+        units = plan_units(queue)
         expanded = expand_units(units)
         for unit in units:
-            if isinstance(unit, GridSpec):
+            if len(unit.members) > 1:
                 stats.grids += 1
                 stats.grid_members += len(unit.members)
 
@@ -328,18 +312,6 @@ class SweepRunner:
         telemetry.emit("sweep.end", **stats.__dict__,
                        wall_seconds=round(wall, 3))
         return results  # type: ignore[return-value]  # every slot filled
-
-    # -- in-process execution seam -------------------------------------
-
-    @staticmethod
-    def _run_one(spec: JobSpec
-                 ) -> Tuple[Optional[CombinedRun], Optional[str]]:
-        return execute_spec(spec)
-
-    @staticmethod
-    def _run_grid(grid: GridSpec
-                  ) -> List[Tuple[Optional[CombinedRun], Optional[str]]]:
-        return execute_grid(grid)
 
     # -- process-pool seams --------------------------------------------
     #

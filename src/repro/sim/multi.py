@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import MachineConfig, SchemeName
 from repro.cpu.results import EngineResult, SchemeResult, SharedStats
-from repro.sim.simulator import Simulator, run_program_grid
+from repro.sim.simulator import run_program_grid
 from repro.workloads.synthetic import SyntheticWorkload
 
 PLAIN_SCHEMES = (SchemeName.BASE, SchemeName.HOA, SchemeName.OPT)
@@ -129,44 +129,18 @@ def run_all_schemes(
     schemes: Optional[Sequence[SchemeName]] = None,
     engine: str = "fast",
 ) -> CombinedRun:
-    """Two-pass evaluation of every scheme over one workload.
+    """Two-pass evaluation of every scheme over one workload: a
+    one-member :func:`run_all_schemes_grid`.
 
     ``workload`` is anything with a ``profile.name`` and a
     ``link(page_bytes=..., instrumented=...)`` — a generated
     :class:`SyntheticWorkload` or a replayed
-    :class:`~repro.trace.replay.TraceWorkload`.
-
-    ``engine`` is passed through to
-    :meth:`~repro.sim.simulator.Simulator.run_program`.
+    :class:`~repro.trace.replay.TraceWorkload`.  ``engine`` is passed
+    through to :func:`~repro.sim.simulator.run_program_grid`.
     """
-    selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
-    plain_set = tuple(s for s in selected if not s.needs_instrumented_binary)
-    instr_set = tuple(s for s in selected if s.needs_instrumented_binary)
-    simulator = Simulator(config)
-    page_bytes = config.mem.page_bytes
-
-    plain_program = workload.link(page_bytes=page_bytes, instrumented=False)
-    plain_result = simulator.run_program(
-        plain_program, instructions=instructions, warmup=warmup,
-        schemes=plain_set or (SchemeName.BASE,), engine=engine)
-
-    if instr_set:
-        instr_program = workload.link(page_bytes=page_bytes,
-                                      instrumented=True)
-        # Base rides along on the instrumented binary purely as the
-        # same-binary normalization reference (see CombinedRun._base_for)
-        instr_result = simulator.run_program(
-            instr_program, instructions=instructions, warmup=warmup,
-            schemes=instr_set + (SchemeName.BASE,), engine=engine)
-    else:
-        instr_result = plain_result
-
-    return CombinedRun(
-        workload_name=workload.profile.name,
-        config=config,
-        plain=plain_result,
-        instrumented=instr_result,
-    )
+    return run_all_schemes_grid(
+        workload, [config], instructions=instructions, warmup=warmup,
+        schemes=schemes, engine=engine)[0]
 
 
 def run_all_schemes_grid(
@@ -184,9 +158,9 @@ def run_all_schemes_grid(
     one instrumented-binary pass) scores every member of ``configs``
     side by side via :func:`~repro.sim.simulator.run_program_grid`.
     Returns one :class:`CombinedRun` per config, in order, each
-    bit-identical to an independent :func:`run_all_schemes` call —
-    including the instrumented-aliases-plain object identity when no
-    instrumented scheme is requested.
+    bit-identical to a one-member call for its config — including the
+    instrumented-aliases-plain object identity when no instrumented
+    scheme is requested.
     """
     selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
     plain_set = tuple(s for s in selected if not s.needs_instrumented_binary)

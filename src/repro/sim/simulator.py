@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 
 from repro import telemetry
 from repro.config import MachineConfig, SchemeName, default_config
-from repro.cpu.fast import FastEngine
 from repro.cpu.grid import MultiConfigEngine
 from repro.cpu.ooo import OutOfOrderEngine
 from repro.cpu.results import EngineResult
@@ -26,8 +25,8 @@ from repro.energy.cacti import CactiLikeModel
 from repro.errors import ConfigError
 from repro.isa.program import Program
 
-#: engine names accepted by :meth:`Simulator.run_program` (and therefore
-#: by :func:`~repro.sim.multi.run_all_schemes` and JobSpecs)
+#: engine names accepted by :func:`run_program_grid` (and therefore by
+#: :func:`~repro.sim.multi.run_all_schemes` and JobSpecs)
 ENGINE_NAMES = ("fast", "ooo")
 
 
@@ -73,17 +72,20 @@ def run_program_grid(program: Program, configs: Sequence[MachineConfig], *,
                      instructions: int, warmup: int = 0,
                      schemes: Optional[Sequence[SchemeName]] = None,
                      engine: str = "fast") -> List[EngineResult]:
-    """Simulate ``program`` once and score every config in ``configs``.
+    """Simulate ``program`` once and score every config in ``configs``;
+    the one engine dispatch every simulation goes through.
 
-    The grid evaluator shares one fast-engine pass, so ``engine`` must
-    be ``"fast"``.  Returns one energy-attached result per config, in
-    order, each bit-identical to the result :meth:`Simulator.run_program`
-    would produce for that config alone.
+    ``engine`` selects the evaluator (see :data:`ENGINE_NAMES`):
+
+    * ``"fast"`` — one pass over the program's committed stream (a live
+      program's functional execution, or a replay's recorded trace)
+      evaluates all requested schemes for every config side by side;
+    * ``"ooo"`` — the detailed core; exactly one config and one scheme
+      per pass.
+
+    Returns one energy-attached result per config, in order; a member's
+    result is bit-identical to a one-member call for its config alone.
     """
-    if engine != "fast":
-        raise ConfigError(
-            f"grid evaluation shares one fast-engine pass; engine "
-            f"'{engine}' cannot share a pass across configs")
     if not configs:
         raise ConfigError("a config grid needs at least one member")
     if program.page_bytes != configs[0].mem.page_bytes:
@@ -91,18 +93,34 @@ def run_program_grid(program: Program, configs: Sequence[MachineConfig], *,
             f"program linked for {program.page_bytes}-byte pages but "
             f"machine uses {configs[0].mem.page_bytes}-byte pages"
         )
-    started = time.perf_counter()
-    results = MultiConfigEngine(program, configs,
-                                schemes=schemes).run_grid(instructions,
-                                                          warmup)
+    if engine == "fast":
+        started = time.perf_counter()
+        results = MultiConfigEngine(program, configs,
+                                    schemes=schemes).run_grid(instructions,
+                                                              warmup)
+    elif engine == "ooo":
+        selected = tuple(schemes) if schemes else (SchemeName.IA,)
+        if len(configs) != 1:
+            raise ConfigError(
+                "the detailed engine runs one config per pass; engine "
+                "'ooo' cannot share a pass across configs")
+        if len(selected) != 1:
+            raise ConfigError(
+                "the detailed engine runs exactly one scheme per pass")
+        started = time.perf_counter()
+        results = [OutOfOrderEngine(program, configs[0],
+                                    scheme=selected[0]).run(instructions,
+                                                            warmup)]
+    else:
+        raise ConfigError(unknown_engine(engine))
     elapsed = time.perf_counter() - started
     retired = results[0].shared.instructions
-    telemetry.note_engine("fast", elapsed, retired)
-    telemetry.emit("engine.grid", level="debug", workload=program.name,
-                   evaluator="fast", members=len(configs),
+    telemetry.note_engine(engine, elapsed, retired)
+    telemetry.emit("engine.run", level="debug", workload=program.name,
+                   evaluator=engine, members=len(configs),
                    seconds=round(elapsed, 6), instructions=retired)
     for result in results:
-        attach_energy(result, CactiLikeModel(result.config.energy))
+        attach_energy(result)
     return results
 
 
@@ -111,45 +129,13 @@ class Simulator:
 
     def __init__(self, config: Optional[MachineConfig] = None) -> None:
         self.config = config if config is not None else default_config()
-        self.energy_model = CactiLikeModel(self.config.energy)
 
     def run_program(self, program: Program, *, instructions: int,
                     warmup: int = 0,
                     schemes: Optional[Sequence[SchemeName]] = None,
                     engine: str = "fast") -> EngineResult:
-        """Simulate ``program`` and return a result with energy attached.
-
-        ``engine`` selects the evaluator (see :data:`ENGINE_NAMES`):
-
-        * ``"fast"`` — evaluate all requested schemes in one pass over
-          the program's committed stream (a live program's functional
-          execution, or a replay's recorded trace);
-        * ``"ooo"`` — the detailed core; exactly one scheme per pass.
-        """
-        if program.page_bytes != self.config.mem.page_bytes:
-            raise ConfigError(
-                f"program linked for {program.page_bytes}-byte pages but "
-                f"machine uses {self.config.mem.page_bytes}-byte pages"
-            )
-        if engine == "fast":
-            started = time.perf_counter()
-            result = FastEngine(program, self.config,
-                                schemes=schemes).run(instructions, warmup)
-        elif engine == "ooo":
-            selected = tuple(schemes) if schemes else (SchemeName.IA,)
-            if len(selected) != 1:
-                raise ConfigError(
-                    "the detailed engine runs exactly one scheme per pass")
-            started = time.perf_counter()
-            result = OutOfOrderEngine(program, self.config,
-                                      scheme=selected[0]).run(instructions,
-                                                              warmup)
-        else:
-            raise ConfigError(unknown_engine(engine))
-        elapsed = time.perf_counter() - started
-        retired = result.shared.instructions
-        telemetry.note_engine(engine, elapsed, retired)
-        telemetry.emit("engine.run", level="debug", workload=program.name,
-                       evaluator=engine, seconds=round(elapsed, 6),
-                       instructions=retired)
-        return attach_energy(result, self.energy_model)
+        """Simulate ``program`` and return a result with energy attached:
+        a one-member :func:`run_program_grid`."""
+        return run_program_grid(program, [self.config],
+                                instructions=instructions, warmup=warmup,
+                                schemes=schemes, engine=engine)[0]

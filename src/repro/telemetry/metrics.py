@@ -12,11 +12,11 @@ result's bytes (and therefore golden numbers, cache keys, and the
 engine-equivalence suites) are identical with metrics on or off.
 
 The collection seam is a module-global "current job" slot
-(:func:`collect`): :func:`~repro.runner.backends.base.execute_spec`
-opens it around one job, and the instrumented layers below —
+(:func:`collect`): :func:`~repro.runner.backends.base.execute_grid`
+opens it around one unit's pass, and the instrumented layers below —
 :func:`~repro.trace.format.load_trace` (decode timing, LRU hit/miss)
-and :meth:`~repro.sim.simulator.Simulator.run_program` (engine wall
-time and identity) — report into whatever job is open, or to nowhere.
+and :func:`~repro.sim.simulator.run_program_grid` (engine wall time
+and identity) — report into whatever job is open, or to nowhere.
 Jobs execute one at a time per process (backends parallelize across
 *processes*), so a plain module global suffices.
 """
@@ -60,7 +60,7 @@ class JobMetrics:
     #: written (memory-only stores never set it).  The persisted copy
     #: necessarily excludes the final disk rename of its own write.
     store_write_seconds: Optional[float] = None
-    total_seconds: float = 0.0  #: whole ``execute_spec`` wall clock
+    total_seconds: float = 0.0  #: share of the ``execute_grid`` wall clock
     #: members in the shared grid pass this job rode on (0 = a plain
     #: single-config job).  Grid members carry their 1/N share of the
     #: shared wall-clock phases but their full instruction count, so a
@@ -96,7 +96,7 @@ class JobMetrics:
                       if k in known and v is not None})
 
 
-#: the job currently collecting (None outside execute_spec)
+#: the job currently collecting (None outside execute_grid)
 _current: Optional[JobMetrics] = None
 
 

@@ -27,6 +27,7 @@ static call graph, which the code-layout extension
 from __future__ import annotations
 
 import random
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import cycle
@@ -165,8 +166,10 @@ class _LinkSlot:
         self.programs: Dict[bool, Program] = {}
 
 
-#: the open link slot; ``None`` outside :func:`link_slot`
-_slot: Optional[_LinkSlot] = None
+#: each thread's open link slot (``slot`` is ``None`` outside
+#: :func:`link_slot`).  Per thread: a queue worker thread beside an open
+#: sweep must link its own binaries, not swap the sweep's under it.
+_local = threading.local()
 
 
 @contextmanager
@@ -179,16 +182,16 @@ def link_slot() -> Iterator[None]:
     the slot first, so at most the current job's two binaries are held —
     what one job holds anyway.  The slot is dropped on exit, so nothing
     linked inside outlives the block.  A block nested in an open one
-    shares the open slot."""
-    global _slot
-    if _slot is not None:
+    shares the open slot; the slot belongs to the thread that opened
+    it."""
+    if getattr(_local, "slot", None) is not None:
         yield
         return
-    _slot = _LinkSlot()
+    _local.slot = _LinkSlot()
     try:
         yield
     finally:
-        _slot = None
+        _local.slot = None
 
 
 @dataclass
@@ -206,7 +209,7 @@ class SyntheticWorkload:
         """Produce the executable image a scheme set runs: a fresh
         :class:`Program`, or inside :func:`link_slot` the slot's shared
         one (engines only read a program)."""
-        slot = _slot
+        slot = getattr(_local, "slot", None)
         if slot is None:
             return self._link(page_bytes, instrumented)
         if slot.workload is not self or slot.page_bytes != page_bytes:

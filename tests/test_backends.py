@@ -37,6 +37,7 @@ from repro.runner import (
     ResultStore,
     SerialBackend,
     SweepRunner,
+    plan_units,
     resolve_backend,
     resolve_workers,
     run_worker,
@@ -137,6 +138,26 @@ class TestBackendSelection:
         for ser, par in zip(serial, parallel):
             assert ser.ok and par.ok
             assert _canonical(ser.run) == _canonical(par.run)
+
+    def test_ooo_lone_job_through_pool_matches_serial(self):
+        """An ooo job never shares a pass: it crosses the pool wire as a
+        one-member unit and comes back byte-identical to serial."""
+        specs = [JobSpec(workload="micro.counted_loop",
+                         config=default_config(), instructions=600,
+                         warmup=100, schemes=("base",), engine="ooo"),
+                 self.SPECS[0]]
+        serial = SweepRunner(store=ResultStore(),
+                             backend="serial").run(specs)
+        runner = SweepRunner(store=ResultStore(), workers=2,
+                             backend="pool")
+        pooled = runner.run(specs)
+        assert runner.last_stats.parallel
+        assert runner.last_stats.grids == 0
+        for ser, par in zip(serial, pooled):
+            assert ser.ok and par.ok, (ser.error, par.error)
+            assert _canonical(ser.run) == _canonical(par.run)
+        assert pooled[0].metrics.engine == "ooo"
+        assert pooled[0].metrics.grid_members == 0
 
     def test_default_backend_follows_worker_count(self):
         serial = SweepRunner(store=ResultStore(), workers=1)
@@ -447,6 +468,48 @@ def _wait_for(predicate, timeout=30.0, message="condition"):
             return
         time.sleep(0.02)
     raise AssertionError(f"timed out waiting for {message}")
+
+
+class TestQueueWireFormat:
+    """Job files are a cross-version wire format: a lone job and a
+    shared pass must seal to exactly these bytes."""
+
+    #: (key, sha256 of the sealed job-file text, its length), as the
+    #: file queue wrote them before lone jobs became one-member passes
+    LONE = ("c690a7eb6f01c291c6d4f422de70c8cb04f4938a23a2b7a40c222bb12b01ed9b",
+            "b9c9c5553dab9a516c4b44f14d776e62f4e296ed4063b9c92e1800c92eb71578",
+            1258)
+    GRID = ("bdaf0bb66821cac9a6f481e74ef020fce7f4e63905ac3685e31f24d8f4dfbdb7",
+            "62cc6150f85ae7a7aed8a5dd7ce3725253874eb853280d8a620da13c8e90dd7b",
+            3467)
+
+    @staticmethod
+    def _spec(workload, entries):
+        return JobSpec(workload=workload,
+                       config=default_config().with_itlb(
+                           TLBConfig(entries=entries)),
+                       instructions=1000, warmup=100)
+
+    def test_job_files_match_the_pinned_bytes(self, tmp_path):
+        import hashlib
+        lone = self._spec("micro.call_return", 8)
+        members = [self._spec("micro.counted_loop", n) for n in (1, 8, 32)]
+        units = plan_units([lone] + members)
+        assert [len(unit.members) for unit in units] == [1, 3]
+        queue = FileQueue(tmp_path)
+        for unit in units:
+            assert queue.submit(unit)
+        assert units[0].key == lone.key
+        assert units[0].to_dict() == lone.to_dict()
+        for (key, digest, length), unit in zip((self.LONE, self.GRID),
+                                               units):
+            assert unit.key == key
+            text = (queue.jobs_dir / f"{key}.json").read_text()
+            assert (len(text), hashlib.sha256(
+                text.encode("utf-8")).hexdigest()) == (length, digest)
+        # a lone job's file is named by its own spec key
+        assert (queue.jobs_dir / f"{lone.key}.json").exists()
+        assert len(queue.pending()) == 2
 
 
 class TestFileQueue:

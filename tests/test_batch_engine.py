@@ -215,14 +215,23 @@ def _grid_specs(name: str, instructions: int, warmup: int):
             for entries in GRID_ENTRIES]
 
 
+def _independent(root, specs):
+    """The independent reference: one sweep per spec, so every spec
+    runs as a one-member pass of its own (none forms a grid)."""
+    runner = SweepRunner(store=ResultStore(root))
+    results = []
+    for spec in specs:
+        results.extend(runner.run([spec]))
+        assert runner.last_stats.grids == 0
+    return results
+
+
 def _assert_grid_identical(name, instructions, warmup, tmp_path,
                            **runner_kwargs):
     """A gridded sweep must byte-match per-member independent jobs —
     results *and* store entries (same content under the same keys)."""
     specs = _grid_specs(name, instructions, warmup)
-    solo = SweepRunner(store=ResultStore(tmp_path / "solo"), grid=False)
-    solo_results = solo.run(specs)
-    assert solo.last_stats.grids == 0
+    solo_results = _independent(tmp_path / "solo", specs)
     gridded = SweepRunner(store=ResultStore(tmp_path / "grid"),
                           **runner_kwargs)
     grid_results = gridded.run(specs)
@@ -268,9 +277,7 @@ class TestGridEquivalence:
         eio = _grid_specs(f"import:eio:{FIXTURES / 'twopage.eio.txt'}",
                           600, 100)
         specs = mesa + eio
-        solo = SweepRunner(store=ResultStore(tmp_path / "solo"),
-                           grid=False)
-        solo_results = solo.run(specs)
+        solo_results = _independent(tmp_path / "solo", specs)
         pooled = SweepRunner(store=ResultStore(tmp_path / "grid"),
                              workers=2, backend="pool")
         pool_results = pooled.run(specs)
@@ -290,9 +297,7 @@ class TestGridEquivalence:
         its own key, byte-identical to independent serial jobs."""
         specs = _grid_specs(f"trace:{GOLDEN_MESA}",
                             MESA_INSTRUCTIONS, MESA_WARMUP)
-        solo = SweepRunner(store=ResultStore(tmp_path / "solo"),
-                           grid=False)
-        solo_results = solo.run(specs)
+        solo_results = _independent(tmp_path / "solo", specs)
 
         root = tmp_path / "q"
         src = Path(repro.__file__).parents[1]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import threading
 import weakref
 
 import pytest
@@ -121,6 +122,24 @@ class TestOutsideASweep:
             inside = workload.link(instrumented=True)
             assert workload.link(instrumented=True) is inside
         assert workload.link(instrumented=True) is not inside
+
+    def test_slot_belongs_to_the_thread_that_opened_it(self):
+        """A queue worker thread running beside an open sweep links its
+        own binaries: sharing the sweep's slot let one thread swap the
+        slot's workload between another thread's two link calls and
+        hand it the wrong program."""
+        mesa = registry.resolve("177.mesa")
+        gap = registry.resolve("254.gap")
+        other = []
+        with link_slot():
+            inside = mesa.link()
+            thread = threading.Thread(
+                target=lambda: other.append((gap.link(), mesa.link())))
+            thread.start()
+            thread.join()
+            assert mesa.link() is inside
+        assert other[0][1] is not inside
+        assert other[0][0].name == "254.gap"
 
     def test_replaced_registration_never_gets_the_old_image(self):
         name = "test.link_slot_replace"

@@ -23,7 +23,7 @@ from repro.config import (
     default_config,
 )
 from repro.errors import ConfigError
-from repro.runner import JobSpec, ResultStore, SweepRunner
+from repro.runner import GridSpec, JobSpec, ResultStore, SweepRunner
 from repro.runner.jobspec import SPEC_FORMAT
 from repro.sim.multi import CombinedRun
 
@@ -393,6 +393,7 @@ class TestSweepRunner:
         def boom(self):
             raise AssertionError("simulator invoked on a cached sweep")
         monkeypatch.setattr(JobSpec, "run", boom)
+        monkeypatch.setattr(GridSpec, "run", boom)
         again = SweepRunner(store=ResultStore(tmp_path), workers=2)
         second = again.run(self.GRID)
         assert all(r.ok and r.cached for r in second)

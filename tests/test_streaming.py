@@ -221,9 +221,13 @@ class TestGridAndBackends:
     def _solo_eager(self, specs, tmp_path):
         os.environ.pop(WINDOW_ENV, None)
         clear_trace_cache()
-        solo = SweepRunner(store=ResultStore(tmp_path / "solo"),
-                           grid=False)
-        return solo.run(specs)
+        # one sweep per spec: each runs as its own one-member pass
+        solo = SweepRunner(store=ResultStore(tmp_path / "solo"))
+        results = []
+        for spec in specs:
+            results.extend(solo.run([spec]))
+            assert solo.last_stats.grids == 0
+        return results
 
     def _assert_match(self, solo_results, stream_results, tmp_path,
                       stream_dir):

@@ -17,6 +17,7 @@ from repro.config import TLBConfig, default_config
 from repro.errors import ReproError
 from repro.runner import (
     FileQueueBackend,
+    GridSpec,
     JobSpec,
     ResultStore,
     SweepRunner,
@@ -177,14 +178,14 @@ class TestOffPathEquivalence:
         """No per-instruction call sites: a 10x bigger window reaches
         emit() exactly as many times (counted below the level guard, so
         this pins the call sites themselves, not the configuration)."""
-        from repro.runner.backends.base import execute_spec
+        from repro.runner.backends.base import execute_grid
         calls = []
         monkeypatch.setattr("repro.telemetry.emit",
                             lambda *a, **k: calls.append(a))
-        execute_spec(_spec(instructions=2_000))
+        execute_grid(GridSpec(members=(_spec(instructions=2_000),)))
         small = len(calls)
         calls.clear()
-        execute_spec(_spec(instructions=20_000))
+        execute_grid(GridSpec(members=(_spec(instructions=20_000),)))
         assert len(calls) == small > 0
 
     def test_enabled_run_emits_o1_events(self, tmp_path):
@@ -289,8 +290,10 @@ class TestJobMetrics:
         """Metrics cross the process boundary via the __metrics__ side
         key without touching the result payload."""
         from repro.runner.sweep import _execute_payload
-        ok, payload = _execute_payload(_spec().to_dict())
+        ok, data = _execute_payload(_spec().to_dict())
         assert ok
+        ((member_ok, payload),) = data["members"]
+        assert member_ok
         side = payload.pop("__metrics__")
         assert side["engine"] == "fast" and side["passes"] == 2
         from repro.sim.multi import CombinedRun

@@ -264,23 +264,32 @@ class TestJobSpecContentAddressing:
         assert fresh.workload_digest != "unreadable"
         assert fresh.key != spec.key
 
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
     def test_sentinel_spec_refuses_to_run_even_if_file_appears(
-            self, tmp_path):
+            self, tmp_path, backend):
         """The poisoning race: a spec built while the file was missing
         must not run successfully after the file shows up — its result
         would be stored under the sentinel key, where a later spec over
-        *different* file bytes could hit it.  run() refuses; a fresh
-        spec carries the real digest and works."""
+        *different* file bytes could hit it.  run() refuses on every
+        backend (a partner job makes the pool really cross the wire);
+        a fresh spec carries the real digest and works."""
         path = tmp_path / "race.trace.gz"
         stale = JobSpec(workload=f"trace:{path}", config=default_config(),
                         instructions=300, warmup=50)
         record_trace("micro.counted_loop", default_config(),
                      instructions=400, warmup=50, path=path)
+        partner = JobSpec(workload="micro.counted_loop",
+                          config=default_config(), instructions=300,
+                          warmup=50)
         store = ResultStore(tmp_path / "cache")
-        result = SweepRunner(store=store).run([stale])[0]
+        runner = SweepRunner(store=store, workers=2, backend=backend)
+        result, other = runner.run([stale, partner])
+        assert runner.last_stats.parallel == (backend == "pool")
         assert not result.ok
         assert "construct a new spec" in result.error
-        assert store.writes == 0  # nothing landed under the sentinel
+        assert other.ok, other.error
+        # nothing landed under the sentinel: the one write is the partner
+        assert store.writes == 1 and store.get(stale) is None
         fresh = JobSpec(workload=f"trace:{path}", config=default_config(),
                         instructions=300, warmup=50)
         assert SweepRunner(store=store).run([fresh])[0].ok
