@@ -63,7 +63,7 @@ from repro.errors import ConfigError, ReproError
 from repro.experiments.common import TableResult, default_settings
 from repro.experiments.report import (
     ALL_EXPERIMENTS,
-    EXPERIMENT_BY_NAME,
+    run_experiment,
     write_experiments_md,
 )
 from repro.cpu.results import summarize_result
@@ -952,7 +952,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_TRACE_WINDOW"] = args.trace_window
     if getattr(args, "backend", None) is not None:
         # fail fast for report/experiment too, where the string would
-        # otherwise only reach resolve_backend deep inside prefetch
+        # otherwise only reach resolve_backend deep inside the plan
         try:
             resolve_backend(args.backend)
         except ValueError as exc:
@@ -980,7 +980,7 @@ def _dispatch(args: argparse.Namespace,
         write_experiments_md(args.output, _settings(args))
         return 0
     if args.command == "experiment":
-        result = EXPERIMENT_BY_NAME[args.name](_settings(args))
+        result = run_experiment(args.name, _settings(args))
         print(result.render())
         return 0
     if args.command == "sweep":

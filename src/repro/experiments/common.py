@@ -1,15 +1,30 @@
 """Shared infrastructure for the experiment harness.
 
-Simulation passes route through the sweep runner (:mod:`repro.runner`):
-``combined_run`` answers from a process-wide :class:`ResultStore` (so the
-many tables reading the default configuration reuse two passes per
-benchmark), and ``prefetch`` lets an experiment hand its whole
-(benchmark, config) grid to the :class:`SweepRunner` up front —
-``settings.workers > 1`` then simulates the grid in parallel before the
-row loops read it back cell by cell.  Pointing the store at a directory
-(``configure_store``) makes results persist across processes.
-``TableResult`` is the uniform result object: ordered rows of named
-columns, a title, and free-form notes (deviations, scaling).
+Every experiment is split in two, the way a workload runner keeps what
+a workload will run apart from running it:
+
+* ``cells(settings)`` declares what the experiment reads: the
+  :class:`JobSpec` of every simulation, plus an :class:`ImageProbe`
+  for each piece of functional work on a linked image that is no
+  engine pass (Table 4's dynamic branch classes, the data-side CFR);
+* ``build(settings)`` renders the table from the answers.  It only
+  reads: :func:`combined_run` and :func:`stored` look a spec up in the
+  process-wide :class:`ResultStore`, :func:`probed` a probe's result,
+  and a cell nobody answered raises :class:`SimulationError` naming it.
+
+:func:`answer` answers a list of cells with one :class:`SweepRunner`
+sweep, and runs the probes inside that sweep's link slot, so they read
+the images (and memoized streams) the sweep already linked and
+executed.  ``repro report`` answers the union of every experiment's
+cells in one plan before it builds any table
+(:mod:`repro.experiments.report`); an experiment's own
+``run(settings)`` (see :func:`planned`) does the same two steps for
+itself.  ``settings.workers > 1`` fans the sweep out over worker
+processes, through ``settings.backend`` when one is named.  Pointing
+the store at a directory (:func:`configure_store`) makes results
+persist across processes.  ``TableResult`` is the uniform result
+object: ordered rows of named columns, a title, and free-form notes
+(deviations, scaling).
 
 Scaling: the paper simulates 250M instructions; we simulate
 ``settings.instructions``.  Energies and cycles reported in "paper units"
@@ -20,11 +35,22 @@ always reported alongside.
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.config import MachineConfig
 from repro.errors import SimulationError
+from repro.isa.program import Program
 from repro.runner import JobSpec, ResultStore, SweepRunner, resolve_workers
 from repro.sim.multi import CombinedRun
 from repro.workloads.spec2000 import BENCHMARK_NAMES
@@ -42,12 +68,12 @@ class ExperimentSettings:
     #: resolvable name works, including recorded ``trace:<path>``
     #: workloads (whose simulation window must fit the recorded one)
     benchmarks: Tuple[str, ...] = BENCHMARK_NAMES
-    #: worker processes ``prefetch`` fans simulation out over
+    #: worker processes :func:`answer` fans the sweep out over
     #: (1 = serial, 0 = auto-detect one per CPU)
     workers: int = 1
-    #: execution backend for ``prefetch`` grids: ``None`` (pick serial
-    #: or pool from ``workers``), ``"serial"``, ``"pool"``, or
-    #: ``"queue:<dir>"`` to drain the grid through a worker fleet
+    #: execution backend for :func:`answer`'s sweep: ``None`` (pick
+    #: serial or pool from ``workers``), ``"serial"``, ``"pool"``, or
+    #: ``"queue:<dir>"`` to drain it through a worker fleet
     backend: Optional[str] = None
 
     @property
@@ -79,18 +105,47 @@ def default_settings(instructions: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# Pass cache (a process-wide ResultStore shared by every experiment)
+# Cells and their answers (a process-wide ResultStore shared by every
+# experiment, plus the probe results)
 # ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class ImageProbe:
+    """Functional work on the plain binary that ``spec`` runs, within
+    its window, that no engine pass does: ``measure(program, spec)``.
+
+    A probe's answer is a pure function of the image and the window,
+    so :func:`answer` computes it on the image its sweep already holds
+    (see :func:`repro.workloads.synthetic.link_slot`) instead of
+    linking and executing the program again."""
+
+    name: str  #: what is measured, e.g. ``"table4.branch_classes"``
+    spec: JobSpec
+    measure: Callable[[Program, JobSpec], object]
+
+    @property
+    def key(self) -> Tuple[str, str]:
+        return self.name, self.spec.key
+
+    def describe(self) -> str:
+        return f"{self.name} probe of {self.spec.describe()}"
+
+
+#: what ``cells(settings)`` returns a list of
+Cell = Union[JobSpec, ImageProbe]
+
 _STORE = ResultStore()
+_PROBED: Dict[Tuple[str, str], object] = {}
 
 
 def configure_store(cache_dir: Optional[str] = None) -> ResultStore:
     """Replace the experiment layer's store; ``cache_dir`` makes results
     persist on disk (and survive across processes), None reverts to a
-    fresh memory-only store."""
+    fresh memory-only store.  Probe results start afresh either way."""
     global _STORE
     _STORE = ResultStore(cache_dir)
+    _PROBED.clear()
     return _STORE
 
 
@@ -102,47 +157,118 @@ def job_for(benchmark: str, config: MachineConfig,
                    warmup=settings.warmup)
 
 
-def combined_run(benchmark: str, config: MachineConfig,
-                 settings: ExperimentSettings) -> CombinedRun:
-    """Store-backed two-pass evaluation of every scheme on one benchmark."""
-    spec = job_for(benchmark, config, settings)
-    run = _STORE.get(spec)
-    if run is None:
-        run = spec.run()
-        _STORE.put(spec, run)
+def planned(cells: Callable[[ExperimentSettings], List[Cell]],
+            build: Callable[[ExperimentSettings], "TableResult"]
+            ) -> Callable[..., "TableResult"]:
+    """An experiment's ``run(settings)``: :func:`answer` its cells, then
+    build its table."""
+    def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
+        settings = settings or default_settings()
+        answer(cells(settings), settings)
+        return build(settings)
     return run
 
 
-def prefetch(cells: Iterable[Tuple[str, MachineConfig]],
-             settings: ExperimentSettings) -> None:
-    """Fill the store for a batch of (benchmark, config) cells at once.
+def answer(cells: Iterable[Cell],
+           settings: ExperimentSettings) -> SweepRunner:
+    """Answer ``cells``: every :class:`JobSpec` in one sweep into the
+    store, every :class:`ImageProbe` inside that sweep's link slot.
 
-    With ``settings.workers > 1`` (or ``0``: one per CPU) the misses
-    simulate in parallel — through ``settings.backend`` when one is
-    named; the subsequent ``combined_run`` reads are then pure cache
-    hits.  A failed cell raises immediately — experiments cannot
-    proceed without it.
+    A probe runs when the slot drops its image, so it reads the binary
+    and the memoized stream the sweep's jobs used.  A probe whose image
+    the sweep never linked in this process (all its jobs were store
+    hits, or ran in worker processes) links it afterwards, through the
+    same slot.  A failed job or probe raises :class:`SimulationError`
+    after the sweep — experiments cannot proceed without it.  Returns
+    the runner, whose ``last_stats`` describe the sweep.
     """
-    from repro import telemetry
+    from repro.workloads.registry import resolve
+    from repro.workloads.synthetic import link_slot
+    specs: List[JobSpec] = []
+    #: (workload name, page size) -> (workload, {probe key: probe})
+    images: Dict[Tuple[str, int], Tuple[object, Dict[tuple, ImageProbe]]] = {}
+    for cell in cells:
+        if isinstance(cell, JobSpec):
+            specs.append(cell)
+        elif cell.key not in _PROBED:
+            image = (cell.spec.workload, cell.spec.config.mem.page_bytes)
+            if image not in images:
+                images[image] = (resolve(image[0]), {})
+            images[image][1][cell.key] = cell
+    failures: List[str] = []
+
+    def measure(probes: Iterable[ImageProbe], program: Program) -> None:
+        for probe in probes:
+            try:
+                _PROBED[probe.key] = probe.measure(program, probe.spec)
+            except Exception:
+                failures.append(f"{probe.describe()}:\n"
+                                f"{traceback.format_exc()}")
+
+    def on_release(workload, page_bytes: int,
+                   programs: Dict[bool, Program]) -> None:
+        if False not in programs:
+            return  # only the instrumented binary: probe it later
+        for image, (owner, probes) in list(images.items()):
+            if owner is workload and image[1] == page_bytes:
+                del images[image]
+                measure(probes.values(), programs[False])
+
     runner = SweepRunner(store=_STORE,
                          workers=resolve_workers(settings.workers),
                          backend=settings.backend)
-    for result in runner.run(job_for(b, c, settings) for b, c in cells):
+    with link_slot(on_release):
+        results = runner.run(specs)
+        for image in list(images):
+            if image not in images:
+                continue  # measured when the slot released it
+            workload, probes = images.pop(image)
+            measure(probes.values(), workload.link(page_bytes=image[1]))
+    for result in results:
         if not result.ok:
             raise SimulationError(
-                f"prefetch failed for {result.spec.describe()}:\n"
+                f"experiment cell failed: {result.spec.describe()}:\n"
                 f"{result.error}")
-    telemetry.emit("experiment.prefetch", **runner.last_stats.__dict__,
-                   **{k: v for k, v in runner.last_metrics.items()
-                      if k in ("jobs_measured", "simulate_seconds",
-                               "wall_seconds", "instr_per_sec",
-                               "cached_jobs_measured",
-                               "cached_simulate_seconds")})
+    if failures:
+        raise SimulationError(f"experiment cell failed: {failures[0]}")
+    return runner
+
+
+def stored(spec: JobSpec) -> CombinedRun:
+    """The store's answer for ``spec``; a cell no plan answered raises
+    :class:`SimulationError` naming it."""
+    run = _STORE.get(spec)
+    if run is None:
+        raise SimulationError(
+            f"cell {spec.describe()} has no answer in the store: declare "
+            "it in the experiment's cells() and answer them before "
+            "building")
+    return run
+
+
+def combined_run(benchmark: str, config: MachineConfig,
+                 settings: ExperimentSettings) -> CombinedRun:
+    """The stored two-pass evaluation of every scheme on one benchmark."""
+    return stored(job_for(benchmark, config, settings))
+
+
+def probed(probe: ImageProbe) -> object:
+    """``probe``'s answer; one no plan answered raises
+    :class:`SimulationError` naming it."""
+    try:
+        return _PROBED[probe.key]
+    except KeyError:
+        raise SimulationError(
+            f"cell {probe.describe()} has no answer: declare it in the "
+            "experiment's cells() and answer them before building"
+        ) from None
 
 
 def clear_cache() -> None:
-    """Drop the in-memory result cache (on-disk entries, if any, stay)."""
+    """Drop the in-memory result cache and the probe results (on-disk
+    entries, if any, stay)."""
     _STORE.clear()
+    _PROBED.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,15 @@ asserts it matches the paper parameter-for-parameter.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.config import default_config
-from repro.experiments.common import ExperimentSettings, TableResult
+from repro.experiments.common import (
+    Cell,
+    ExperimentSettings,
+    TableResult,
+    planned,
+)
 
 _EXPECTED = [
     ("RUU size", "64 instructions"),
@@ -29,7 +34,11 @@ _EXPECTED = [
 ]
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return []  # not a simulation
+
+
+def build(settings: Optional[ExperimentSettings] = None) -> TableResult:
     config = default_config()
     result = TableResult(
         experiment_id="Table 1",
@@ -84,3 +93,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "Table 5 predictor accuracies)."
     )
     return result
+
+
+run = planned(cells, build)

@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import List, Optional
 
 from repro.compiler.layout import layout_by_affinity, original_layout
 from repro.compiler.instrument import instrument_module
@@ -30,24 +30,61 @@ from repro.config import (
 from repro.core.dcfr import DataCFR
 from repro.energy.cacti import CactiLikeModel
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
+    ImageProbe,
     TableResult,
-    average,
     combined_run,
     default_settings,
-    prefetch,
+    job_for,
+    planned,
+    probed,
     short_name,
 )
+from repro.isa.program import Program
+from repro.runner import JobSpec
 from repro.sim.simulator import Simulator
 from repro.trace.format import committed_steps
 from repro.vm.os_model import AddressSpace
 from repro.vm.tlb import TLB
 from repro.workloads.registry import resolve
 
+#: data-side CFR register counts swept
+DCFR_REGISTERS = (1, 2, 4)
 
-def run_dcfr(settings: Optional[ExperimentSettings] = None) -> TableResult:
+
+def _dcfr_counters(program: Program, spec: JobSpec) -> list:
+    """One data-side CFR's counters per register count, fed the data
+    references of ``program``'s committed stream over ``spec``'s window
+    (a replayed trace feeds its recorded data addresses)."""
+    config = spec.config
+    found = []
+    for registers in DCFR_REGISTERS:
+        space = AddressSpace(program)
+        dtlb = TLB(config.dtlb, name="dtlb")
+        dcfr = DataCFR(dtlb, space.page_table,
+                       config.mem.page_shift, registers=registers)
+        for instr, aux in committed_steps(program, spec.warmup,
+                                          spec.instructions):
+            kind = instr.kind_code
+            if kind == 6 or kind == 7:  # LOAD / STORE
+                dcfr.translate(aux, kind == 7)
+        found.append(dcfr.counters)
+    return found
+
+
+def _dcfr_probe(bench: str, settings: ExperimentSettings) -> ImageProbe:
+    return ImageProbe("extensions.dcfr",
+                      job_for(bench, default_config(), settings),
+                      _dcfr_counters)
+
+
+def dcfr_cells(settings: ExperimentSettings) -> List[Cell]:
+    return [_dcfr_probe(bench, settings) for bench in settings.benchmarks]
+
+
+def build_dcfr(settings: ExperimentSettings) -> TableResult:
     """Data-side CFR: dTLB accesses avoided per register count."""
-    settings = settings or default_settings()
     config = default_config()
     model = CactiLikeModel(config.energy)
     dtlb_ea = model.tlb_access_energy(config.dtlb)
@@ -58,21 +95,8 @@ def run_dcfr(settings: Optional[ExperimentSettings] = None) -> TableResult:
                  "dtlb lookups avoided %", "energy % of base dTLB"],
     )
     for bench in settings.benchmarks:
-        workload = resolve(bench)
-        program = workload.link(page_bytes=config.mem.page_bytes)
-        for registers in (1, 2, 4):
-            space = AddressSpace(program)
-            dtlb = TLB(config.dtlb, name="dtlb")
-            dcfr = DataCFR(dtlb, space.page_table,
-                           config.mem.page_shift, registers=registers)
-            # the program's committed stream: a replayed trace feeds its
-            # recorded data addresses through the dCFR
-            for instr, aux in committed_steps(program, settings.warmup,
-                                              settings.instructions):
-                kind = instr.kind_code
-                if kind == 6 or kind == 7:  # LOAD / STORE
-                    dcfr.translate(aux, kind == 7)
-            counters = dcfr.counters
+        for registers, counters in zip(
+                DCFR_REGISTERS, probed(_dcfr_probe(bench, settings))):
             refs = counters.references or 1
             base_energy = refs * dtlb_ea
             dcfr_energy = (counters.dtlb_lookups * dtlb_ea
@@ -95,9 +119,15 @@ def run_dcfr(settings: Optional[ExperimentSettings] = None) -> TableResult:
     return result
 
 
-def run_layout(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    """Affinity-based code layout vs generator order."""
-    settings = settings or default_settings()
+run_dcfr = planned(dcfr_cells, build_dcfr)
+
+
+def build_layout(settings: ExperimentSettings) -> TableResult:
+    """Affinity-based code layout vs generator order.
+
+    The one part of the report that links and executes off the plan:
+    the relaid modules have no registry name, so no :class:`JobSpec`
+    can name them and no sweep can hold their images."""
     config = default_config(CacheAddressing.VIPT)
     result = TableResult(
         experiment_id="Extension: code layout",
@@ -142,20 +172,27 @@ def run_layout(settings: Optional[ExperimentSettings] = None) -> TableResult:
     return result
 
 
-def run_predictors(settings: Optional[ExperimentSettings] = None
-                   ) -> TableResult:
+def run_layout(settings: Optional[ExperimentSettings] = None) -> TableResult:
+    return build_layout(settings or default_settings())
+
+
+#: the predictor variants the predictor extension compares
+PREDICTOR_VARIANTS = (
+    ("bimodal+RAS (default)", BranchPredictorConfig()),
+    ("bimodal, no RAS", BranchPredictorConfig(ras_entries=0)),
+    ("gshare+RAS", BranchPredictorConfig(kind="gshare", history_bits=10)),
+)
+
+
+def predictor_cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, default_config(CacheAddressing.VIPT)
+                    .with_branch(branch_cfg), settings)
+            for _, branch_cfg in PREDICTOR_VARIANTS
+            for bench in settings.benchmarks]
+
+
+def build_predictors(settings: ExperimentSettings) -> TableResult:
     """IA's gap to OPT as a function of predictor quality."""
-    settings = settings or default_settings()
-    variants = (
-        ("bimodal+RAS (default)", BranchPredictorConfig()),
-        ("bimodal, no RAS", BranchPredictorConfig(ras_entries=0)),
-        ("gshare+RAS", BranchPredictorConfig(kind="gshare",
-                                             history_bits=10)),
-    )
-    prefetch(((bench, default_config(CacheAddressing.VIPT)
-               .with_branch(branch_cfg))
-              for _, branch_cfg in variants
-              for bench in settings.benchmarks), settings)
     result = TableResult(
         experiment_id="Extension: predictors",
         title="IA vs OPT energy (VI-PT) under different predictors",
@@ -163,7 +200,7 @@ def run_predictors(settings: Optional[ExperimentSettings] = None
                  "ia energy % of base", "opt energy % of base",
                  "ia/opt ratio"],
     )
-    for label, branch_cfg in variants:
+    for label, branch_cfg in PREDICTOR_VARIANTS:
         for bench in settings.benchmarks:
             cfg = default_config(CacheAddressing.VIPT) \
                 .with_branch(branch_cfg)
@@ -184,12 +221,16 @@ def run_predictors(settings: Optional[ExperimentSettings] = None
     return result
 
 
-def run_accounting(settings: Optional[ExperimentSettings] = None
-                   ) -> TableResult:
+run_predictors = planned(predictor_cells, build_predictors)
+
+
+def accounting_cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, default_config(CacheAddressing.VIPT), settings)
+            for bench in settings.benchmarks]
+
+
+def build_accounting(settings: ExperimentSettings) -> TableResult:
     """Charge the energies the paper's accounting omits."""
-    settings = settings or default_settings()
-    prefetch(((bench, default_config(CacheAddressing.VIPT))
-              for bench in settings.benchmarks), settings)
     result = TableResult(
         experiment_id="Extension: accounting",
         title="Effect of charging CFR reads and the IA BTB compare "
@@ -228,11 +269,18 @@ def run_accounting(settings: Optional[ExperimentSettings] = None
     return result
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
+run_accounting = planned(accounting_cells, build_accounting)
+
+
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return (dcfr_cells(settings) + predictor_cells(settings)
+            + accounting_cells(settings))
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     """All extensions merged for the report."""
-    settings = settings or default_settings()
-    parts = [run_dcfr(settings), run_layout(settings),
-             run_predictors(settings), run_accounting(settings)]
+    parts = [build_dcfr(settings), build_layout(settings),
+             build_predictors(settings), build_accounting(settings)]
     merged = TableResult(
         experiment_id="Extensions",
         title="Future-work reproductions (dCFR, layout, predictors, "
@@ -249,3 +297,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         merged.notes.extend(f"[{part.experiment_id}] {n}"
                             for n in part.notes)
     return merged
+
+
+run = planned(cells, build)

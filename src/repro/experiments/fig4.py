@@ -8,16 +8,19 @@ SoCA 36.83%, SoLA 16.39%, IA 14.04%, OPT 12.74%.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
+    answer,
     average,
     combined_run,
     default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 
@@ -33,11 +36,25 @@ PAPER_AVERAGES = {
 }
 
 
+_PANELS = (CacheAddressing.VIPT, CacheAddressing.VIVT)
+
+
+def panel_cells(addressing: CacheAddressing,
+                settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, default_config(addressing), settings)
+            for bench in settings.benchmarks]
+
+
 def run_for(addressing: CacheAddressing,
             settings: Optional[ExperimentSettings] = None) -> TableResult:
+    """One panel on its own: answer its cells, then build it."""
     settings = settings or default_settings()
-    prefetch(((bench, default_config(addressing))
-              for bench in settings.benchmarks), settings)
+    answer(panel_cells(addressing, settings), settings)
+    return build_panel(addressing, settings)
+
+
+def build_panel(addressing: CacheAddressing,
+                settings: ExperimentSettings) -> TableResult:
     label = addressing.value.upper()
     result = TableResult(
         experiment_id="Figure 4" + (" (top)" if addressing
@@ -64,11 +81,15 @@ def run_for(addressing: CacheAddressing,
     return result
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return [cell for addressing in _PANELS
+            for cell in panel_cells(addressing, settings)]
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     """Both panels merged (VI-PT rows then VI-VT rows)."""
-    settings = settings or default_settings()
-    top = run_for(CacheAddressing.VIPT, settings)
-    bottom = run_for(CacheAddressing.VIVT, settings)
+    top, bottom = (build_panel(addressing, settings)
+                   for addressing in _PANELS)
     merged = TableResult(
         experiment_id="Figure 4",
         title="Normalized iTLB energy (percent of base)",
@@ -79,3 +100,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         for row in table.rows:
             merged.add_row(**{"iL1": panel, **row})
     return merged
+
+
+run = planned(cells, build)

@@ -9,16 +9,17 @@ which we also verify.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     average,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 
@@ -26,12 +27,13 @@ _SCHEMES = (SchemeName.HOA, SchemeName.SOCA, SchemeName.SOLA,
             SchemeName.IA, SchemeName.OPT)
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    prefetch(((bench, default_config(addressing))
-              for bench in settings.benchmarks
-              for addressing in (CacheAddressing.VIVT,
-                                 CacheAddressing.VIPT)), settings)
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, default_config(addressing), settings)
+            for bench in settings.benchmarks
+            for addressing in (CacheAddressing.VIVT, CacheAddressing.VIPT)]
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     result = TableResult(
         experiment_id="Figure 5",
         title="Normalized execution cycles, VI-VT iL1 (percent of base)",
@@ -67,3 +69,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "the 'vi-pt ia (check)' column should sit at ~100: schemes do not "
         "change VI-PT cycles (parallel lookup)")
     return result
+
+
+run = planned(cells, build)

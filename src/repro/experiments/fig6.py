@@ -14,7 +14,7 @@ energy) is included as an extra row pair.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import List
 
 from repro.config import (
     CacheAddressing,
@@ -24,29 +24,32 @@ from repro.config import (
     default_config,
 )
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     average,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    cells = []
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    found: List[Cell] = []
     for two_level, mono in zip(TWO_LEVEL_SWEEP,
                                TWO_LEVEL_MONOLITHIC_BASELINES):
         for bench in settings.benchmarks:
-            cells.append((bench, default_config(CacheAddressing.VIPT)
-                          .with_itlb(mono)))
+            mono_cfg = default_config(CacheAddressing.VIPT).with_itlb(mono)
+            found.append(job_for(bench, mono_cfg, settings))
             for serial in (True, False):
                 tl_cfg = dataclasses.replace(two_level, serial=serial)
-                cells.append((bench, default_config(CacheAddressing.VIPT)
-                              .with_itlb(mono).with_two_level_itlb(tl_cfg)))
-    prefetch(cells, settings)
+                found.append(job_for(
+                    bench, mono_cfg.with_two_level_itlb(tl_cfg), settings))
+    return found
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     result = TableResult(
         experiment_id="Figure 6",
         title="Two-level iTLB (base) vs monolithic iTLB with IA "
@@ -98,3 +101,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "parallel mode strictly worse on energy; monolithic+IA cycles "
         "equal or better (no L2-TLB probe latency)")
     return result
+
+
+run = planned(cells, build)

@@ -1,15 +1,23 @@
 """Run every experiment and write EXPERIMENTS.md.
 
 ``python -m repro report`` (or ``repro-itlb report``) regenerates the
-whole evaluation; per-experiment entry points exist on the CLI as well.
+whole evaluation as one plan: :func:`run_all` collects every
+experiment's ``cells(settings)``, answers them all with one
+:func:`~repro.experiments.common.answer` sweep — so each stand-in image
+is linked and executed once, and experiments that vary only iTLB fields
+share their grid passes — and only then calls each experiment's
+``build``.  Progress is telemetry: one ``report.plan`` event for the
+sweep and one ``report.section`` event per table.
 """
 
 from __future__ import annotations
 
 import io
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import ExitStack
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import telemetry
 from repro.experiments import (
     configuration,
     extensions,
@@ -28,42 +36,100 @@ from repro.experiments import (
 )
 from repro.experiments.common import (
     ExperimentSettings,
+    ImageProbe,
     TableResult,
+    answer,
     default_settings,
 )
 
-ALL_EXPERIMENTS: Tuple[Tuple[str, Callable[..., TableResult]], ...] = (
-    ("table1", configuration.run),
-    ("table2", table2.run),
-    ("fig4", fig4.run),
-    ("fig5", fig5.run),
-    ("table3", table3.run),
-    ("table4", table4.run),
-    ("table5", table5.run),
-    ("table6", table6.run),
-    ("table7", table7.run),
-    ("fig6", fig6.run),
-    ("table8", table8.run),
-    ("sensitivity", sensitivity.run),
-    ("extensions", extensions.run),
-    ("validation", validation.run),
-)
+#: each experiment's module, in report order: ``cells`` and ``build``
+#: live there
+MODULES = {
+    "table1": configuration,
+    "table2": table2,
+    "fig4": fig4,
+    "fig5": fig5,
+    "table3": table3,
+    "table4": table4,
+    "table5": table5,
+    "table6": table6,
+    "table7": table7,
+    "fig6": fig6,
+    "table8": table8,
+    "sensitivity": sensitivity,
+    "extensions": extensions,
+    "validation": validation,
+}
+
+#: (name, build) in report order; :func:`run_all` reads it when called
+#: and calls each build once, after the plan has answered every cell
+ALL_EXPERIMENTS: Tuple[Tuple[str, Callable[..., TableResult]], ...] = tuple(
+    (name, module.build) for name, module in MODULES.items())
 
 EXPERIMENT_BY_NAME: Dict[str, Callable[..., TableResult]] = dict(
     ALL_EXPERIMENTS)
 
 
+def print_progress(record: dict) -> None:
+    """A report's progress line for each of its telemetry events."""
+    if record["event"] == "report.plan":
+        print(f"[plan] {record['jobs']} jobs ({record['simulated']} "
+              f"simulated, {record['grids']} grids) and "
+              f"{record['probes']} probes in {record['sweeps']} "
+              f"sweep(s), {record['seconds']:.1f}s")
+    elif record["event"] == "report.section":
+        print(f"[{record['name']}] done in {record['seconds']:.1f}s")
+
+
+def _plan(experiments: Sequence[Tuple[str, Callable[..., TableResult]]],
+          settings: ExperimentSettings,
+          verbose: bool) -> List[TableResult]:
+    """Answer every cell of ``experiments`` in one sweep, then build
+    each table in order."""
+    with ExitStack() as stack:
+        if verbose:
+            stack.enter_context(telemetry.listen(print_progress))
+        sweeps = []
+
+        def count_sweep(record: dict) -> None:
+            if record["event"] == "sweep.start":
+                sweeps.append(record)
+
+        stack.enter_context(telemetry.listen(count_sweep))
+        started = time.perf_counter()
+        cells = [cell for name, _ in experiments
+                 for cell in MODULES[name].cells(settings)]
+        stats = answer(cells, settings).last_stats
+        telemetry.emit("report.plan", experiments=len(experiments),
+                       sweeps=len(sweeps), jobs=stats.jobs,
+                       cached=stats.cached, simulated=stats.simulated,
+                       grids=stats.grids, grid_members=stats.grid_members,
+                       probes=sum(isinstance(cell, ImageProbe)
+                                  for cell in cells),
+                       seconds=round(time.perf_counter() - started, 3))
+        results = []
+        for name, build in experiments:
+            started = time.perf_counter()
+            results.append(build(settings))
+            telemetry.emit("report.section", name=name,
+                           seconds=round(time.perf_counter() - started, 3))
+    return results
+
+
 def run_all(settings: Optional[ExperimentSettings] = None,
             verbose: bool = True) -> List[TableResult]:
-    settings = settings or default_settings()
-    results = []
-    for name, runner in ALL_EXPERIMENTS:
-        start = time.time()
-        result = runner(settings)
-        results.append(result)
-        if verbose:
-            print(f"[{name}] done in {time.time() - start:.1f}s")
-    return results
+    """Every experiment of :data:`ALL_EXPERIMENTS`, as one plan;
+    ``verbose`` prints a progress line per telemetry event."""
+    return _plan(ALL_EXPERIMENTS, settings or default_settings(), verbose)
+
+
+def run_experiment(name: str,
+                   settings: Optional[ExperimentSettings] = None,
+                   verbose: bool = False) -> TableResult:
+    """One experiment, planned the way :func:`run_all` plans them all."""
+    (result,) = _plan([(name, EXPERIMENT_BY_NAME[name])],
+                      settings or default_settings(), verbose)
+    return result
 
 
 _HEADER = """# EXPERIMENTS — paper vs. measured

@@ -8,7 +8,7 @@ savings.  Both sweeps are regenerated here.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.config import (
     CacheAddressing,
@@ -17,12 +17,13 @@ from repro.config import (
     default_config,
 )
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     average,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 
@@ -39,11 +40,13 @@ def _il1_config(size_kb: int, assoc: int):
     return default_config(CacheAddressing.VIVT).with_il1(il1)
 
 
-def run_il1(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    prefetch(((bench, _il1_config(size_kb, assoc))
-              for size_kb, assoc in IL1_SWEEP
-              for bench in settings.benchmarks), settings)
+def il1_cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, _il1_config(size_kb, assoc), settings)
+            for size_kb, assoc in IL1_SWEEP
+            for bench in settings.benchmarks]
+
+
+def build_il1(settings: ExperimentSettings) -> TableResult:
     result = TableResult(
         experiment_id="Sensitivity (iL1)",
         title="IA with VI-VT iL1 across iL1 geometries",
@@ -100,18 +103,28 @@ def _replayable_sizes(bench: str) -> frozenset:
     return frozenset(PAGE_SWEEP) & plain & instrumented
 
 
-def run_page_size(settings: Optional[ExperimentSettings] = None
-                  ) -> TableResult:
-    settings = settings or default_settings()
+def _page_config(page_bytes: int):
+    return default_config(CacheAddressing.VIPT).with_page_bytes(page_bytes)
+
+
+def _page_points(settings: ExperimentSettings, sizes_for: dict) -> list:
+    """The (benchmark, page size) points each workload can simulate."""
+    return [(bench, page_bytes)
+            for page_bytes in PAGE_SWEEP
+            for bench in settings.benchmarks
+            if page_bytes in sizes_for[bench]]
+
+
+def page_size_cells(settings: ExperimentSettings) -> List[Cell]:
     sizes_for = {bench: _replayable_sizes(bench)
                  for bench in settings.benchmarks}
-    cells = [(bench, page_bytes)
-             for page_bytes in PAGE_SWEEP
-             for bench in settings.benchmarks
-             if page_bytes in sizes_for[bench]]
-    prefetch(((bench, default_config(CacheAddressing.VIPT)
-               .with_page_bytes(page_bytes))
-              for bench, page_bytes in cells), settings)
+    return [job_for(bench, _page_config(page_bytes), settings)
+            for bench, page_bytes in _page_points(settings, sizes_for)]
+
+
+def build_page_size(settings: ExperimentSettings) -> TableResult:
+    sizes_for = {bench: _replayable_sizes(bench)
+                 for bench in settings.benchmarks}
     result = TableResult(
         experiment_id="Sensitivity (page size)",
         title="IA and OPT (VI-PT) across page sizes",
@@ -124,37 +137,38 @@ def run_page_size(settings: Optional[ExperimentSettings] = None
                 f"{short_name(bench)}: partial (trace not recorded at "
                 "every swept page size; re-record with --page-sizes "
                 + " ".join(str(p) for p in PAGE_SWEEP) + ")")
-    cell_set = set(cells)
-    for page_bytes in PAGE_SWEEP:
+    for bench, page_bytes in _page_points(settings, sizes_for):
         label = f"{page_bytes // 1024}KB"
-        for bench in settings.benchmarks:
-            if (bench, page_bytes) not in cell_set:
-                continue
-            cfg = default_config(CacheAddressing.VIPT) \
-                .with_page_bytes(page_bytes)
-            run_ = combined_run(bench, cfg, settings)
-            shared = run_.shared
-            per_kinst = (1000.0 * shared.page_crossings
-                         / shared.instructions if shared.instructions else 0)
-            result.add_row(**{
-                "page": label, "benchmark": short_name(bench),
-                "page crossings/kinst": per_kinst,
-                "ia energy % of base":
-                    100.0 * run_.normalized_energy(SchemeName.IA),
-                "opt energy % of base":
-                    100.0 * run_.normalized_energy(SchemeName.OPT),
-            })
+        run_ = combined_run(bench, _page_config(page_bytes), settings)
+        shared = run_.shared
+        per_kinst = (1000.0 * shared.page_crossings
+                     / shared.instructions if shared.instructions else 0)
+        result.add_row(**{
+            "page": label, "benchmark": short_name(bench),
+            "page crossings/kinst": per_kinst,
+            "ia energy % of base":
+                100.0 * run_.normalized_energy(SchemeName.IA),
+            "opt energy % of base":
+                100.0 * run_.normalized_energy(SchemeName.OPT),
+        })
     result.notes.append(
         "larger pages -> fewer crossings -> better CFR coverage: both IA "
         "and OPT percentages fall monotonically with page size")
     return result
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
+run_il1 = planned(il1_cells, build_il1)
+run_page_size = planned(page_size_cells, build_page_size)
+
+
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return il1_cells(settings) + page_size_cells(settings)
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     """Both sweeps merged for the report."""
-    settings = settings or default_settings()
-    il1 = run_il1(settings)
-    page = run_page_size(settings)
+    il1 = build_il1(settings)
+    page = build_page_size(settings)
     merged = TableResult(
         experiment_id="Sensitivity",
         title="iL1-geometry and page-size sensitivity (Section 4.4)",
@@ -174,3 +188,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
                            benchmark=row["benchmark"], metric=metric,
                            value=row[metric])
     return merged
+
+
+run = planned(cells, build)

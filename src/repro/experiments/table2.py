@@ -9,26 +9,28 @@ values ride along for comparison.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 from repro.workloads.spec2000 import paper_row_for
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    prefetch(((bench, default_config(addressing))
-              for bench in settings.benchmarks
-              for addressing in (CacheAddressing.VIPT,
-                                 CacheAddressing.VIVT)), settings)
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, default_config(addressing), settings)
+            for bench in settings.benchmarks
+            for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)]
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     result = TableResult(
         experiment_id="Table 2",
         title="Benchmarks and their characteristics (default configuration)",
@@ -78,3 +80,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "sim-outorder wrong-path fetch misses it never isolates, so our "
         "VI-VT absolute energies run lower — orderings are unaffected")
     return result
+
+
+run = planned(cells, build)

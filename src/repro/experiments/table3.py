@@ -11,25 +11,28 @@ the three schemes (they share the instrumentation).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 
 _SCHEMES = (SchemeName.SOCA, SchemeName.SOLA, SchemeName.IA)
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    prefetch(((bench, default_config(CacheAddressing.VIPT))
-              for bench in settings.benchmarks), settings)
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, default_config(CacheAddressing.VIPT), settings)
+            for bench in settings.benchmarks]
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     columns = ["benchmark"]
     for scheme in _SCHEMES:
         columns += [f"{scheme.value} BOUNDARY", f"{scheme.value} BRANCH",
@@ -58,3 +61,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "invariant: soca BRANCH lookups ~ dynamic branches; "
         "soca >= sola >= ia lookups per benchmark")
     return result
+
+
+run = planned(cells, build)

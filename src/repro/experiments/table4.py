@@ -9,23 +9,47 @@ schemes can save.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.compiler.analysis import analyze_program
 from repro.config import default_config
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
+    ImageProbe,
     TableResult,
-    default_settings,
+    job_for,
+    planned,
+    probed,
     short_name,
 )
-from repro.workloads.calibration import _dynamic_branch_classes
-from repro.workloads.registry import resolve
+from repro.isa.program import Program
+from repro.runner import JobSpec
+from repro.workloads.calibration import dynamic_branch_classes
 from repro.workloads.spec2000 import paper_row_for
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
+def _branch_statistics(program: Program, spec: JobSpec) -> tuple:
+    """The static analysis of ``program`` and its dynamic branch
+    classes over ``spec``'s window.  A replayed trace's static half is
+    empty — a replay carries no static text — while the dynamic half
+    classifies the recorded stream."""
+    return (analyze_program(program),
+            dynamic_branch_classes(program, instructions=spec.instructions,
+                                   warmup=spec.warmup))
+
+
+def _probe(bench: str, settings: ExperimentSettings) -> ImageProbe:
+    return ImageProbe("table4.branch_statistics",
+                      job_for(bench, default_config(), settings),
+                      _branch_statistics)
+
+
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return [_probe(bench, settings) for bench in settings.benchmarks]
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     result = TableResult(
         experiment_id="Table 4",
         title="Static and dynamic branch statistics",
@@ -36,17 +60,9 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
             "dyn in-page %", "paper in-page %",
         ],
     )
-    config = default_config()
     for bench in settings.benchmarks:
-        # registry resolution, so trace: workloads run too (their static
-        # half is empty — a replay carries no static text — while the
-        # dynamic half classifies the recorded stream)
-        workload = resolve(bench)
-        program = workload.link(page_bytes=config.mem.page_bytes)
-        static = analyze_program(program)
-        analyzable, in_page, total = _dynamic_branch_classes(
-            workload, config, instructions=settings.instructions,
-            warmup=settings.warmup)
+        static, (analyzable, in_page, total) = probed(
+            _probe(bench, settings))
         paper = paper_row_for(bench)
         result.add_row(**{
             "benchmark": short_name(bench),
@@ -64,3 +80,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "analyzable = direct conditional branches / jumps / calls; "
         "in-page fractions are over analyzable branches")
     return result
+
+
+run = planned(cells, build)

@@ -7,24 +7,27 @@ predictors.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.config import CacheAddressing, default_config
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 from repro.workloads.spec2000 import paper_row_for
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    prefetch(((bench, default_config(CacheAddressing.VIPT))
-              for bench in settings.benchmarks), settings)
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, default_config(CacheAddressing.VIPT), settings)
+            for bench in settings.benchmarks]
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     result = TableResult(
         experiment_id="Table 5",
         title="Branch predictor accuracy (percent)",
@@ -47,3 +50,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
             "indirect %": 100.0 * ind_acc,
         })
     return result
+
+
+run = planned(cells, build)

@@ -13,7 +13,7 @@ VI-VT savings of 18.1/11.0/5.4/3.55% for the four points.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.config import (
     CacheAddressing,
@@ -23,22 +23,25 @@ from repro.config import (
     itlb_sweep_label,
 )
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    prefetch(((bench, default_config(addressing).with_itlb(itlb))
-              for itlb in ITLB_SWEEP
-              for bench in settings.benchmarks
-              for addressing in (CacheAddressing.VIPT,
-                                 CacheAddressing.VIVT)), settings)
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, default_config(addressing).with_itlb(itlb),
+                    settings)
+            for itlb in ITLB_SWEEP
+            for bench in settings.benchmarks
+            for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)]
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     result = TableResult(
         experiment_id="Table 6",
         title="Energy (VI-PT, VI-VT) and cycles (VI-VT) across iTLB "
@@ -78,3 +81,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "IA's normalized energy falls as the iTLB grows (paper Section "
         "4.3.1); its VI-VT cycle saving is largest for the 1-entry iTLB")
     return result
+
+
+run = planned(cells, build)

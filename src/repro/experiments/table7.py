@@ -8,7 +8,7 @@ recovers most of it — the shape of the paper's Table 7.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.config import (
     CacheAddressing,
@@ -18,11 +18,12 @@ from repro.config import (
     itlb_sweep_label,
 )
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 
@@ -36,11 +37,15 @@ _PAPER = {
 }
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    prefetch(((bench, default_config(CacheAddressing.VIPT).with_itlb(itlb))
-              for bench in settings.benchmarks
-              for itlb in ITLB_SWEEP), settings)
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench,
+                    default_config(CacheAddressing.VIPT).with_itlb(itlb),
+                    settings)
+            for bench in settings.benchmarks
+            for itlb in ITLB_SWEEP]
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     labels = [itlb_sweep_label(c) for c in ITLB_SWEEP]
     columns = ["benchmark"]
     for label in labels:
@@ -67,3 +72,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "cycles must fall monotonically from the 1-entry to the 32-entry "
         "iTLB (fewer 50-cycle refills)")
     return result
+
+
+run = planned(cells, build)

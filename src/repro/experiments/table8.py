@@ -10,15 +10,16 @@ benchmarks) at far lower energy.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
 )
 
@@ -34,12 +35,14 @@ _PAPER = {
 }
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    prefetch(((bench, default_config(addressing))
-              for bench in settings.benchmarks
-              for addressing in (CacheAddressing.PIPT, CacheAddressing.VIPT,
-                                 CacheAddressing.VIVT)), settings)
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    return [job_for(bench, default_config(addressing), settings)
+            for bench in settings.benchmarks
+            for addressing in (CacheAddressing.PIPT, CacheAddressing.VIPT,
+                               CacheAddressing.VIVT)]
+
+
+def build(settings: ExperimentSettings) -> TableResult:
     result = TableResult(
         experiment_id="Table 8",
         title="PI-PT base / PI-PT+IA / VI-PT base / VI-VT base: "
@@ -81,6 +84,9 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "and base PI-PT (the paper reports PI-PT+IA within 5.7% of base "
         "VI-PT cycles on average)")
     return result
+
+
+run = planned(cells, build)
 
 
 def paper_reference() -> TableResult:

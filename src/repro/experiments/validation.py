@@ -14,29 +14,73 @@ and microarchitectural rates.  Divergences worth knowing about:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.config import CacheAddressing, SchemeName, default_config
-from repro.cpu.ooo import OutOfOrderEngine
+from repro.errors import RegistryError
 from repro.experiments.common import (
+    Cell,
     ExperimentSettings,
     TableResult,
     combined_run,
-    default_settings,
-    prefetch,
+    job_for,
+    planned,
     short_name,
+    stored,
 )
-from repro.sim.simulator import attach_energy
-from repro.errors import RegistryError
-from repro.workloads.registry import file_backed_path, resolve
+from repro.runner import JobSpec
+from repro.workloads.registry import file_backed_path
+
+_ADDRESSINGS = (CacheAddressing.VIPT, CacheAddressing.VIVT)
+_SCHEMES = (SchemeName.BASE, SchemeName.IA)
 
 
-def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    settings = settings or default_settings()
-    # the detailed engine is ~10x slower: validate on a reduced window
-    instructions = max(settings.instructions // 4, 5_000)
-    warmup = max(settings.warmup // 4, 1_000)
-    benchmarks = settings.benchmarks[:2]
+def _fast_settings(settings: ExperimentSettings) -> ExperimentSettings:
+    """The reduced window both engines run (the detailed engine is ~10x
+    slower), over the first two benchmarks."""
+    return ExperimentSettings(instructions=max(settings.instructions // 4,
+                                               5_000),
+                              warmup=max(settings.warmup // 4, 1_000),
+                              benchmarks=settings.benchmarks[:2],
+                              workers=settings.workers)
+
+
+def _skip_for_ooo(bench: str) -> bool:
+    """Recorded and imported traces are skipped outright: the detailed
+    engine fetches speculative wrong-path instructions a committed
+    stream cannot supply."""
+    try:
+        return file_backed_path(bench) is not None
+    except RegistryError:
+        # a malformed import:<format>:<path> name certainly cannot run
+        # on the detailed engine either — skip it with a note instead
+        # of letting the filter abort the whole table
+        return True
+
+
+def _ooo_spec(bench: str, addressing: CacheAddressing, scheme: SchemeName,
+              fast: ExperimentSettings) -> JobSpec:
+    """One detailed-engine run: a one-member pass of its own."""
+    return JobSpec(workload=bench, config=default_config(addressing),
+                   instructions=fast.instructions, warmup=fast.warmup,
+                   schemes=(scheme,), engine="ooo")
+
+
+def cells(settings: ExperimentSettings) -> List[Cell]:
+    fast = _fast_settings(settings)
+    found: List[Cell] = []
+    for bench in fast.benchmarks:
+        if _skip_for_ooo(bench):
+            continue
+        for addressing in _ADDRESSINGS:
+            found.append(job_for(bench, default_config(addressing), fast))
+            found.extend(_ooo_spec(bench, addressing, scheme, fast)
+                         for scheme in _SCHEMES)
+    return found
+
+
+def build(settings: ExperimentSettings) -> TableResult:
+    fast_settings = _fast_settings(settings)
     result = TableResult(
         experiment_id="Validation",
         title="Fast engine vs detailed out-of-order engine",
@@ -44,47 +88,22 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
                  "fast cycles", "ooo cycles", "cycle ratio",
                  "fast lookups", "ooo lookups", "lookup ratio"],
     )
-    fast_settings = ExperimentSettings(instructions=instructions,
-                                       warmup=warmup,
-                                       benchmarks=tuple(benchmarks),
-                                       workers=settings.workers)
-    # recorded and imported traces are skipped outright (the detailed
-    # engine fetches speculative wrong-path instructions a committed
-    # stream cannot supply), so don't waste fast-engine passes
-    # prefetching them
-    def _skip_for_ooo(bench: str) -> bool:
-        try:
-            return file_backed_path(bench) is not None
-        except RegistryError:
-            # a malformed import:<format>:<path> name certainly cannot
-            # run on the detailed engine either — skip it with a note
-            # instead of letting the filter abort the whole table
-            return True
-
-    runnable = [bench for bench in benchmarks
+    runnable = [bench for bench in fast_settings.benchmarks
                 if not _skip_for_ooo(bench)]
-    for bench in benchmarks:
+    for bench in fast_settings.benchmarks:
         if bench not in runnable:
             result.notes.append(
                 f"{short_name(bench)}: skipped (recorded traces replay "
                 "on the fast engine only)")
-    prefetch(((bench, default_config(addressing))
-              for bench in runnable
-              for addressing in (CacheAddressing.VIPT,
-                                 CacheAddressing.VIVT)), fast_settings)
     for bench in runnable:
-        workload = resolve(bench)
-        for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT):
-            config = default_config(addressing)
-            fast = combined_run(bench, config, fast_settings)
-            for scheme in (SchemeName.BASE, SchemeName.IA):
-                program = workload.link(
-                    page_bytes=config.mem.page_bytes,
-                    instrumented=scheme.needs_instrumented_binary)
-                engine = OutOfOrderEngine(program, config, scheme=scheme)
-                ooo = attach_energy(engine.run(instructions, warmup=warmup))
+        for addressing in _ADDRESSINGS:
+            fast = combined_run(bench, default_config(addressing),
+                                fast_settings)
+            for scheme in _SCHEMES:
+                ooo = stored(_ooo_spec(bench, addressing, scheme,
+                                       fast_settings))
                 fast_scheme = fast.scheme(scheme)
-                ooo_scheme = ooo.schemes[scheme]
+                ooo_scheme = ooo.scheme(scheme)
                 fast_cycles = fast_scheme.cycles
                 ooo_cycles = ooo_scheme.cycles
                 fast_lookups = fast_scheme.lookups
@@ -107,3 +126,6 @@ def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         "fetches — and translates — down mispredicted paths); cycle "
         "ratios within ~0.75-1.3 validate the list-scheduling timing model")
     return result
+
+
+run = planned(cells, build)

@@ -53,11 +53,15 @@ def plan_units(specs: Sequence[JobSpec]) -> List["GridSpec"]:
     every other spec becomes a one-member pass.  Units are ordered by
     the first appearance of their (workload, page size), so the units
     that link the same two binaries run back to back and share them
-    (see :func:`repro.workloads.synthetic.link_slot`); within one
-    (workload, page size), units keep first-appearance order, and
-    members input order.  :func:`expand_units` of the result therefore
-    lists every input spec once but not always in input order: the
-    sweep answers by key, not by position.
+    (see :func:`repro.workloads.synthetic.link_slot`).  Within one
+    (workload, page size), the largest ``instructions + warmup`` runs
+    first, so each binary's memoized stream is built once and the
+    shorter windows replay a prefix of it
+    (:meth:`~repro.isa.program.Program.window_source`); equal windows
+    keep first-appearance order, and members input order.
+    :func:`expand_units` of the result therefore lists every input spec
+    once but not always in input order: the sweep answers by key, not
+    by position.
     """
     binaries: Dict[tuple, Dict[tuple, List[JobSpec]]] = {}
     for position, spec in enumerate(specs):
@@ -73,7 +77,14 @@ def plan_units(specs: Sequence[JobSpec]) -> List["GridSpec"]:
             (spec.workload, spec.config.mem.page_bytes), {})
         groups.setdefault(group_key, []).append(spec)
     return [GridSpec(members=tuple(members))
-            for groups in binaries.values() for members in groups.values()]
+            for groups in binaries.values()
+            for members in sorted(groups.values(), key=_budget_first)]
+
+
+def _budget_first(members: List[JobSpec]) -> int:
+    """Sort key putting the longest window of a binary pair first (the
+    sort is stable, so equal windows keep their order)."""
+    return -(members[0].instructions + members[0].warmup)
 
 
 def expand_units(units: Sequence["GridSpec"]) -> List[JobSpec]:

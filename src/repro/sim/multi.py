@@ -161,28 +161,37 @@ def run_all_schemes_grid(
     bit-identical to a one-member call for its config — including the
     instrumented-aliases-plain object identity when no instrumented
     scheme is requested.
+
+    The detailed engine runs one scheme per pass, so an ``"ooo"`` run
+    gets no Base rider, and one over instrumented schemes only skips the
+    plain pass: its ``plain`` then aliases ``instrumented``.
     """
     selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
     plain_set = tuple(s for s in selected if not s.needs_instrumented_binary)
     instr_set = tuple(s for s in selected if s.needs_instrumented_binary)
     page_bytes = configs[0].mem.page_bytes if configs else 0
+    detailed = engine == "ooo"
 
-    plain_program = workload.link(page_bytes=page_bytes, instrumented=False)
-    plain_results = run_program_grid(
-        plain_program, configs, instructions=instructions, warmup=warmup,
-        schemes=plain_set or (SchemeName.BASE,), engine=engine)
+    plain_results = instr_results = None
+    if plain_set or not (detailed and instr_set):
+        plain_program = workload.link(page_bytes=page_bytes,
+                                      instrumented=False)
+        plain_results = run_program_grid(
+            plain_program, configs, instructions=instructions,
+            warmup=warmup, schemes=plain_set or (SchemeName.BASE,),
+            engine=engine)
 
     if instr_set:
         instr_program = workload.link(page_bytes=page_bytes,
                                       instrumented=True)
         # Base rides along on the instrumented binary purely as the
         # same-binary normalization reference (see CombinedRun._base_for)
+        rider = () if detailed else (SchemeName.BASE,)
         instr_results = run_program_grid(
             instr_program, configs, instructions=instructions,
-            warmup=warmup, schemes=instr_set + (SchemeName.BASE,),
-            engine=engine)
-    else:
-        instr_results = plain_results
+            warmup=warmup, schemes=instr_set + rider, engine=engine)
+    plain_results = plain_results or instr_results
+    instr_results = instr_results or plain_results
 
     return [
         CombinedRun(

@@ -36,6 +36,7 @@ from repro.telemetry.core import (
     emit,
     enabled,
     level_name,
+    listen,
     span,
 )
 from repro.telemetry.metrics import (
@@ -64,6 +65,7 @@ __all__ = [
     "emit",
     "enabled",
     "level_name",
+    "listen",
     "note_decode",
     "note_engine",
     "note_stream_window",

@@ -37,7 +37,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, TextIO
+from typing import Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 
 #: accepted ``--log-level`` spellings, quietest first
 LEVELS = ("off", "error", "info", "debug")
@@ -53,6 +53,8 @@ _level: int = 0  # off
 _sink: Optional[TextIO] = None  # owned file handle (None: stderr)
 _sink_path: Optional[str] = None
 _counters: Dict[str, int] = {}
+#: in-process listeners (see :func:`listen`): (level number, callback)
+_listeners: List[Tuple[int, Callable[[dict], None]]] = []
 
 
 def level_name() -> str:
@@ -141,17 +143,24 @@ def _clean(value):
 
 
 def emit(event: str, level: str = "info", **fields) -> None:
-    """Write one structured event (a no-op below the configured level).
+    """Write one structured event (a no-op below the configured level
+    when no :func:`listen` block wants it).
 
     Every event line carries ``ts`` (unix seconds), ``pid``, ``event``,
     and the caller's fields.  A failing sink (disk full, closed stderr)
     is swallowed: telemetry must never take a run down with it.
     """
-    if _level < _LEVEL_NUM.get(level, 2):
+    wanted = _LEVEL_NUM.get(level, 2)
+    if _level < wanted and not _listeners:
         return
     record = {"ts": round(time.time(), 6), "pid": os.getpid(),
               "event": event}
     record.update(fields)
+    for floor, callback in _listeners:
+        if floor >= wanted:
+            callback(record)
+    if _level < wanted:
+        return
     try:
         line = json.dumps(_clean(record), allow_nan=False,
                           separators=(",", ":"))
@@ -160,6 +169,22 @@ def emit(event: str, level: str = "info", **fields) -> None:
         out.flush()
     except (OSError, ValueError, TypeError):
         pass
+
+
+@contextmanager
+def listen(callback: Callable[[dict], None],
+           level: str = "info") -> Iterator[None]:
+    """Hand every event at ``level`` or louder that this process emits
+    inside the block to ``callback`` (the record a sink would get),
+    whatever the configured level — how in-process code reacts to
+    events without reading a log (the CLI's report progress lines).
+    Unlike a sink, a listener that raises propagates to the emitter."""
+    entry = (_LEVEL_NUM[level], callback)
+    _listeners.append(entry)
+    try:
+        yield
+    finally:
+        _listeners.remove(entry)
 
 
 def count(name: str, value: int = 1) -> None:

@@ -26,6 +26,7 @@ from typing import Dict, Optional
 from repro.config import MachineConfig, SchemeName, default_config
 from repro.cpu.fast import FastEngine
 from repro.isa.instructions import InstrKind
+from repro.isa.program import Program
 from repro.trace.format import committed_steps
 from repro.workloads.spec2000 import PAPER_REFERENCE, PaperRow
 from repro.workloads.synthetic import SyntheticWorkload
@@ -77,8 +78,9 @@ def measure_characteristics(
 
     # dynamic analyzable / in-page statistics need a per-kind breakdown of
     # the committed stream; re-derive them with a dedicated counting pass
-    analyzable, in_page, total = _dynamic_branch_classes(
-        workload, config, instructions=instructions, warmup=warmup)
+    # (over the stream the engine pass memoized on the program)
+    analyzable, in_page, total = dynamic_branch_classes(
+        program, instructions=instructions, warmup=warmup)
 
     crossings = shared.page_crossings
     return WorkloadCharacteristics(
@@ -98,13 +100,12 @@ def measure_characteristics(
     )
 
 
-def _dynamic_branch_classes(workload: SyntheticWorkload,
-                            config: MachineConfig, *, instructions: int,
-                            warmup: int) -> tuple[int, int, int]:
+def dynamic_branch_classes(program: Program, *, instructions: int,
+                           warmup: int) -> tuple[int, int, int]:
     """Count (analyzable, analyzable-and-in-page, total) over the dynamic
-    control instructions of the committed stream — Table 4's dynamic half."""
-    program = workload.link(page_bytes=config.mem.page_bytes)
-    page_bytes = config.mem.page_bytes
+    control instructions of ``program``'s committed stream — Table 4's
+    dynamic half."""
+    page_bytes = program.page_bytes
     analyzable = in_page = total = 0
     # the program's committed stream (recorded, for a replayed trace)
     for instr, _ in committed_steps(program, warmup, instructions):

@@ -31,7 +31,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import cycle
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.isa.assembler import Assembler, DataItem, Module, SymInstr, link
 from repro.isa.program import DATA_BASE, Program, TEXT_BASE
@@ -151,6 +151,10 @@ class WorkloadProfile:
     fp_frac: float = 0.08
 
 
+#: what :func:`link_slot` calls with a pair it is about to drop
+ReleaseHook = Callable[["SyntheticWorkload", int, Dict[bool, Program]], None]
+
+
 class _LinkSlot:
     """The plain and instrumented binary of one (workload, page size).
 
@@ -158,12 +162,19 @@ class _LinkSlot:
     under the same name is a new object and can never be served the old
     image."""
 
-    __slots__ = ("workload", "page_bytes", "programs")
+    __slots__ = ("workload", "page_bytes", "programs", "on_release")
 
-    def __init__(self) -> None:
+    def __init__(self, on_release: Optional[ReleaseHook] = None) -> None:
         self.workload: Optional["SyntheticWorkload"] = None
         self.page_bytes = 0
         self.programs: Dict[bool, Program] = {}
+        self.on_release = on_release
+
+    def release(self) -> None:
+        """Drop the held pair, first handing it to ``on_release``."""
+        if self.programs and self.on_release is not None:
+            self.on_release(self.workload, self.page_bytes, self.programs)
+        self.programs.clear()
 
 
 #: each thread's open link slot (``slot`` is ``None`` outside
@@ -173,7 +184,7 @@ _local = threading.local()
 
 
 @contextmanager
-def link_slot() -> Iterator[None]:
+def link_slot(on_release: Optional[ReleaseHook] = None) -> Iterator[None]:
     """Serve :meth:`SyntheticWorkload.link` from a one-pair slot while
     the block runs.
 
@@ -183,13 +194,24 @@ def link_slot() -> Iterator[None]:
     what one job holds anyway.  The slot is dropped on exit, so nothing
     linked inside outlives the block.  A block nested in an open one
     shares the open slot; the slot belongs to the thread that opened
-    it."""
+    it.
+
+    ``on_release(workload, page_bytes, programs)`` runs each time the
+    slot is about to drop a pair — for another pair, or when the block
+    ends without an error — while ``programs`` (``{instrumented:
+    Program}``) still holds that pair's binaries and their memoized
+    streams: the way to do extra work on every image the block links
+    without linking it again.  Only the outermost block may pass one."""
     if getattr(_local, "slot", None) is not None:
+        if on_release is not None:
+            raise RuntimeError("a nested link_slot shares the open "
+                               "slot and cannot add a release hook")
         yield
         return
-    _local.slot = _LinkSlot()
+    slot = _local.slot = _LinkSlot(on_release)
     try:
         yield
+        slot.release()
     finally:
         _local.slot = None
 
@@ -213,7 +235,7 @@ class SyntheticWorkload:
         if slot is None:
             return self._link(page_bytes, instrumented)
         if slot.workload is not self or slot.page_bytes != page_bytes:
-            slot.programs.clear()  # before linking: one pair at a time
+            slot.release()  # before linking: one pair at a time
             slot.workload = self
             slot.page_bytes = page_bytes
         program = slot.programs.get(instrumented)

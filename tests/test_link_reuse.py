@@ -108,6 +108,31 @@ class TestSweepSharesLinks:
         assert [ref for ref in programs if ref() is not None] == []
 
 
+    def test_longest_window_first_builds_each_stream_once(
+            self, monkeypatch):
+        """Two windows on one stand-in: the longer one runs first, so
+        each binary executes functionally once and the shorter window
+        replays a prefix of its stream."""
+        from repro.cpu import functional
+        builds = []
+        original = functional.committed_stream
+
+        def counting(program, budget):
+            builds.append((program.instrumented, budget))
+            return original(program, budget)
+
+        monkeypatch.setattr(functional, "committed_stream", counting)
+        specs = [JobSpec(workload="177.mesa", config=default_config(),
+                         instructions=instructions, warmup=1000)
+                 for instructions in (4000, 5000)]
+        together = SweepRunner(store=ResultStore()).run(specs)
+        assert sorted(builds) == [(False, 6000), (True, 6000)]
+        for spec, result in zip(specs, together):
+            (alone,) = SweepRunner(store=ResultStore()).run([spec])
+            assert result.spec.key == spec.key
+            assert result.run.to_dict() == alone.run.to_dict()
+
+
 class TestOutsideASweep:
     def test_link_returns_a_fresh_program(self):
         workload = registry.resolve("177.mesa")
@@ -122,6 +147,29 @@ class TestOutsideASweep:
             inside = workload.link(instrumented=True)
             assert workload.link(instrumented=True) is inside
         assert workload.link(instrumented=True) is not inside
+
+    def test_release_hook_sees_each_pair_before_it_is_dropped(self):
+        mesa = registry.resolve("177.mesa")
+        gap = registry.resolve("254.gap")
+        released = []
+
+        def on_release(workload, page_bytes, programs):
+            released.append((workload, page_bytes, dict(programs)))
+
+        with link_slot(on_release):
+            first = mesa.link()
+            instrumented = mesa.link(instrumented=True)
+            second = gap.link(page_bytes=8192)
+        assert [(w, p) for w, p, _ in released] \
+            == [(mesa, 4096), (gap, 8192)]
+        assert released[0][2] == {False: first, True: instrumented}
+        assert released[1][2] == {False: second}
+
+    def test_nested_slot_cannot_add_a_hook(self):
+        with link_slot():
+            with pytest.raises(RuntimeError, match="release hook"):
+                with link_slot(lambda *args: None):
+                    pass
 
     def test_slot_belongs_to_the_thread_that_opened_it(self):
         """A queue worker thread running beside an open sweep links its
