@@ -107,6 +107,10 @@ def _page_config(page_bytes: int):
     return default_config(CacheAddressing.VIPT).with_page_bytes(page_bytes)
 
 
+def _sizes_for(settings: ExperimentSettings) -> dict:
+    return {bench: _replayable_sizes(bench) for bench in settings.benchmarks}
+
+
 def _page_points(settings: ExperimentSettings, sizes_for: dict) -> list:
     """The (benchmark, page size) points each workload can simulate."""
     return [(bench, page_bytes)
@@ -116,15 +120,13 @@ def _page_points(settings: ExperimentSettings, sizes_for: dict) -> list:
 
 
 def page_size_cells(settings: ExperimentSettings) -> List[Cell]:
-    sizes_for = {bench: _replayable_sizes(bench)
-                 for bench in settings.benchmarks}
+    points = _page_points(settings, _sizes_for(settings))
     return [job_for(bench, _page_config(page_bytes), settings)
-            for bench, page_bytes in _page_points(settings, sizes_for)]
+            for bench, page_bytes in points]
 
 
 def build_page_size(settings: ExperimentSettings) -> TableResult:
-    sizes_for = {bench: _replayable_sizes(bench)
-                 for bench in settings.benchmarks}
+    sizes_for = _sizes_for(settings)
     result = TableResult(
         experiment_id="Sensitivity (page size)",
         title="IA and OPT (VI-PT) across page sizes",

@@ -41,8 +41,7 @@ def _fast_settings(settings: ExperimentSettings) -> ExperimentSettings:
     return ExperimentSettings(instructions=max(settings.instructions // 4,
                                                5_000),
                               warmup=max(settings.warmup // 4, 1_000),
-                              benchmarks=settings.benchmarks[:2],
-                              workers=settings.workers)
+                              benchmarks=settings.benchmarks[:2])
 
 
 def _skip_for_ooo(bench: str) -> bool:

@@ -162,9 +162,9 @@ def run_all_schemes_grid(
     instrumented-aliases-plain object identity when no instrumented
     scheme is requested.
 
-    The detailed engine runs one scheme per pass, so an ``"ooo"`` run
-    gets no Base rider, and one over instrumented schemes only skips the
-    plain pass: its ``plain`` then aliases ``instrumented``.
+    The detailed engine runs one scheme per pass: an ``"ooo"`` run gets
+    no Base rider, and one that selects only instrumented schemes runs
+    no plain pass (its ``plain`` then aliases ``instrumented``).
     """
     selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
     plain_set = tuple(s for s in selected if not s.needs_instrumented_binary)
