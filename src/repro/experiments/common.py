@@ -175,9 +175,11 @@ def answer(cells: Iterable[Cell],
     store, every :class:`ImageProbe` inside that sweep's link slot.
 
     A probe runs when the slot drops its image, so it reads the binary
-    and the memoized stream the sweep's jobs used.  A probe whose image
-    the sweep never linked in this process (all its jobs were store
-    hits, or ran in worker processes) links it afterwards, through the
+    and the memoized stream the sweep's jobs used; the serial backend
+    drops a pair between units, so probe time falls in no job's
+    metrics window.  A probe whose image the sweep never linked in this
+    process (all its jobs were store hits, or ran in worker processes,
+    which do not inherit the hook) links it afterwards, through the
     same slot.  A failed job or probe raises :class:`SimulationError`
     after the sweep — experiments cannot proceed without it.  Returns
     the runner, whose ``last_stats`` describe the sweep.

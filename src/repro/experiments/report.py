@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import time
-from contextlib import ExitStack
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -86,22 +86,14 @@ def _plan(experiments: Sequence[Tuple[str, Callable[..., TableResult]]],
           verbose: bool) -> List[TableResult]:
     """Answer every cell of ``experiments`` in one sweep, then build
     each table in order."""
-    with ExitStack() as stack:
-        if verbose:
-            stack.enter_context(telemetry.listen(print_progress))
-        sweeps = []
-
-        def count_sweep(record: dict) -> None:
-            if record["event"] == "sweep.start":
-                sweeps.append(record)
-
-        stack.enter_context(telemetry.listen(count_sweep))
+    with telemetry.listen(print_progress) if verbose else nullcontext():
         started = time.perf_counter()
         cells = [cell for name, _ in experiments
                  for cell in MODULES[name].cells(settings)]
         stats = answer(cells, settings).last_stats
+        # answer() is one SweepRunner.run, so a plan is always one sweep
         telemetry.emit("report.plan", experiments=len(experiments),
-                       sweeps=len(sweeps), jobs=stats.jobs,
+                       sweeps=1, jobs=stats.jobs,
                        cached=stats.cached, simulated=stats.simulated,
                        grids=stats.grids, grid_members=stats.grid_members,
                        probes=sum(isinstance(cell, ImageProbe)
@@ -124,11 +116,12 @@ def run_all(settings: Optional[ExperimentSettings] = None,
 
 
 def run_experiment(name: str,
-                   settings: Optional[ExperimentSettings] = None,
-                   verbose: bool = False) -> TableResult:
-    """One experiment, planned the way :func:`run_all` plans them all."""
+                   settings: Optional[ExperimentSettings] = None
+                   ) -> TableResult:
+    """One experiment, planned the way :func:`run_all` plans them all
+    (silently: ``repro experiment`` prints only the table)."""
     (result,) = _plan([(name, EXPERIMENT_BY_NAME[name])],
-                      settings or default_settings(), verbose)
+                      settings or default_settings(), verbose=False)
     return result
 
 

@@ -16,6 +16,7 @@ from repro.runner.backends.base import (
     execute_grid,
 )
 from repro.runner.gridspec import GridSpec
+from repro.workloads.synthetic import release_link_slot
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runner.sweep import SweepRunner, SweepStats
@@ -32,9 +33,14 @@ class SerialBackend(ExecutionBackend):
         done: List[Outcome] = []
         finished: List = []  # member specs matching `done`, for ^C
         try:
-            for unit in queue:
+            for unit, following in zip(queue, queue[1:] + [None]):
                 done.extend(execute_grid(unit))
                 finished.extend(unit.members)
+                if following is not None and following.binary != unit.binary:
+                    # the next unit links another pair: drop this one
+                    # now, so a release hook's work is charged to no
+                    # unit's metrics window
+                    release_link_slot()
         except KeyboardInterrupt:
             # execute_grid captures Exception only, so ^C lands here;
             # hand the finished prefix to the runner for persistence (a

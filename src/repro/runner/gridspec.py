@@ -139,6 +139,12 @@ class GridSpec:
     def workload(self) -> str:
         return self.members[0].workload
 
+    @property
+    def binary(self) -> Tuple[str, int]:
+        """The (workload, page size) whose binaries the pass links —
+        what :func:`plan_units` groups units by."""
+        return self.workload, self.members[0].config.mem.page_bytes
+
     def describe(self) -> str:
         anchor = self.members[0]
         if len(self.members) == 1:

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import MachineConfig, SchemeName
 from repro.cpu.results import EngineResult, SchemeResult, SharedStats
+from repro.errors import SimulationError
 from repro.sim.simulator import run_program_grid
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -25,7 +26,14 @@ INSTRUMENTED_SCHEMES = (SchemeName.SOCA, SchemeName.SOLA, SchemeName.IA)
 
 @dataclass
 class CombinedRun:
-    """Merged view over the plain-binary and instrumented-binary passes."""
+    """Merged view over the plain-binary and instrumented-binary passes.
+
+    A run that needed one binary holds one pass under both names: with
+    no instrumented scheme, ``instrumented`` is ``plain``; a detailed
+    (``"ooo"``) run of instrumented schemes only has no plain binary,
+    so ``plain`` is the instrumented pass, :attr:`shared` refuses, and
+    only :meth:`scheme` reads are meaningful (there is no Base to
+    normalize against)."""
 
     workload_name: str
     config: MachineConfig
@@ -51,7 +59,14 @@ class CombinedRun:
     @property
     def shared(self) -> SharedStats:
         """Scheme-independent statistics (from the plain pass, matching
-        the paper's Table 2 which characterizes the original binaries)."""
+        the paper's Table 2 which characterizes the original binaries).
+        Raises :class:`SimulationError` for a run without a plain
+        binary."""
+        if any(name.needs_instrumented_binary
+               for name in self.plain.schemes):
+            raise SimulationError(
+                f"{self.workload_name}: this run executed only the "
+                "instrumented binary; read instrumented.shared")
         return self.plain.shared
 
     @property

@@ -35,6 +35,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, TextIO, Tuple
@@ -53,8 +54,12 @@ _level: int = 0  # off
 _sink: Optional[TextIO] = None  # owned file handle (None: stderr)
 _sink_path: Optional[str] = None
 _counters: Dict[str, int] = {}
-#: in-process listeners (see :func:`listen`): (level number, callback)
+#: in-process listeners (see :func:`listen`): (thread ident, callback);
+#: a forked child starts with none
 _listeners: List[Tuple[int, Callable[[dict], None]]] = []
+os.register_at_fork(after_in_child=_listeners.clear)
+#: the quietest level a listener hears
+_LISTEN_FLOOR = _LEVEL_NUM["info"]
 
 
 def level_name() -> str:
@@ -156,9 +161,11 @@ def emit(event: str, level: str = "info", **fields) -> None:
     record = {"ts": round(time.time(), 6), "pid": os.getpid(),
               "event": event}
     record.update(fields)
-    for floor, callback in _listeners:
-        if floor >= wanted:
-            callback(record)
+    if _listeners and wanted <= _LISTEN_FLOOR:
+        thread = threading.get_ident()
+        for owner, callback in _listeners:
+            if owner == thread:
+                callback(record)
     if _level < wanted:
         return
     try:
@@ -172,14 +179,14 @@ def emit(event: str, level: str = "info", **fields) -> None:
 
 
 @contextmanager
-def listen(callback: Callable[[dict], None],
-           level: str = "info") -> Iterator[None]:
-    """Hand every event at ``level`` or louder that this process emits
-    inside the block to ``callback`` (the record a sink would get),
-    whatever the configured level — how in-process code reacts to
-    events without reading a log (the CLI's report progress lines).
+def listen(callback: Callable[[dict], None]) -> Iterator[None]:
+    """Hand every ``info``-or-louder event this thread emits inside the
+    block to ``callback`` (the record a sink would get), whatever the
+    configured level — how in-process code reacts to events without
+    reading a log (the CLI's report progress lines).  Events of other
+    threads, such as a queue worker's beside a sweep, are not heard.
     Unlike a sink, a listener that raises propagates to the emitter."""
-    entry = (_LEVEL_NUM[level], callback)
+    entry = (threading.get_ident(), callback)
     _listeners.append(entry)
     try:
         yield

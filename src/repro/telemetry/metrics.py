@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -96,41 +97,44 @@ class JobMetrics:
                       if k in known and v is not None})
 
 
-#: the job currently collecting (None outside execute_grid)
-_current: Optional[JobMetrics] = None
+#: each thread's job currently collecting (``current`` is None outside
+#: execute_grid).  Per thread: queue worker threads beside a sweep run
+#: jobs of their own, and one process-wide slot let a thread that
+#: finished first restore a collector that another thread then leaked.
+_local = threading.local()
 
 
 def active() -> Optional[JobMetrics]:
-    """The open collector, if a job is executing."""
-    return _current
+    """This thread's open collector, if a job is executing."""
+    return getattr(_local, "current", None)
 
 
 @contextmanager
 def collect(workload: str = "") -> Iterator[JobMetrics]:
-    """Open a fresh collector as the process's current job; restores
+    """Open a fresh collector as this thread's current job; restores
     the previous one on exit (nesting is harmless — the inner job
     simply shadows the outer, as when a test drives a job inside a
     job)."""
-    global _current
-    previous = _current
+    previous = active()
     metrics = JobMetrics(workload=workload, started_at=time.time())
-    _current = metrics
+    _local.current = metrics
     try:
         yield metrics
     finally:
-        _current = previous
+        _local.current = previous
 
 
 def note_decode(seconds: float, *, cached: bool) -> None:
     """Report one trace resolution into the current job (no-op when no
     job is collecting)."""
-    if _current is None:
+    current = active()
+    if current is None:
         return
     if cached:
-        _current.decode_cached += 1
+        current.decode_cached += 1
     else:
-        _current.decode_cold += 1
-        _current.decode_seconds += seconds
+        current.decode_cold += 1
+        current.decode_seconds += seconds
 
 
 def note_stream_window(nbytes: int, seconds: float) -> None:
@@ -138,22 +142,24 @@ def note_stream_window(nbytes: int, seconds: float) -> None:
     it, tracks the peak window size, and folds the parse time into
     ``decode_seconds`` (streamed traces decode *during* replay, but the
     time is still decode time)."""
-    if _current is None:
+    current = active()
+    if current is None:
         return
-    _current.stream_windows += 1
-    if nbytes > _current.stream_peak_bytes:
-        _current.stream_peak_bytes = nbytes
-    _current.decode_seconds += seconds
+    current.stream_windows += 1
+    if nbytes > current.stream_peak_bytes:
+        current.stream_peak_bytes = nbytes
+    current.decode_seconds += seconds
 
 
 def note_engine(engine: str, seconds: float, instructions: int) -> None:
     """Report one engine pass into the current job."""
-    if _current is None:
+    current = active()
+    if current is None:
         return
-    _current.engine = engine
-    _current.simulate_seconds += seconds
-    _current.passes += 1
-    _current.instructions += instructions
+    current.engine = engine
+    current.simulate_seconds += seconds
+    current.passes += 1
+    current.instructions += instructions
 
 
 def aggregate(all_metrics: Iterable[Optional[JobMetrics]],

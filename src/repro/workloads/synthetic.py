@@ -26,6 +26,7 @@ static call graph, which the code-layout extension
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 from contextlib import contextmanager
@@ -183,6 +184,27 @@ class _LinkSlot:
 _local = threading.local()
 
 
+def _forget_hook_in_child() -> None:
+    """A process forked inside an open slot (a pool worker) keeps the
+    slot but not its release hook: the hook's work belongs to the
+    process that opened the block, which would never see its results."""
+    slot = getattr(_local, "slot", None)
+    if slot is not None:
+        slot.on_release = None
+
+
+os.register_at_fork(after_in_child=_forget_hook_in_child)
+
+
+def release_link_slot() -> None:
+    """Drop the open slot's pair now (through its release hook), so
+    work the hook does happens here and not inside the next link.  A
+    no-op outside :func:`link_slot`."""
+    slot = getattr(_local, "slot", None)
+    if slot is not None:
+        slot.release()
+
+
 @contextmanager
 def link_slot(on_release: Optional[ReleaseHook] = None) -> Iterator[None]:
     """Serve :meth:`SyntheticWorkload.link` from a one-pair slot while
@@ -201,7 +223,8 @@ def link_slot(on_release: Optional[ReleaseHook] = None) -> Iterator[None]:
     ends without an error — while ``programs`` (``{instrumented:
     Program}``) still holds that pair's binaries and their memoized
     streams: the way to do extra work on every image the block links
-    without linking it again.  Only the outermost block may pass one."""
+    without linking it again.  Only the outermost block may pass one,
+    and only this process runs it: a forked child drops it."""
     if getattr(_local, "slot", None) is not None:
         if on_release is not None:
             raise RuntimeError("a nested link_slot shares the open "

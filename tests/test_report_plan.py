@@ -9,9 +9,13 @@ refuse to simulate a cell nobody declared.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import pytest
 
 from repro import telemetry
+from repro.cli import main
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.cpu import functional
 from repro.cpu.ooo import OutOfOrderEngine
@@ -25,6 +29,7 @@ from repro.experiments.report import (
     run_experiment,
 )
 from repro.runner import JobSpec, ResultStore, SweepRunner
+from repro.telemetry import metrics
 from repro.sim.simulator import attach_energy
 from repro.workloads import registry, synthetic
 
@@ -132,12 +137,76 @@ class TestOnePlan:
         assert result.to_markdown() \
             == EXPERIMENT_BY_NAME["table6"](SETTINGS).to_markdown()
 
-    def test_verbose_prints_progress_from_the_events(self, fresh_store,
-                                                     capsys):
-        run_experiment("table3", SETTINGS, verbose=True)
+    def test_report_prints_progress_from_the_events(self, fresh_store,
+                                                    tmp_path, capsys):
+        """``repro report``'s progress lines are its telemetry events;
+        ``repro experiment`` prints only the table."""
+        out_md = tmp_path / "EXPERIMENTS.md"
+        assert main(["report", "--instructions", "1500", "--warmup", "500",
+                     "--benchmarks", *SETTINGS.benchmarks,
+                     "--output", str(out_md)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("[plan] ") and "1 sweep(s)" in out[0]
-        assert out[1].startswith("[table3] done in ")
+        assert out[0].startswith("[plan] ") and "in 1 sweep(s)" in out[0]
+        assert [line.split("]")[0][1:] for line in out[1:-1]] \
+            == [name for name, _ in ALL_EXPERIMENTS]
+        assert out[-1] == f"wrote {out_md}"
+        assert main(["experiment", "table3", "--instructions", "1500",
+                     "--warmup", "500", "--benchmarks",
+                     *SETTINGS.benchmarks]) == 0
+        assert capsys.readouterr().out.startswith("Table 3: ")
+
+
+class TestProbes:
+    #: more images than pool workers, so some worker links two pairs
+    #: and its slot drops one
+    BENCHMARKS = ("177.mesa", "186.crafty", "254.gap", "255.vortex")
+
+    def _cells(self, log_path):
+        """A job and a probe of its image per stand-in; the probe logs
+        the process it ran in to ``log_path``."""
+        def measure(program, spec):
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {spec.workload}\n")
+            return metrics.active() is None
+
+        specs = [common.job_for(bench, default_config(), SETTINGS)
+                 for bench in self.BENCHMARKS]
+        return specs + [common.ImageProbe("test.log", spec, measure)
+                        for spec in specs]
+
+    @pytest.mark.parametrize("workers,backend", [(1, None), (2, "pool")])
+    def test_each_probe_runs_once_in_the_planning_process(
+            self, fresh_store, tmp_path, workers, backend):
+        """A pool worker forked inside the plan's slot never runs the
+        plan's probes, and no probe runs inside a job's metrics
+        window."""
+        log_path = tmp_path / "probes.log"
+        cells = self._cells(log_path)
+        settings = common.default_settings(
+            instructions=SETTINGS.instructions, warmup=SETTINGS.warmup,
+            benchmarks=self.BENCHMARKS, workers=workers, backend=backend)
+        common.answer(cells, settings)
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        assert sorted(lines) == sorted(f"{os.getpid()} {bench}"
+                                       for bench in self.BENCHMARKS)
+        assert all(common.probed(cell) for cell in cells
+                   if isinstance(cell, common.ImageProbe))
+
+
+class TestListen:
+    def test_hears_this_threads_info_events_only(self):
+        heard = []
+        with telemetry.listen(heard.append):
+            telemetry.emit("test.info")
+            telemetry.emit("test.error", level="error")
+            telemetry.emit("test.debug", level="debug")
+            thread = threading.Thread(
+                target=lambda: telemetry.emit("test.other"))
+            thread.start()
+            thread.join()
+        telemetry.emit("test.after")
+        assert [record["event"] for record in heard] \
+            == ["test.info", "test.error"]
 
 
 class TestBuildsOnlyRead:
@@ -175,4 +244,11 @@ class TestDetailedCells:
                                .run(1_200, warmup=300))
         assert result.run.scheme(scheme).to_dict() \
             == direct.schemes[scheme].to_dict()
+        # one pass under both names; only a plain-binary run has the
+        # original binary's shared statistics
         assert result.run.plain is result.run.instrumented
+        if scheme.needs_instrumented_binary:
+            with pytest.raises(SimulationError, match="instrumented"):
+                result.run.shared
+        else:
+            assert result.run.shared is result.run.plain.shared

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -248,6 +249,29 @@ class TestJobMetrics:
         assert metrics.simulate_seconds > 0.0
         assert metrics.total_seconds >= metrics.simulate_seconds
         assert metrics.instr_per_sec > 0.0
+
+    def test_each_thread_collects_its_own_job(self):
+        """Interleaved windows on two threads: each pass lands in its
+        own thread's job, and both threads leave no window open."""
+        entered, leave = threading.Event(), threading.Event()
+        seen = {}
+
+        def other():
+            with telemetry.collect(workload="other") as job:
+                entered.set()
+                leave.wait(5)
+                telemetry.note_engine("fast", 1.0, 10)
+            seen["other"] = job
+
+        thread = threading.Thread(target=other)
+        with telemetry.collect(workload="main") as job:
+            thread.start()
+            entered.wait(5)
+            telemetry.note_engine("fast", 2.0, 20)
+        leave.set()
+        thread.join()
+        assert telemetry.metrics.active() is None
+        assert (job.instructions, seen["other"].instructions) == (20, 10)
 
     def test_metrics_round_trip(self):
         metrics = JobMetrics(workload="w", engine="fast",
