@@ -51,7 +51,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig, TLBConfig, default_config
 from repro.sim.multi import run_all_schemes, run_all_schemes_grid
@@ -77,6 +77,11 @@ MESA = "177.mesa"
 
 #: iTLB geometries the ``grid`` view sweeps (fully associative entries)
 GRID_POINTS = (1, 2, 4, 8, 16, 32)
+
+#: how far a view's ratio may fall below the previous report's before
+#: :func:`compare_reports` calls it a regression.  Ratios, not instr/s,
+#: are compared, so the speed of the host cancels out.
+RATIO_DROP_LIMIT = 0.15
 
 
 @dataclass
@@ -315,3 +320,28 @@ def run_bench(*, workloads: Sequence[str] = DEFAULT_WORKLOADS,
         "results": [r.to_dict() for r in records],
         "speedups": speedups(records),
     }
+
+
+def compare_reports(current: dict, previous: dict
+                    ) -> Tuple[List[str], List[str]]:
+    """Each view's ratio change from ``previous`` to ``current`` (two
+    ``repro bench`` payloads at the same window), over the workloads and
+    views both hold.
+
+    Returns ``(lines, regressions)``: one printable line per view, and
+    the lines whose ratio fell more than :data:`RATIO_DROP_LIMIT` below
+    the previous one."""
+    lines: List[str] = []
+    regressions: List[str] = []
+    for workload in sorted(set(current["speedups"])
+                           & set(previous["speedups"])):
+        now = current["speedups"][workload]
+        before = previous["speedups"][workload]
+        for view in sorted(set(now) & set(before)):
+            change = now[view] / before[view] - 1.0
+            line = (f"{workload:24s} {view:6s} {before[view]:6.2f}x -> "
+                    f"{now[view]:6.2f}x ({change:+.0%})")
+            lines.append(line)
+            if change < -RATIO_DROP_LIMIT:
+                regressions.append(line)
+    return lines, regressions

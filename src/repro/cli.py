@@ -514,7 +514,13 @@ def _run_queue(args: argparse.Namespace) -> int:
 
 def _run_bench(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    from repro.bench import DEFAULT_WORKLOADS, MESA, run_bench
+    from repro.bench import (
+        DEFAULT_WORKLOADS,
+        MESA,
+        RATIO_DROP_LIMIT,
+        compare_reports,
+        run_bench,
+    )
 
     workloads = args.workloads
     if workloads is None:
@@ -532,6 +538,16 @@ def _run_bench(args: argparse.Namespace,
         3 if args.quick else 5)
     if repeats <= 0 or instructions <= 0 or warmup < 0:
         parser.error("--repeats/--instructions must be > 0, --warmup >= 0")
+    previous = None
+    if args.compare is not None:
+        with open(args.compare, encoding="utf-8") as fh:
+            previous = json.load(fh)
+        window = {"instructions": instructions, "warmup": warmup}
+        if previous.get("window") != window:
+            # refused before any benching: the ratios would not compare
+            parser.error(f"--compare {args.compare} was taken at window "
+                         f"{previous.get('window')}, this run is at "
+                         f"{window}")
 
     payload = run_bench(workloads=workloads, instructions=instructions,
                         warmup=warmup, repeats=repeats,
@@ -543,6 +559,17 @@ def _run_bench(args: argparse.Namespace,
         views = "  ".join(f"{mode} {ratio:.2f}x"
                           for mode, ratio in sorted(entry.items()))
         print(f"  {workload:24s} {views}")
+    if previous is None:
+        return 0
+    lines, regressions = compare_reports(payload, previous)
+    print(f"\nratio change from {args.compare}:")
+    for line in lines:
+        print(f"  {line}")
+    if regressions:
+        print(f"{len(regressions)} view(s) fell more than "
+              f"{RATIO_DROP_LIMIT:.0%} below {args.compare}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -892,9 +919,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench",
         help="measure fast-engine replay throughput and write "
              "BENCH_<n>.json (see docs/performance.md)")
-    p_bench.add_argument("-o", "--output", default="BENCH_13.json",
-                         help="JSON report to write "
-                              "(default: BENCH_13.json)")
+    p_bench.add_argument("-o", "--output", required=True,
+                         help="JSON report to write (required, so a bare "
+                              "run never overwrites a committed "
+                              "BENCH_<n>.json)")
+    p_bench.add_argument("--compare", default=None, metavar="PREVIOUS",
+                         help="a previous report at the same window: "
+                              "print each view's ratio change and exit "
+                              "1 if a ratio fell more than 15%% below it")
     p_bench.add_argument("--quick", action="store_true",
                          help="mesa only, smaller window, fewer repeats "
                               "(the CI smoke configuration)")

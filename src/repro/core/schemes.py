@@ -27,12 +27,23 @@ iTLB is not looked up until an iL1 miss").  Policies are constructed with
 
 Every policy owns a private iTLB instance: lookup *streams* differ across
 schemes, so TLB contents, hit rates, and miss penalties must too.
+
+Decide once, translate anywhere: no decision reads whether a lookup hit
+(the CFR and coverage state change the same way on a hit or a miss), so
+where a lookup's translation happens is the engine's choice.  By default
+:meth:`ITLBPolicy.lookup` translates inline through the policy's iTLB
+(the out-of-order engine charges the latency at the real pipeline
+point).  An engine that sets :attr:`ITLBPolicy.column` instead gets the
+looked-up VPNs appended there in order, and replays the column through
+as many iTLBs as it likes afterwards (the fast engine: one per grid
+member).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, List, Optional, Tuple
 
@@ -40,7 +51,7 @@ from repro.branch.predictor import BranchOutcome
 from repro.config import MachineConfig, SchemeName
 from repro.core.cfr import CFR
 from repro.vm.page_table import PageTable, Protection
-from repro.vm.tlb import TLB, TwoLevelTLB, build_itlb
+from repro.vm.tlb import TwoLevelTLB, build_itlb
 
 
 class LookupReason(IntEnum):
@@ -107,6 +118,11 @@ class ITLBPolicy:
         #: (set by the engine: 1 for PI-PT fetches and VI-VT miss-path
         #: lookups, 0 when the lookup is parallel as in VI-PT)
         self.serial_penalty = 0
+        #: where lookups go (set by the engine): None translates inline
+        #: through :attr:`itlb`; a column collects the looked-up VPNs
+        #: for the engine to replay, and ``misses``/``l2_probes`` and
+        #: the miss latency are then the replaying iTLB's to count
+        self.column: Optional[array] = None
 
     # -- core operations -----------------------------------------------------
 
@@ -116,13 +132,21 @@ class ITLBPolicy:
 
     def lookup(self, vpn: int, reason: LookupReason) -> int:
         """Perform the iTLB lookup, refresh the CFR, and return the extra
-        latency this lookup exposes (0 for a level-1 hit)."""
+        latency this lookup exposes (0 for a level-1 hit, and 0 when the
+        lookup goes to :attr:`column`: its latency is the replay's)."""
         counters = self.counters
         counters.lookups += 1
         if reason is LookupReason.BOUNDARY:
             counters.boundary_lookups += 1
         else:
             counters.branch_lookups += 1
+        column = self.column
+        if column is not None:
+            column.append(vpn)
+            # the frame the replay's refill will read: code pages are
+            # premapped and never move
+            self._refresh_cfr(vpn, self.page_table.lookup(vpn).pfn)
+            return 0
         extra = 0
         itlb = self.itlb
         if self._two_level:
@@ -202,22 +226,11 @@ class ITLBPolicy:
     def note_repeat_hits(self, count: int) -> None:
         """Record ``count`` additional lookups that were guaranteed hits on
         the entry touched by the previous structural lookup (Base's
-        same-page re-lookups).  Counter-only: repeated touches of one
-        entry are idempotent for LRU state and cannot miss, so the
-        structures are not walked."""
-        if count <= 0:
-            return
+        same-page re-lookups).  Decision side only: the iTLB that
+        translated the previous lookup counts the hits itself
+        (:meth:`~repro.vm.tlb.TLB.repeat_hits`)."""
         self.counters.lookups += count
         self.counters.branch_lookups += count
-        itlb = self.itlb
-        if isinstance(itlb, TwoLevelTLB):
-            itlb.stats.accesses += count
-            itlb.stats.hits += count
-            itlb.level1.stats.accesses += count
-            itlb.level1.stats.hits += count
-        else:
-            itlb.stats.accesses += count
-            itlb.stats.hits += count
 
     def note_fetches(self, count: int) -> None:
         """Per-fetch bookkeeping applied in bulk: CFR frame reads for

@@ -7,14 +7,16 @@ predictor, schemes):
   program's committed stream as flat-array columns
   (:class:`~repro.trace.format.SegmentColumns`), evaluates **all iTLB
   schemes side by side**, and models timing with a dependency-aware
-  list-scheduling approximation of the Table 1 core.  Live programs and
-  trace replays run through its one loop; this is what the experiment
-  harness sweeps run on.
-* :mod:`repro.cpu.grid` — the fast engine scoring N machine
-  configurations (iTLB geometry, energy) in one shared pass.  Every
-  fast-engine simulation runs as such a pass
-  (:func:`~repro.sim.simulator.run_program_grid`); a single
-  configuration is a one-member grid.
+  list-scheduling approximation of the Table 1 core.  It scores N
+  machine configurations (iTLB geometry, energy) in one shared pass:
+  one set of scheme decisions, each scheme's lookups replayed through
+  every member's own iTLB.  Live programs and trace replays run through
+  its one loop; every fast-engine simulation is such a pass
+  (:func:`~repro.sim.simulator.run_program_grid`), a single
+  configuration a one-member grid.
+* :mod:`repro.cpu.grid` — which configurations may share a pass
+  (:func:`~repro.cpu.grid.check_grid_configs`) and the planner's group
+  key (:func:`~repro.cpu.grid.grid_invariants_key`).
 * :mod:`repro.cpu.ooo` — a cycle-driven out-of-order model of the Table 1
   core (RUU + LSQ, 4-wide, speculative wrong-path fetch with squash) for
   one configuration and one scheme at a time.  Slower; used for

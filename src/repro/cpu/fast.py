@@ -7,8 +7,13 @@ Two observations from the paper make this engine possible:
    behaviour, and dTLB behaviour can be simulated **once** and shared by
    every scheme;
 2. each scheme's lookup decisions depend only on that shared stream plus
-   its private CFR/iTLB state — so six small policy state machines can ride
-   along on a single pass.
+   its private CFR state, never on whether a lookup hit — so six small
+   policy state machines can ride along on a single pass, and decide
+   **once** for every config in a grid whose members differ only in
+   iTLB geometry or energy accounting.  A lookup appends its VPN to the
+   scheme's column; at every window boundary each member replays the
+   columns through its own iTLBs (:class:`_MemberITLB`), which is all
+   that multiplies per member.
 
 The same observation makes a program's committed stream pure data: it
 depends only on the program (binary and page size) and the window.  So
@@ -40,7 +45,9 @@ the detailed out-of-order engine (see ``benchmarks/test_validation.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import dataclasses
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.branch.predictor import FrontEndPredictor
 from repro.config import CacheAddressing, MachineConfig, SchemeName
@@ -50,6 +57,7 @@ from repro.core.schemes import (
     SchemeCounters,
     build_all_policies,
 )
+from repro.cpu.grid import check_grid_configs
 from repro.cpu.results import EngineResult, SchemeResult, SharedStats
 from repro.errors import ConfigError
 from repro.isa.program import Program
@@ -63,17 +71,78 @@ from repro.trace.format import (
     trace_exhausted,
 )
 from repro.vm.os_model import AddressSpace
-from repro.vm.page_table import Protection
-from repro.vm.tlb import TLB
+from repro.vm.page_table import PageTable, Protection
+from repro.vm.tlb import TLB, TwoLevelTLB, build_itlb
 
 _FRONT_DEPTH = 3  #: fetch-queue + decode/dispatch depth in cycles
 
 
-class FastEngine:
-    """Single-pass multi-scheme simulator."""
+class _MemberITLB:
+    """One grid member's iTLB for one scheme.
 
-    def __init__(self, program: Program, config: MachineConfig,
+    The pass's one policy per scheme decides when to look up; this
+    replays that policy's lookup column through the member's own
+    geometry and keeps what depends on it: misses, level-2 probes, the
+    exposed miss latency and the iTLB statistics."""
+
+    __slots__ = ("itlb", "miss_penalty", "misses", "l2_probes", "latency")
+
+    def __init__(self, config: MachineConfig, scheme: SchemeName) -> None:
+        self.itlb = build_itlb(config.itlb, config.itlb_two_level,
+                               name=f"itlb[{scheme.value}]")
+        self.miss_penalty = config.itlb.miss_penalty
+        self.reset()
+
+    def reset(self) -> None:
+        """Open the measurement window: counts and statistics to zero,
+        contents kept warm."""
+        self.misses = 0
+        self.l2_probes = 0
+        self.latency = 0
+        itlb = self.itlb
+        itlb.stats.reset()
+        if isinstance(itlb, TwoLevelTLB):
+            itlb.level1.stats.reset()
+            itlb.level2.stats.reset()
+
+    def replay(self, vpns: Iterable[int],
+               frames: Dict[int, Tuple[int, Protection]],
+               page_table: PageTable) -> None:
+        itlb = self.itlb
+        if isinstance(itlb, TwoLevelTLB):
+            # any access may probe level 2 (every access, in parallel
+            # mode), so the two levels translate entry by entry
+            misses = probes = latency = 0
+            translate = itlb.translate
+            for vpn in vpns:
+                if not translate(vpn, page_table)[1]:
+                    misses += 1
+                probes += itlb.last_probes[1]
+                latency += itlb.last_extra_latency
+            self.l2_probes += probes
+        else:
+            misses = itlb.replay(vpns, frames, page_table)
+            latency = 0
+        self.misses += misses
+        self.latency += latency + misses * self.miss_penalty
+
+
+class FastEngine:
+    """Single-pass multi-scheme simulator over one or more configs.
+
+    ``config`` is one machine configuration, or a grid's member list:
+    configs identical outside :data:`~repro.config.GRID_MEMBER_FIELDS`
+    (checked by :func:`~repro.cpu.grid.check_grid_configs`).  The first
+    member seeds the shared machinery and the one policy set;
+    :meth:`run_grid` returns one result per member, in order."""
+
+    def __init__(self, program: Program,
+                 config: Union[MachineConfig, Sequence[MachineConfig]],
                  schemes: Optional[Sequence[SchemeName]] = None) -> None:
+        members = ([config] if isinstance(config, MachineConfig)
+                   else list(config))
+        check_grid_configs(members)
+        config = members[0]
         self.program = program
         self.config = config
         self.addressing = config.mem.il1_addressing
@@ -81,19 +150,40 @@ class FastEngine:
         self.hier = MemoryHierarchy(config.mem)
         self.predictor = FrontEndPredictor(config.branch)
         self.dtlb = TLB(config.dtlb, name="dtlb")
-        self._defer_policies = self.addressing is CacheAddressing.VIVT
-        self._scheme_names = (tuple(schemes) if schemes is not None
-                              else tuple(SchemeName))
-        #: one entry per grid member; a plain run has exactly one.  All
-        #: members share the decoded stream, predictor, caches, and dTLB —
-        #: only the per-scheme iTLB/policy state is replicated, so the
-        #: flat ``policies`` list drives the hot loop unchanged.
-        self.member_configs: List[MachineConfig] = []
-        self._member_policies: List[List[ITLBPolicy]] = []
-        self.policies: List[ITLBPolicy] = []
-        self._base_policies: List[ITLBPolicy] = []
-        self._event_policies: List[ITLBPolicy] = []
-        self._install_member(config)
+
+        # one policy set decides for every member: no decision reads
+        # whether a lookup hit, so members that differ only in iTLB
+        # geometry make the same lookups.  Each lookup goes to its
+        # scheme's column, and every member replays the columns
+        # through its own iTLBs (:meth:`_replay_lookups`).
+        self.policies: List[ITLBPolicy] = build_all_policies(
+            config, self.space.page_table,
+            defer=self.addressing is CacheAddressing.VIVT,
+            names=None if schemes is None else tuple(schemes))
+        serial = self.addressing in (CacheAddressing.PIPT,
+                                     CacheAddressing.VIVT)
+        self._base: Optional[ITLBPolicy] = None
+        for policy in self.policies:
+            policy.serial_penalty = 1 if serial else 0
+            policy.column = array("q")
+            if policy.name is SchemeName.BASE:
+                self._base = policy
+        if self._base is not None and self.addressing is CacheAddressing.PIPT:
+            # Base PI-PT serializes a lookup before *every* fetch group;
+            # that stall is added in bulk per group, so per-lookup serial
+            # charging must be off to avoid double counting.
+            self._base.serial_penalty = 0
+        self._event_policies = [policy for policy in self.policies
+                                if policy is not self._base]
+        self.member_configs: List[MachineConfig] = members
+        #: per member, one replaying iTLB per policy (same order)
+        self._member_itlbs = [[_MemberITLB(member, policy.name)
+                               for policy in self.policies]
+                              for member in members]
+        #: code-page frames the fetch path and every member's refills
+        #: share (VPN -> (PFN, protection)), each page walked once:
+        #: code pages are premapped and never move
+        self._frames: Dict[int, Tuple[int, Protection]] = {}
 
         # shared counters (measurement window)
         self.shared = SharedStats()
@@ -157,35 +247,6 @@ class FastEngine:
         self._dl1_bulk_hits = 0
         self._base_structural = 0
 
-    # -- member management -------------------------------------------------------
-
-    def _install_member(self, config: MachineConfig) -> None:
-        """Attach one grid member: build its private policy set and splice
-        it into the flat lists the hot loop iterates.  Policy state is
-        strictly additive (each policy mutates only itself), so members
-        never perturb each other or the shared stream."""
-        member = build_all_policies(config, self.space.page_table,
-                                    defer=self._defer_policies,
-                                    names=self._scheme_names)
-        serial = self.addressing in (CacheAddressing.PIPT,
-                                     CacheAddressing.VIVT)
-        base: Optional[ITLBPolicy] = None
-        for policy in member:
-            policy.serial_penalty = 1 if serial else 0
-            if policy.name is SchemeName.BASE:
-                base = policy
-                self._base_policies.append(policy)
-            else:
-                self._event_policies.append(policy)
-        if base is not None and self.addressing is CacheAddressing.PIPT:
-            # Base PI-PT serializes a lookup before *every* fetch group;
-            # that stall is added in bulk per group, so per-lookup serial
-            # charging must be off to avoid double counting.
-            base.serial_penalty = 0
-        self.member_configs.append(config)
-        self._member_policies.append(member)
-        self.policies.extend(member)
-
     # -- public API ------------------------------------------------------------
 
     def run(self, instructions: int, warmup: int = 0) -> EngineResult:
@@ -232,10 +293,9 @@ class FastEngine:
         for policy in self.policies:
             policy.counters = SchemeCounters()
             policy.extra_cycles = 0
-            policy.itlb.stats.reset()
-            if hasattr(policy.itlb, "level1"):
-                policy.itlb.level1.stats.reset()
-                policy.itlb.level2.stats.reset()
+        for itlbs in self._member_itlbs:
+            for member in itlbs:
+                member.reset()
         self._base_structural = 0
         self._group_count = 0
 
@@ -264,23 +324,33 @@ class FastEngine:
         # same-page lookups
         for policy in self.policies:
             policy.note_fetches(shared.instructions)
-        if self.addressing is not CacheAddressing.VIVT:
+        base = self._base
+        if base is not None and self.addressing is not CacheAddressing.VIVT:
             repeats = shared.instructions - self._base_structural
-            for base in self._base_policies:
-                base.note_repeat_hits(repeats)
-                if self.addressing is CacheAddressing.PIPT:
-                    base.extra_cycles += shared.fetch_groups
+            base.note_repeat_hits(repeats)
+            # each repeat re-touches the entry the previous lookup left
+            # most recent, in every member's Base iTLB alike.  Known
+            # model gap, pinned as is: a two-level iTLB counts them as
+            # level-1 hits only, though a parallel design probes level 2
+            # on every access (TwoLevelTLB.repeat_hits)
+            slot = self.policies.index(base)
+            for itlbs in self._member_itlbs:
+                itlbs[slot].itlb.repeat_hits(repeats)
+            if self.addressing is CacheAddressing.PIPT:
+                base.extra_cycles += shared.fetch_groups
         collected: List[EngineResult] = []
-        for config, member in zip(self.member_configs,
-                                  self._member_policies):
+        for config, itlbs in zip(self.member_configs, self._member_itlbs):
             results: Dict[SchemeName, SchemeResult] = {}
-            for policy in member:
+            for policy, member in zip(self.policies, itlbs):
+                extra_cycles = policy.extra_cycles + member.latency
                 results[policy.name] = SchemeResult(
                     scheme=policy.name,
-                    counters=policy.counters,
-                    itlb_stats=policy.itlb.stats,
-                    extra_cycles=policy.extra_cycles,
-                    cycles=base_cycles + policy.extra_cycles,
+                    counters=dataclasses.replace(
+                        policy.counters, misses=member.misses,
+                        l2_probes=member.l2_probes),
+                    itlb_stats=member.itlb.stats,
+                    extra_cycles=extra_cycles,
+                    cycles=base_cycles + extra_cycles,
                 )
             collected.append(EngineResult(
                 program_name=self.program.name,
@@ -291,6 +361,20 @@ class FastEngine:
                 engine="fast",
             ))
         return collected
+
+    def _replay_lookups(self) -> None:
+        """Translate the lookups decided since the last call through
+        every member's iTLB for the deciding scheme, then empty the
+        columns.  Runs at every window boundary, so a column never
+        outgrows one window's decisions."""
+        frames = self._frames
+        page_table = self.space.page_table
+        for slot, policy in enumerate(self.policies):
+            column = policy.column
+            if column:
+                for itlbs in self._member_itlbs:
+                    itlbs[slot].replay(column, frames, page_table)
+                del column[:]
 
     # -- main loop ----------------------------------------------------------
 
@@ -333,10 +417,11 @@ class FastEngine:
         offset_mask = self._offset_mask
         block_low_mask = (1 << block_shift) - 1
         page_table = self.space.page_table
+        frames = self._frames
         vivt = self.addressing is CacheAddressing.VIVT
         policies = self.policies
         event_policies = self._event_policies
-        base_policies = self._base_policies
+        base = self._base
         predictor_observe = self.predictor.observe
         hier_fetch = self.hier.fetch
         data_access = self._data_access
@@ -385,6 +470,7 @@ class FastEngine:
                     if resume:
                         resume = False
                     else:
+                        self._replay_lookups()
                         nxt = source.next_window()
                         if nxt is None:
                             raise trace_exhausted(win_base + pos)
@@ -413,9 +499,12 @@ class FastEngine:
                 if vpn != last_vpn:
                     page_changed = True
                     last_vpn = vpn
-                    pte = page_table.translate(vpn, prot=Protection.EXEC,
-                                               allocate=False)
-                    last_pfn = pte.pfn
+                    frame = frames.get(vpn)
+                    if frame is None:
+                        pte = page_table.translate(
+                            vpn, prot=Protection.EXEC, allocate=False)
+                        frame = frames[vpn] = (pte.pfn, pte.prot)
+                    last_pfn = frame[0]
                     if prev_outcome is not None and prev_outcome.taken:
                         if prev_outcome.instr.is_boundary_branch:
                             c_cross_boundary += 1
@@ -438,15 +527,13 @@ class FastEngine:
                             policy.extra_cycles += (
                                 policy.serial_penalty
                                 + policy.lookup(vpn, reason))
-                    if base_policies and (page_changed or first_fetch):
+                    if base is not None and (page_changed or first_fetch):
                         # one structural event per trigger (shared-stream
-                        # driven), charged to every member's base policy
+                        # driven); the fetches in between are repeats
                         base_structural += 1
-                        for base_policy in base_policies:
-                            base_policy.extra_cycles += (
-                                base_policy.serial_penalty
-                                + base_policy.lookup(
-                                    vpn, LookupReason.BRANCH))
+                        base.extra_cycles += (
+                            base.serial_penalty
+                            + base.lookup(vpn, LookupReason.BRANCH))
                 first_fetch = False
 
                 # ---- iL1 fetch (with same-block fast path) ----
@@ -754,6 +841,7 @@ class FastEngine:
             shared.taken_branches += c_taken
             shared.page_crossings_branch += c_cross_branch
             shared.page_crossings_boundary += c_cross_boundary
+        self._replay_lookups()
 
     # -- data-side helper ------------------------------------------------------
 

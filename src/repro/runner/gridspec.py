@@ -2,7 +2,7 @@
 
 Every unit a backend executes is a :class:`GridSpec`: N
 :class:`~repro.runner.jobspec.JobSpec` members that differ only in the
-fields a :class:`~repro.cpu.grid.MultiConfigEngine` can replicate per
+fields a :class:`~repro.cpu.fast.FastEngine` pass can score per
 member (iTLB geometry, energy accounting — :data:`~repro.config.
 GRID_MEMBER_FIELDS`).  Running it costs roughly one member's wall
 clock and produces one :class:`~repro.sim.multi.CombinedRun` per

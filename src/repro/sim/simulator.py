@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from repro import telemetry
 from repro.config import MachineConfig, SchemeName, default_config
-from repro.cpu.grid import MultiConfigEngine
+from repro.cpu.fast import FastEngine
 from repro.cpu.ooo import OutOfOrderEngine
 from repro.cpu.results import EngineResult
 from repro.energy.accounting import itlb_energy_nj
@@ -95,9 +95,8 @@ def run_program_grid(program: Program, configs: Sequence[MachineConfig], *,
         )
     if engine == "fast":
         started = time.perf_counter()
-        results = MultiConfigEngine(program, configs,
-                                    schemes=schemes).run_grid(instructions,
-                                                              warmup)
+        results = FastEngine(program, configs,
+                             schemes=schemes).run_grid(instructions, warmup)
     elif engine == "ooo":
         selected = tuple(schemes) if schemes else (SchemeName.IA,)
         if len(configs) != 1:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.config import TLBConfig, TwoLevelTLBConfig
-from repro.vm.page_table import PageTable, Protection
+from repro.vm.page_table import PTE, PageTable, Protection
 
 
 @dataclass
@@ -110,13 +110,60 @@ class TLB:
                   prot: Protection = Protection.EXEC
                   ) -> Tuple[int, bool]:
         """Full lookup path: probe, refill from the page table on a miss.
-        Returns (pfn, hit)."""
+        Returns (pfn, hit).  A refill never maps a page (see
+        :func:`refill`)."""
         entry = self.access(vpn)
         if entry is not None:
             return entry[0], True
-        pte = page_table.translate(vpn, prot=prot)
+        pte = refill(page_table, vpn, prot)
         self.fill(vpn, pte.pfn, pte.prot)
         return pte.pfn, False
+
+    def replay(self, vpns: Iterable[int],
+               frames: Dict[int, Tuple[int, Protection]],
+               page_table: PageTable) -> int:
+        """Translate a column of instruction-side lookups in order, as
+        :meth:`translate` would one by one; returns the misses.
+
+        A VPN equal to the previous one re-touches the most recent
+        entry of its set: a guaranteed hit that leaves LRU order as it
+        is, so it is counted and skipped.  Refills resolve through
+        ``frames`` (VPN -> (PFN, protection)), which callers share
+        across TLBs so each page is walked once."""
+        sets = self._sets
+        set_mask = self._set_mask
+        ways = self.ways
+        lookups = misses = 0
+        last = None
+        for vpn in vpns:
+            lookups += 1
+            if vpn == last:
+                continue
+            last = vpn
+            entry_set = sets[vpn & set_mask]
+            if vpn in entry_set:
+                entry_set.move_to_end(vpn)
+                continue
+            misses += 1
+            entry = frames.get(vpn)
+            if entry is None:
+                pte = refill(page_table, vpn, Protection.EXEC)
+                entry = frames[vpn] = (pte.pfn, pte.prot)
+            if len(entry_set) >= ways:
+                entry_set.popitem(last=False)
+            entry_set[vpn] = entry
+        stats = self.stats
+        stats.accesses += lookups
+        stats.hits += lookups - misses
+        stats.misses += misses
+        return misses
+
+    def repeat_hits(self, count: int) -> None:
+        """Count ``count`` re-touches of the entry the previous access
+        left most recent: guaranteed hits that leave LRU order as it
+        is, so the sets are not walked."""
+        self.stats.accesses += count
+        self.stats.hits += count
 
     # -- maintenance ------------------------------------------------------
 
@@ -194,7 +241,7 @@ class TwoLevelTLB:
         self.last_probes = (1, 1)
         self.last_extra_latency = self.config.l2_extra_latency
         self.stats.misses += 1
-        pte = page_table.translate(vpn, prot=prot)
+        pte = refill(page_table, vpn, prot)
         self.level2.fill(vpn, pte.pfn, pte.prot)
         self.level1.fill(vpn, pte.pfn, pte.prot)
         return pte.pfn, False
@@ -213,10 +260,24 @@ class TwoLevelTLB:
             self.level1.fill(vpn, hit2[0], hit2[1])
             return hit2[0], True
         self.stats.misses += 1
-        pte = page_table.translate(vpn, prot=prot)
+        pte = refill(page_table, vpn, prot)
         self.level2.fill(vpn, pte.pfn, pte.prot)
         self.level1.fill(vpn, pte.pfn, pte.prot)
         return pte.pfn, False
+
+    def repeat_hits(self, count: int) -> None:
+        """Count ``count`` re-touches of the entry the previous access
+        left most recent, as hits in level 1.
+
+        Model gap, pinned as is: a parallel design probes level 2 on
+        every access too, but these bulk hits charge level 1 only, so
+        a parallel two-level Base (Figure 6) is under-counted in
+        ``l2_probes`` and its energy understated (docs/performance.md,
+        "Single-pass config grids")."""
+        self.stats.accesses += count
+        self.stats.hits += count
+        self.level1.stats.accesses += count
+        self.level1.stats.hits += count
 
     def invalidate(self, vpn: int) -> None:
         self.level1.invalidate(vpn)
@@ -229,6 +290,18 @@ class TwoLevelTLB:
 
 
 AnyTLB = Union[TLB, TwoLevelTLB]
+
+
+def refill(page_table: PageTable, vpn: int, prot: Protection) -> PTE:
+    """The page-table side of an iTLB miss.
+
+    Instruction pages are all mapped up front (the address space
+    premaps every code page RX), so a refill only reads the table: it
+    never maps a page.  A lookup of an unmapped page raises
+    :class:`~repro.errors.MemoryFault` and leaves the table as it was;
+    were it to allocate, a refill replayed after the pass would
+    reorder the data side's demand-allocated frames."""
+    return page_table.translate(vpn, prot=prot, allocate=False)
 
 
 def build_itlb(mono: TLBConfig,

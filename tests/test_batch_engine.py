@@ -15,6 +15,7 @@ two-worker sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -31,6 +32,7 @@ from repro.config import (
     CacheAddressing,
     SchemeName,
     TLBConfig,
+    TwoLevelTLBConfig,
     default_config,
 )
 from repro.cpu.fast import FastEngine
@@ -206,13 +208,37 @@ class TestSweepEquivalence:
 #: the member geometries every grid-equivalence case sweeps
 GRID_ENTRIES = (1, 8, 32)
 
+_BASE = default_config()
+_SERIAL_L2 = TwoLevelTLBConfig(level1=TLBConfig(entries=1),
+                               level2=TLBConfig(entries=8))
+_PARALLEL_L2 = dataclasses.replace(_SERIAL_L2, serial=False)
 
-def _grid_specs(name: str, instructions: int, warmup: int):
-    return [JobSpec(workload=name,
-                    config=default_config().with_itlb(
-                        TLBConfig(entries=entries)),
+#: member shapes beyond fully associative sizes, each one grid: every
+#: member replays the pass's lookup columns through its own iTLB
+GRID_SHAPES = {
+    "set-assoc": [_BASE.with_itlb(TLBConfig(entries=entries, assoc=assoc))
+                  for entries, assoc in ((4, 2), (8, 2), (16, 4))],
+    "miss-penalty": [_BASE.with_itlb(TLBConfig(entries=4,
+                                               miss_penalty=penalty))
+                     for penalty in (0, 10, 50)],
+    "two-level": [_BASE.with_two_level_itlb(_SERIAL_L2),
+                  _BASE.with_two_level_itlb(_PARALLEL_L2)],
+    "mixed": [_BASE.with_itlb(TLBConfig(entries=2)),
+              _BASE.with_two_level_itlb(_SERIAL_L2),
+              _BASE.with_two_level_itlb(_PARALLEL_L2), _BASE],
+    "energy-only": [_BASE, dataclasses.replace(
+        _BASE, energy=dataclasses.replace(
+            _BASE.energy, charge_cfr_reads=True, charge_btb_compare=True))],
+}
+
+
+def _grid_specs(name: str, instructions: int, warmup: int, members=None):
+    if members is None:
+        members = [_BASE.with_itlb(TLBConfig(entries=entries))
+                   for entries in GRID_ENTRIES]
+    return [JobSpec(workload=name, config=config,
                     instructions=instructions, warmup=warmup)
-            for entries in GRID_ENTRIES]
+            for config in members]
 
 
 def _independent(root, specs):
@@ -227,10 +253,10 @@ def _independent(root, specs):
 
 
 def _assert_grid_identical(name, instructions, warmup, tmp_path,
-                           **runner_kwargs):
+                           members=None, **runner_kwargs):
     """A gridded sweep must byte-match per-member independent jobs —
     results *and* store entries (same content under the same keys)."""
-    specs = _grid_specs(name, instructions, warmup)
+    specs = _grid_specs(name, instructions, warmup, members)
     solo_results = _independent(tmp_path / "solo", specs)
     gridded = SweepRunner(store=ResultStore(tmp_path / "grid"),
                           **runner_kwargs)
@@ -245,6 +271,7 @@ def _assert_grid_identical(name, instructions, warmup, tmp_path,
     # every member lands under its unchanged content-addressed key
     assert (sorted(p.name for p in (tmp_path / "solo").glob("*.json"))
             == sorted(p.name for p in (tmp_path / "grid").glob("*.json")))
+    return grid_results
 
 
 class TestGridEquivalence:
@@ -268,6 +295,35 @@ class TestGridEquivalence:
     ], ids=["eio", "gem5"])
     def test_imported_fixtures(self, name, tmp_path):
         _assert_grid_identical(name, 600, 100, tmp_path)
+
+    @pytest.mark.parametrize("addressing", ADDRESSINGS,
+                             ids=lambda a: a.value)
+    @pytest.mark.parametrize("shape", sorted(GRID_SHAPES))
+    def test_member_shapes(self, shape, addressing, tmp_path):
+        """Set-associative, miss-penalty, two-level (serial and
+        parallel), mixed mono + two-level and energy-only members,
+        under the inline (VI-PT), serialized (PI-PT) and deferred
+        (VI-VT, ``serve_from_cfr``) lookup paths."""
+        _assert_grid_identical(
+            f"trace:{GOLDEN_MESA}", MESA_INSTRUCTIONS, MESA_WARMUP,
+            tmp_path, members=[config.with_il1_addressing(addressing)
+                               for config in GRID_SHAPES[shape]])
+
+    def test_member_shapes_streamed(self, tmp_path, monkeypatch):
+        """A forced 4-step decode window: the columns are replayed at
+        hundreds of window boundaries."""
+        monkeypatch.setenv("REPRO_TRACE_WINDOW",
+                           str(4 * COLUMN_BYTES_PER_STEP))
+        clear_trace_cache()
+        try:
+            results = _assert_grid_identical(
+                f"trace:{GOLDEN_MESA}", MESA_INSTRUCTIONS, MESA_WARMUP,
+                tmp_path, members=[
+                    config.with_il1_addressing(CacheAddressing.VIVT)
+                    for config in GRID_SHAPES["mixed"]])
+            assert results[0].metrics.stream_windows > 100
+        finally:
+            clear_trace_cache()
 
     def test_two_grids_through_pool_backend(self, tmp_path):
         """Two grids cross the pool wire as two payloads and come back
@@ -602,3 +658,59 @@ class TestBenchHarness:
         assert payload["bench_format"] == 1
         assert payload["speedups"]["177.mesa"]["grid"] > 0
         assert "177.mesa" in capsys.readouterr().out
+
+    def test_compare_reports_flags_ratio_drops(self):
+        from repro.bench import compare_reports
+        window = {"instructions": 600, "warmup": 100}
+        previous = {"window": window, "speedups": {
+            "177.mesa": {"grid": 4.0, "stream": 0.7},
+            "micro.straight_line": {"grid": 7.0}}}
+        current = {"window": window, "speedups": {
+            "177.mesa": {"grid": 8.0, "stream": 0.5}}}
+        lines, regressions = compare_reports(current, previous)
+        assert len(lines) == 2  # only views both reports hold
+        assert [line.split()[:2] for line in regressions] \
+            == [["177.mesa", "stream"]]  # -29%; grid doubled
+        current["speedups"]["177.mesa"]["stream"] = 0.6  # -14%: kept
+        assert compare_reports(current, previous)[1] == []
+
+    def test_cli_bench_needs_an_output(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick"])
+        assert "--output" in capsys.readouterr().err
+
+    def test_cli_bench_compare_refuses_another_window(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+        previous = tmp_path / "BENCH_prev.json"
+        previous.write_text(json.dumps({
+            "window": {"instructions": 60_000, "warmup": 10_000},
+            "speedups": {}}))
+        out = tmp_path / "BENCH_new.json"
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick", "--instructions", "600",
+                  "--warmup", "100", "-o", str(out),
+                  "--compare", str(previous)])
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()  # refused before benching
+
+    def test_cli_bench_compare_fails_on_a_ratio_drop(self, tmp_path,
+                                                     capsys):
+        from repro.cli import main
+        previous = tmp_path / "BENCH_prev.json"
+        previous.write_text(json.dumps({
+            "window": {"instructions": 600, "warmup": 100},
+            "speedups": {"177.mesa": {"grid": 1000.0, "stream": 1e-6}}}))
+        code = main(["bench", "--quick", "--instructions", "600",
+                     "--warmup", "100", "--repeats", "1",
+                     "--trace-dir", str(tmp_path / "traces"),
+                     "-o", str(tmp_path / "BENCH_new.json"),
+                     "--compare", str(previous)])
+        captured = capsys.readouterr()
+        assert code == 1
+        changes = captured.out.split("ratio change from")[1]
+        assert "177.mesa" in changes and "grid" in changes \
+            and "stream" in changes
+        assert "1 view(s) fell" in captured.err  # grid; stream rose
+

@@ -31,6 +31,15 @@ def _run(module, addressing=CacheAddressing.VIPT, instrumented=False,
     return engine.run(instructions, warmup=0)
 
 
+def _code_table() -> PageTable:
+    """A page table with code pages 0-7 mapped RX, as an address space
+    premaps a program's text: iTLB refills only read it."""
+    table = PageTable(4096)
+    for vpn in range(8):
+        table.map_page(vpn, Protection.RX)
+    return table
+
+
 class TestCFR:
     def test_load_and_match(self):
         cfr = CFR()
@@ -67,14 +76,14 @@ class TestPolicyMechanics:
 
     def test_base_always_wants_lookup(self):
         policy = build_policy(SchemeName.BASE, default_config(),
-                              PageTable(4096))
+                              _code_table())
         assert policy.wants_lookup(1)
         policy.lookup(1, LookupReason.BRANCH)
         assert policy.wants_lookup(1)  # no CFR: still wants it
 
     def test_opt_wants_lookup_only_on_page_change(self):
         policy = build_policy(SchemeName.OPT, default_config(),
-                              PageTable(4096))
+                              _code_table())
         assert policy.wants_lookup(1)
         policy.lookup(1, LookupReason.BRANCH)
         assert not policy.wants_lookup(1)
@@ -82,7 +91,7 @@ class TestPolicyMechanics:
 
     def test_lookup_reasons_counted(self):
         policy = build_policy(SchemeName.OPT, default_config(),
-                              PageTable(4096))
+                              _code_table())
         policy.lookup(1, LookupReason.BOUNDARY)
         policy.lookup(2, LookupReason.BRANCH)
         assert policy.counters.boundary_lookups == 1
@@ -91,7 +100,7 @@ class TestPolicyMechanics:
 
     def test_lookup_miss_penalty_returned(self):
         config = default_config()
-        policy = build_policy(SchemeName.OPT, config, PageTable(4096))
+        policy = build_policy(SchemeName.OPT, config, _code_table())
         extra = policy.lookup(1, LookupReason.BRANCH)
         assert extra == config.itlb.miss_penalty  # cold iTLB
         policy.lookup(2, LookupReason.BRANCH)
@@ -99,14 +108,14 @@ class TestPolicyMechanics:
 
     def test_invalidate_resets_coverage(self):
         policy = build_policy(SchemeName.OPT, default_config(),
-                              PageTable(4096))
+                              _code_table())
         policy.lookup(1, LookupReason.BRANCH)
         policy.invalidate()
         assert policy.wants_lookup(1)
 
     def test_snapshot_restore_keeps_counters(self):
         policy = build_policy(SchemeName.IA, default_config(),
-                              PageTable(4096))
+                              _code_table())
         snap = policy.snapshot()
         policy.lookup(1, LookupReason.BRANCH)
         lookups = policy.counters.lookups

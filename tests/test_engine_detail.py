@@ -86,6 +86,42 @@ class TestTwoLevelThroughEngine:
         base = result.schemes[SchemeName.BASE].counters
         assert 0 < base.l2_probes < base.lookups
 
+    @pytest.mark.parametrize("serial", [True, False],
+                             ids=["serial", "parallel"])
+    def test_extra_cycles_account_every_probe_and_miss(self, serial):
+        """PI-PT: each lookup serializes one cycle (Base: each fetch
+        group), each serial level-2 probe adds its extra cycle, each
+        walk the miss penalty — however the lookups were translated."""
+        config = default_config(CacheAddressing.PIPT).with_two_level_itlb(
+            TwoLevelTLBConfig(level1=TLBConfig(entries=1),
+                              level2=TLBConfig(entries=2), serial=serial))
+        result = _engine(config=config, bench="186.crafty",
+                         instrumented=True).run(4000, warmup=1000)
+        for name, scheme in result.schemes.items():
+            counters = scheme.counters
+            serialized = (result.shared.fetch_groups
+                          if name is SchemeName.BASE else counters.lookups)
+            assert counters.misses > 0 and counters.l2_probes > 0
+            assert scheme.extra_cycles == (
+                serialized + (counters.l2_probes if serial else 0)
+                + counters.misses * config.itlb.miss_penalty), name
+
+    def test_parallel_base_repeats_charge_level1_only(self):
+        """Characterization of a known model gap, pinned until its own
+        fix: Base's same-page repeats are bulk-counted as level-1 hits,
+        so a *parallel* two-level Base probes level 2 once per
+        structural lookup (page change) instead of on every access.
+        Figure 6's parallel Base energy is understated by this."""
+        engine = _engine(config=self._config(serial=False),
+                         schemes=(SchemeName.BASE,))
+        result = engine.run(4000, warmup=1000)
+        base = result.schemes[SchemeName.BASE]
+        assert base.counters.lookups == result.shared.instructions == 4000
+        assert base.counters.l2_probes == 72
+        assert base.counters.misses == 1
+        assert base.itlb_stats.accesses == 4000
+        assert base.itlb_stats.hits == 3999
+
     def test_energy_attached_for_two_level(self):
         run = run_all_schemes(load_benchmark("177.mesa"), self._config(),
                               instructions=6000, warmup=1500,

@@ -15,13 +15,23 @@ from repro.config import (
 )
 from repro.core.schemes import LookupReason, build_policy
 from repro.isa.instructions import Instruction, Opcode
-from repro.vm.page_table import PageTable
+from repro.vm.page_table import PageTable, Protection
 
 PAGE = 4096
 
 
+def _code_table() -> PageTable:
+    """A page table with the code pages these cases touch mapped RX, as
+    an address space premaps a program's text: iTLB refills only read
+    it."""
+    table = PageTable(PAGE)
+    for vpn in (*range(8), *range(0x400, 0x408)):
+        table.map_page(vpn, Protection.RX)
+    return table
+
+
 def _policy(name, defer=False, config=None):
-    return build_policy(name, config or default_config(), PageTable(PAGE),
+    return build_policy(name, config or default_config(), _code_table(),
                         defer=defer)
 
 
@@ -163,7 +173,7 @@ class TestTwoLevelPolicyIntegration:
             .with_two_level_itlb(TwoLevelTLBConfig(
                 level1=TLBConfig(entries=1),
                 level2=TLBConfig(entries=32)))
-        policy = build_policy(SchemeName.OPT, config, PageTable(PAGE))
+        policy = build_policy(SchemeName.OPT, config, _code_table())
         policy.lookup(1, LookupReason.BRANCH)  # cold: L1 miss, L2 miss
         policy.lookup(2, LookupReason.BRANCH)  # evicts 1 from L1
         policy.lookup(1, LookupReason.BRANCH)  # L1 miss, L2 hit
@@ -174,9 +184,12 @@ class TestTwoLevelPolicyIntegration:
     def test_note_repeat_hits_on_two_level(self):
         config = default_config().with_two_level_itlb(TwoLevelTLBConfig(
             level1=TLBConfig(entries=1), level2=TLBConfig(entries=32)))
-        policy = build_policy(SchemeName.BASE, config, PageTable(PAGE))
+        policy = build_policy(SchemeName.BASE, config, _code_table())
         policy.lookup(1, LookupReason.BRANCH)
+        # the decision side counts the lookups, the iTLB that served
+        # the previous one counts the hits
         policy.note_repeat_hits(100)
+        policy.itlb.repeat_hits(100)
         assert policy.counters.lookups == 101
         assert policy.counters.l2_probes == 1  # repeats hit level 1
         assert policy.itlb.level1.stats.hits == 100
@@ -186,7 +199,7 @@ class TestLookupExtraLatency:
     def test_two_level_serial_extra_cycle_surfaces(self):
         config = default_config().with_two_level_itlb(TwoLevelTLBConfig(
             level1=TLBConfig(entries=1), level2=TLBConfig(entries=32)))
-        policy = build_policy(SchemeName.OPT, config, PageTable(PAGE))
+        policy = build_policy(SchemeName.OPT, config, _code_table())
         cold = policy.lookup(1, LookupReason.BRANCH)
         assert cold == 1 + config.itlb.miss_penalty  # L2 probe + walk
         policy.lookup(2, LookupReason.BRANCH)

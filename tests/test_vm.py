@@ -11,6 +11,15 @@ from repro.vm.page_table import PageTable, Protection
 from repro.vm.tlb import TLB, TwoLevelTLB
 
 
+def _code_table() -> PageTable:
+    """A page table with code pages 0-7 mapped RX, as an address space
+    premaps a program's text: iTLB refills only read it."""
+    table = PageTable(4096)
+    for vpn in range(8):
+        table.map_page(vpn, Protection.RX)
+    return table
+
+
 def _tiny_program():
     asm = Assembler()
     asm.label("main")
@@ -115,7 +124,7 @@ class TestTLB:
         assert 1 not in tlb and 2 in tlb
 
     def test_translate_refills_from_page_table(self):
-        table = PageTable(4096)
+        table = _code_table()
         tlb = TLB(TLBConfig(entries=4))
         pfn, hit = tlb.translate(5, table)
         assert not hit
@@ -151,6 +160,71 @@ class TestTLB:
         assert sorted(tlb.resident_vpns()) == sorted(reference)
 
 
+class TestReplay:
+    """``TLB.replay`` is ``translate`` applied to a column of lookups."""
+
+    @staticmethod
+    def _one_by_one(config, vpns):
+        tlb, table = TLB(config), _code_table()
+        misses = sum(not tlb.translate(vpn, table)[1] for vpn in vpns)
+        return tlb, misses
+
+    @given(st.lists(st.integers(0, 7), max_size=200),
+           st.sampled_from([TLBConfig(entries=1), TLBConfig(entries=4),
+                            TLBConfig(entries=4, assoc=2),
+                            TLBConfig(entries=8, assoc=4)]))
+    @settings(max_examples=60)
+    def test_matches_translate_one_by_one(self, vpns, config):
+        reference, ref_misses = self._one_by_one(config, vpns)
+        tlb, frames = TLB(config), {}
+        misses = 0
+        # in chunks, as an engine replays window by window
+        for start in range(0, len(vpns), 7):
+            misses += tlb.replay(vpns[start:start + 7], frames,
+                                 _code_table())
+        assert misses == ref_misses
+        assert tlb.stats == reference.stats
+        assert [list(s.items()) for s in tlb._sets] \
+            == [list(s.items()) for s in reference._sets]
+
+    def test_repeats_are_hits_that_keep_lru_order(self):
+        tlb = TLB(TLBConfig(entries=2))
+        misses = tlb.replay([1, 2, 2, 2, 1, 1, 3], {}, _code_table())
+        assert misses == 3
+        assert tlb.stats.accesses == 7 and tlb.stats.hits == 4
+        assert tlb.resident_vpns() == [1, 3]  # 2 was least recent
+
+    def test_frames_walk_each_page_once(self):
+        table = _code_table()
+        frames = {}
+        for entries in (1, 2):
+            TLB(TLBConfig(entries=entries)).replay([1, 2, 1, 2], frames,
+                                                   table)
+        assert frames == {vpn: (table.lookup(vpn).pfn, Protection.RX)
+                          for vpn in (1, 2)}
+
+
+class TestRefillNeverMaps:
+    """An iTLB refill only reads the page table: a deferred refill that
+    mapped a frame would reorder the data side's frame allocation."""
+
+    @pytest.mark.parametrize("refill", [
+        lambda table: TLB(TLBConfig(entries=4)).translate(9, table),
+        lambda table: TLB(TLBConfig(entries=4)).replay([9], {}, table),
+        lambda table: TwoLevelTLB(TwoLevelTLBConfig(
+            level1=TLBConfig(entries=1),
+            level2=TLBConfig(entries=8))).translate(9, table),
+    ], ids=["translate", "replay", "two-level"])
+    def test_unmapped_refill_raises_and_leaves_table(self, refill):
+        table = _code_table()
+        before = sorted((pte.vpn, pte.pfn) for pte in table.entries())
+        with pytest.raises(MemoryFault):
+            refill(table)
+        assert 9 not in table and table.faults == 0
+        assert sorted((pte.vpn, pte.pfn)
+                      for pte in table.entries()) == before
+
+
 class TestTwoLevelTLB:
     def _cfg(self, serial=True):
         return TwoLevelTLBConfig(level1=TLBConfig(entries=1),
@@ -158,7 +232,7 @@ class TestTwoLevelTLB:
                                  serial=serial)
 
     def test_serial_l2_probe_only_on_l1_miss(self):
-        table = PageTable(4096)
+        table = _code_table()
         tlb = TwoLevelTLB(self._cfg())
         tlb.translate(1, table)  # full miss: probes both, walks
         assert tlb.last_probes == (1, 1)
@@ -167,7 +241,7 @@ class TestTwoLevelTLB:
         assert tlb.last_extra_latency == 0
 
     def test_l2_hit_after_l1_eviction(self):
-        table = PageTable(4096)
+        table = _code_table()
         tlb = TwoLevelTLB(self._cfg())
         tlb.translate(1, table)
         tlb.translate(2, table)  # evicts 1 from the 1-entry L1
@@ -177,7 +251,7 @@ class TestTwoLevelTLB:
         assert tlb.last_extra_latency == 1
 
     def test_parallel_probes_both_always(self):
-        table = PageTable(4096)
+        table = _code_table()
         tlb = TwoLevelTLB(self._cfg(serial=False))
         tlb.translate(1, table)
         tlb.translate(1, table)
@@ -185,7 +259,7 @@ class TestTwoLevelTLB:
         assert tlb.last_extra_latency == 0
 
     def test_combined_stats_count_walks(self):
-        table = PageTable(4096)
+        table = _code_table()
         tlb = TwoLevelTLB(self._cfg())
         for vpn in range(4):
             tlb.translate(vpn, table)
