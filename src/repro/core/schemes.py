@@ -25,18 +25,16 @@ miss (paper Section 3.3.1: "even if the page numbers do not match, the
 iTLB is not looked up until an iL1 miss").  Policies are constructed with
 ``defer=True`` in that case and never look up inside ``on_control``.
 
-Every policy owns a private iTLB instance: lookup *streams* differ across
-schemes, so TLB contents, hit rates, and miss penalties must too.
-
-Decide once, translate anywhere: no decision reads whether a lookup hit
-(the CFR and coverage state change the same way on a hit or a miss), so
-where a lookup's translation happens is the engine's choice.  By default
-:meth:`ITLBPolicy.lookup` translates inline through the policy's iTLB
-(the out-of-order engine charges the latency at the real pipeline
-point).  An engine that sets :attr:`ITLBPolicy.column` instead gets the
-looked-up VPNs appended there in order, and replays the column through
-as many iTLBs as it likes afterwards (the fast engine: one per grid
-member).
+Policies decide; they own no iTLB.  No decision reads whether a lookup
+hit (the CFR and coverage state change the same way on a hit or a
+miss), so :meth:`ITLBPolicy.lookup` only appends the looked-up VPN to
+the policy's :attr:`~ITLBPolicy.column`, and the engine replays that
+column through an iTLB (:meth:`repro.vm.tlb.TLB.replay`) for the misses,
+level-2 probes and miss latency.  The out-of-order engine replays its
+one iTLB right after each decision point, so the latency lands at the
+real pipeline point; the fast engine replays once per window, through
+every grid member's own iTLBs.  Lookup *streams* differ across schemes,
+so each scheme's lookups go to iTLBs of its own.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from repro.branch.predictor import BranchOutcome
 from repro.config import MachineConfig, SchemeName
 from repro.core.cfr import CFR
 from repro.vm.page_table import PageTable, Protection
-from repro.vm.tlb import TwoLevelTLB, build_itlb
 
 
 class LookupReason(IntEnum):
@@ -101,12 +98,6 @@ class ITLBPolicy:
         self.page_table = page_table
         self.page_shift = config.mem.page_bytes.bit_length() - 1
         self.defer = defer
-        self.itlb = build_itlb(config.itlb, config.itlb_two_level,
-                               name=f"itlb[{self.name.value}]")
-        #: resolved once: the engines perform tens of thousands of
-        #: lookups per run, and the isinstance test was on that path
-        self._two_level = isinstance(self.itlb, TwoLevelTLB)
-        self.miss_penalty = config.itlb.miss_penalty
         self.cfr = CFR()
         self.counters = SchemeCounters()
         self.covered = False
@@ -118,11 +109,10 @@ class ITLBPolicy:
         #: (set by the engine: 1 for PI-PT fetches and VI-VT miss-path
         #: lookups, 0 when the lookup is parallel as in VI-PT)
         self.serial_penalty = 0
-        #: where lookups go (set by the engine): None translates inline
-        #: through :attr:`itlb`; a column collects the looked-up VPNs
-        #: for the engine to replay, and ``misses``/``l2_probes`` and
-        #: the miss latency are then the replaying iTLB's to count
-        self.column: Optional[array] = None
+        #: the looked-up VPNs, in order, for the engine to replay through
+        #: an iTLB and empty; ``misses``, ``l2_probes`` and the miss
+        #: latency are the replaying iTLB's to count
+        self.column = array("q")
 
     # -- core operations -----------------------------------------------------
 
@@ -130,36 +120,19 @@ class ITLBPolicy:
         """Must the iTLB be consulted to translate a fetch from ``vpn``?"""
         raise NotImplementedError
 
-    def lookup(self, vpn: int, reason: LookupReason) -> int:
-        """Perform the iTLB lookup, refresh the CFR, and return the extra
-        latency this lookup exposes (0 for a level-1 hit, and 0 when the
-        lookup goes to :attr:`column`: its latency is the replay's)."""
+    def lookup(self, vpn: int, reason: LookupReason) -> None:
+        """Count an iTLB lookup, append it to :attr:`column` and refresh
+        the CFR."""
         counters = self.counters
         counters.lookups += 1
         if reason is LookupReason.BOUNDARY:
             counters.boundary_lookups += 1
         else:
             counters.branch_lookups += 1
-        column = self.column
-        if column is not None:
-            column.append(vpn)
-            # the frame the replay's refill will read: code pages are
-            # premapped and never move
-            self._refresh_cfr(vpn, self.page_table.lookup(vpn).pfn)
-            return 0
-        extra = 0
-        itlb = self.itlb
-        if self._two_level:
-            pfn, hit = itlb.translate(vpn, self.page_table)
-            counters.l2_probes += itlb.last_probes[1]
-            extra += itlb.last_extra_latency
-        else:
-            pfn, hit = itlb.translate(vpn, self.page_table)
-        if not hit:
-            counters.misses += 1
-            extra += self.miss_penalty
-        self._refresh_cfr(vpn, pfn)
-        return extra
+        self.column.append(vpn)
+        # the frame the replay's refill will read: code pages are
+        # premapped and never move
+        self._refresh_cfr(vpn, self.page_table.lookup(vpn).pfn)
 
     def _refresh_cfr(self, vpn: int, pfn: int) -> None:
         self.cfr.load(vpn, pfn, Protection.RX)
@@ -361,8 +334,9 @@ class IAPolicy(ITLBPolicy):
                 self.covered = False
                 self.pending_reason = reason
             else:
-                self.extra_cycles += (self.serial_penalty
-                                      + self.lookup(target_vpn, reason))
+                # the replay of this lookup supplies any miss latency
+                self.extra_cycles += self.serial_penalty
+                self.lookup(target_vpn, reason)
 
     def on_resolve(self, outcome: BranchOutcome) -> None:
         if outcome.mispredicted:
@@ -384,7 +358,7 @@ _POLICY_CLASSES: Dict[SchemeName, type[ITLBPolicy]] = {
 
 def build_policy(name: SchemeName, config: MachineConfig,
                  page_table: PageTable, *, defer: bool = False) -> ITLBPolicy:
-    """Instantiate one policy with its private iTLB."""
+    """Instantiate one policy."""
     return _POLICY_CLASSES[name](config, page_table, defer=defer)
 
 

@@ -12,8 +12,9 @@ Two observations from the paper make this engine possible:
    **once** for every config in a grid whose members differ only in
    iTLB geometry or energy accounting.  A lookup appends its VPN to the
    scheme's column; at every window boundary each member replays the
-   columns through its own iTLBs (:class:`_MemberITLB`), which is all
-   that multiplies per member.
+   columns through its own iTLBs (:meth:`~repro.vm.tlb.TLB.replay`),
+   which is all that multiplies per member.  Misses, level-2 probes and
+   the exposed miss latency are then read from each iTLB's statistics.
 
 The same observation makes a program's committed stream pure data: it
 depends only on the program (binary and page size) and the window.  So
@@ -45,9 +46,7 @@ the detailed out-of-order engine (see ``benchmarks/test_validation.py``).
 
 from __future__ import annotations
 
-import dataclasses
-from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.branch.predictor import FrontEndPredictor
 from repro.config import CacheAddressing, MachineConfig, SchemeName
@@ -58,7 +57,12 @@ from repro.core.schemes import (
     build_all_policies,
 )
 from repro.cpu.grid import check_grid_configs
-from repro.cpu.results import EngineResult, SchemeResult, SharedStats
+from repro.cpu.results import (
+    EngineResult,
+    SchemeResult,
+    SharedStats,
+    scheme_result,
+)
 from repro.errors import ConfigError
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemoryHierarchy
@@ -71,60 +75,10 @@ from repro.trace.format import (
     trace_exhausted,
 )
 from repro.vm.os_model import AddressSpace
-from repro.vm.page_table import PageTable, Protection
-from repro.vm.tlb import TLB, TwoLevelTLB, build_itlb
+from repro.vm.page_table import Protection
+from repro.vm.tlb import TLB, AnyTLB, build_itlb
 
 _FRONT_DEPTH = 3  #: fetch-queue + decode/dispatch depth in cycles
-
-
-class _MemberITLB:
-    """One grid member's iTLB for one scheme.
-
-    The pass's one policy per scheme decides when to look up; this
-    replays that policy's lookup column through the member's own
-    geometry and keeps what depends on it: misses, level-2 probes, the
-    exposed miss latency and the iTLB statistics."""
-
-    __slots__ = ("itlb", "miss_penalty", "misses", "l2_probes", "latency")
-
-    def __init__(self, config: MachineConfig, scheme: SchemeName) -> None:
-        self.itlb = build_itlb(config.itlb, config.itlb_two_level,
-                               name=f"itlb[{scheme.value}]")
-        self.miss_penalty = config.itlb.miss_penalty
-        self.reset()
-
-    def reset(self) -> None:
-        """Open the measurement window: counts and statistics to zero,
-        contents kept warm."""
-        self.misses = 0
-        self.l2_probes = 0
-        self.latency = 0
-        itlb = self.itlb
-        itlb.stats.reset()
-        if isinstance(itlb, TwoLevelTLB):
-            itlb.level1.stats.reset()
-            itlb.level2.stats.reset()
-
-    def replay(self, vpns: Iterable[int],
-               frames: Dict[int, Tuple[int, Protection]],
-               page_table: PageTable) -> None:
-        itlb = self.itlb
-        if isinstance(itlb, TwoLevelTLB):
-            # any access may probe level 2 (every access, in parallel
-            # mode), so the two levels translate entry by entry
-            misses = probes = latency = 0
-            translate = itlb.translate
-            for vpn in vpns:
-                if not translate(vpn, page_table)[1]:
-                    misses += 1
-                probes += itlb.last_probes[1]
-                latency += itlb.last_extra_latency
-            self.l2_probes += probes
-        else:
-            misses = itlb.replay(vpns, frames, page_table)
-            latency = 0
-        self.misses += misses
-        self.latency += latency + misses * self.miss_penalty
 
 
 class FastEngine:
@@ -165,7 +119,6 @@ class FastEngine:
         self._base: Optional[ITLBPolicy] = None
         for policy in self.policies:
             policy.serial_penalty = 1 if serial else 0
-            policy.column = array("q")
             if policy.name is SchemeName.BASE:
                 self._base = policy
         if self._base is not None and self.addressing is CacheAddressing.PIPT:
@@ -177,9 +130,11 @@ class FastEngine:
                                 if policy is not self._base]
         self.member_configs: List[MachineConfig] = members
         #: per member, one replaying iTLB per policy (same order)
-        self._member_itlbs = [[_MemberITLB(member, policy.name)
-                               for policy in self.policies]
-                              for member in members]
+        self._member_itlbs: List[List[AnyTLB]] = [
+            [build_itlb(member.itlb, member.itlb_two_level,
+                        name=f"itlb[{policy.name.value}]")
+             for policy in self.policies]
+            for member in members]
         #: code-page frames the fetch path and every member's refills
         #: share (VPN -> (PFN, protection)), each page walked once:
         #: code pages are premapped and never move
@@ -294,8 +249,8 @@ class FastEngine:
             policy.counters = SchemeCounters()
             policy.extra_cycles = 0
         for itlbs in self._member_itlbs:
-            for member in itlbs:
-                member.reset()
+            for itlb in itlbs:
+                itlb.reset_stats()
         self._base_structural = 0
         self._group_count = 0
 
@@ -335,23 +290,19 @@ class FastEngine:
             # on every access (TwoLevelTLB.repeat_hits)
             slot = self.policies.index(base)
             for itlbs in self._member_itlbs:
-                itlbs[slot].itlb.repeat_hits(repeats)
+                itlbs[slot].repeat_hits(repeats)
             if self.addressing is CacheAddressing.PIPT:
                 base.extra_cycles += shared.fetch_groups
         collected: List[EngineResult] = []
         for config, itlbs in zip(self.member_configs, self._member_itlbs):
+            miss_penalty = config.itlb.miss_penalty
             results: Dict[SchemeName, SchemeResult] = {}
-            for policy, member in zip(self.policies, itlbs):
-                extra_cycles = policy.extra_cycles + member.latency
-                results[policy.name] = SchemeResult(
-                    scheme=policy.name,
-                    counters=dataclasses.replace(
-                        policy.counters, misses=member.misses,
-                        l2_probes=member.l2_probes),
-                    itlb_stats=member.itlb.stats,
-                    extra_cycles=extra_cycles,
-                    cycles=base_cycles + extra_cycles,
-                )
+            for policy, itlb in zip(self.policies, itlbs):
+                extra_cycles = policy.extra_cycles + itlb.latency(
+                    miss_penalty)
+                results[policy.name] = scheme_result(
+                    policy, itlb, extra_cycles=extra_cycles,
+                    cycles=base_cycles + extra_cycles)
             collected.append(EngineResult(
                 program_name=self.program.name,
                 config=config,
@@ -523,17 +474,15 @@ class FastEngine:
                                         and prev_outcome.taken)
                     for policy in event_policies:
                         if policy.wants_lookup(vpn):
-                            reason = policy.fetch_reason(seq_boundary)
-                            policy.extra_cycles += (
-                                policy.serial_penalty
-                                + policy.lookup(vpn, reason))
+                            policy.extra_cycles += policy.serial_penalty
+                            policy.lookup(
+                                vpn, policy.fetch_reason(seq_boundary))
                     if base is not None and (page_changed or first_fetch):
                         # one structural event per trigger (shared-stream
                         # driven); the fetches in between are repeats
                         base_structural += 1
-                        base.extra_cycles += (
-                            base.serial_penalty
-                            + base.lookup(vpn, LookupReason.BRANCH))
+                        base.extra_cycles += base.serial_penalty
+                        base.lookup(vpn, LookupReason.BRANCH)
                 first_fetch = False
 
                 # ---- iL1 fetch (with same-block fast path) ----
@@ -549,10 +498,10 @@ class FastEngine:
                         if vivt:
                             for policy in policies:
                                 if policy.wants_lookup(vpn):
-                                    reason = policy.fetch_reason(True)
                                     policy.extra_cycles += (
-                                        policy.serial_penalty
-                                        + policy.lookup(vpn, reason))
+                                        policy.serial_penalty)
+                                    policy.lookup(
+                                        vpn, policy.fetch_reason(True))
                                 else:
                                     policy.serve_from_cfr()
 
@@ -731,10 +680,10 @@ class FastEngine:
                                 vpn = pc >> page_shift
                                 for policy in policies:
                                     if policy.wants_lookup(vpn):
-                                        reason = policy.fetch_reason(True)
                                         policy.extra_cycles += (
-                                            policy.serial_penalty
-                                            + policy.lookup(vpn, reason))
+                                            policy.serial_penalty)
+                                        policy.lookup(
+                                            vpn, policy.fetch_reason(True))
                                     else:
                                         policy.serve_from_cfr()
                     vblock = pc >> block_shift

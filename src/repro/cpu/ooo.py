@@ -24,25 +24,29 @@ A SimpleScalar-``sim-outorder``-shaped model:
 The engine runs one iTLB policy per instance so timing interactions
 (PI-PT's serialized lookups, VI-VT's miss-path lookups, iTLB miss stalls)
 are modelled *inside* the pipeline rather than added afterwards; the fast
-engine's additive approximation is validated against this.
+engine's additive approximation is validated against this.  The policy
+only decides: right after each decision point (the fetch-point lookup,
+the VI-VT miss-path lookup, the fetch-time branch trigger) the engine
+replays the policy's lookup column through its one iTLB and stalls for
+the latency that replay exposed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.branch.predictor import FrontEndPredictor, Prediction
 from repro.config import CacheAddressing, MachineConfig, SchemeName
-from repro.core.schemes import ITLBPolicy, LookupReason, build_policy
+from repro.core.schemes import ITLBPolicy, SchemeCounters, build_policy
 from repro.cpu.functional import StepResult
-from repro.cpu.results import EngineResult, SchemeResult, SharedStats
+from repro.cpu.results import EngineResult, SharedStats, scheme_result
 from repro.errors import SimulationError
 from repro.isa.instructions import InstrKind, Opcode
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.vm.os_model import AddressSpace
 from repro.vm.page_table import Protection
-from repro.vm.tlb import TLB
+from repro.vm.tlb import TLB, build_itlb
 
 _WAITING, _ISSUED, _DONE = 0, 1, 2
 _DEADLOCK_LIMIT = 50_000  #: cycles without a commit before giving up
@@ -100,6 +104,11 @@ class OutOfOrderEngine:
         self.policy.serial_penalty = (
             1 if self.addressing in (CacheAddressing.PIPT,
                                      CacheAddressing.VIVT) else 0)
+        self.itlb = build_itlb(config.itlb, config.itlb_two_level,
+                               name=f"itlb[{scheme.value}]")
+        self._miss_penalty = config.itlb.miss_penalty
+        #: code-page frames the iTLB's refills share, each walked once
+        self._frames: Dict[int, Tuple[int, Protection]] = {}
 
         self.shared = SharedStats()
         self._page_shift = config.mem.page_bytes.bit_length() - 1
@@ -161,19 +170,26 @@ class OutOfOrderEngine:
     # -- bookkeeping -------------------------------------------------------------
 
     def _reset_measurement(self) -> None:
-        from repro.core.schemes import SchemeCounters
-
         self.shared = SharedStats()
         self.hier.reset_stats()
         self.dtlb.stats.reset()
         self.predictor.stats.reset()
         self.policy.counters = SchemeCounters()
         self.policy.extra_cycles = 0
-        self.policy.itlb.stats.reset()
-        if hasattr(self.policy.itlb, "level1"):
-            self.policy.itlb.level1.stats.reset()
-            self.policy.itlb.level2.stats.reset()
+        self.itlb.reset_stats()
         self._fetched_instructions = 0
+
+    def _translate(self) -> int:
+        """Replay the lookups the policy just decided through the iTLB,
+        empty its column, and return the latency the replay exposed."""
+        column = self.policy.column
+        if not column:
+            return 0
+        itlb = self.itlb
+        before = itlb.latency(self._miss_penalty)
+        itlb.replay(column, self._frames, self.space.page_table)
+        del column[:]
+        return itlb.latency(self._miss_penalty) - before
 
     def _collect(self, measured_cycles: int) -> EngineResult:
         shared = self.shared
@@ -184,13 +200,9 @@ class OutOfOrderEngine:
         shared.dtlb = self.dtlb.stats
         shared.predictor = self.predictor.stats
         self.policy.note_fetches(self._fetched_instructions)
-        result = SchemeResult(
-            scheme=self.scheme_name,
-            counters=self.policy.counters,
-            itlb_stats=self.policy.itlb.stats,
-            extra_cycles=self.policy.extra_cycles,
-            cycles=measured_cycles,
-        )
+        result = scheme_result(self.policy, self.itlb,
+                               extra_cycles=self.policy.extra_cycles,
+                               cycles=measured_cycles)
         return EngineResult(
             program_name=self.program.name,
             config=self.config,
@@ -477,8 +489,8 @@ class OutOfOrderEngine:
             # delays the next group but does not break this one
             # -- iTLB / CFR at the fetch point --
             if not vivt and policy.wants_lookup(vpn):
-                reason = policy.fetch_reason(seq_boundary)
-                stall += policy.lookup(vpn, reason)
+                policy.lookup(vpn, policy.fetch_reason(seq_boundary))
+                stall += self._translate()
                 if first_slot:
                     serial_stall = policy.serial_penalty
             pte = self.space.page_table.translate(vpn, prot=Protection.EXEC,
@@ -489,9 +501,8 @@ class OutOfOrderEngine:
                 stall += outcome.latency - 1
                 if vivt:
                     if policy.wants_lookup(vpn):
-                        reason = policy.fetch_reason(seq_boundary)
-                        stall += (policy.serial_penalty
-                                  + policy.lookup(vpn, reason))
+                        policy.lookup(vpn, policy.fetch_reason(seq_boundary))
+                        stall += policy.serial_penalty + self._translate()
                     else:
                         policy.serve_from_cfr()
             ready = cycle + stall
@@ -505,6 +516,7 @@ class OutOfOrderEngine:
                 prediction = self.predictor.predict(pc, instr)
                 before = policy.extra_cycles
                 policy.on_predict(instr, prediction)
+                policy.extra_cycles += self._translate()
                 stall += policy.extra_cycles - before
                 predicted_taken = prediction.predicted_taken
             entry = _FetchEntry(self._seq, pc, instr, prediction, snapshot,

@@ -111,6 +111,22 @@ class SchemeResult:
         )
 
 
+def scheme_result(policy, itlb, *, extra_cycles: int,
+                  cycles: int) -> SchemeResult:
+    """One scheme's result from the policy that decided its lookups and
+    the iTLB that translated them: decision counters from the policy;
+    ``misses``, ``l2_probes`` and the statistics from the iTLB."""
+    return SchemeResult(
+        scheme=policy.name,
+        counters=dataclasses.replace(policy.counters,
+                                     misses=itlb.stats.misses,
+                                     l2_probes=itlb.l2_probes),
+        itlb_stats=itlb.stats,
+        extra_cycles=extra_cycles,
+        cycles=cycles,
+    )
+
+
 @dataclass
 class EngineResult:
     """Everything one engine pass produced."""

@@ -10,8 +10,11 @@ Two organizations are modelled, matching the paper's evaluation space:
   miss, one extra cycle, the paper's optimistic assumption) or in parallel
   (both probed every access; better latency, strictly worse energy).
 
-Lookups return which structure(s) were probed so the energy accounting in
-:mod:`repro.energy` can charge each probe at its own CACTI-derived cost.
+Both share one replay interface: :meth:`TLB.replay` translates a column
+of lookups and returns the misses, and every count the engines report
+comes from the structures' own statistics.  For a two-level iTLB, level
+2's stats are the probe count, which the energy accounting in
+:mod:`repro.energy` charges at level 2's own CACTI-derived cost.
 """
 
 from __future__ import annotations
@@ -165,6 +168,18 @@ class TLB:
         self.stats.accesses += count
         self.stats.hits += count
 
+    def reset_stats(self) -> None:
+        """Zero the statistics; the contents stay warm."""
+        self.stats.reset()
+
+    #: a monolithic TLB has no level 2 to probe
+    l2_probes = 0
+
+    def latency(self, miss_penalty: int) -> int:
+        """Cycles the lookups counted in :attr:`stats` exposed: one
+        ``miss_penalty`` walk per miss."""
+        return self.stats.misses * miss_penalty
+
     # -- maintenance ------------------------------------------------------
 
     def invalidate(self, vpn: int) -> bool:
@@ -201,8 +216,8 @@ class TwoLevelTLB:
     levels are probed (and charged energy) on every access, so only the
     miss-penalty timing differs.
 
-    ``last_probes`` reports how many (l1, l2) probes the most recent access
-    performed, which the energy accounting consumes.
+    Level 2's own ``stats.accesses`` are the level-2 probes the energy
+    accounting charges.
     """
 
     def __init__(self, config: TwoLevelTLBConfig, name: str = "itlb2") -> None:
@@ -211,8 +226,6 @@ class TwoLevelTLB:
         self.level1 = TLB(config.level1, name=f"{name}.l1")
         self.level2 = TLB(config.level2, name=f"{name}.l2")
         self.stats = TLBStats()  #: combined view: miss == full miss (walk)
-        self.last_probes: Tuple[int, int] = (0, 0)
-        self.last_extra_latency = 0
 
     def translate(self, vpn: int, page_table: PageTable,
                   prot: Protection = Protection.EXEC
@@ -227,19 +240,13 @@ class TwoLevelTLB:
                           prot: Protection) -> Tuple[int, bool]:
         entry = self.level1.access(vpn)
         if entry is not None:
-            self.last_probes = (1, 0)
-            self.last_extra_latency = 0
             self.stats.hits += 1
             return entry[0], True
         entry = self.level2.access(vpn)
         if entry is not None:
-            self.last_probes = (1, 1)
-            self.last_extra_latency = self.config.l2_extra_latency
             self.level1.fill(vpn, entry[0], entry[1])
             self.stats.hits += 1
             return entry[0], True
-        self.last_probes = (1, 1)
-        self.last_extra_latency = self.config.l2_extra_latency
         self.stats.misses += 1
         pte = refill(page_table, vpn, prot)
         self.level2.fill(vpn, pte.pfn, pte.prot)
@@ -248,8 +255,6 @@ class TwoLevelTLB:
 
     def _translate_parallel(self, vpn: int, page_table: PageTable,
                             prot: Protection) -> Tuple[int, bool]:
-        self.last_probes = (1, 1)
-        self.last_extra_latency = 0
         hit1 = self.level1.access(vpn)
         hit2 = self.level2.access(vpn)
         if hit1 is not None:
@@ -265,6 +270,21 @@ class TwoLevelTLB:
         self.level1.fill(vpn, pte.pfn, pte.prot)
         return pte.pfn, False
 
+    def replay(self, vpns: Iterable[int],
+               frames: Dict[int, Tuple[int, Protection]],
+               page_table: PageTable) -> int:
+        """Translate a column of lookups in order; returns the misses
+        (page walks).  Any access may probe level 2 (every access, in
+        parallel mode), so the column translates entry by entry and
+        refills read ``page_table`` directly: ``frames`` is accepted for
+        the shared interface."""
+        translate = self.translate
+        misses = 0
+        for vpn in vpns:
+            if not translate(vpn, page_table)[1]:
+                misses += 1
+        return misses
+
     def repeat_hits(self, count: int) -> None:
         """Count ``count`` re-touches of the entry the previous access
         left most recent, as hits in level 1.
@@ -278,6 +298,27 @@ class TwoLevelTLB:
         self.stats.hits += count
         self.level1.stats.accesses += count
         self.level1.stats.hits += count
+
+    def reset_stats(self) -> None:
+        """Zero the combined and per-level statistics; the contents
+        stay warm."""
+        self.stats.reset()
+        self.level1.stats.reset()
+        self.level2.stats.reset()
+
+    @property
+    def l2_probes(self) -> int:
+        """Level-2 probes since the last reset: level 2's accesses."""
+        return self.level2.stats.accesses
+
+    def latency(self, miss_penalty: int) -> int:
+        """Cycles the lookups counted in :attr:`stats` exposed: one
+        ``miss_penalty`` walk per miss, plus ``l2_extra_latency`` per
+        level-2 probe in serial mode (a parallel probe hides it)."""
+        cycles = self.stats.misses * miss_penalty
+        if self.config.serial:
+            cycles += self.l2_probes * self.config.l2_extra_latency
+        return cycles
 
     def invalidate(self, vpn: int) -> None:
         self.level1.invalidate(vpn)

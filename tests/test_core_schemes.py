@@ -20,6 +20,7 @@ from repro.cpu.fast import FastEngine
 from repro.isa.assembler import link
 from repro.sim.multi import run_all_schemes
 from repro.vm.page_table import PageTable, Protection
+from repro.vm.tlb import build_itlb
 from repro.workloads import microbench
 from repro.workloads.spec2000 import load_benchmark
 
@@ -67,12 +68,14 @@ class TestCFR:
 
 class TestPolicyMechanics:
     def test_policy_factory_builds_private_itlbs(self):
+        """Policies own no iTLB: each gets a private lookup column, which
+        the engine replays through that scheme's own iTLBs."""
         config = default_config()
         table = PageTable(4096)
         policies = build_all_policies(config, table)
         assert len(policies) == 6
-        itlbs = {id(p.itlb) for p in policies}
-        assert len(itlbs) == 6
+        columns = {id(p.column) for p in policies}
+        assert len(columns) == 6
 
     def test_base_always_wants_lookup(self):
         policy = build_policy(SchemeName.BASE, default_config(),
@@ -99,12 +102,25 @@ class TestPolicyMechanics:
         assert policy.counters.lookups == 2
 
     def test_lookup_miss_penalty_returned(self):
+        """A replay right after a lookup exposes its miss latency, as
+        the out-of-order engine charges it."""
         config = default_config()
-        policy = build_policy(SchemeName.OPT, config, _code_table())
-        extra = policy.lookup(1, LookupReason.BRANCH)
+        table = _code_table()
+        policy = build_policy(SchemeName.OPT, config, table)
+        itlb = build_itlb(config.itlb)
+        penalty = config.itlb.miss_penalty
+
+        def lookup(vpn):
+            policy.lookup(vpn, LookupReason.BRANCH)
+            before = itlb.latency(penalty)
+            itlb.replay(policy.column, {}, table)
+            del policy.column[:]
+            return itlb.latency(penalty) - before
+
+        extra = lookup(1)
         assert extra == config.itlb.miss_penalty  # cold iTLB
-        policy.lookup(2, LookupReason.BRANCH)
-        assert policy.lookup(1, LookupReason.BRANCH) == 0  # warm now
+        lookup(2)
+        assert lookup(1) == 0  # warm now
 
     def test_invalidate_resets_coverage(self):
         policy = build_policy(SchemeName.OPT, default_config(),

@@ -14,8 +14,10 @@ from repro.config import (
     default_config,
 )
 from repro.core.schemes import LookupReason, build_policy
+from repro.cpu.results import scheme_result
 from repro.isa.instructions import Instruction, Opcode
 from repro.vm.page_table import PageTable, Protection
+from repro.vm.tlb import build_itlb
 
 PAGE = 4096
 
@@ -33,6 +35,21 @@ def _code_table() -> PageTable:
 def _policy(name, defer=False, config=None):
     return build_policy(name, config or default_config(), _code_table(),
                         defer=defer)
+
+
+def _translate(policy, itlb):
+    """Replay the policy's pending lookups through ``itlb``, as an
+    engine does, and return the latency they exposed."""
+    penalty = policy.config.itlb.miss_penalty
+    before = itlb.latency(penalty)
+    itlb.replay(policy.column, {}, policy.page_table)
+    del policy.column[:]
+    return itlb.latency(penalty) - before
+
+
+def _counters(policy, itlb):
+    """The policy's counters with the iTLB's misses and probes."""
+    return scheme_result(policy, itlb, extra_cycles=0, cycles=0).counters
 
 
 def _branch_instr(pc=0x400000, target=0x402000, boundary=False, hint=False):
@@ -174,25 +191,31 @@ class TestTwoLevelPolicyIntegration:
                 level1=TLBConfig(entries=1),
                 level2=TLBConfig(entries=32)))
         policy = build_policy(SchemeName.OPT, config, _code_table())
+        itlb = build_itlb(config.itlb, config.itlb_two_level)
         policy.lookup(1, LookupReason.BRANCH)  # cold: L1 miss, L2 miss
         policy.lookup(2, LookupReason.BRANCH)  # evicts 1 from L1
         policy.lookup(1, LookupReason.BRANCH)  # L1 miss, L2 hit
-        assert policy.counters.lookups == 3
-        assert policy.counters.l2_probes == 3
-        assert policy.counters.misses == 2
+        _translate(policy, itlb)
+        counters = _counters(policy, itlb)
+        assert counters.lookups == 3
+        assert counters.l2_probes == 3
+        assert counters.misses == 2
 
     def test_note_repeat_hits_on_two_level(self):
         config = default_config().with_two_level_itlb(TwoLevelTLBConfig(
             level1=TLBConfig(entries=1), level2=TLBConfig(entries=32)))
         policy = build_policy(SchemeName.BASE, config, _code_table())
+        itlb = build_itlb(config.itlb, config.itlb_two_level)
         policy.lookup(1, LookupReason.BRANCH)
+        _translate(policy, itlb)
         # the decision side counts the lookups, the iTLB that served
         # the previous one counts the hits
         policy.note_repeat_hits(100)
-        policy.itlb.repeat_hits(100)
-        assert policy.counters.lookups == 101
-        assert policy.counters.l2_probes == 1  # repeats hit level 1
-        assert policy.itlb.level1.stats.hits == 100
+        itlb.repeat_hits(100)
+        counters = _counters(policy, itlb)
+        assert counters.lookups == 101
+        assert counters.l2_probes == 1  # repeats hit level 1
+        assert itlb.level1.stats.hits == 100
 
 
 class TestLookupExtraLatency:
@@ -200,10 +223,14 @@ class TestLookupExtraLatency:
         config = default_config().with_two_level_itlb(TwoLevelTLBConfig(
             level1=TLBConfig(entries=1), level2=TLBConfig(entries=32)))
         policy = build_policy(SchemeName.OPT, config, _code_table())
-        cold = policy.lookup(1, LookupReason.BRANCH)
+        itlb = build_itlb(config.itlb, config.itlb_two_level)
+        policy.lookup(1, LookupReason.BRANCH)
+        cold = _translate(policy, itlb)
         assert cold == 1 + config.itlb.miss_penalty  # L2 probe + walk
         policy.lookup(2, LookupReason.BRANCH)
-        warm_l2 = policy.lookup(1, LookupReason.BRANCH)
+        _translate(policy, itlb)
+        policy.lookup(1, LookupReason.BRANCH)
+        warm_l2 = _translate(policy, itlb)
         assert warm_l2 == 1  # L1 miss, L2 hit: just the extra probe cycle
 
     def test_serial_penalty_applied_by_ia_upfront(self):

@@ -161,31 +161,58 @@ class TestTLB:
 
 
 class TestReplay:
-    """``TLB.replay`` is ``translate`` applied to a column of lookups."""
+    """``replay`` is ``translate`` applied to a column of lookups, for
+    every iTLB organization and however the column is chunked."""
 
     @staticmethod
-    def _one_by_one(config, vpns):
-        tlb, table = TLB(config), _code_table()
+    def _build(config):
+        if isinstance(config, TwoLevelTLBConfig):
+            return TwoLevelTLB(config)
+        return TLB(config)
+
+    @classmethod
+    def _one_by_one(cls, config, vpns):
+        tlb, table = cls._build(config), _code_table()
         misses = sum(not tlb.translate(vpn, table)[1] for vpn in vpns)
         return tlb, misses
+
+    @staticmethod
+    def _state(tlb):
+        """Every stats object and every level's contents in LRU order."""
+        levels = ([tlb.level1, tlb.level2] if isinstance(tlb, TwoLevelTLB)
+                  else [tlb])
+        return (tlb.stats, [level.stats for level in levels],
+                [[list(s.items()) for s in level._sets]
+                 for level in levels])
 
     @given(st.lists(st.integers(0, 7), max_size=200),
            st.sampled_from([TLBConfig(entries=1), TLBConfig(entries=4),
                             TLBConfig(entries=4, assoc=2),
-                            TLBConfig(entries=8, assoc=4)]))
-    @settings(max_examples=60)
-    def test_matches_translate_one_by_one(self, vpns, config):
+                            TLBConfig(entries=8, assoc=4),
+                            TwoLevelTLBConfig(level1=TLBConfig(entries=1),
+                                              level2=TLBConfig(entries=4),
+                                              serial=True),
+                            TwoLevelTLBConfig(
+                                level1=TLBConfig(entries=2),
+                                level2=TLBConfig(entries=4, assoc=2),
+                                serial=False)]),
+           st.lists(st.integers(1, 9), min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_matches_translate_one_by_one(self, vpns, config, chunks):
         reference, ref_misses = self._one_by_one(config, vpns)
-        tlb, frames = TLB(config), {}
-        misses = 0
-        # in chunks, as an engine replays window by window
-        for start in range(0, len(vpns), 7):
-            misses += tlb.replay(vpns[start:start + 7], frames,
+        tlb, frames = self._build(config), {}
+        misses = start = index = 0
+        # in chunks cycling through ``chunks``: one lookup at a time, as
+        # the out-of-order engine replays after each decision, or a
+        # window at a time, as the fast engine does
+        while start < len(vpns):
+            size = chunks[index % len(chunks)]
+            misses += tlb.replay(vpns[start:start + size], frames,
                                  _code_table())
+            start += size
+            index += 1
         assert misses == ref_misses
-        assert tlb.stats == reference.stats
-        assert [list(s.items()) for s in tlb._sets] \
-            == [list(s.items()) for s in reference._sets]
+        assert self._state(tlb) == self._state(reference)
 
     def test_repeats_are_hits_that_keep_lru_order(self):
         tlb = TLB(TLBConfig(entries=2))
@@ -231,32 +258,46 @@ class TestTwoLevelTLB:
                                  level2=TLBConfig(entries=8),
                                  serial=serial)
 
+    @staticmethod
+    def _translate(tlb, vpn, table):
+        """Translate ``vpn``; return whether it hit, the (level-1,
+        level-2) probes it made and the level-2 latency it exposed, all
+        read from the levels' own statistics."""
+        def state():
+            return (tlb.level1.stats.accesses, tlb.level2.stats.accesses,
+                    tlb.latency(0))  # no walk cost: level-2 cycles only
+        before = state()
+        _, hit = tlb.translate(vpn, table)
+        l1, l2, extra = (now - then for now, then in zip(state(), before))
+        return hit, (l1, l2), extra
+
     def test_serial_l2_probe_only_on_l1_miss(self):
         table = _code_table()
         tlb = TwoLevelTLB(self._cfg())
-        tlb.translate(1, table)  # full miss: probes both, walks
-        assert tlb.last_probes == (1, 1)
-        tlb.translate(1, table)  # L1 hit
-        assert tlb.last_probes == (1, 0)
-        assert tlb.last_extra_latency == 0
+        # full miss: probes both, walks
+        _, probes, _ = self._translate(tlb, 1, table)
+        assert probes == (1, 1)
+        _, probes, extra = self._translate(tlb, 1, table)  # L1 hit
+        assert probes == (1, 0)
+        assert extra == 0
 
     def test_l2_hit_after_l1_eviction(self):
         table = _code_table()
         tlb = TwoLevelTLB(self._cfg())
         tlb.translate(1, table)
         tlb.translate(2, table)  # evicts 1 from the 1-entry L1
-        pfn, hit = tlb.translate(1, table)
+        hit, probes, extra = self._translate(tlb, 1, table)
         assert hit
-        assert tlb.last_probes == (1, 1)
-        assert tlb.last_extra_latency == 1
+        assert probes == (1, 1)
+        assert extra == 1
 
     def test_parallel_probes_both_always(self):
         table = _code_table()
         tlb = TwoLevelTLB(self._cfg(serial=False))
         tlb.translate(1, table)
-        tlb.translate(1, table)
-        assert tlb.last_probes == (1, 1)
-        assert tlb.last_extra_latency == 0
+        _, probes, extra = self._translate(tlb, 1, table)
+        assert probes == (1, 1)
+        assert extra == 0
 
     def test_combined_stats_count_walks(self):
         table = _code_table()
