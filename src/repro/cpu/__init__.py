@@ -22,12 +22,9 @@ predictor, schemes):
   one configuration and one scheme at a time.  Slower; used for
   validation and examples.
 
-Both engines translate iTLB lookups one way: a policy appends each
-lookup to its column, and the engine replays the column through an
-iTLB (the fast engine once per window for every member, the detailed
-engine right after each decision point).  Every result's iTLB counts
-come from that iTLB's own statistics
-(:func:`~repro.cpu.results.scheme_result`).
+Both engines translate by replaying a policy's lookup column through an
+iTLB (per window, or right after each decision) and read the iTLB
+counts from its own statistics (:func:`~repro.cpu.results.scheme_result`).
 
 :mod:`repro.cpu.functional` holds the architectural state and instruction
 semantics: the out-of-order engine steps it directly, and a live

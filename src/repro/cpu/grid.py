@@ -14,9 +14,8 @@ reasons.  :class:`~repro.cpu.fast.FastEngine` therefore takes the
 member list itself, runs **one** policy set per pass, and replays each
 scheme's lookup column through every member's own iTLB at each window
 boundary: decision cost is paid once, and only that tight replay
-multiplies per member.  Policies own no iTLB, and each member's misses,
-level-2 probes and miss latency are read from its iTLBs' own
-statistics.  Every member's numbers are **bit-identical** to
+multiplies per member, whose iTLB counts are its iTLBs' own statistics.
+Every member's numbers are **bit-identical** to
 the run it would get alone — pinned by ``tests/test_batch_engine.py``'s
 grid suite.  Live programs and replays grid alike: both reach the loop
 as columns.

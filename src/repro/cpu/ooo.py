@@ -24,16 +24,15 @@ A SimpleScalar-``sim-outorder``-shaped model:
 The engine runs one iTLB policy per instance so timing interactions
 (PI-PT's serialized lookups, VI-VT's miss-path lookups, iTLB miss stalls)
 are modelled *inside* the pipeline rather than added afterwards; the fast
-engine's additive approximation is validated against this.  The policy
-only decides: right after each decision point (the fetch-point lookup,
-the VI-VT miss-path lookup, the fetch-time branch trigger) the engine
-replays the policy's lookup column through its one iTLB and stalls for
-the latency that replay exposed.
+engine's additive approximation is validated against this.  Right after
+each decision point (fetch-point lookup, VI-VT miss-path lookup,
+fetch-time branch trigger) the engine replays the policy's lookup column
+through its one iTLB and stalls for the latency the replay exposed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.branch.predictor import FrontEndPredictor, Prediction
 from repro.config import CacheAddressing, MachineConfig, SchemeName
@@ -106,9 +105,6 @@ class OutOfOrderEngine:
                                      CacheAddressing.VIVT) else 0)
         self.itlb = build_itlb(config.itlb, config.itlb_two_level,
                                name=f"itlb[{scheme.value}]")
-        self._miss_penalty = config.itlb.miss_penalty
-        #: code-page frames the iTLB's refills share, each walked once
-        self._frames: Dict[int, Tuple[int, Protection]] = {}
 
         self.shared = SharedStats()
         self._page_shift = config.mem.page_bytes.bit_length() - 1
@@ -185,11 +181,11 @@ class OutOfOrderEngine:
         column = self.policy.column
         if not column:
             return 0
-        itlb = self.itlb
-        before = itlb.latency(self._miss_penalty)
-        itlb.replay(column, self._frames, self.space.page_table)
+        itlb, penalty = self.itlb, self.config.itlb.miss_penalty
+        before = itlb.latency(penalty)
+        itlb.replay(column, {}, self.space.page_table)
         del column[:]
-        return itlb.latency(self._miss_penalty) - before
+        return itlb.latency(penalty) - before
 
     def _collect(self, measured_cycles: int) -> EngineResult:
         shared = self.shared

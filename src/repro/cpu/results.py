@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.config import CacheAddressing, MachineConfig, SchemeName
-from repro.core.schemes import SchemeCounters
+from repro.core.schemes import ITLBPolicy, SchemeCounters
 from repro.energy.accounting import EnergyBreakdown
 from repro.mem.cache import CacheStats
 from repro.branch.predictor import PredictorStats
-from repro.vm.tlb import TLBStats
+from repro.vm.tlb import AnyTLB, TLBStats
 
 
 @dataclass
@@ -111,7 +111,7 @@ class SchemeResult:
         )
 
 
-def scheme_result(policy, itlb, *, extra_cycles: int,
+def scheme_result(policy: ITLBPolicy, itlb: AnyTLB, *, extra_cycles: int,
                   cycles: int) -> SchemeResult:
     """One scheme's result from the policy that decided its lookups and
     the iTLB that translated them: decision counters from the policy;

@@ -10,10 +10,8 @@ Two organizations are modelled, matching the paper's evaluation space:
   miss, one extra cycle, the paper's optimistic assumption) or in parallel
   (both probed every access; better latency, strictly worse energy).
 
-Both share one replay interface: :meth:`TLB.replay` translates a column
-of lookups and returns the misses, and every count the engines report
-comes from the structures' own statistics.  For a two-level iTLB, level
-2's stats are the probe count, which the energy accounting in
+Both replay a column of lookups (``replay``) and keep every count in
+their own statistics; level 2's stats are the probe count, which
 :mod:`repro.energy` charges at level 2's own CACTI-derived cost.
 """
 
@@ -273,11 +271,8 @@ class TwoLevelTLB:
     def replay(self, vpns: Iterable[int],
                frames: Dict[int, Tuple[int, Protection]],
                page_table: PageTable) -> int:
-        """Translate a column of lookups in order; returns the misses
-        (page walks).  Any access may probe level 2 (every access, in
-        parallel mode), so the column translates entry by entry and
-        refills read ``page_table`` directly: ``frames`` is accepted for
-        the shared interface."""
+        """:meth:`TLB.replay` for two levels: any access may probe level
+        2, so entries translate one by one (``frames`` goes unused)."""
         translate = self.translate
         misses = 0
         for vpn in vpns:
@@ -300,8 +295,7 @@ class TwoLevelTLB:
         self.level1.stats.hits += count
 
     def reset_stats(self) -> None:
-        """Zero the combined and per-level statistics; the contents
-        stay warm."""
+        """Zero every level's statistics; the contents stay warm."""
         self.stats.reset()
         self.level1.stats.reset()
         self.level2.stats.reset()
