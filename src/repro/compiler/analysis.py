@@ -25,10 +25,6 @@ class BranchClass:
     analyzable: bool
     in_page: Optional[bool]  #: None when not analyzable
 
-    @property
-    def crosses_page(self) -> Optional[bool]:
-        return None if self.in_page is None else not self.in_page
-
 
 def classify_branch(instr: Instruction, page_bytes: int) -> BranchClass:
     """Classify a single control instruction."""

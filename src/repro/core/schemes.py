@@ -74,10 +74,6 @@ class SchemeCounters:
     btb_compares: int = 0  #: IA's compare on the BTB output
     deferred_cfr_hits: int = 0  #: VI-VT misses served by the CFR
 
-    @property
-    def lookup_hit_rate(self) -> float:
-        return 1.0 - (self.misses / self.lookups) if self.lookups else 1.0
-
     def to_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
 

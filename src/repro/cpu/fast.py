@@ -81,6 +81,18 @@ from repro.vm.tlb import TLB, AnyTLB, build_itlb
 _FRONT_DEPTH = 3  #: fetch-queue + decode/dispatch depth in cycles
 
 
+def _miss_path_lookups(policies: Sequence[ITLBPolicy], vpn: int) -> None:
+    """A VI-VT iL1 miss on page ``vpn``: each policy whose CFR cannot
+    supply the translation looks it up on the miss path, serially; the
+    others are served from the CFR."""
+    for policy in policies:
+        if policy.wants_lookup(vpn):
+            policy.extra_cycles += policy.serial_penalty
+            policy.lookup(vpn, policy.fetch_reason(True))
+        else:
+            policy.serve_from_cfr()
+
+
 class FastEngine:
     """Single-pass multi-scheme simulator over one or more configs.
 
@@ -496,14 +508,7 @@ class FastEngine:
                     if not fetched.il1_hit:
                         fetch_stall = fetched.latency - 1
                         if vivt:
-                            for policy in policies:
-                                if policy.wants_lookup(vpn):
-                                    policy.extra_cycles += (
-                                        policy.serial_penalty)
-                                    policy.lookup(
-                                        vpn, policy.fetch_reason(True))
-                                else:
-                                    policy.serve_from_cfr()
+                            _miss_path_lookups(policies, vpn)
 
                 # ---- retire (the columns hold the step facts) ----
                 kind = kinds[pos]
@@ -677,15 +682,8 @@ class FastEngine:
                         if not fetched.il1_hit:
                             fs = fetched.latency - 1
                             if vivt:
-                                vpn = pc >> page_shift
-                                for policy in policies:
-                                    if policy.wants_lookup(vpn):
-                                        policy.extra_cycles += (
-                                            policy.serial_penalty)
-                                        policy.lookup(
-                                            vpn, policy.fetch_reason(True))
-                                    else:
-                                        policy.serve_from_cfr()
+                                # the chunk never leaves last_vpn's page
+                                _miss_path_lookups(policies, last_vpn)
                     vblock = pc >> block_shift
 
                     # ---- plain-instruction timing (the subset of the

@@ -63,15 +63,6 @@ class Executor:
         self._text_base = program.text_base
         self._text_len = len(program.instructions)
 
-    # -- register helpers (r0 semantics) ----------------------------------
-
-    def read_reg(self, index: int) -> int:
-        return self.regs[index] if index else 0
-
-    def write_reg(self, index: int, value: int) -> None:
-        if index:
-            self.regs[index] = value & _MASK
-
     # -- execution -------------------------------------------------------------
 
     def fetch_instruction(self, pc: Optional[int] = None) -> Instruction:

@@ -35,7 +35,7 @@ All energies are in nanojoules.
 
 from __future__ import annotations
 
-from repro.config import EnergyConfig, TLBConfig, TwoLevelTLBConfig
+from repro.config import EnergyConfig, TLBConfig
 
 
 class CactiLikeModel:
@@ -53,7 +53,6 @@ class CactiLikeModel:
     # primitives
     _COMPARATOR_NJ_PER_BIT = 0.00055  # 20-bit VPN comparator ~= 11 pJ
     _REGISTER_READ_NJ_PER_BIT = 0.00035  # 44-bit CFR read ~= 15.4 pJ
-    _REGISTER_WRITE_NJ_PER_BIT = 0.00042
 
     # refill (miss) energy: one entry write (no match-line search) plus a
     # fixed walk-side overhead charged to the TLB
@@ -85,15 +84,6 @@ class CactiLikeModel:
         return (self._REFILL_FIXED_NJ
                 + self._REFILL_WRITE_FRACTION * self.tlb_access_energy(tlb))
 
-    def two_level_access_energy(self, cfg: TwoLevelTLBConfig,
-                                probed_l2: bool) -> float:
-        """Energy of one two-level lookup given whether level 2 was probed
-        (serial mode skips it on a level-1 hit; parallel always probes)."""
-        energy = self.tlb_access_energy(cfg.level1)
-        if probed_l2 or not cfg.serial:
-            energy += self.tlb_access_energy(cfg.level2)
-        return energy
-
     # -- primitives ------------------------------------------------------------
 
     def comparator_energy(self, bits: int | None = None) -> float:
@@ -106,11 +96,6 @@ class CactiLikeModel:
         if bits is None:
             bits = self._tag_bits + self._payload_bits
         return bits * self._REGISTER_READ_NJ_PER_BIT
-
-    def register_write_energy(self, bits: int | None = None) -> float:
-        if bits is None:
-            bits = self._tag_bits + self._payload_bits
-        return bits * self._REGISTER_WRITE_NJ_PER_BIT
 
     def btb_compare_energy(self) -> float:
         """The IA scheme's page-number compare on the BTB output (Figure 2).

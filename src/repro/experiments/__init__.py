@@ -1,17 +1,18 @@
 """Reproduction harness: one module per table/figure of the paper.
 
-Every experiment declares ``cells(settings)`` — the simulations
-(:class:`~repro.runner.JobSpec`) and image probes it reads — and
-``build(settings) -> TableResult``, which renders its table from the
-answers; ``run(settings)`` answers its own cells and builds.  Results
+Every experiment declares ``cells(settings)`` — each simulation
+(:class:`~repro.runner.JobSpec`) and image probe it reads, once, under
+the key its build reads it by — and ``build(settings, answers) ->
+TableResult``, which renders its table by indexing those keys' answers;
+``run(settings)`` answers its own cells and builds.  Results
 render as paper-style text tables and carry paper-vs-measured
 comparisons where the paper printed absolute numbers.
 ``repro.experiments.report`` answers every experiment's cells in one
 sweep, then builds the full set and writes EXPERIMENTS.md.
 
-The answers live in a shared result store
+The answers come from a shared result store
 (:mod:`repro.experiments.common`): Table 2, Tables 3-5, and Figures 4-5
-all read the same two default-configuration passes per benchmark,
+all declare the same two default-configuration passes per benchmark,
 ``settings.workers > 1`` simulates a plan in parallel, and a persistent
 cache directory (``configure_store``) carries results across processes.
 """
@@ -22,11 +23,9 @@ from repro.experiments.common import (
     TableResult,
     answer,
     clear_cache,
-    combined_run,
     configure_store,
     default_settings,
     job_for,
-    stored,
 )
 from repro.experiments import (
     configuration,
@@ -58,7 +57,6 @@ __all__ = [
     "TableResult",
     "answer",
     "clear_cache",
-    "combined_run",
     "configuration",
     "configure_store",
     "default_settings",
@@ -70,7 +68,6 @@ __all__ = [
     "run_all",
     "run_experiment",
     "sensitivity",
-    "stored",
     "table2",
     "table3",
     "table4",

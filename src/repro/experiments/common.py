@@ -3,21 +3,21 @@
 Every experiment is split in two, the way a workload runner keeps what
 a workload will run apart from running it:
 
-* ``cells(settings)`` declares what the experiment reads: the
-  :class:`JobSpec` of every simulation, plus an :class:`ImageProbe`
-  for each piece of functional work on a linked image that is no
-  engine pass (Table 4's dynamic branch classes, the data-side CFR);
-* ``build(settings)`` renders the table from the answers.  It only
-  reads: :func:`combined_run` and :func:`stored` look a spec up in the
-  process-wide :class:`ResultStore`, :func:`probed` a probe's result,
-  and a cell nobody answered raises :class:`SimulationError` naming it.
+* ``cells(settings)`` declares what the experiment reads, each cell
+  once, under the key its build reads it by: the :class:`JobSpec` of
+  every simulation, plus an :class:`ImageProbe` for each piece of
+  functional work on a linked image that is no engine pass (Table 4's
+  dynamic branch classes, the data-side CFR);
+* ``build(settings, answers)`` renders the table by indexing
+  ``answers``, which holds each declared cell's answer under its key;
+  a key nobody declared has no answer to read.
 
-:func:`answer` answers a list of cells with one :class:`SweepRunner`
-sweep, and runs the probes inside that sweep's link slot, so they read
-the images (and memoized streams) the sweep already linked and
-executed.  ``repro report`` answers the union of every experiment's
-cells in one plan before it builds any table
-(:mod:`repro.experiments.report`); an experiment's own
+:func:`answer` answers a mapping of cells with one :class:`SweepRunner`
+sweep into the process-wide :class:`ResultStore`, and runs the probes
+inside that sweep's link slot, so they read the images (and memoized
+streams) the sweep already linked and executed.  ``repro report``
+answers the union of every experiment's cells in one plan before it
+builds any table (:mod:`repro.experiments.report`); an experiment's own
 ``run(settings)`` (see :func:`planned`) does the same two steps for
 itself.  ``settings.workers > 1`` fans the sweep out over worker
 processes, through ``settings.backend`` when one is named.  Pointing
@@ -40,8 +40,10 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -51,8 +53,13 @@ from typing import (
 from repro.config import MachineConfig
 from repro.errors import SimulationError
 from repro.isa.program import Program
-from repro.runner import JobSpec, ResultStore, SweepRunner, resolve_workers
-from repro.sim.multi import CombinedRun
+from repro.runner import (
+    JobSpec,
+    ResultStore,
+    SweepRunner,
+    SweepStats,
+    resolve_workers,
+)
 from repro.workloads.spec2000 import BENCHMARK_NAMES
 
 PAPER_INSTRUCTIONS = 250_000_000
@@ -132,8 +139,13 @@ class ImageProbe:
         return f"{self.name} probe of {self.spec.describe()}"
 
 
-#: what ``cells(settings)`` returns a list of
 Cell = Union[JobSpec, ImageProbe]
+#: what ``cells(settings)`` returns: each cell under the key its
+#: ``build`` reads the answer by
+Cells = Mapping[Hashable, Cell]
+#: what ``build(settings, answers)`` indexes: each cell's answer under
+#: the cell's key
+Answers = Mapping[Hashable, object]
 
 _STORE = ResultStore()
 _PROBED: Dict[Tuple[str, str], object] = {}
@@ -157,22 +169,25 @@ def job_for(benchmark: str, config: MachineConfig,
                    warmup=settings.warmup)
 
 
-def planned(cells: Callable[[ExperimentSettings], List[Cell]],
-            build: Callable[[ExperimentSettings], "TableResult"]
+def planned(cells: Callable[[ExperimentSettings], Cells],
+            build: Callable[[ExperimentSettings, Answers], "TableResult"]
             ) -> Callable[..., "TableResult"]:
     """An experiment's ``run(settings)``: :func:`answer` its cells, then
-    build its table."""
+    build its table from their answers."""
     def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
         settings = settings or default_settings()
-        answer(cells(settings), settings)
-        return build(settings)
+        answers, _ = answer(cells(settings), settings)
+        return build(settings, answers)
     return run
 
 
-def answer(cells: Iterable[Cell],
-           settings: ExperimentSettings) -> SweepRunner:
+def answer(cells: Cells, settings: ExperimentSettings
+           ) -> Tuple[Dict[Hashable, object], SweepStats]:
     """Answer ``cells``: every :class:`JobSpec` in one sweep into the
     store, every :class:`ImageProbe` inside that sweep's link slot.
+    Returns each cell's answer under the cell's own key (a
+    :class:`CombinedRun` for a spec, the measurement for a probe), and
+    the sweep's stats.
 
     A probe runs when the slot drops its image, so it reads the binary
     and the memoized stream the sweep's jobs used; the serial backend
@@ -181,18 +196,16 @@ def answer(cells: Iterable[Cell],
     process (all its jobs were store hits, or ran in worker processes,
     which do not inherit the hook) links it afterwards, through the
     same slot.  A failed job or probe raises :class:`SimulationError`
-    after the sweep — experiments cannot proceed without it.  Returns
-    the runner, whose ``last_stats`` describe the sweep.
+    after the sweep — experiments cannot proceed without it.
     """
     from repro.workloads.registry import resolve
     from repro.workloads.synthetic import link_slot
-    specs: List[JobSpec] = []
+    specs = {key: cell for key, cell in cells.items()
+             if isinstance(cell, JobSpec)}
     #: (workload name, page size) -> (workload, {probe key: probe})
     images: Dict[Tuple[str, int], Tuple[object, Dict[tuple, ImageProbe]]] = {}
-    for cell in cells:
-        if isinstance(cell, JobSpec):
-            specs.append(cell)
-        elif cell.key not in _PROBED:
+    for cell in cells.values():
+        if isinstance(cell, ImageProbe) and cell.key not in _PROBED:
             image = (cell.spec.workload, cell.spec.config.mem.page_bytes)
             if image not in images:
                 images[image] = (resolve(image[0]), {})
@@ -220,7 +233,7 @@ def answer(cells: Iterable[Cell],
                          workers=resolve_workers(settings.workers),
                          backend=settings.backend)
     with link_slot(on_release):
-        results = runner.run(specs)
+        results = runner.run(specs.values())
         for image in list(images):
             if image not in images:
                 continue  # measured when the slot released it
@@ -233,37 +246,9 @@ def answer(cells: Iterable[Cell],
                 f"{result.error}")
     if failures:
         raise SimulationError(f"experiment cell failed: {failures[0]}")
-    return runner
-
-
-def stored(spec: JobSpec) -> CombinedRun:
-    """The store's answer for ``spec``; a cell no plan answered raises
-    :class:`SimulationError` naming it."""
-    run = _STORE.get(spec)
-    if run is None:
-        raise SimulationError(
-            f"cell {spec.describe()} has no answer in the store: declare "
-            "it in the experiment's cells() and answer them before "
-            "building")
-    return run
-
-
-def combined_run(benchmark: str, config: MachineConfig,
-                 settings: ExperimentSettings) -> CombinedRun:
-    """The stored two-pass evaluation of every scheme on one benchmark."""
-    return stored(job_for(benchmark, config, settings))
-
-
-def probed(probe: ImageProbe) -> object:
-    """``probe``'s answer; one no plan answered raises
-    :class:`SimulationError` naming it."""
-    try:
-        return _PROBED[probe.key]
-    except KeyError:
-        raise SimulationError(
-            f"cell {probe.describe()} has no answer: declare it in the "
-            "experiment's cells() and answer them before building"
-        ) from None
+    runs = {key: result.run for key, result in zip(specs, results)}
+    return ({key: runs[key] if key in runs else _PROBED[cell.key]
+             for key, cell in cells.items()}, runner.last_stats)
 
 
 def clear_cache() -> None:

@@ -6,39 +6,23 @@ asserts it matches the paper parameter-for-parameter.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.config import default_config
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
     planned,
 )
 
-_EXPECTED = [
-    ("RUU size", "64 instructions"),
-    ("LSQ size", "32 instructions"),
-    ("Fetch queue size", "8 instructions"),
-    ("Fetch/decode/issue/commit width", "4 instructions/cycle"),
-    ("iL1", "8KB, direct-mapped, 32 byte blocks, 1 cycle"),
-    ("dL1", "8KB, 2-way, 32 byte blocks, 1 cycle"),
-    ("L2", "1MB unified, 2-way, 128 byte blocks, 10 cycle"),
-    ("iTLB", "32 entries, full-associative, 50 cycle miss penalty"),
-    ("dTLB", "128 entries, full-associative, 50 cycle miss penalty"),
-    ("Page size", "4KB"),
-    ("DRAM", "100 cycle latency"),
-    ("Branch predictor", "bimodal, 2-bit counters (+8-entry RAS, see note)"),
-    ("BTB", "1024 entries, 2-way"),
-    ("Misprediction penalty", "7 cycles"),
-]
+def cells(settings: ExperimentSettings) -> Cells:
+    return {}  # not a simulation
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return []  # not a simulation
-
-
-def build(settings: Optional[ExperimentSettings] = None) -> TableResult:
+def build(settings: Optional[ExperimentSettings] = None,
+          answers: Optional[Answers] = None) -> TableResult:
     config = default_config()
     result = TableResult(
         experiment_id="Table 1",

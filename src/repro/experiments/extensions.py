@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Optional
 
 from repro.compiler.layout import layout_by_affinity, original_layout
 from repro.compiler.instrument import instrument_module
@@ -30,15 +30,14 @@ from repro.config import (
 from repro.core.dcfr import DataCFR
 from repro.energy.cacti import CactiLikeModel
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     ImageProbe,
     TableResult,
-    combined_run,
     default_settings,
     job_for,
     planned,
-    probed,
     short_name,
 )
 from repro.isa.program import Program
@@ -73,17 +72,15 @@ def _dcfr_counters(program: Program, spec: JobSpec) -> list:
     return found
 
 
-def _dcfr_probe(bench: str, settings: ExperimentSettings) -> ImageProbe:
-    return ImageProbe("extensions.dcfr",
-                      job_for(bench, default_config(), settings),
-                      _dcfr_counters)
+def dcfr_cells(settings: ExperimentSettings) -> Cells:
+    return {("dcfr", bench):
+            ImageProbe("extensions.dcfr",
+                       job_for(bench, default_config(), settings),
+                       _dcfr_counters)
+            for bench in settings.benchmarks}
 
 
-def dcfr_cells(settings: ExperimentSettings) -> List[Cell]:
-    return [_dcfr_probe(bench, settings) for bench in settings.benchmarks]
-
-
-def build_dcfr(settings: ExperimentSettings) -> TableResult:
+def build_dcfr(settings: ExperimentSettings, answers: Answers) -> TableResult:
     """Data-side CFR: dTLB accesses avoided per register count."""
     config = default_config()
     model = CactiLikeModel(config.energy)
@@ -95,8 +92,8 @@ def build_dcfr(settings: ExperimentSettings) -> TableResult:
                  "dtlb lookups avoided %", "energy % of base dTLB"],
     )
     for bench in settings.benchmarks:
-        for registers, counters in zip(
-                DCFR_REGISTERS, probed(_dcfr_probe(bench, settings))):
+        for registers, counters in zip(DCFR_REGISTERS,
+                                       answers["dcfr", bench]):
             refs = counters.references or 1
             base_energy = refs * dtlb_ea
             dcfr_energy = (counters.dtlb_lookups * dtlb_ea
@@ -184,14 +181,16 @@ PREDICTOR_VARIANTS = (
 )
 
 
-def predictor_cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, default_config(CacheAddressing.VIPT)
+def predictor_cells(settings: ExperimentSettings) -> Cells:
+    return {("predictor", label, bench):
+            job_for(bench, default_config(CacheAddressing.VIPT)
                     .with_branch(branch_cfg), settings)
-            for _, branch_cfg in PREDICTOR_VARIANTS
-            for bench in settings.benchmarks]
+            for label, branch_cfg in PREDICTOR_VARIANTS
+            for bench in settings.benchmarks}
 
 
-def build_predictors(settings: ExperimentSettings) -> TableResult:
+def build_predictors(settings: ExperimentSettings,
+                     answers: Answers) -> TableResult:
     """IA's gap to OPT as a function of predictor quality."""
     result = TableResult(
         experiment_id="Extension: predictors",
@@ -200,11 +199,9 @@ def build_predictors(settings: ExperimentSettings) -> TableResult:
                  "ia energy % of base", "opt energy % of base",
                  "ia/opt ratio"],
     )
-    for label, branch_cfg in PREDICTOR_VARIANTS:
+    for label, _ in PREDICTOR_VARIANTS:
         for bench in settings.benchmarks:
-            cfg = default_config(CacheAddressing.VIPT) \
-                .with_branch(branch_cfg)
-            run_ = combined_run(bench, cfg, settings)
+            run_ = answers["predictor", label, bench]
             ia = 100.0 * run_.normalized_energy(SchemeName.IA)
             opt = 100.0 * run_.normalized_energy(SchemeName.OPT)
             result.add_row(**{
@@ -224,12 +221,20 @@ def build_predictors(settings: ExperimentSettings) -> TableResult:
 run_predictors = planned(predictor_cells, build_predictors)
 
 
-def accounting_cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, default_config(CacheAddressing.VIPT), settings)
-            for bench in settings.benchmarks]
+def accounting_cells(settings: ExperimentSettings) -> Cells:
+    """Each benchmark's default VI-PT run under the paper's accounting
+    and under the full one (an energy-only variant: it rides the same
+    pass as a grid member)."""
+    paper = default_config(CacheAddressing.VIPT)
+    full = dataclasses.replace(paper, energy=dataclasses.replace(
+        paper.energy, charge_cfr_reads=True, charge_btb_compare=True))
+    return {("accounting", label, bench): job_for(bench, config, settings)
+            for bench in settings.benchmarks
+            for label, config in (("paper", paper), ("full", full))}
 
 
-def build_accounting(settings: ExperimentSettings) -> TableResult:
+def build_accounting(settings: ExperimentSettings,
+                     answers: Answers) -> TableResult:
     """Charge the energies the paper's accounting omits."""
     result = TableResult(
         experiment_id="Extension: accounting",
@@ -238,30 +243,16 @@ def build_accounting(settings: ExperimentSettings) -> TableResult:
         columns=["benchmark", "paper accounting %", "full accounting %"],
     )
     for bench in settings.benchmarks:
-        base_cfg = default_config(CacheAddressing.VIPT)
-        run_paper = combined_run(bench, base_cfg, settings)
-        energy_cfg = dataclasses.replace(base_cfg.energy,
-                                         charge_cfr_reads=True,
-                                         charge_btb_compare=True)
-        full_cfg = dataclasses.replace(base_cfg, energy=energy_cfg)
-        # re-attach energy under the full accounting without re-simulating
-        from repro.sim.simulator import attach_energy
-        from repro.energy.cacti import CactiLikeModel as _Model
-        full_model = _Model(energy_cfg)
-        plain = attach_energy(run_paper.plain, full_model)
-        instr = attach_energy(run_paper.instrumented, full_model)
-        base_e = plain.schemes[SchemeName.BASE].energy.total_nj
-        ia_full = instr.schemes[SchemeName.IA].energy.total_nj
-        full_pct = 100.0 * ia_full / base_e if base_e else 0.0
-        # restore the paper accounting on the cached run
-        paper_model = _Model(base_cfg.energy)
-        attach_energy(plain, paper_model)
-        attach_energy(instr, paper_model)
-        paper_pct = 100.0 * run_paper.normalized_energy(SchemeName.IA)
+        paper = answers["accounting", "paper", bench]
+        full = answers["accounting", "full", bench]
+        # the full accounting's IA is over the plain binary's Base
+        base_e = full.scheme(SchemeName.BASE).energy.total_nj
+        ia_full = full.scheme(SchemeName.IA).energy.total_nj
         result.add_row(**{
             "benchmark": short_name(bench),
-            "paper accounting %": paper_pct,
-            "full accounting %": full_pct,
+            "paper accounting %":
+                100.0 * paper.normalized_energy(SchemeName.IA),
+            "full accounting %": 100.0 * ia_full / base_e if base_e else 0.0,
         })
     result.notes.append(
         "full accounting adds one CFR read per fetch and one comparator "
@@ -272,15 +263,16 @@ def build_accounting(settings: ExperimentSettings) -> TableResult:
 run_accounting = planned(accounting_cells, build_accounting)
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return (dcfr_cells(settings) + predictor_cells(settings)
-            + accounting_cells(settings))
+def cells(settings: ExperimentSettings) -> Cells:
+    return {**dcfr_cells(settings), **predictor_cells(settings),
+            **accounting_cells(settings)}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     """All extensions merged for the report."""
-    parts = [build_dcfr(settings), build_layout(settings),
-             build_predictors(settings), build_accounting(settings)]
+    parts = [build_dcfr(settings, answers), build_layout(settings),
+             build_predictors(settings, answers),
+             build_accounting(settings, answers)]
     merged = TableResult(
         experiment_id="Extensions",
         title="Future-work reproductions (dCFR, layout, predictors, "

@@ -8,16 +8,16 @@ SoCA 36.83%, SoLA 16.39%, IA 14.04%, OPT 12.74%.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
     answer,
     average,
-    combined_run,
     default_settings,
     job_for,
     planned,
@@ -40,21 +40,22 @@ _PANELS = (CacheAddressing.VIPT, CacheAddressing.VIVT)
 
 
 def panel_cells(addressing: CacheAddressing,
-                settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, default_config(addressing), settings)
-            for bench in settings.benchmarks]
+                settings: ExperimentSettings) -> Cells:
+    return {(addressing, bench):
+            job_for(bench, default_config(addressing), settings)
+            for bench in settings.benchmarks}
 
 
 def run_for(addressing: CacheAddressing,
             settings: Optional[ExperimentSettings] = None) -> TableResult:
     """One panel on its own: answer its cells, then build it."""
     settings = settings or default_settings()
-    answer(panel_cells(addressing, settings), settings)
-    return build_panel(addressing, settings)
+    answers, _ = answer(panel_cells(addressing, settings), settings)
+    return build_panel(addressing, settings, answers)
 
 
-def build_panel(addressing: CacheAddressing,
-                settings: ExperimentSettings) -> TableResult:
+def build_panel(addressing: CacheAddressing, settings: ExperimentSettings,
+                answers: Answers) -> TableResult:
     label = addressing.value.upper()
     result = TableResult(
         experiment_id="Figure 4" + (" (top)" if addressing
@@ -64,7 +65,7 @@ def build_panel(addressing: CacheAddressing,
     )
     sums: Dict[SchemeName, list] = {s: [] for s in _SCHEMES}
     for bench in settings.benchmarks:
-        run_ = combined_run(bench, default_config(addressing), settings)
+        run_ = answers[addressing, bench]
         row = {"benchmark": short_name(bench)}
         for scheme in _SCHEMES:
             pct = 100.0 * run_.normalized_energy(scheme)
@@ -81,14 +82,14 @@ def build_panel(addressing: CacheAddressing,
     return result
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return [cell for addressing in _PANELS
-            for cell in panel_cells(addressing, settings)]
+def cells(settings: ExperimentSettings) -> Cells:
+    return {key: cell for addressing in _PANELS
+            for key, cell in panel_cells(addressing, settings).items()}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     """Both panels merged (VI-PT rows then VI-VT rows)."""
-    top, bottom = (build_panel(addressing, settings)
+    top, bottom = (build_panel(addressing, settings, answers)
                    for addressing in _PANELS)
     merged = TableResult(
         experiment_id="Figure 4",

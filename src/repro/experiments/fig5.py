@@ -9,15 +9,13 @@ which we also verify.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
     average,
-    combined_run,
     job_for,
     planned,
     short_name,
@@ -27,13 +25,14 @@ _SCHEMES = (SchemeName.HOA, SchemeName.SOCA, SchemeName.SOLA,
             SchemeName.IA, SchemeName.OPT)
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, default_config(addressing), settings)
+def cells(settings: ExperimentSettings) -> Cells:
+    return {(bench, addressing):
+            job_for(bench, default_config(addressing), settings)
             for bench in settings.benchmarks
-            for addressing in (CacheAddressing.VIVT, CacheAddressing.VIPT)]
+            for addressing in (CacheAddressing.VIVT, CacheAddressing.VIPT)}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     result = TableResult(
         experiment_id="Figure 5",
         title="Normalized execution cycles, VI-VT iL1 (percent of base)",
@@ -42,10 +41,8 @@ def build(settings: ExperimentSettings) -> TableResult:
     )
     ia_savings = []
     for bench in settings.benchmarks:
-        vivt = combined_run(bench, default_config(CacheAddressing.VIVT),
-                            settings)
-        vipt = combined_run(bench, default_config(CacheAddressing.VIPT),
-                            settings)
+        vivt = answers[bench, CacheAddressing.VIVT]
+        vipt = answers[bench, CacheAddressing.VIPT]
         row = {"benchmark": short_name(bench)}
         for scheme in _SCHEMES:
             row[scheme.value] = 100.0 * vivt.normalized_cycles(scheme)

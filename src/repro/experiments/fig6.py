@@ -14,7 +14,6 @@ energy) is included as an extra row pair.
 from __future__ import annotations
 
 import dataclasses
-from typing import List
 
 from repro.config import (
     CacheAddressing,
@@ -24,32 +23,34 @@ from repro.config import (
     default_config,
 )
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
     average,
-    combined_run,
     job_for,
     planned,
     short_name,
 )
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    found: List[Cell] = []
+def cells(settings: ExperimentSettings) -> Cells:
+    """Each benchmark's monolithic iTLB under ``(mono, bench)`` and its
+    two-level iTLB in each mode under ``(two-level config, bench)``."""
+    found = {}
     for two_level, mono in zip(TWO_LEVEL_SWEEP,
                                TWO_LEVEL_MONOLITHIC_BASELINES):
         for bench in settings.benchmarks:
             mono_cfg = default_config(CacheAddressing.VIPT).with_itlb(mono)
-            found.append(job_for(bench, mono_cfg, settings))
+            found[mono, bench] = job_for(bench, mono_cfg, settings)
             for serial in (True, False):
                 tl_cfg = dataclasses.replace(two_level, serial=serial)
-                found.append(job_for(
-                    bench, mono_cfg.with_two_level_itlb(tl_cfg), settings))
+                found[tl_cfg, bench] = job_for(
+                    bench, mono_cfg.with_two_level_itlb(tl_cfg), settings)
     return found
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     result = TableResult(
         experiment_id="Figure 6",
         title="Two-level iTLB (base) vs monolithic iTLB with IA "
@@ -66,17 +67,8 @@ def build(settings: ExperimentSettings) -> TableResult:
             tl_cfg = dataclasses.replace(two_level, serial=serial)
             energy_ratios, cycle_ratios = [], []
             for bench in settings.benchmarks:
-                mono_run = combined_run(
-                    bench,
-                    default_config(CacheAddressing.VIPT).with_itlb(mono),
-                    settings)
-                two_run = combined_run(
-                    bench,
-                    default_config(CacheAddressing.VIPT)
-                    .with_itlb(mono).with_two_level_itlb(tl_cfg),
-                    settings)
-                mono_ia = mono_run.scheme(SchemeName.IA)
-                two_base = two_run.scheme(SchemeName.BASE)
+                mono_ia = answers[mono, bench].scheme(SchemeName.IA)
+                two_base = answers[tl_cfg, bench].scheme(SchemeName.BASE)
                 e_ratio = (100.0 * two_base.energy.total_nj
                            / mono_ia.energy.total_nj
                            if mono_ia.energy.total_nj else 0.0)

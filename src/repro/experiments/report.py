@@ -2,11 +2,12 @@
 
 ``python -m repro report`` (or ``repro-itlb report``) regenerates the
 whole evaluation as one plan: :func:`run_all` collects every
-experiment's ``cells(settings)``, answers them all with one
-:func:`~repro.experiments.common.answer` sweep — so each stand-in image
-is linked and executed once, and experiments that vary only iTLB fields
-share their grid passes — and only then calls each experiment's
-``build``.  Progress is telemetry: one ``report.plan`` event for the
+experiment's ``cells(settings)`` under the experiment's name, answers
+their union with one :func:`~repro.experiments.common.answer` sweep —
+so each stand-in image is linked and executed once, and experiments
+that vary only iTLB or energy fields share their grid passes — and only
+then calls each experiment's ``build(settings, answers)`` with its own
+cells' answers.  Progress is telemetry: one ``report.plan`` event for the
 sweep and one ``report.section`` event per table.
 """
 
@@ -62,7 +63,8 @@ MODULES = {
 }
 
 #: (name, build) in report order; :func:`run_all` reads it when called
-#: and calls each build once, after the plan has answered every cell
+#: and calls each ``build(settings, answers)`` once, after the plan has
+#: answered every cell
 ALL_EXPERIMENTS: Tuple[Tuple[str, Callable[..., TableResult]], ...] = tuple(
     (name, module.build) for name, module in MODULES.items())
 
@@ -85,24 +87,28 @@ def _plan(experiments: Sequence[Tuple[str, Callable[..., TableResult]]],
           settings: ExperimentSettings,
           verbose: bool) -> List[TableResult]:
     """Answer every cell of ``experiments`` in one sweep, then build
-    each table in order."""
+    each table in order from its own cells' answers."""
     with telemetry.listen(print_progress) if verbose else nullcontext():
         started = time.perf_counter()
-        cells = [cell for name, _ in experiments
-                 for cell in MODULES[name].cells(settings)]
-        stats = answer(cells, settings).last_stats
+        declared = {name: MODULES[name].cells(settings)
+                    for name, _ in experiments}
+        answers, stats = answer({(name, key): cell
+                                 for name, cells in declared.items()
+                                 for key, cell in cells.items()}, settings)
         # answer() is one SweepRunner.run, so a plan is always one sweep
         telemetry.emit("report.plan", experiments=len(experiments),
                        sweeps=1, jobs=stats.jobs,
                        cached=stats.cached, simulated=stats.simulated,
                        grids=stats.grids, grid_members=stats.grid_members,
                        probes=sum(isinstance(cell, ImageProbe)
-                                  for cell in cells),
+                                  for cells in declared.values()
+                                  for cell in cells.values()),
                        seconds=round(time.perf_counter() - started, 3))
         results = []
         for name, build in experiments:
             started = time.perf_counter()
-            results.append(build(settings))
+            results.append(build(settings, {key: answers[name, key]
+                                            for key in declared[name]}))
             telemetry.emit("report.section", name=name,
                            seconds=round(time.perf_counter() - started, 3))
     return results

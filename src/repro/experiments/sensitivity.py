@@ -8,8 +8,6 @@ savings.  Both sweeps are regenerated here.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import (
     CacheAddressing,
     CacheConfig,
@@ -17,11 +15,11 @@ from repro.config import (
     default_config,
 )
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
     average,
-    combined_run,
     job_for,
     planned,
     short_name,
@@ -40,13 +38,14 @@ def _il1_config(size_kb: int, assoc: int):
     return default_config(CacheAddressing.VIVT).with_il1(il1)
 
 
-def il1_cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, _il1_config(size_kb, assoc), settings)
+def il1_cells(settings: ExperimentSettings) -> Cells:
+    return {("il1", size_kb, assoc, bench):
+            job_for(bench, _il1_config(size_kb, assoc), settings)
             for size_kb, assoc in IL1_SWEEP
-            for bench in settings.benchmarks]
+            for bench in settings.benchmarks}
 
 
-def build_il1(settings: ExperimentSettings) -> TableResult:
+def build_il1(settings: ExperimentSettings, answers: Answers) -> TableResult:
     result = TableResult(
         experiment_id="Sensitivity (iL1)",
         title="IA with VI-VT iL1 across iL1 geometries",
@@ -57,8 +56,7 @@ def build_il1(settings: ExperimentSettings) -> TableResult:
         label = f"{size_kb}KB/{assoc}w"
         e_list, c_list = [], []
         for bench in settings.benchmarks:
-            run_ = combined_run(bench, _il1_config(size_kb, assoc),
-                                settings)
+            run_ = answers["il1", size_kb, assoc, bench]
             e_pct = 100.0 * run_.normalized_energy(SchemeName.IA)
             c_pct = 100.0 * run_.normalized_cycles(SchemeName.IA)
             e_list.append(e_pct)
@@ -107,26 +105,20 @@ def _page_config(page_bytes: int):
     return default_config(CacheAddressing.VIPT).with_page_bytes(page_bytes)
 
 
-def _sizes_for(settings: ExperimentSettings) -> dict:
-    return {bench: _replayable_sizes(bench) for bench in settings.benchmarks}
-
-
-def _page_points(settings: ExperimentSettings, sizes_for: dict) -> list:
-    """The (benchmark, page size) points each workload can simulate."""
-    return [(bench, page_bytes)
+def page_size_cells(settings: ExperimentSettings) -> Cells:
+    """One cell per (page size, benchmark) point the workload can
+    simulate; the build reads which points exist from the keys."""
+    sizes_for = {bench: _replayable_sizes(bench)
+                 for bench in settings.benchmarks}
+    return {("page", page_bytes, bench):
+            job_for(bench, _page_config(page_bytes), settings)
             for page_bytes in PAGE_SWEEP
             for bench in settings.benchmarks
-            if page_bytes in sizes_for[bench]]
+            if page_bytes in sizes_for[bench]}
 
 
-def page_size_cells(settings: ExperimentSettings) -> List[Cell]:
-    points = _page_points(settings, _sizes_for(settings))
-    return [job_for(bench, _page_config(page_bytes), settings)
-            for bench, page_bytes in points]
-
-
-def build_page_size(settings: ExperimentSettings) -> TableResult:
-    sizes_for = _sizes_for(settings)
+def build_page_size(settings: ExperimentSettings,
+                    answers: Answers) -> TableResult:
     result = TableResult(
         experiment_id="Sensitivity (page size)",
         title="IA and OPT (VI-PT) across page sizes",
@@ -134,25 +126,29 @@ def build_page_size(settings: ExperimentSettings) -> TableResult:
                  "ia energy % of base", "opt energy % of base"],
     )
     for bench in settings.benchmarks:
-        if len(sizes_for[bench]) < len(PAGE_SWEEP):
+        if any(("page", page_bytes, bench) not in answers
+               for page_bytes in PAGE_SWEEP):
             result.notes.append(
                 f"{short_name(bench)}: partial (trace not recorded at "
                 "every swept page size; re-record with --page-sizes "
                 + " ".join(str(p) for p in PAGE_SWEEP) + ")")
-    for bench, page_bytes in _page_points(settings, sizes_for):
+    for page_bytes in PAGE_SWEEP:
         label = f"{page_bytes // 1024}KB"
-        run_ = combined_run(bench, _page_config(page_bytes), settings)
-        shared = run_.shared
-        per_kinst = (1000.0 * shared.page_crossings
-                     / shared.instructions if shared.instructions else 0)
-        result.add_row(**{
-            "page": label, "benchmark": short_name(bench),
-            "page crossings/kinst": per_kinst,
-            "ia energy % of base":
-                100.0 * run_.normalized_energy(SchemeName.IA),
-            "opt energy % of base":
-                100.0 * run_.normalized_energy(SchemeName.OPT),
-        })
+        for bench in settings.benchmarks:
+            if ("page", page_bytes, bench) not in answers:
+                continue  # a trace not recorded at this page size
+            run_ = answers["page", page_bytes, bench]
+            shared = run_.shared
+            per_kinst = (1000.0 * shared.page_crossings
+                         / shared.instructions if shared.instructions else 0)
+            result.add_row(**{
+                "page": label, "benchmark": short_name(bench),
+                "page crossings/kinst": per_kinst,
+                "ia energy % of base":
+                    100.0 * run_.normalized_energy(SchemeName.IA),
+                "opt energy % of base":
+                    100.0 * run_.normalized_energy(SchemeName.OPT),
+            })
     result.notes.append(
         "larger pages -> fewer crossings -> better CFR coverage: both IA "
         "and OPT percentages fall monotonically with page size")
@@ -163,14 +159,14 @@ run_il1 = planned(il1_cells, build_il1)
 run_page_size = planned(page_size_cells, build_page_size)
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return il1_cells(settings) + page_size_cells(settings)
+def cells(settings: ExperimentSettings) -> Cells:
+    return {**il1_cells(settings), **page_size_cells(settings)}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     """Both sweeps merged for the report."""
-    il1 = build_il1(settings)
-    page = build_page_size(settings)
+    il1 = build_il1(settings, answers)
+    page = build_page_size(settings, answers)
     merged = TableResult(
         experiment_id="Sensitivity",
         title="iL1-geometry and page-size sensitivity (Section 4.4)",

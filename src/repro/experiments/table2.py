@@ -9,14 +9,12 @@ values ride along for comparison.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
-    combined_run,
     job_for,
     planned,
     short_name,
@@ -24,13 +22,14 @@ from repro.experiments.common import (
 from repro.workloads.spec2000 import paper_row_for
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, default_config(addressing), settings)
+def cells(settings: ExperimentSettings) -> Cells:
+    return {(bench, addressing):
+            job_for(bench, default_config(addressing), settings)
             for bench in settings.benchmarks
-            for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)]
+            for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     result = TableResult(
         experiment_id="Table 2",
         title="Benchmarks and their characteristics (default configuration)",
@@ -47,10 +46,8 @@ def build(settings: ExperimentSettings) -> TableResult:
     )
     scale = settings.paper_scale
     for bench in settings.benchmarks:
-        vipt = combined_run(bench, default_config(CacheAddressing.VIPT),
-                            settings)
-        vivt = combined_run(bench, default_config(CacheAddressing.VIVT),
-                            settings)
+        vipt = answers[bench, CacheAddressing.VIPT]
+        vivt = answers[bench, CacheAddressing.VIVT]
         paper = paper_row_for(bench)
         shared = vipt.shared
         base_vipt = vipt.scheme(SchemeName.BASE)

@@ -11,14 +11,12 @@ the three schemes (they share the instrumentation).
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
-    combined_run,
     job_for,
     planned,
     short_name,
@@ -27,12 +25,13 @@ from repro.experiments.common import (
 _SCHEMES = (SchemeName.SOCA, SchemeName.SOLA, SchemeName.IA)
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, default_config(CacheAddressing.VIPT), settings)
-            for bench in settings.benchmarks]
+def cells(settings: ExperimentSettings) -> Cells:
+    return {bench: job_for(bench, default_config(CacheAddressing.VIPT),
+                           settings)
+            for bench in settings.benchmarks}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     columns = ["benchmark"]
     for scheme in _SCHEMES:
         columns += [f"{scheme.value} BOUNDARY", f"{scheme.value} BRANCH",
@@ -44,8 +43,7 @@ def build(settings: ExperimentSettings) -> TableResult:
         columns=columns,
     )
     for bench in settings.benchmarks:
-        run_ = combined_run(bench, default_config(CacheAddressing.VIPT),
-                            settings)
+        run_ = answers[bench]
         row = {"benchmark": short_name(bench),
                "dynamic branches": run_.instrumented.shared.dynamic_branches}
         for scheme in _SCHEMES:

@@ -9,18 +9,16 @@ schemes can save.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.compiler.analysis import analyze_program
 from repro.config import default_config
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     ImageProbe,
     TableResult,
     job_for,
     planned,
-    probed,
     short_name,
 )
 from repro.isa.program import Program
@@ -39,17 +37,14 @@ def _branch_statistics(program: Program, spec: JobSpec) -> tuple:
                                    warmup=spec.warmup))
 
 
-def _probe(bench: str, settings: ExperimentSettings) -> ImageProbe:
-    return ImageProbe("table4.branch_statistics",
-                      job_for(bench, default_config(), settings),
-                      _branch_statistics)
+def cells(settings: ExperimentSettings) -> Cells:
+    return {bench: ImageProbe("table4.branch_statistics",
+                              job_for(bench, default_config(), settings),
+                              _branch_statistics)
+            for bench in settings.benchmarks}
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return [_probe(bench, settings) for bench in settings.benchmarks]
-
-
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     result = TableResult(
         experiment_id="Table 4",
         title="Static and dynamic branch statistics",
@@ -61,8 +56,7 @@ def build(settings: ExperimentSettings) -> TableResult:
         ],
     )
     for bench in settings.benchmarks:
-        static, (analyzable, in_page, total) = probed(
-            _probe(bench, settings))
+        static, (analyzable, in_page, total) = answers[bench]
         paper = paper_row_for(bench)
         result.add_row(**{
             "benchmark": short_name(bench),

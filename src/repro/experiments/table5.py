@@ -7,14 +7,12 @@ predictors.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import CacheAddressing, default_config
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
-    combined_run,
     job_for,
     planned,
     short_name,
@@ -22,12 +20,13 @@ from repro.experiments.common import (
 from repro.workloads.spec2000 import paper_row_for
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, default_config(CacheAddressing.VIPT), settings)
-            for bench in settings.benchmarks]
+def cells(settings: ExperimentSettings) -> Cells:
+    return {bench: job_for(bench, default_config(CacheAddressing.VIPT),
+                           settings)
+            for bench in settings.benchmarks}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     result = TableResult(
         experiment_id="Table 5",
         title="Branch predictor accuracy (percent)",
@@ -35,9 +34,7 @@ def build(settings: ExperimentSettings) -> TableResult:
                  "conditional %", "indirect %"],
     )
     for bench in settings.benchmarks:
-        run_ = combined_run(bench, default_config(CacheAddressing.VIPT),
-                            settings)
-        stats = run_.shared.predictor
+        stats = answers[bench].shared.predictor
         cond_acc = (1.0 - stats.conditional_mispredicts
                     / stats.conditional) if stats.conditional else 1.0
         ind_acc = (1.0 - stats.indirect_mispredicts

@@ -13,8 +13,6 @@ VI-VT savings of 18.1/11.0/5.4/3.55% for the four points.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import (
     CacheAddressing,
     ITLB_SWEEP,
@@ -23,25 +21,26 @@ from repro.config import (
     itlb_sweep_label,
 )
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
-    combined_run,
     job_for,
     planned,
     short_name,
 )
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, default_config(addressing).with_itlb(itlb),
+def cells(settings: ExperimentSettings) -> Cells:
+    return {(itlb, bench, addressing):
+            job_for(bench, default_config(addressing).with_itlb(itlb),
                     settings)
             for itlb in ITLB_SWEEP
             for bench in settings.benchmarks
-            for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)]
+            for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     result = TableResult(
         experiment_id="Table 6",
         title="Energy (VI-PT, VI-VT) and cycles (VI-VT) across iTLB "
@@ -57,12 +56,8 @@ def build(settings: ExperimentSettings) -> TableResult:
     for itlb in ITLB_SWEEP:
         label = itlb_sweep_label(itlb)
         for bench in settings.benchmarks:
-            vipt = combined_run(
-                bench, default_config(CacheAddressing.VIPT).with_itlb(itlb),
-                settings)
-            vivt = combined_run(
-                bench, default_config(CacheAddressing.VIVT).with_itlb(itlb),
-                settings)
+            vipt = answers[itlb, bench, CacheAddressing.VIPT]
+            vivt = answers[itlb, bench, CacheAddressing.VIVT]
             row = {"iTLB": label, "benchmark": short_name(bench)}
             base_e = vipt.scheme(SchemeName.BASE).energy.total_nj
             row["E vipt base (mJ)"] = base_e * scale / 1e6

@@ -8,8 +8,6 @@ recovers most of it — the shape of the paper's Table 7.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import (
     CacheAddressing,
     ITLB_SWEEP,
@@ -18,10 +16,10 @@ from repro.config import (
     itlb_sweep_label,
 )
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
-    combined_run,
     job_for,
     planned,
     short_name,
@@ -37,15 +35,16 @@ _PAPER = {
 }
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench,
+def cells(settings: ExperimentSettings) -> Cells:
+    return {(bench, itlb):
+            job_for(bench,
                     default_config(CacheAddressing.VIPT).with_itlb(itlb),
                     settings)
             for bench in settings.benchmarks
-            for itlb in ITLB_SWEEP]
+            for itlb in ITLB_SWEEP}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     labels = [itlb_sweep_label(c) for c in ITLB_SWEEP]
     columns = ["benchmark"]
     for label in labels:
@@ -60,10 +59,7 @@ def build(settings: ExperimentSettings) -> TableResult:
         row = {"benchmark": short_name(bench)}
         paper_row = _PAPER.get(bench)
         for i, itlb in enumerate(ITLB_SWEEP):
-            run_ = combined_run(
-                bench, default_config(CacheAddressing.VIPT).with_itlb(itlb),
-                settings)
-            cycles = run_.scheme(SchemeName.IA).cycles
+            cycles = answers[bench, itlb].scheme(SchemeName.IA).cycles
             row[f"C {labels[i]} (M)"] = cycles * scale / 1e6
             row[f"paper {labels[i]}"] = (paper_row[i] if paper_row
                                          else float("nan"))

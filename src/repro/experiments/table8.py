@@ -10,14 +10,12 @@ benchmarks) at far lower energy.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
-    combined_run,
     job_for,
     planned,
     short_name,
@@ -35,14 +33,15 @@ _PAPER = {
 }
 
 
-def cells(settings: ExperimentSettings) -> List[Cell]:
-    return [job_for(bench, default_config(addressing), settings)
+def cells(settings: ExperimentSettings) -> Cells:
+    return {(bench, addressing):
+            job_for(bench, default_config(addressing), settings)
             for bench in settings.benchmarks
             for addressing in (CacheAddressing.PIPT, CacheAddressing.VIPT,
-                               CacheAddressing.VIVT)]
+                               CacheAddressing.VIVT)}
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     result = TableResult(
         experiment_id="Table 8",
         title="PI-PT base / PI-PT+IA / VI-PT base / VI-VT base: "
@@ -56,12 +55,9 @@ def build(settings: ExperimentSettings) -> TableResult:
     )
     scale = settings.paper_scale
     for bench in settings.benchmarks:
-        pipt = combined_run(bench, default_config(CacheAddressing.PIPT),
-                            settings)
-        vipt = combined_run(bench, default_config(CacheAddressing.VIPT),
-                            settings)
-        vivt = combined_run(bench, default_config(CacheAddressing.VIVT),
-                            settings)
+        pipt = answers[bench, CacheAddressing.PIPT]
+        vipt = answers[bench, CacheAddressing.VIPT]
+        vivt = answers[bench, CacheAddressing.VIVT]
         pipt_base = pipt.scheme(SchemeName.BASE)
         pipt_ia = pipt.scheme(SchemeName.IA)
         vipt_base = vipt.scheme(SchemeName.BASE)

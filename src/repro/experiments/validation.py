@@ -14,19 +14,16 @@ and microarchitectural rates.  Divergences worth knowing about:
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.errors import RegistryError
 from repro.experiments.common import (
-    Cell,
+    Answers,
+    Cells,
     ExperimentSettings,
     TableResult,
-    combined_run,
     job_for,
     planned,
     short_name,
-    stored,
 )
 from repro.runner import JobSpec
 from repro.workloads.registry import file_backed_path
@@ -57,28 +54,28 @@ def _skip_for_ooo(bench: str) -> bool:
         return True
 
 
-def _ooo_spec(bench: str, addressing: CacheAddressing, scheme: SchemeName,
-              fast: ExperimentSettings) -> JobSpec:
-    """One detailed-engine run: a one-member pass of its own."""
-    return JobSpec(workload=bench, config=default_config(addressing),
-                   instructions=fast.instructions, warmup=fast.warmup,
-                   schemes=(scheme,), engine="ooo")
-
-
-def cells(settings: ExperimentSettings) -> List[Cell]:
+def cells(settings: ExperimentSettings) -> Cells:
+    """Each runnable benchmark's fast run under ``(bench, addressing)``
+    and its detailed runs under ``(bench, addressing, scheme)``; the
+    build reads which benchmarks run from the keys."""
     fast = _fast_settings(settings)
-    found: List[Cell] = []
+    found = {}
     for bench in fast.benchmarks:
         if _skip_for_ooo(bench):
             continue
         for addressing in _ADDRESSINGS:
-            found.append(job_for(bench, default_config(addressing), fast))
-            found.extend(_ooo_spec(bench, addressing, scheme, fast)
-                         for scheme in _SCHEMES)
+            config = default_config(addressing)
+            found[bench, addressing] = job_for(bench, config, fast)
+            for scheme in _SCHEMES:
+                # a detailed run is a one-member pass of its own
+                found[bench, addressing, scheme] = JobSpec(
+                    workload=bench, config=config,
+                    instructions=fast.instructions, warmup=fast.warmup,
+                    schemes=(scheme,), engine="ooo")
     return found
 
 
-def build(settings: ExperimentSettings) -> TableResult:
+def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     fast_settings = _fast_settings(settings)
     result = TableResult(
         experiment_id="Validation",
@@ -88,7 +85,7 @@ def build(settings: ExperimentSettings) -> TableResult:
                  "fast lookups", "ooo lookups", "lookup ratio"],
     )
     runnable = [bench for bench in fast_settings.benchmarks
-                if not _skip_for_ooo(bench)]
+                if (bench, _ADDRESSINGS[0]) in answers]
     for bench in fast_settings.benchmarks:
         if bench not in runnable:
             result.notes.append(
@@ -96,13 +93,10 @@ def build(settings: ExperimentSettings) -> TableResult:
                 "on the fast engine only)")
     for bench in runnable:
         for addressing in _ADDRESSINGS:
-            fast = combined_run(bench, default_config(addressing),
-                                fast_settings)
             for scheme in _SCHEMES:
-                ooo = stored(_ooo_spec(bench, addressing, scheme,
-                                       fast_settings))
-                fast_scheme = fast.scheme(scheme)
-                ooo_scheme = ooo.scheme(scheme)
+                fast_scheme = answers[bench, addressing].scheme(scheme)
+                ooo_scheme = answers[bench, addressing, scheme].scheme(
+                    scheme)
                 fast_cycles = fast_scheme.cycles
                 ooo_cycles = ooo_scheme.cycles
                 fast_lookups = fast_scheme.lookups

@@ -182,10 +182,6 @@ class Instruction:
         return self.op.is_control
 
     @property
-    def is_conditional(self) -> bool:
-        return self.op.kind is InstrKind.COND_BRANCH
-
-    @property
     def is_mem(self) -> bool:
         return self.op.kind in (InstrKind.LOAD, InstrKind.STORE)
 

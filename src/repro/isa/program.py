@@ -79,9 +79,6 @@ class Program:
         last = (self.text_end - 1) // self.page_bytes
         return last - first + 1
 
-    def page_of(self, address: int) -> int:
-        return address // self.page_bytes
-
     # -- access ------------------------------------------------------------
 
     def fetch(self, pc: int) -> Instruction:

@@ -59,7 +59,3 @@ def temp_regs() -> tuple[int, ...]:
     """Caller-saved scratch registers available to generated code."""
     return tuple(range(REG_T0, REG_T0 + 8)) + (REG_T8, REG_T9)
 
-
-def saved_regs() -> tuple[int, ...]:
-    """Callee-saved registers available to generated code."""
-    return tuple(range(REG_S0, REG_S0 + 8))

@@ -162,9 +162,6 @@ class Cache:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    def resident_tags(self, set_index: int) -> List[int]:
-        return list(self._sets[set_index])
-
     def __contains__(self, addr: int) -> bool:
         """Membership by a same-index-and-tag address (PI-PT style)."""
         return self.probe(addr, addr)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import CacheAddressing, MemoryConfig
-from repro.mem.addressing import addressing_pair
 from repro.mem.cache import Cache
 from repro.mem.dram import DRAM
 
@@ -91,12 +90,6 @@ class MemoryHierarchy:
         if l2_result.writeback_pa is not None:
             self.dram.access(l2_result.writeback_pa)
         return FetchOutcome(il1_hit=False, l2_hit=False, latency=latency)
-
-    def fetch_probe(self, va: int, pa: int) -> bool:
-        """Would this fetch hit iL1?  No state change (used by the OoO
-        front end to peek before committing to a stall)."""
-        index_addr, tag_addr = addressing_pair(self.il1_addressing, va, pa)
-        return self.il1.probe(index_addr, tag_addr)
 
     # -- data side ----------------------------------------------------------
 

@@ -20,8 +20,8 @@ that batch into first-class objects:
   shared-directory work queue drained by ``repro worker`` processes —
   one :class:`ResultStore` fed by many machines).
 
-The experiment harness (:mod:`repro.experiments.common`) routes every
-``combined_run`` through a shared store, and the ``repro sweep`` /
+The experiment harness (:mod:`repro.experiments.common`) answers every
+experiment's cells through a shared store, and the ``repro sweep`` /
 ``repro worker`` CLI subcommands expose the runner directly.
 """
 

@@ -71,14 +71,6 @@ class AddressSpace:
     def vpn_of(self, vaddr: int) -> int:
         return vaddr >> self.page_table.page_shift
 
-    def translate_data(self, vaddr: int, write: bool) -> int:
-        """Data-side translation (dTLB refills come through here).
-        Returns the physical address."""
-        prot = Protection.WRITE if write else Protection.READ
-        pte = self.page_table.translate(self.vpn_of(vaddr), prot=prot)
-        offset_mask = self.page_table.page_bytes - 1
-        return (pte.pfn << self.page_table.page_shift) | (vaddr & offset_mask)
-
     def translate_fetch(self, vaddr: int) -> int:
         pte = self.page_table.translate(self.vpn_of(vaddr),
                                         prot=Protection.EXEC, allocate=False)

@@ -164,6 +164,3 @@ class PageTable:
 
     def entries(self) -> Iterator[PTE]:
         return iter(self._entries.values())
-
-    def resident_bytes(self) -> int:
-        return len(self._entries) * self.page_bytes

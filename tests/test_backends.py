@@ -206,8 +206,9 @@ class TestResolveWorkers:
         assert settings.backend == "serial"
         store = common.configure_store(None)
         try:
-            common.answer([common.job_for("micro.counted_loop",
-                                          default_config(), settings)],
+            common.answer({"loop": common.job_for("micro.counted_loop",
+                                                  default_config(),
+                                                  settings)},
                           settings)
             assert len(store) == 1
         finally:

@@ -25,12 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import CacheAddressing, SchemeName, default_config
-from repro.experiments.common import (
-    answer,
-    combined_run,
-    default_settings,
-    job_for,
-)
+from repro.experiments.common import answer, default_settings, job_for
 from repro.sim.multi import run_all_schemes
 from repro.trace import file_digest, load_trace_workload, record_trace
 from repro.workloads.spec2000 import BENCHMARK_NAMES, load_benchmark
@@ -86,10 +81,12 @@ def _headline_metrics(run) -> dict:
 
 
 def _compute_headline() -> dict:
-    answer([job_for(bench, default_config(addressing), SETTINGS)
-            for bench in BENCHMARK_NAMES
-            for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)],
-           SETTINGS)
+    answers, _ = answer(
+        {(bench, addressing): job_for(bench, default_config(addressing),
+                                      SETTINGS)
+         for bench in BENCHMARK_NAMES
+         for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)},
+        SETTINGS)
     data = {
         "settings": {"instructions": SETTINGS.instructions,
                      "warmup": SETTINGS.warmup},
@@ -97,8 +94,7 @@ def _compute_headline() -> dict:
     }
     for bench in BENCHMARK_NAMES:
         data["benchmarks"][bench] = {
-            addressing.value: _headline_metrics(
-                combined_run(bench, default_config(addressing), SETTINGS))
+            addressing.value: _headline_metrics(answers[bench, addressing])
             for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)
         }
     return data

@@ -3,8 +3,8 @@ sweep answers them all, and only then are the tables built.
 
 These tests pin that contract: one :meth:`SweepRunner.run` per report,
 one link and one functional execution per distinct image, tables
-byte-identical to each experiment run on its own, and builds that
-refuse to simulate a cell nobody declared.
+byte-identical to each experiment run on its own, and builds that read
+exactly the cells they declare, without running a sweep.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _distinct_images() -> set:
     """Every (workload, page size, binary) the report's cells run."""
     found = set()
     for name, _ in ALL_EXPERIMENTS:
-        for cell in MODULES[name].cells(SETTINGS):
+        for cell in MODULES[name].cells(SETTINGS).values():
             spec = cell.spec if isinstance(cell, common.ImageProbe) else cell
             found.add((spec.workload, spec.config.mem.page_bytes))
     return {(workload, page, instrumented) for workload, page in found
@@ -134,8 +134,10 @@ class TestOnePlan:
     def test_run_experiment_is_one_sweep(self, fresh_store, sweeps):
         result = run_experiment("table6", SETTINGS)
         assert len(sweeps) == 1
+        answers, _ = common.answer(MODULES["table6"].cells(SETTINGS),
+                                   SETTINGS)
         assert result.to_markdown() \
-            == EXPERIMENT_BY_NAME["table6"](SETTINGS).to_markdown()
+            == EXPERIMENT_BY_NAME["table6"](SETTINGS, answers).to_markdown()
 
     def test_report_prints_progress_from_the_events(self, fresh_store,
                                                     tmp_path, capsys):
@@ -169,10 +171,13 @@ class TestProbes:
                 fh.write(f"{os.getpid()} {spec.workload}\n")
             return metrics.active() is None
 
-        specs = [common.job_for(bench, default_config(), SETTINGS)
-                 for bench in self.BENCHMARKS]
-        return specs + [common.ImageProbe("test.log", spec, measure)
-                        for spec in specs]
+        cells = {}
+        for bench in self.BENCHMARKS:
+            spec = common.job_for(bench, default_config(), SETTINGS)
+            cells["job", bench] = spec
+            cells["probe", bench] = common.ImageProbe("test.log", spec,
+                                                      measure)
+        return cells
 
     @pytest.mark.parametrize("workers,backend", [(1, None), (2, "pool")])
     def test_each_probe_runs_once_in_the_planning_process(
@@ -185,11 +190,11 @@ class TestProbes:
         settings = common.default_settings(
             instructions=SETTINGS.instructions, warmup=SETTINGS.warmup,
             benchmarks=self.BENCHMARKS, workers=workers, backend=backend)
-        common.answer(cells, settings)
+        answers, _ = common.answer(cells, settings)
         lines = log_path.read_text(encoding="utf-8").splitlines()
         assert sorted(lines) == sorted(f"{os.getpid()} {bench}"
                                        for bench in self.BENCHMARKS)
-        assert all(common.probed(cell) for cell in cells
+        assert all(answers[key] for key, cell in cells.items()
                    if isinstance(cell, common.ImageProbe))
 
 
@@ -209,20 +214,34 @@ class TestListen:
             == ["test.info", "test.error"]
 
 
-class TestBuildsOnlyRead:
-    @pytest.mark.parametrize("name", [name for name, _ in ALL_EXPERIMENTS
-                                      if name != "table1"])
-    def test_build_from_an_empty_store_names_the_missing_cell(
+class _Recording(dict):
+    """Answers that remember every key a build indexes."""
+
+    def __init__(self, answers) -> None:
+        super().__init__(answers)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestBuildsReadTheirCells:
+    @pytest.mark.parametrize("name", [name for name, _ in ALL_EXPERIMENTS])
+    def test_build_reads_exactly_the_declared_cells(
             self, fresh_store, sweeps, name):
+        """Every declared cell is read, no undeclared one can be, and
+        building runs no sweep."""
         cells = MODULES[name].cells(SETTINGS)
-        assert cells
-        with pytest.raises(SimulationError, match="has no answer") as info:
-            EXPERIMENT_BY_NAME[name](SETTINGS)
-        assert any(cell.describe() in str(info.value) for cell in cells)
+        answers, _ = common.answer(cells, SETTINGS)
+        del sweeps[:]
+        recording = _Recording(answers)
+        EXPERIMENT_BY_NAME[name](SETTINGS, recording)
+        assert recording.read == set(cells)
         assert sweeps == []
 
     def test_table1_declares_no_cells(self):
-        assert MODULES["table1"].cells(SETTINGS) == []
+        assert MODULES["table1"].cells(SETTINGS) == {}
 
 
 class TestDetailedCells:
