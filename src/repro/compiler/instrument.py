@@ -21,6 +21,7 @@ from repro.errors import LayoutError
 from repro.isa.assembler import Module, link
 from repro.isa.program import DATA_BASE, Program, TEXT_BASE
 from repro.compiler.analysis import classify_branch
+from repro.isa.instructions import CONTROL_KINDS
 
 
 def mark_inpage_hints(program: Program) -> int:
@@ -28,7 +29,7 @@ def mark_inpage_hints(program: Program) -> int:
     marked.  Boundary branches always cross pages and must never qualify."""
     marked = 0
     for instr in program.instructions:
-        if not instr.is_control:
+        if instr.kind_code not in CONTROL_KINDS:  # IntEnums hash as ints
             continue
         cls = classify_branch(instr, program.page_bytes)
         hint = bool(cls.analyzable and cls.in_page)

@@ -312,7 +312,9 @@ def link(
     cursor = text_base
     pending_labels: List[str] = []
     boundary_count = 0
-    last_slot = page_bytes - 4
+    #: address of the next page's last slot, where a boundary branch
+    #: goes (never reached without boundary branches)
+    page_end = text_base + page_bytes - 4 if boundary_branches else -1
 
     # placement allocates one Instruction per slot and no reference
     # cycles; with the cyclic collector running, those allocations set
@@ -324,11 +326,12 @@ def link(
                     raise AssemblyError(f"duplicate label '{item}'")
                 pending_labels.append(item)
                 continue
-            if boundary_branches and cursor % page_bytes == last_slot:
+            if cursor == page_end:
                 placed.append(Instruction(Opcode.J, 0, 0, 0, 0, cursor + 4,
                                           False, True, cursor, "<boundary>"))
                 cursor += 4
                 boundary_count += 1
+                page_end += page_bytes
             if pending_labels:
                 for lbl in pending_labels:
                     labels[lbl] = cursor

@@ -117,6 +117,8 @@ class Opcode(Enum):
     def __init__(self, mnemonic: str, kind: InstrKind, latency: int) -> None:
         self.mnemonic = mnemonic
         self.kind = kind
+        #: ``int(kind)``, what every :class:`Instruction` copies
+        self.kind_code = int(kind)
         self.latency = latency
 
     @property
@@ -132,7 +134,7 @@ class Opcode(Enum):
         return self.kind in UNCONDITIONAL_KINDS
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Instruction:
     """One decoded instruction.
 
@@ -145,7 +147,9 @@ class Instruction:
     The class is slotted: workloads materialize hundreds of thousands of
     instances, and the engines read their fields on every retired
     instruction, so the per-instance ``__dict__`` was both memory and
-    lookup overhead.
+    lookup overhead.  ``__init__`` is written out: the linker builds one
+    instance per text word, and copying the opcode's precomputed
+    ``kind_code`` and ``latency`` costs no ``__post_init__`` call.
     """
 
     op: Opcode
@@ -167,9 +171,22 @@ class Instruction:
     #: instruction, and the enum attribute chain was measurable there
     latency: int = field(init=False, default=1)
 
-    def __post_init__(self) -> None:
-        self.kind_code = int(self.op.kind)
-        self.latency = self.op.latency
+    def __init__(self, op: Opcode, rd: int = 0, rs: int = 0, rt: int = 0,
+                 imm: int = 0, target: Optional[int] = None,
+                 inpage_hint: bool = False, is_boundary_branch: bool = False,
+                 address: int = -1, label: str = "") -> None:
+        self.op = op
+        self.rd = rd
+        self.rs = rs
+        self.rt = rt
+        self.imm = imm
+        self.target = target
+        self.inpage_hint = inpage_hint
+        self.is_boundary_branch = is_boundary_branch
+        self.address = address
+        self.label = label
+        self.kind_code = op.kind_code
+        self.latency = op.latency
 
     # -- classification shortcuts (hot paths read these a lot) ----------
 

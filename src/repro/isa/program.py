@@ -8,7 +8,7 @@ the decoded instruction stream as a flat list for O(1) fetch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.errors import LayoutError, MemoryFault
@@ -117,6 +117,24 @@ class Program:
             self._stream_budget = budget
         return self._stream.window_source()
 
+    def with_page_bytes(self, page_bytes: int) -> "Program":
+        """This plain layout at another page size.
+
+        Without boundary branches nothing the linker places depends on
+        the page size, so the copy shares this program's instruction
+        list, labels, data image and memoized stream; only
+        :attr:`page_bytes` differs.  Engines only read a program, so the
+        sharing is safe."""
+        if self.instrumented:
+            raise LayoutError("an instrumented layout depends on the page "
+                              "size: link it again instead")
+        if self.text_base % page_bytes:
+            raise LayoutError("text base must be page aligned")
+        program = replace(self, page_bytes=page_bytes)
+        program._stream = self._stream
+        program._stream_budget = self._stream_budget
+        return program
+
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
@@ -141,18 +159,22 @@ class Program:
 
     def validate(self) -> None:
         """Structural sanity checks; raises :class:`LayoutError` on failure."""
+        text_base, text_end = self.text_base, self.text_end
+        expected = text_base
         for i, instr in enumerate(self.instructions):
-            expected = self.text_base + 4 * i
             if instr.address != expected:
                 raise LayoutError(
                     f"instruction {i} has address {instr.address:#x}, "
                     f"expected {expected:#x}"
                 )
-            if instr.target is not None and not self.contains_text(instr.target):
+            target = instr.target
+            if target is not None and not (
+                    text_base <= target < text_end and target % 4 == 0):
                 raise LayoutError(
                     f"{instr.op.mnemonic} at {instr.address:#x} targets "
-                    f"{instr.target:#x} outside the text segment"
+                    f"{target:#x} outside the text segment"
                 )
+            expected += 4
         if not self.contains_text(self.entry):
             raise LayoutError(f"entry point {self.entry:#x} outside text segment")
         if self.instrumented:
@@ -161,23 +183,40 @@ class Program:
     def _validate_boundary_invariant(self) -> None:
         """In an instrumented binary, the last slot of every *fully covered*
         code page must hold an unconditional boundary branch targeting the
-        next page's first instruction (the paper's BOUNDARY fix)."""
-        last_slot_offset = self.page_bytes - 4
-        for instr in self.instructions:
-            at_page_end = (instr.address % self.page_bytes) == last_slot_offset
+        next page's first instruction (the paper's BOUNDARY fix).
+
+        Visits the page-end slots by stride, then scans for stray boundary
+        branches before the first bad page end, so the error raised is
+        the one at the lowest address."""
+        instructions = self.instructions
+        last = len(instructions) - 1  # its successor is past text_end
+        page_bytes = self.page_bytes
+        last_slot = page_bytes - 4
+        # index of the first page-end slot (none when text_base is not
+        # word aligned)
+        first = (last if self.text_base % 4
+                 else (last_slot - self.text_base) % page_bytes // 4)
+        error = None
+        for index in range(first, last, page_bytes // 4):
+            instr = instructions[index]
             next_addr = instr.address + 4
-            if at_page_end and next_addr < self.text_end:
-                if not instr.is_boundary_branch:
-                    raise LayoutError(
-                        f"instrumented binary: page-end slot {instr.address:#x} "
-                        f"is {instr.op.mnemonic}, not a boundary branch"
-                    )
-                if instr.target != next_addr:
-                    raise LayoutError(
-                        f"boundary branch at {instr.address:#x} targets "
-                        f"{instr.target:#x}, expected {next_addr:#x}"
-                    )
-            elif instr.is_boundary_branch and next_addr < self.text_end:
+            if not instr.is_boundary_branch:
+                error = (index, LayoutError(
+                    f"instrumented binary: page-end slot {instr.address:#x} "
+                    f"is {instr.op.mnemonic}, not a boundary branch"
+                ))
+                break
+            if instr.target != next_addr:
+                error = (index, LayoutError(
+                    f"boundary branch at {instr.address:#x} targets "
+                    f"{instr.target:#x}, expected {next_addr:#x}"
+                ))
+                break
+        for instr in instructions[:last if error is None else error[0]]:
+            if (instr.is_boundary_branch
+                    and instr.address % page_bytes != last_slot):
                 raise LayoutError(
                     f"boundary branch at {instr.address:#x} is not at a page end"
                 )
+        if error is not None:
+            raise error[1]

@@ -89,9 +89,11 @@ class Cache:
         self.num_sets = config.num_sets
         self._set_mask = self.num_sets - 1
         self.ways = config.assoc
-        self._sets: List[OrderedDict[int, _Line]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        #: each set's lines, built when the set is first filled: every
+        #: engine pass builds its caches anew and fills only some sets
+        #: of a large one
+        self._sets: List[Optional[OrderedDict[int, _Line]]] = \
+            [None] * self.num_sets
         self.stats = CacheStats()
 
     # -- addressing helpers -------------------------------------------------
@@ -106,7 +108,8 @@ class Cache:
 
     def probe(self, index_addr: int, tag_addr: int) -> bool:
         """Hit check with no state change (no stats, no LRU update)."""
-        return self.tag_of(tag_addr) in self._sets[self.set_index(index_addr)]
+        entry_set = self._sets[self.set_index(index_addr)]
+        return entry_set is not None and self.tag_of(tag_addr) in entry_set
 
     def access(self, index_addr: int, tag_addr: int, *,
                write: bool = False,
@@ -121,7 +124,10 @@ class Cache:
         stats = self.stats
         stats.accesses += 1
         shift = self.block_shift
-        entry_set = self._sets[(index_addr >> shift) & self._set_mask]
+        index = (index_addr >> shift) & self._set_mask
+        entry_set = self._sets[index]
+        if entry_set is None:
+            entry_set = self._sets[index] = OrderedDict()
         tag = tag_addr >> shift
         line = entry_set.get(tag)
         if line is not None:
@@ -152,15 +158,16 @@ class Cache:
         """Flush the cache; returns the number of dirty lines dropped."""
         dirty = 0
         for entry_set in self._sets:
-            dirty += sum(1 for line in entry_set.values() if line.dirty)
-            entry_set.clear()
+            if entry_set is not None:
+                dirty += sum(1 for line in entry_set.values() if line.dirty)
+                entry_set.clear()
         return dirty
 
     # -- introspection ------------------------------------------------------
 
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)
 
     def __contains__(self, addr: int) -> bool:
         """Membership by a same-index-and-tag address (PI-PT style)."""

@@ -51,8 +51,10 @@ def plan_units(specs: Sequence[JobSpec]) -> List["GridSpec"]:
     its content digest), window, scheme set, engine, and the config's
     shared-stream fields — are merged into one :class:`GridSpec`;
     every other spec becomes a one-member pass.  Units are ordered by
-    the first appearance of their (workload, page size), so the units
-    that link the same two binaries run back to back and share them
+    the first appearance of their workload, then by the first
+    appearance of their page size within it, so the units that link
+    the same two binaries run back to back and share them, and a
+    workload's page sizes run back to back and share its plain layout
     (see :func:`repro.workloads.synthetic.link_slot`).  Within one
     (workload, page size), the largest ``instructions + warmup`` runs
     first, so each binary's memoized stream is built once and the
@@ -63,7 +65,8 @@ def plan_units(specs: Sequence[JobSpec]) -> List["GridSpec"]:
     once but not always in input order: the sweep answers by key, not
     by position.
     """
-    binaries: Dict[tuple, Dict[tuple, List[JobSpec]]] = {}
+    #: workload -> page size -> shared-pass key -> members
+    workloads: Dict[str, Dict[int, Dict[tuple, List[JobSpec]]]] = {}
     for position, spec in enumerate(specs):
         if grid_eligible(spec):
             group_key: tuple = (
@@ -73,10 +76,11 @@ def plan_units(specs: Sequence[JobSpec]) -> List["GridSpec"]:
             )
         else:
             group_key = (position,)  # never shared
-        groups = binaries.setdefault(
-            (spec.workload, spec.config.mem.page_bytes), {})
+        groups = workloads.setdefault(spec.workload, {}).setdefault(
+            spec.config.mem.page_bytes, {})
         groups.setdefault(group_key, []).append(spec)
     return [GridSpec(members=tuple(members))
+            for binaries in workloads.values()
             for groups in binaries.values()
             for members in sorted(groups.values(), key=_budget_first)]
 

@@ -249,7 +249,8 @@ class SweepRunner:
                        grids=stats.grids, backend=backend.name)
         try:
             # in-process jobs on one (workload, page size) share its two
-            # binaries; the planner put those jobs next to each other
+            # binaries, and a workload's page sizes its plain layout; the
+            # planner put those jobs next to each other
             with link_slot():
                 outcomes = backend.execute(units, self, stats)
         except SweepInterrupted as exc:

@@ -57,10 +57,12 @@ def record_trace(workload, config: MachineConfig, *,
     ``workload`` is a registry name or a workload object.  The recorded
     window is ``warmup + instructions`` useful instructions per binary —
     a replay can use any window up to that size.  ``page_sizes`` records
-    additional binary pairs linked at other page sizes (the committed
-    stream depends on the layout, hence on the page size), so one trace
-    file can serve the page-size sensitivity sweep; the returned run is
-    always the one at ``config``'s own page size.
+    additional binary pairs linked at other page sizes (the instrumented
+    binary's layout, hence its committed stream, depends on the page
+    size; the plain stream does not, and each size's plain segment
+    repeats it under that size), so one trace file can serve the
+    page-size sensitivity sweep; the returned run is always the one at
+    ``config``'s own page size.
     """
     from repro.sim.multi import run_all_schemes
 

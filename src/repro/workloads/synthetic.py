@@ -157,18 +157,23 @@ ReleaseHook = Callable[["SyntheticWorkload", int, Dict[bool, Program]], None]
 
 
 class _LinkSlot:
-    """The plain and instrumented binary of one (workload, page size).
+    """The plain and instrumented binary of one (workload, page size),
+    plus the workload's plain layout, kept across its page sizes.
 
     Held by identity of the workload object: a workload re-registered
     under the same name is a new object and can never be served the old
     image."""
 
-    __slots__ = ("workload", "page_bytes", "programs", "on_release")
+    __slots__ = ("workload", "page_bytes", "programs", "plain", "on_release")
 
     def __init__(self, on_release: Optional[ReleaseHook] = None) -> None:
         self.workload: Optional["SyntheticWorkload"] = None
         self.page_bytes = 0
         self.programs: Dict[bool, Program] = {}
+        #: the plain program served last: without boundary branches the
+        #: layout is the same at every page size, so the workload's other
+        #: page sizes copy it (:meth:`Program.with_page_bytes`)
+        self.plain: Optional[Program] = None
         self.on_release = on_release
 
     def release(self) -> None:
@@ -213,10 +218,13 @@ def link_slot(on_release: Optional[ReleaseHook] = None) -> Iterator[None]:
     Consecutive jobs on the same (workload, page size) then share one
     plain and one instrumented binary.  A link for any other pair empties
     the slot first, so at most the current job's two binaries are held —
-    what one job holds anyway.  The slot is dropped on exit, so nothing
-    linked inside outlives the block.  A block nested in an open one
-    shares the open slot; the slot belongs to the thread that opened
-    it.
+    what one job holds anyway.  The plain layout does not depend on the
+    page size, so the slot keeps it until a link for another workload:
+    the workload's other page sizes copy it, memoized stream included,
+    instead of linking and executing it again.  The slot is dropped on
+    exit, so nothing linked inside outlives the block.  A block nested
+    in an open one shares the open slot; the slot belongs to the thread
+    that opened it.
 
     ``on_release(workload, page_bytes, programs)`` runs each time the
     slot is about to drop a pair — for another pair, or when the block
@@ -259,12 +267,19 @@ class SyntheticWorkload:
             return self._link(page_bytes, instrumented)
         if slot.workload is not self or slot.page_bytes != page_bytes:
             slot.release()  # before linking: one pair at a time
+            if slot.workload is not self:
+                slot.plain = None
             slot.workload = self
             slot.page_bytes = page_bytes
         program = slot.programs.get(instrumented)
         if program is None:
-            program = self._link(page_bytes, instrumented)
+            if instrumented or slot.plain is None:
+                program = self._link(page_bytes, instrumented)
+            else:
+                program = slot.plain.with_page_bytes(page_bytes)
             slot.programs[instrumented] = program
+            if not instrumented:
+                slot.plain = program
         return program
 
     def _link(self, page_bytes: int, instrumented: bool) -> Program:

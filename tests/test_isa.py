@@ -1,6 +1,8 @@
 """ISA layer: instruction metadata, encoding round-trips, assembler,
 linker layout, and the boundary-branch invariant."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +46,64 @@ class TestOpcodeMetadata:
 
     def test_control_kind_partition(self):
         assert ANALYZABLE_KINDS < CONTROL_KINDS
+
+
+class TestInstructionConstructor:
+    """``Instruction`` has a written-out ``__init__``; it must build the
+    same dataclass the generated one did."""
+
+    #: every constructor argument, in signature order
+    ARGS = dict(rd=1, rs=2, rt=3, imm=-4, target=TEXT_BASE + 16,
+                inpage_hint=True, is_boundary_branch=False,
+                address=TEXT_BASE, label="blk")
+
+    def test_every_opcode_carries_its_kind_code(self):
+        for op in Opcode:
+            assert op.kind_code == int(op.kind)
+            assert type(op.kind_code) is int
+
+    def test_positional_and_keyword_construction_agree(self):
+        for op in Opcode:
+            positional = Instruction(op, *self.ARGS.values())
+            keyword = Instruction(op=op, **self.ARGS)
+            assert positional == keyword
+            assert repr(positional) == repr(keyword)
+            for instr in (positional, keyword):
+                assert instr.kind_code == int(op.kind)
+                assert instr.latency == op.latency
+                assert [getattr(instr, name) for name in self.ARGS] \
+                    == list(self.ARGS.values())
+
+    def test_defaults_and_repr(self):
+        instr = Instruction(Opcode.NOP)
+        assert repr(instr) == (
+            "Instruction(op=<Opcode.NOP: ('nop', <InstrKind.NOP: 13>, 1)>, "
+            "rd=0, rs=0, rt=0, imm=0, target=None, inpage_hint=False, "
+            "is_boundary_branch=False, address=-1, label='', kind_code=13, "
+            "latency=1)")
+        assert instr == Instruction(Opcode.NOP)
+        assert instr != Instruction(Opcode.NOP, address=0)
+        assert instr != Instruction(Opcode.HALT)
+
+    def test_fields(self):
+        fields = dataclasses.fields(Instruction)
+        assert [f.name for f in fields] == [
+            "op", "rd", "rs", "rt", "imm", "target", "inpage_hint",
+            "is_boundary_branch", "address", "label", "kind_code",
+            "latency"]
+        assert [f.name for f in fields if not f.init] \
+            == ["kind_code", "latency"]
+        assert not hasattr(Instruction(Opcode.ADD), "__dict__")
+
+    def test_replace(self):
+        instr = Instruction(Opcode.ADD, **self.ARGS)
+        assert dataclasses.replace(instr, rd=7) \
+            == Instruction(Opcode.ADD, **{**self.ARGS, "rd": 7})
+        divided = dataclasses.replace(instr, op=Opcode.DIV)
+        assert divided.kind_code == int(InstrKind.INT_DIV)
+        assert divided.latency == Opcode.DIV.latency
+        with pytest.raises(ValueError):
+            dataclasses.replace(instr, kind_code=3)
 
 
 class TestRegisters:
@@ -278,6 +338,66 @@ class TestBoundaryInstrumentation:
         program.instructions[5].address += 4
         with pytest.raises(LayoutError):
             program.validate()
+
+    def test_validate_rejects_targets_outside_text(self):
+        program = link(self._big_module(), boundary_branches=True)
+        branch = program.instructions[program.page_bytes // 4 - 1]
+        branch.target = program.text_end
+        with pytest.raises(LayoutError, match="outside the text segment"):
+            program.validate()
+        branch.target = program.text_base + 2
+        with pytest.raises(LayoutError, match="outside the text segment"):
+            program.validate()
+
+    @staticmethod
+    def _reference_boundary_error(program):
+        """The per-word walk the stride check replaced: the message of
+        the lowest-address violation, or None."""
+        page = program.page_bytes
+        for instr in program.instructions:
+            next_addr = instr.address + 4
+            if next_addr >= program.text_end:
+                continue
+            if instr.address % page == page - 4:
+                if not instr.is_boundary_branch:
+                    return (f"instrumented binary: page-end slot "
+                            f"{instr.address:#x} is {instr.op.mnemonic}, "
+                            "not a boundary branch")
+                if instr.target != next_addr:
+                    return (f"boundary branch at {instr.address:#x} targets "
+                            f"{instr.target:#x}, expected {next_addr:#x}")
+            elif instr.is_boundary_branch:
+                return (f"boundary branch at {instr.address:#x} is not at "
+                        "a page end")
+        return None
+
+    @given(st.lists(st.tuples(st.integers(0, 1 << 16), st.booleans(),
+                              st.sampled_from(["flip", "retarget"])),
+                    max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_boundary_invariant_reports_the_first_violation(self,
+                                                           corruptions):
+        """Stray, missing and mistargeted boundary branches, alone or
+        several at once: the error is the lowest-address one."""
+        program = link(self._big_module(290), page_bytes=256,
+                       boundary_branches=True)
+        page_ends = [index for index, instr in enumerate(program)
+                     if instr.is_boundary_branch]
+        for number, at_page_end, action in corruptions:
+            index = (page_ends[number % len(page_ends)] if at_page_end
+                     else number % len(program))
+            instr = program.instructions[index]
+            if action == "flip":
+                instr.is_boundary_branch = not instr.is_boundary_branch
+            else:
+                instr.target = instr.address + 8
+        expected = self._reference_boundary_error(program)
+        if expected is None:
+            program._validate_boundary_invariant()
+        else:
+            with pytest.raises(LayoutError) as raised:
+                program._validate_boundary_invariant()
+            assert str(raised.value) == expected
 
 
 class TestMicrobenchModules:

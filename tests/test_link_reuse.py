@@ -3,10 +3,12 @@
 :func:`repro.workloads.synthetic.link_slot` holds the plain and the
 instrumented binary of one (workload, page size) while a
 :class:`SweepRunner` executes its backend, and the planner runs the jobs
-that share those binaries back to back.  These tests pin the contract:
-one link per (workload, page size, binary) per sweep, fresh programs
-outside a sweep, nothing kept after it, never a stale image after a
-re-registration, and engines that leave a shared program untouched.
+that share those binaries back to back; a workload's plain layout is
+kept across its page sizes.  These tests pin the contract: one plain
+link per workload and one instrumented link per (workload, page size)
+per sweep, fresh programs outside a sweep, nothing kept after it, never
+a stale image after a re-registration, and engines that leave a shared
+program untouched.
 """
 
 from __future__ import annotations
@@ -87,10 +89,13 @@ class TestSweepSharesLinks:
         results = SweepRunner(store=ResultStore()).run(_grid_specs())
         assert all(result.ok and not result.cached for result in results)
         assert len(results) == 12
-        for kind in ("plain", "instrumented"):
-            keys = [(module, page) for k, module, page in calls
-                    if k == kind]
-            assert len(keys) == len(set(keys)) == 4, kind
+        # the plain layout is the same at every page size: one link per
+        # stand-in; the instrumented one, one per stand-in and page size
+        plain = [module for k, module, _ in calls if k == "plain"]
+        assert len(plain) == len(set(plain)) == 2
+        instrumented = [(module, page) for k, module, page in calls
+                        if k == "instrumented"]
+        assert len(instrumented) == len(set(instrumented)) == 4
 
     def test_results_match_fresh_links(self):
         specs = _grid_specs()
@@ -223,3 +228,98 @@ class TestEnginesLeaveSharedProgramsAlone:
                          header={"workload": "177.mesa"}) as writer:
             write_pass(writer, program, 500)
         assert _image(program) == before
+
+
+#: the eleven stream columns the fast engine reads
+_COLUMNS = ("pc", "next_pc", "kind", "aux", "rs", "rt", "rd", "latency",
+            "flags", "index", "run")
+
+
+class TestPlainLayoutAcrossPageSizes:
+    """Without boundary branches the linker places nothing by page size,
+    so a sweep links and executes each stand-in's plain layout once and
+    copies it to the stand-in's other page sizes."""
+
+    @pytest.mark.parametrize("bench", STAND_INS)
+    def test_plain_image_and_stream_ignore_the_page_size(self, bench):
+        """The premise of sharing: linked fresh at 4, 8, 16 and 64 KB,
+        the plain image and its committed stream differ only in
+        ``page_bytes``."""
+        from repro.cpu.functional import committed_stream
+        workload = registry.resolve(bench)
+        reference = None
+        for page_bytes in (4096, 8192, 16384, 65536):
+            program = workload.link(page_bytes=page_bytes)
+            assert program.page_bytes == page_bytes
+            columns = committed_stream(program, 1500).columns()
+            image = _image(dataclasses.replace(program, page_bytes=4096))
+            stream = {name: list(getattr(columns, name))
+                      for name in _COLUMNS}
+            if reference is None:
+                reference = image, stream
+            assert (image, stream) == reference, page_bytes
+
+    def test_sweep_over_page_sizes_builds_the_plain_stream_once(
+            self, monkeypatch, link_calls):
+        from repro.cpu import functional
+        builds = []
+        original = functional.committed_stream
+
+        def counting(program, budget):
+            builds.append(program.instrumented)
+            return original(program, budget)
+
+        monkeypatch.setattr(functional, "committed_stream", counting)
+        calls, _ = link_calls
+        # one stand-in's page sizes interleaved with iTLB sizes, so no
+        # two neighbours share a page size
+        specs = [JobSpec(workload="177.mesa",
+                         config=default_config().with_page_bytes(page_bytes)
+                         .with_itlb(TLBConfig(entries=entries)),
+                         instructions=300, warmup=100)
+                 for entries in (4, 32)
+                 for page_bytes in (4096, 8192, 16384)]
+        results = SweepRunner(store=ResultStore()).run(specs)
+        assert all(result.ok for result in results)
+        assert builds.count(False) == 1
+        assert builds.count(True) == 3
+        assert [kind for kind, _, _ in calls].count("plain") == 1
+        for spec, result in zip(specs, results):
+            assert result.run.to_dict() == spec.run().to_dict()
+
+    def test_with_page_bytes_shares_the_layout_and_the_stream(self):
+        program = registry.resolve("254.gap").link()
+        program.window_source(400).close()
+        copy = program.with_page_bytes(16384)
+        assert copy.page_bytes == 16384 and program.page_bytes == 4096
+        assert copy.instructions is program.instructions
+        assert copy.labels is program.labels
+        assert copy.data_words is program.data_words
+        assert copy._stream is program._stream is not None
+        assert copy._stream_budget == program._stream_budget == 400
+        assert _image(copy)[:-2] == _image(program)[:-2]
+
+    def test_with_page_bytes_refuses_what_it_cannot_copy(self):
+        from repro.errors import LayoutError
+        workload = registry.resolve("254.gap")
+        with pytest.raises(LayoutError, match="instrumented"):
+            workload.link(instrumented=True).with_page_bytes(8192)
+        with pytest.raises(LayoutError, match="page aligned"):
+            workload.link().with_page_bytes(8 << 20)
+
+    def test_slot_drops_the_plain_layout_with_its_workload(self,
+                                                           link_calls):
+        calls, programs = link_calls
+        mesa = registry.resolve("177.mesa")
+        gap = registry.resolve("254.gap")
+        with link_slot():
+            first = mesa.link()
+            copy = mesa.link(page_bytes=8192)
+            gap.link()
+            again = mesa.link(page_bytes=16384)
+        assert copy.instructions is first.instructions
+        assert again.instructions is not first.instructions
+        assert [kind for kind, _, _ in calls] == ["plain"] * 3
+        del first, copy, again
+        gc.collect()
+        assert [ref for ref in programs if ref() is not None] == []

@@ -73,6 +73,28 @@ class TestCache:
         assert cache.invalidate_all() == 1
         assert cache.occupancy == 0
 
+    def test_probe_of_an_unfilled_set_creates_nothing(self):
+        cache = _small_cache(assoc=2, sets=4, block=32)
+        cache.access(0x0, 0x0)  # fills set 0 only
+        assert not cache.probe(0x20, 0x20)  # set 1, never filled
+        assert 0x20 not in cache
+        assert cache._sets[1:] == [None, None, None]
+        assert cache.probe(0x0, 0x0)
+        assert cache.stats.accesses == 1
+
+    def test_partly_filled_cache_counts_and_flushes(self):
+        cache = _small_cache(assoc=2, sets=4, block=32)
+        cache.access(0x0, 0x0, write=True)  # set 0
+        cache.access(0x80, 0x80)  # set 0, second way
+        cache.access(0x40, 0x40, write=True)  # set 2
+        assert cache.occupancy == 3
+        assert cache.invalidate_all() == 2
+        assert cache.occupancy == 0
+        assert cache.invalidate_all() == 0
+        assert not cache.probe(0x0, 0x0)
+        assert not cache.access(0x60, 0x60).hit  # set 3, first fill
+        assert cache.occupancy == 1
+
     @given(st.lists(st.tuples(st.integers(0, 16), st.booleans()),
                     min_size=1, max_size=300))
     @settings(max_examples=40)
