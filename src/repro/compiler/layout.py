@@ -8,8 +8,9 @@ Pettis-Hansen-style greedy chain merge over the weighted call graph so
 frequent caller/callee pairs share pages, then rebuilds the module in the
 new order.
 
-The extensions experiment links each workload both ways and reports the
-page-crossing and IA-lookup reduction.
+The registry names each generated workload's affinity layout
+``<name>@affinity``; the extensions experiment runs it beside the
+workload itself and reports the page-crossing and IA-lookup reduction.
 """
 
 from __future__ import annotations
@@ -74,19 +75,15 @@ def layout_by_affinity(chunks: Sequence[FunctionChunk],
     )
     ordered_chains = _merge_chains(names, call_graph)
     order: List[str] = []
-    if entry_fn is not None:
-        # hoist the chain containing the entry function to the front,
-        # rotated so the entry function leads it
-        for chain in ordered_chains:
-            if entry_fn in chain:
-                at = chain.index(entry_fn)
-                order.extend(chain[at:] + chain[:at])
-                break
-        for chain in ordered_chains:
-            if entry_fn not in chain:
-                order.extend(chain)
-    else:  # pragma: no cover - empty input
-        for chain in ordered_chains:
+    # hoist the chain containing the entry function to the front, rotated
+    # so the entry function leads it (no chunks: no chains, no entry)
+    for chain in ordered_chains:
+        if entry_fn in chain:
+            at = chain.index(entry_fn)
+            order.extend(chain[at:] + chain[:at])
+            break
+    for chain in ordered_chains:
+        if entry_fn not in chain:
             order.extend(chain)
 
     module = Module(entry_label=entry_label)
@@ -95,14 +92,3 @@ def layout_by_affinity(chunks: Sequence[FunctionChunk],
     module.data.extend(data)
     return module
 
-
-def original_layout(chunks: Sequence[FunctionChunk],
-                    data: Sequence[DataItem] = (),
-                    entry_label: str = "main") -> Module:
-    """Rebuild the module in its original (generator) order — the baseline
-    the layout experiment compares against."""
-    module = Module(entry_label=entry_label)
-    for _, items in chunks:
-        module.text.extend(items)
-    module.data.extend(data)
-    return module

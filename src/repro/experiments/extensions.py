@@ -4,8 +4,9 @@
    references") — an HoA-style register file in front of the dTLB;
    measures dTLB lookup/energy reduction vs register count.
 2. **Code layout** (Section 5: "code layout transformations ... to
-   benefit from the reuse of the translation within the CFR") — the
-   Pettis-Hansen-style affinity layout vs the original layout: page
+   benefit from the reuse of the translation within the CFR") — each
+   benchmark's Pettis-Hansen-style affinity layout (its ``@affinity``
+   variant, a plan cell like every other) vs the benchmark itself: page
    crossings and IA/OPT lookups.
 3. **Better predictors** (Section 3.3.4: "if we can use a more accurate
    predictor, IA would come even closer to OPT") — gshare and a RAS-less
@@ -17,10 +18,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
-from repro.compiler.layout import layout_by_affinity, original_layout
-from repro.compiler.instrument import instrument_module
 from repro.config import (
     BranchPredictorConfig,
     CacheAddressing,
@@ -35,18 +33,16 @@ from repro.experiments.common import (
     ExperimentSettings,
     ImageProbe,
     TableResult,
-    default_settings,
     job_for,
     planned,
     short_name,
 )
 from repro.isa.program import Program
 from repro.runner import JobSpec
-from repro.sim.simulator import Simulator
 from repro.trace.format import committed_steps
 from repro.vm.os_model import AddressSpace
 from repro.vm.tlb import TLB
-from repro.workloads.registry import resolve
+from repro.workloads.registry import AFFINITY_SUFFIX, resolve
 
 #: data-side CFR register counts swept
 DCFR_REGISTERS = (1, 2, 4)
@@ -119,13 +115,22 @@ def build_dcfr(settings: ExperimentSettings, answers: Answers) -> TableResult:
 run_dcfr = planned(dcfr_cells, build_dcfr)
 
 
-def build_layout(settings: ExperimentSettings) -> TableResult:
-    """Affinity-based code layout vs generator order.
+def layout_cells(settings: ExperimentSettings) -> Cells:
+    """Each generated benchmark's default VI-PT run (the accounting
+    extension's own cell), and the same run on its ``@affinity`` variant."""
+    vipt = default_config(CacheAddressing.VIPT)
+    return {("layout", label, bench): job_for(bench + suffix, vipt, settings)
+            for bench in settings.benchmarks
+            if getattr(resolve(bench), "chunks", None)
+            for label, suffix in (("original", ""),
+                                  ("affinity", AFFINITY_SUFFIX))}
 
-    The one part of the report that links and executes off the plan:
-    the relaid modules have no registry name, so no :class:`JobSpec`
-    can name them and no sweep can hold their images."""
-    config = default_config(CacheAddressing.VIPT)
+
+def build_layout(settings: ExperimentSettings,
+                 answers: Answers) -> TableResult:
+    """Affinity-based code layout vs generator order.  Under VI-PT every
+    fetch translates, so OPT looks up once per page crossing of the
+    instrumented pass (under VI-VT it looks up on iL1 misses only)."""
     result = TableResult(
         experiment_id="Extension: code layout",
         title="Call-affinity function layout vs original layout "
@@ -133,35 +138,20 @@ def build_layout(settings: ExperimentSettings) -> TableResult:
         columns=["benchmark", "layout", "page crossings",
                  "opt lookups", "ia lookups"],
     )
-    simulator = Simulator(config)
     for bench in settings.benchmarks:
-        workload = resolve(bench)
-        if not getattr(workload, "chunks", None):
-            # layout transformation needs the generator's static chunks;
-            # recorded traces and bare-module workloads have none
+        if ("layout", "original", bench) not in answers:
+            # no static chunks to lay out: layout_cells declared no cell
             result.notes.append(
                 f"{short_name(bench)}: skipped (no static chunks to lay "
                 "out — only generated workloads can be re-linked)")
             continue
-        for label, module in (
-            ("original", original_layout(workload.chunks,
-                                         workload.module.data)),
-            ("affinity", layout_by_affinity(workload.chunks,
-                                            workload.call_graph,
-                                            workload.module.data)),
-        ):
-            program = instrument_module(module,
-                                        page_bytes=config.mem.page_bytes,
-                                        name=f"{bench}-{label}")
-            run_ = simulator.run_program(
-                program, instructions=settings.instructions,
-                warmup=settings.warmup,
-                schemes=(SchemeName.OPT, SchemeName.IA))
+        for label in ("original", "affinity"):
+            run_ = answers["layout", label, bench]
+            crossings = run_.instrumented.shared.page_crossings
             result.add_row(**{
                 "benchmark": short_name(bench), "layout": label,
-                "page crossings": run_.shared.page_crossings,
-                "opt lookups": run_.schemes[SchemeName.OPT].lookups,
-                "ia lookups": run_.schemes[SchemeName.IA].lookups,
+                "page crossings": crossings, "opt lookups": crossings,
+                "ia lookups": run_.scheme(SchemeName.IA).lookups,
             })
     result.notes.append(
         "affinity layout packs call-affine functions onto shared pages; "
@@ -169,8 +159,7 @@ def build_layout(settings: ExperimentSettings) -> TableResult:
     return result
 
 
-def run_layout(settings: Optional[ExperimentSettings] = None) -> TableResult:
-    return build_layout(settings or default_settings())
+run_layout = planned(layout_cells, build_layout)
 
 
 #: the predictor variants the predictor extension compares
@@ -264,13 +253,13 @@ run_accounting = planned(accounting_cells, build_accounting)
 
 
 def cells(settings: ExperimentSettings) -> Cells:
-    return {**dcfr_cells(settings), **predictor_cells(settings),
-            **accounting_cells(settings)}
+    return {**dcfr_cells(settings), **layout_cells(settings),
+            **predictor_cells(settings), **accounting_cells(settings)}
 
 
 def build(settings: ExperimentSettings, answers: Answers) -> TableResult:
     """All extensions merged for the report."""
-    parts = [build_dcfr(settings, answers), build_layout(settings),
+    parts = [build_dcfr(settings, answers), build_layout(settings, answers),
              build_predictors(settings, answers),
              build_accounting(settings, answers)]
     merged = TableResult(

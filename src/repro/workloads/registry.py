@@ -16,6 +16,8 @@ This registry is the name space:
 * foreign traces resolve under ``import:<format>:<path>`` (see
   :mod:`repro.trace.importers`) — converted on the fly into an
   on-demand replayable workload;
+* ``<name>@affinity`` resolves to ``<name>`` relaid by call affinity,
+  memoized, and builtin exactly when ``<name>`` is;
 * callers add their own entries with :func:`register` (any zero-argument
   factory) or :func:`register_profile` (a
   :class:`~repro.workloads.synthetic.WorkloadProfile`, generated on first
@@ -37,9 +39,11 @@ import`` for big streams).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from typing import TYPE_CHECKING, Callable, Dict, Tuple, Union
 
+from repro.compiler.layout import layout_by_affinity
 from repro.errors import RegistryError
 from repro.workloads.synthetic import (
     SyntheticWorkload,
@@ -58,6 +62,8 @@ TRACE_PREFIX = "trace:"
 #: names of the form ``import:<format>:<path>`` resolve to foreign
 #: traces converted on demand (see :mod:`repro.trace.importers`)
 IMPORT_PREFIX = "import:"
+#: ``<name>@affinity`` is generated workload ``<name>`` relaid by affinity
+AFFINITY_SUFFIX = "@affinity"
 
 
 def split_import_name(name: str) -> Tuple[str, str]:
@@ -122,6 +128,8 @@ def register(name: str, factory: WorkloadFactory, *,
         raise RegistryError(
             f"the '{IMPORT_PREFIX}' prefix is reserved for foreign "
             "trace imports (import:<format>:<path>)")
+    if name.endswith(AFFINITY_SUFFIX):
+        raise RegistryError(f"the '{AFFINITY_SUFFIX}' suffix is reserved")
     if name in _FACTORIES and not replace:
         raise RegistryError(
             f"workload '{name}' is already registered "
@@ -129,6 +137,7 @@ def register(name: str, factory: WorkloadFactory, *,
     _FACTORIES[name] = factory
     _CUSTOM.add(name)
     _INSTANCES.pop(name, None)
+    _INSTANCES.pop(name + AFFINITY_SUFFIX, None)
 
 
 def register_profile(profile: WorkloadProfile, *,
@@ -142,10 +151,20 @@ def register_profile(profile: WorkloadProfile, *,
 def resolve(name: str) -> Union[SyntheticWorkload, "TraceWorkload"]:
     """The workload registered under ``name`` (generated and memoized on
     first use; ``trace:`` names share a content-keyed decoded-file LRU,
-    ``import:`` names convert afresh every time).  Raises
-    :class:`KeyError` for unknown names and
-    :class:`~repro.errors.TraceError` for unreadable traces."""
+    ``import:`` names convert afresh every time).  Raises :class:`KeyError`
+    for unknown names, :class:`~repro.errors.TraceError` for unreadable
+    traces and :class:`RegistryError` for chunkless ``@affinity`` bases."""
     _ensure_builtins()
+    if name.endswith(AFFINITY_SUFFIX):
+        if name not in _INSTANCES:
+            base = resolve(name[:-len(AFFINITY_SUFFIX)])
+            if not getattr(base, "chunks", None):
+                raise RegistryError(f"'{name}': no static chunks to lay out")
+            _INSTANCES[name] = dataclasses.replace(
+                base, profile=dataclasses.replace(base.profile, name=name),
+                module=layout_by_affinity(base.chunks, base.call_graph,
+                                          base.module.data))
+        return _INSTANCES[name]
     if name.startswith(TRACE_PREFIX):
         from repro.trace.replay import load_trace_workload
         return load_trace_workload(name[len(TRACE_PREFIX):])
@@ -164,6 +183,8 @@ def resolve(name: str) -> Union[SyntheticWorkload, "TraceWorkload"]:
 
 def is_registered(name: str) -> bool:
     _ensure_builtins()
+    if name.endswith(AFFINITY_SUFFIX):
+        return is_registered(name[:-len(AFFINITY_SUFFIX)])
     if name.startswith(TRACE_PREFIX):
         return os.path.isfile(name[len(TRACE_PREFIX):])
     if name.startswith(IMPORT_PREFIX):
@@ -179,12 +200,15 @@ def is_registered(name: str) -> bool:
 def is_builtin(name: str) -> bool:
     """True when ``name`` resolves identically in any fresh process (the
     SPEC stand-ins, ``micro.*`` entries *not* overridden, and
-    ``trace:``/``import:`` files — any process can read the file).
+    ``trace:``/``import:`` files — any process can read the file), and
+    the ``@affinity`` variant of any of those.
     Custom registrations — including builtin names replaced via
     ``register(..., replace=True)`` — exist only in the registering
     process; the sweep runner uses this to keep their jobs out of
     spawned workers."""
     _ensure_builtins()
+    if name.endswith(AFFINITY_SUFFIX):
+        return is_builtin(name[:-len(AFFINITY_SUFFIX)])
     if name.startswith(TRACE_PREFIX) or name.startswith(IMPORT_PREFIX):
         return True
     return name not in _CUSTOM and _builtin_factory(name) is not None
@@ -203,6 +227,7 @@ def unregister(name: str) -> None:
     _ensure_builtins()
     _FACTORIES.pop(name, None)
     _INSTANCES.pop(name, None)
+    _INSTANCES.pop(name + AFFINITY_SUFFIX, None)
     _CUSTOM.discard(name)
     builtin = _builtin_factory(name)
     if builtin is not None:

@@ -19,10 +19,11 @@ from repro.core.schemes import LookupReason, build_all_policies, build_policy
 from repro.cpu.fast import FastEngine
 from repro.isa.assembler import link
 from repro.sim.multi import run_all_schemes
+from repro.sim.simulator import run_program_grid
 from repro.vm.page_table import PageTable, Protection
 from repro.vm.tlb import build_itlb
-from repro.workloads import microbench
-from repro.workloads.spec2000 import load_benchmark
+from repro.workloads import microbench, registry
+from repro.workloads.spec2000 import BENCHMARK_NAMES, load_benchmark
 
 
 def _run(module, addressing=CacheAddressing.VIPT, instrumented=False,
@@ -243,6 +244,42 @@ class TestSchemeIdentities:
         ia = mesa_vipt.scheme(SchemeName.IA).counters
         branches = mesa_vipt.instrumented.shared.dynamic_branches
         assert 0 < ia.btb_compares <= branches
+
+
+def _opt_pass(program, config):
+    """One OPT-only pass over ``program`` (3000 + 700, warm CFR)."""
+    (result,) = run_program_grid(program, [config], instructions=3_000,
+                                 warmup=700, schemes=(SchemeName.OPT,))
+    return result
+
+
+class TestOptLooksUpOncePerCrossing:
+    """Under a physically tagged iL1 every fetch translates, so OPT
+    looks up exactly once per page crossing of the pass it ran on: the
+    layout extension reads its OPT column off the instrumented pass's
+    page crossings.  Under VI-VT OPT looks up on iL1 misses only."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES + tuple(
+        f"micro.{micro}" for micro in registry.MICROBENCH_NAMES))
+    def test_opt_lookups_equal_page_crossings(self, name):
+        workload = registry.resolve(name)
+        for page_bytes in (4096, 16384):
+            for instrumented in (False, True):
+                program = workload.link(page_bytes=page_bytes,
+                                        instrumented=instrumented)
+                for addressing in (CacheAddressing.PIPT,
+                                   CacheAddressing.VIPT):
+                    result = _opt_pass(program, default_config(addressing)
+                                       .with_page_bytes(page_bytes))
+                    assert result.schemes[SchemeName.OPT].lookups \
+                        == result.shared.page_crossings, \
+                        (page_bytes, instrumented, addressing)
+
+    def test_not_under_vivt(self):
+        result = _opt_pass(load_benchmark("177.mesa").link(),
+                           default_config(CacheAddressing.VIVT))
+        assert result.schemes[SchemeName.OPT].lookups \
+            != result.shared.page_crossings
 
 
 class TestPingPongExactCounts:

@@ -27,8 +27,10 @@ from repro.experiments.report import (
     MODULES,
     run_all,
     run_experiment,
+    write_experiments_md,
 )
 from repro.runner import JobSpec, ResultStore, SweepRunner
+from repro.sim import multi, simulator
 from repro.telemetry import metrics
 from repro.sim.simulator import attach_energy
 from repro.workloads import registry, synthetic
@@ -88,6 +90,18 @@ def images(monkeypatch):
 
     monkeypatch.setattr(functional, "committed_stream", counting_stream)
     return links, streams
+
+
+@pytest.fixture()
+def no_engine_pass(monkeypatch):
+    """Call ``forbid()`` and every engine pass from then on raises."""
+    def refuse(program, *args, **kwargs):
+        raise AssertionError(f"engine pass over {program.name}")
+
+    def forbid() -> None:
+        monkeypatch.setattr(simulator, "run_program_grid", refuse)
+        monkeypatch.setattr(multi, "run_program_grid", refuse)
+    return forbid
 
 
 def _distinct_images() -> set:
@@ -229,12 +243,13 @@ class _Recording(dict):
 class TestBuildsReadTheirCells:
     @pytest.mark.parametrize("name", [name for name, _ in ALL_EXPERIMENTS])
     def test_build_reads_exactly_the_declared_cells(
-            self, fresh_store, sweeps, name):
+            self, fresh_store, sweeps, no_engine_pass, name):
         """Every declared cell is read, no undeclared one can be, and
-        building runs no sweep."""
+        building runs no sweep and no engine pass."""
         cells = MODULES[name].cells(SETTINGS)
         answers, _ = common.answer(cells, SETTINGS)
         del sweeps[:]
+        no_engine_pass()
         recording = _Recording(answers)
         EXPERIMENT_BY_NAME[name](SETTINGS, recording)
         assert recording.read == set(cells)
@@ -242,6 +257,26 @@ class TestBuildsReadTheirCells:
 
     def test_table1_declares_no_cells(self):
         assert MODULES["table1"].cells(SETTINGS) == {}
+
+    def test_second_report_over_a_disk_store_simulates_nothing(
+            self, tmp_path, no_engine_pass):
+        settings = common.default_settings(instructions=1_000, warmup=300,
+                                           benchmarks=SETTINGS.benchmarks)
+        try:
+            common.configure_store(str(tmp_path / "store"))
+            first = write_experiments_md(str(tmp_path / "first.md"),
+                                         settings, verbose=False)
+            common.configure_store(str(tmp_path / "store"))
+            no_engine_pass()
+            events = []
+            with telemetry.listen(events.append):
+                second = write_experiments_md(str(tmp_path / "second.md"),
+                                              settings, verbose=False)
+        finally:
+            common.configure_store(None)
+        (plan,) = [e for e in events if e["event"] == "report.plan"]
+        assert plan["simulated"] == 0 and plan["cached"] == plan["jobs"]
+        assert second == first
 
 
 class TestDetailedCells:

@@ -160,6 +160,20 @@ class TestExtensions:
         assert by_layout["affinity"]["page crossings"] \
             <= by_layout["original"]["page crossings"] * 1.5
 
+    def test_layout_skips_workloads_without_chunks(self):
+        settings = default_settings(
+            instructions=6_000, warmup=1_500,
+            benchmarks=("micro.counted_loop", "177.mesa"))
+        assert set(extensions.layout_cells(settings)) \
+            == {("layout", label, "177.mesa")
+                for label in ("original", "affinity")}
+        result = extensions.run_layout(settings)
+        assert [(row["benchmark"], row["layout"]) for row in result.rows] \
+            == [("mesa", "original"), ("mesa", "affinity")]
+        assert result.notes[0] == (
+            "counted_loop: skipped (no static chunks to lay out — only "
+            "generated workloads can be re-linked)")
+
     def test_predictor_experiment(self):
         result = extensions.run_predictors(self.SETTINGS)
         assert any(row["predictor"] == "bimodal, no RAS"

@@ -195,6 +195,40 @@ class TestRegistry:
             registry.unregister("custom.test")
         assert not registry.is_registered("custom.test")
 
+    def test_affinity_variant_is_memoized_and_builtin(self):
+        from repro.workloads import registry
+        base = registry.resolve("177.mesa")
+        variant = registry.resolve("177.mesa@affinity")
+        assert variant is registry.resolve("177.mesa@affinity")
+        assert registry.is_builtin("177.mesa@affinity")
+        assert registry.is_registered("177.mesa@affinity")
+        assert variant.profile.name == "177.mesa@affinity"
+        assert variant.module.instruction_count \
+            == base.module.instruction_count
+        assert variant.module.text != base.module.text
+
+    def test_affinity_variant_dropped_with_its_base(self):
+        from repro.workloads import registry
+        base = registry.resolve("177.mesa")
+        variant = registry.resolve("177.mesa@affinity")
+        try:
+            registry.register("177.mesa", lambda: base, replace=True)
+            assert not registry.is_builtin("177.mesa@affinity")
+            relaid = registry.resolve("177.mesa@affinity")
+            assert relaid is not variant
+        finally:
+            registry.unregister("177.mesa")
+        assert registry.is_builtin("177.mesa@affinity")
+        assert registry.resolve("177.mesa@affinity") is not relaid
+
+    def test_affinity_variant_needs_static_chunks(self):
+        from repro.errors import RegistryError
+        from repro.workloads import registry
+        with pytest.raises(RegistryError, match="no static chunks"):
+            registry.resolve("micro.counted_loop@affinity")
+        with pytest.raises(RegistryError, match="reserved"):
+            registry.register("custom@affinity", lambda: None)
+
     def test_micro_workloads_link_both_ways(self):
         from repro.workloads import registry
         workload = registry.resolve("micro.counted_loop")
