@@ -22,19 +22,21 @@ class BranchClass:
     """Classification of one static control instruction."""
 
     instr: Instruction
+    pc: int
     analyzable: bool
     in_page: Optional[bool]  #: None when not analyzable
 
 
-def classify_branch(instr: Instruction, page_bytes: int) -> BranchClass:
-    """Classify a single control instruction."""
+def classify_branch(instr: Instruction, pc: int,
+                    page_bytes: int) -> BranchClass:
+    """Classify a single control instruction sitting at ``pc``."""
     if not instr.is_control:
-        raise ValueError(f"{instr.op.mnemonic} at {instr.address:#x} "
+        raise ValueError(f"{instr.op.mnemonic} at {pc:#x} "
                          "is not a control instruction")
     if not instr.op.is_analyzable_control or instr.target is None:
-        return BranchClass(instr, analyzable=False, in_page=None)
-    in_page = (instr.address // page_bytes) == (instr.target // page_bytes)
-    return BranchClass(instr, analyzable=True, in_page=in_page)
+        return BranchClass(instr, pc, analyzable=False, in_page=None)
+    in_page = (pc // page_bytes) == (instr.target // page_bytes)
+    return BranchClass(instr, pc, analyzable=True, in_page=in_page)
 
 
 @dataclass
@@ -82,12 +84,14 @@ def analyze_program(program: Program,
     source-code branches.
     """
     stats = StaticBranchStats()
-    for instr in program.instructions:
+    text_base = program.text_base
+    for index, instr in enumerate(program.instructions):
         if not instr.is_control:
             continue
         if instr.is_boundary_branch and not include_boundary:
             continue
-        cls = classify_branch(instr, program.page_bytes)
+        cls = classify_branch(instr, text_base + 4 * index,
+                              program.page_bytes)
         stats.classes.append(cls)
         stats.total += 1
         if cls.analyzable:

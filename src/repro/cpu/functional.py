@@ -4,7 +4,11 @@
 both engines drive their timing models off the stream of
 :class:`StepResult` records it produces — the detailed engine by
 stepping it, the fast engine through :func:`committed_stream` — so
-architectural behaviour can never diverge between them.
+architectural behaviour can never diverge between them.  The fast
+engine executes plain binaries only: an instrumented binary's stream is
+the plain stream remapped (:func:`repro.compiler.instrument.derive_stream`),
+and :func:`committed_stream` stays general so tests can pin that remap
+against an execution.
 
 Integer registers hold unsigned 32-bit values (``0 .. 2**32-1``); signed
 operators (``slt``, ``blt``, ``bge``, ``div``) reinterpret on the fly.

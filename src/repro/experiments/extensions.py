@@ -59,8 +59,8 @@ def _dcfr_counters(program: Program, spec: JobSpec) -> list:
         dtlb = TLB(config.dtlb, name="dtlb")
         dcfr = DataCFR(dtlb, space.page_table,
                        config.mem.page_shift, registers=registers)
-        for instr, aux in committed_steps(program, spec.warmup,
-                                          spec.instructions):
+        for _, instr, aux in committed_steps(program, spec.warmup,
+                                             spec.instructions):
             kind = instr.kind_code
             if kind == 6 or kind == 7:  # LOAD / STORE
                 dcfr.translate(aux, kind == 7)

@@ -2,15 +2,16 @@
 
 :class:`Assembler` is a builder API producing a :class:`Module` — a stream of
 labels, symbolic instructions, and data definitions with no addresses
-assigned.  :func:`link` lays a module out at fixed bases and resolves labels,
-optionally inserting the paper's page-boundary branches (Section 3.3.2):
-when enabled, the last instruction slot of every code page is occupied by an
-unconditional jump to the first slot of the next page, so sequential
-execution never falls across a page boundary without executing a branch.
+assigned.  :func:`link` lays a module out at fixed bases and resolves
+labels.  :func:`place_boundary_branches` turns a linked plain layout into
+the one with the paper's page-boundary branches (Section 3.3.2): the last
+instruction slot of every code page is occupied by an unconditional jump
+to the first slot of the next page, so sequential execution never falls
+across a page boundary without executing a branch.
 
-Keeping programs symbolic until link time is what lets one workload be
-linked twice — once plain (for Base/HoA/OPT) and once instrumented (for
-SoCA/SoLA/IA) — exactly as the paper compares un/instrumented binaries.
+A workload is placed once, plain (for Base/HoA/OPT), and each
+instrumented layout (for SoCA/SoLA/IA, one per page size) is derived
+from it — exactly as the paper compares un/instrumented binaries.
 """
 
 from __future__ import annotations
@@ -295,9 +296,10 @@ def link(
     """Lay out ``module`` and resolve every label.
 
     With ``boundary_branches=True`` the linker reproduces the paper's
-    compiler support for the BOUNDARY case: whenever layout reaches the last
-    instruction slot of a page, it first materializes an unconditional
-    ``J`` targeting the next address, then continues placement there.
+    compiler support for the BOUNDARY case: the plain layout goes
+    through :func:`place_boundary_branches`, which puts an
+    unconditional ``J`` to the next address in the last slot of every
+    code page and moves everything after it.
     """
     if text_base % page_bytes:
         raise LayoutError("text base must be page aligned")
@@ -306,15 +308,11 @@ def link(
 
     labels: Dict[str, int] = {}
     placed: List[Instruction] = []
-    #: (placed instruction, symbolic target) for every control transfer,
-    #: resolved once all labels are bound
-    unresolved: List[Tuple[Instruction, TargetRef]] = []
+    #: (index of the placed instruction, symbolic target) for every
+    #: control transfer, resolved once all labels are bound
+    unresolved: List[Tuple[int, TargetRef]] = []
     cursor = text_base
     pending_labels: List[str] = []
-    boundary_count = 0
-    #: address of the next page's last slot, where a boundary branch
-    #: goes (never reached without boundary branches)
-    page_end = text_base + page_bytes - 4 if boundary_branches else -1
 
     # placement allocates one Instruction per slot and no reference
     # cycles; with the cyclic collector running, those allocations set
@@ -326,22 +324,15 @@ def link(
                     raise AssemblyError(f"duplicate label '{item}'")
                 pending_labels.append(item)
                 continue
-            if cursor == page_end:
-                placed.append(Instruction(Opcode.J, 0, 0, 0, 0, cursor + 4,
-                                          False, True, cursor, "<boundary>"))
-                cursor += 4
-                boundary_count += 1
-                page_end += page_bytes
             if pending_labels:
                 for lbl in pending_labels:
                     labels[lbl] = cursor
                 pending_labels.clear()
-            instr = Instruction(item.op, item.rd, item.rs, item.rt,
-                                item.imm, None, False, False, cursor,
-                                item.label)
-            placed.append(instr)
             if item.target is not None:
-                unresolved.append((instr, item.target))
+                unresolved.append((len(placed), item.target))
+            placed.append(Instruction(item.op, item.rd, item.rs, item.rt,
+                                      item.imm, None, False, False,
+                                      item.label))
             cursor += 4
 
     # trailing labels bind to the end of text (valid only as data refs)
@@ -351,11 +342,14 @@ def link(
     # data layout (text labels are final here, so label-valued words can
     # be resolved to addresses)
     data_words: Dict[int, int] = {}
+    code_words: List[int] = []
+    data_names = set()
     dcursor = data_base
     for ditem in module.data:
         if ditem.name in labels:
             raise AssemblyError(f"duplicate symbol '{ditem.name}'")
         labels[ditem.name] = dcursor
+        data_names.add(ditem.name)
         for value in ditem.words:
             if isinstance(value, str):
                 if value not in labels:
@@ -363,32 +357,30 @@ def link(
                         f"data item '{ditem.name}' references undefined "
                         f"label '{value}'"
                     )
+                if value not in data_names:
+                    code_words.append(dcursor)
                 value = labels[value]
             data_words[dcursor] = value & 0xFFFFFFFF
             dcursor += 4
         dcursor += 4 * ditem.zero_words
 
     # resolve control-flow targets
-    for instr, ref in unresolved:
+    for index, ref in unresolved:
         if isinstance(ref, str):
             target = labels.get(ref)
             if target is None:
                 raise AssemblyError(f"undefined label '{ref}'")
         else:
             target = ref
+        instr = placed[index]
         if instr.kind_code == _COND_BRANCH:
-            off_words = (target - (instr.address + 4)) // 4
-            if abs(off_words) > _B_OFF_LIMIT:
-                raise AssemblyError(
-                    f"branch at {instr.address:#x} to '{ref}' out of "
-                    f"range ({off_words} words)"
-                )
+            _check_branch_range(text_base + 4 * index, target, f"'{ref}'")
         instr.target = target
 
     if module.entry_label in labels:
         entry = labels[module.entry_label]
     elif placed:
-        entry = placed[0].address
+        entry = text_base
     else:
         raise LayoutError("cannot link an empty module")
 
@@ -401,9 +393,111 @@ def link(
         data_size=max(dcursor - data_base, 0),
         entry=entry,
         page_bytes=page_bytes,
-        instrumented=boundary_branches,
-        boundary_branch_count=boundary_count,
         name=name,
+        code_words=tuple(code_words),
     )
     program.validate()
+    if boundary_branches:
+        return place_boundary_branches(program, page_bytes=page_bytes,
+                                       name=name)
+    return program
+
+
+def _check_branch_range(address: int, target: int, what: str) -> None:
+    """A conditional branch encodes its target as a 15-bit word offset."""
+    off_words = (target - (address + 4)) // 4
+    if abs(off_words) > _B_OFF_LIMIT:
+        raise AssemblyError(
+            f"branch at {address:#x} to {what} out of "
+            f"range ({off_words} words)"
+        )
+
+
+def place_boundary_branches(plain: Program, *, page_bytes: int,
+                            name: Optional[str] = None) -> Program:
+    """``plain``'s layout with the paper's page-boundary branches
+    (Section 3.3.2): the last slot of every code page holds an
+    unconditional ``J`` to the next page's first slot, so sequential
+    execution never falls across a page end without a branch.
+
+    Plain word ``k`` moves to word ``k + k // (W - 1)``, ``W`` being the
+    words per page.  The result is built from ``plain`` instead of a
+    second placement: each page's run of plain instructions is shared as
+    it is (an instruction carries no address), and only what holds a
+    text address is rewritten — every direct control word (a copy with
+    its target moved), the text labels, the entry point and the
+    label-valued data words (:attr:`Program.code_words`).  Conditional
+    branch ranges, :meth:`Program.validate` and the boundary invariant
+    are checked on the result, whose :attr:`Program.source` is
+    ``plain``."""
+    if plain.instrumented:
+        raise LayoutError(f"{plain.name} already has boundary branches")
+    base = plain.text_base
+    if base % page_bytes:
+        raise LayoutError("text base must be page aligned")
+    per_page = page_bytes // 4 - 1
+    source = plain.instructions
+    count = len(source)
+    placed: List[Instruction] = []
+    for start in range(0, count, per_page):
+        placed += source[start:start + per_page]
+        if start + per_page < count:
+            cursor = base + 4 * len(placed)
+            placed.append(Instruction(Opcode.J, 0, 0, 0, 0, cursor + 4,
+                                      False, True, "<boundary>"))
+    text_end = base + 4 * len(placed)
+    if base <= plain.data_base + plain.data_size \
+            and plain.data_base <= text_end:
+        raise LayoutError(
+            f"{plain.name}: the data segment at {plain.data_base:#x} "
+            "overlaps the instrumented text")
+
+    def moved(address: int) -> int:
+        """Where the plain text address ``address`` lands (the end of
+        text stays the end of text)."""
+        index = (address - base) >> 2
+        if index >= count:
+            return text_end
+        return base + 4 * (index + index // per_page)
+
+    for index, instr in enumerate(source):
+        target = instr.target
+        if target is None:
+            continue
+        if instr.is_boundary_branch:
+            raise LayoutError(
+                f"{plain.name} already has a boundary branch at "
+                f"{base + 4 * index:#x}")
+        slot = index + index // per_page
+        target = moved(target)
+        if instr.kind_code == _COND_BRANCH:
+            _check_branch_range(base + 4 * slot, target,
+                                f"{target:#x} (plain {instr.target:#x})")
+        placed[slot] = Instruction(instr.op, instr.rd, instr.rs, instr.rt,
+                                   instr.imm, target, False, False,
+                                   instr.label)
+
+    plain_end = plain.text_end
+    labels = {label: moved(address) if base <= address <= plain_end
+              else address
+              for label, address in plain.labels.items()}
+    data_words = dict(plain.data_words)
+    for address in plain.code_words:
+        data_words[address] = moved(data_words[address])
+    program = Program(
+        text_base=base,
+        instructions=placed,
+        labels=labels,
+        data_base=plain.data_base,
+        data_words=data_words,
+        data_size=plain.data_size,
+        entry=moved(plain.entry),
+        page_bytes=page_bytes,
+        instrumented=True,
+        boundary_branch_count=len(placed) - count,
+        name=plain.name if name is None else name,
+        code_words=plain.code_words,
+    )
+    program.validate()
+    program.source = plain
     return program

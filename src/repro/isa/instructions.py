@@ -144,6 +144,13 @@ class Instruction:
     are written by the compiler passes; both default to ``False`` in
     uninstrumented binaries.
 
+    An instruction does not know its own address: in a
+    :class:`~repro.isa.program.Program` it sits at ``text_base + 4 *
+    index``, and the pc travels with each executed step and trace
+    record.  Only ``target`` is an address, so an instruction without
+    one means the same thing at any position, and an instrumented image
+    shares every such instruction of its plain image.
+
     The class is slotted: workloads materialize hundreds of thousands of
     instances, and the engines read their fields on every retired
     instruction, so the per-instance ``__dict__`` was both memory and
@@ -160,8 +167,6 @@ class Instruction:
     target: Optional[int] = None
     inpage_hint: bool = False
     is_boundary_branch: bool = False
-    #: filled in at link time: absolute byte address of this instruction
-    address: int = -1
     #: source-level label of this instruction's basic block, for diagnostics
     label: str = ""
     #: precomputed ``int(op.kind)`` — the executors dispatch on a plain int
@@ -174,7 +179,7 @@ class Instruction:
     def __init__(self, op: Opcode, rd: int = 0, rs: int = 0, rt: int = 0,
                  imm: int = 0, target: Optional[int] = None,
                  inpage_hint: bool = False, is_boundary_branch: bool = False,
-                 address: int = -1, label: str = "") -> None:
+                 label: str = "") -> None:
         self.op = op
         self.rd = rd
         self.rs = rs
@@ -183,7 +188,6 @@ class Instruction:
         self.target = target
         self.inpage_hint = inpage_hint
         self.is_boundary_branch = is_boundary_branch
-        self.address = address
         self.label = label
         self.kind_code = op.kind_code
         self.latency = op.latency
@@ -201,10 +205,6 @@ class Instruction:
     @property
     def is_mem(self) -> bool:
         return self.op.kind in (InstrKind.LOAD, InstrKind.STORE)
-
-    @property
-    def fall_through(self) -> int:
-        return self.address + 4
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.op.mnemonic]
@@ -263,9 +263,9 @@ def _check_field(value: int, bits: int, what: str, signed: bool = False) -> int:
     return value & ((1 << bits) - 1)
 
 
-def encode(instr: Instruction) -> int:
-    """Encode ``instr`` (which must be linked, i.e. have an address) to a
-    32-bit word."""
+def encode(instr: Instruction, address: Optional[int] = None) -> int:
+    """Encode ``instr`` to a 32-bit word.  A conditional branch encodes
+    its target relative to its own ``address``, so it needs one."""
     opnum = _OPCODE_NUM[instr.op] << 26
     op = instr.op
     if op in _R_TYPE:
@@ -280,9 +280,9 @@ def encode(instr: Instruction) -> int:
                 | _check_field(instr.rs, 5, "rs") << 16
                 | _check_field(instr.imm, 16, "imm", signed=signed))
     if op in _B_TYPE:
-        if instr.target is None or instr.address < 0:
+        if instr.target is None or address is None:
             raise AssemblyError(f"cannot encode unlinked branch {instr}")
-        off_words = (instr.target - instr.fall_through) // 4
+        off_words = (instr.target - address - 4) // 4
         return (opnum | _check_field(instr.rs, 5, "rs") << 21
                 | _check_field(instr.rt, 5, "rt") << 16
                 | (1 if instr.inpage_hint else 0) << 15
@@ -304,22 +304,21 @@ def decode(word: int, address: int) -> Instruction:
     op = _NUM_OPCODE[opnum]
     if op in _R_TYPE:
         return Instruction(op, rd=(word >> 21) & 0x1F, rs=(word >> 16) & 0x1F,
-                           rt=(word >> 11) & 0x1F, address=address)
+                           rt=(word >> 11) & 0x1F)
     if op in _I_TYPE:
         imm = word & 0xFFFF
         if imm >= 1 << 15:
             imm -= 1 << 16
         return Instruction(op, rd=(word >> 21) & 0x1F, rs=(word >> 16) & 0x1F,
-                           imm=imm, address=address)
+                           imm=imm)
     if op in _B_TYPE:
         off = word & ((1 << _B_OFF_BITS) - 1)
         if off >= 1 << (_B_OFF_BITS - 1):
             off -= 1 << _B_OFF_BITS
         return Instruction(op, rs=(word >> 21) & 0x1F, rt=(word >> 16) & 0x1F,
                            inpage_hint=bool((word >> 15) & 1),
-                           target=address + 4 + 4 * off, address=address)
+                           target=address + 4 + 4 * off)
     if op in _J_TYPE:
         return Instruction(op, inpage_hint=bool((word >> 25) & 1),
-                           target=(word & ((1 << _J_ADDR_BITS) - 1)) * 4,
-                           address=address)
+                           target=(word & ((1 << _J_ADDR_BITS) - 1)) * 4)
     raise AssemblyError(f"undecodable opcode {op}")  # pragma: no cover

@@ -25,11 +25,13 @@ segment's meta records which binary it captures (``plain`` or
 address space (text/data extents, entry point — frame allocation is
 deterministic given those, see :mod:`repro.vm.page_table`).
 
-Static entries define the distinct instructions of the stream in first-
-execution order; step records reference them by index, carrying only the
-dynamic facts the instruction itself cannot supply.  ``op`` is the
-declaration index in :class:`~repro.isa.instructions.Opcode` — reordering
-that enum is a format break and requires a :data:`TRACE_VERSION` bump
+Static entries define the distinct instructions of the stream, one per
+pc, in first-execution order; step records reference them by index,
+carrying only the dynamic facts the instruction itself cannot supply.  A
+static's ``address`` is the pc it executed at: instructions carry no
+address of their own, so writers intern by the pc each step brings.
+``op`` is the declaration index in :class:`~repro.isa.instructions.Opcode`
+— reordering that enum is a format break and requires a :data:`TRACE_VERSION` bump
 (the golden-trace regression test pins this).
 
 Files whose name ends in ``.gz`` are written gzip-compressed (with a
@@ -149,7 +151,7 @@ class TraceWriter:
     Use as a context manager; :meth:`begin_segment` opens a segment for
     each binary pass and :meth:`write_step` appends one committed
     :class:`~repro.cpu.functional.StepResult`, interning its instruction
-    into the segment's static table on first sight.
+    into the segment's static table the first time its pc executes.
     """
 
     def __init__(self, path: Union[str, Path], *, header: dict) -> None:
@@ -200,33 +202,33 @@ class TraceWriter:
 
     # -- records -------------------------------------------------------
 
-    def _intern_instruction(self, instr: Instruction) -> int:
+    def _intern_instruction(self, pc: int, instr: Instruction) -> int:
         index = self._statics
         flags = ((_STATIC_FLAG_INPAGE if instr.inpage_hint else 0)
                  | (_STATIC_FLAG_BOUNDARY if instr.is_boundary_branch else 0))
         target = _NO_TARGET if instr.target is None else instr.target
         self._fh.write(_U8.pack(TAG_STATIC))
-        self._fh.write(_STATIC.pack(instr.address, _OP_TO_NUM[instr.op],
+        self._fh.write(_STATIC.pack(pc, _OP_TO_NUM[instr.op],
                                     instr.rd, instr.rs, instr.rt,
                                     instr.imm, target, flags))
-        self._intern[id(instr)] = index
+        self._intern[pc] = index
         self._statics = index + 1
         return index
 
     def write_step(self, step) -> None:
         """Append one committed step (a
         :class:`~repro.cpu.functional.StepResult`)."""
-        self.write_record(step.instr, step_aux(step))
+        self.write_record(step.pc, step.instr, step_aux(step))
 
-    def write_record(self, instr: Instruction, aux: int) -> None:
-        """Append one step record: ``instr`` with its dynamic payload
-        ``aux`` (see :func:`step_aux`)."""
+    def write_record(self, pc: int, instr: Instruction, aux: int) -> None:
+        """Append one step record: ``instr``, executed at ``pc``, with
+        its dynamic payload ``aux`` (see :func:`step_aux`)."""
         if not self._in_segment:
             raise TraceError("write_step outside a segment "
                              "(call begin_segment first)")
-        index = self._intern.get(id(instr))
+        index = self._intern.get(pc)
         if index is None:
-            index = self._intern_instruction(instr)
+            index = self._intern_instruction(pc, instr)
         self._fh.write(_U8.pack(TAG_STEP))
         self._fh.write(_U32.pack(index))
         kind = aux_kind(instr.kind_code)
@@ -295,15 +297,16 @@ class MemorySink:
         self._intern = {}
 
     def write_step(self, step) -> None:
-        self.write_record(step.instr, step_aux(step))
+        self.write_record(step.pc, step.instr, step_aux(step))
 
-    def write_record(self, instr: Instruction, aux: int) -> None:
+    def write_record(self, pc: int, instr: Instruction, aux: int) -> None:
         segment = self.segments[-1]
-        index = self._intern.get(id(instr))
+        index = self._intern.get(pc)
         if index is None:
             index = len(segment.instructions)
             segment.instructions.append(instr)
-            self._intern[id(instr)] = index
+            segment.pcs.append(pc)
+            self._intern[pc] = index
         segment.index.append(index)
         segment.aux.append(aux)
 
@@ -337,7 +340,8 @@ class _StaticTables:
     """Per-static lookup tables, grown incrementally.
 
     The column fill loop needs eight facts per interned instruction
-    (address, kind, operands, latency, flag bits, taken target).  An
+    (pc, kind, operands, latency, flag bits, taken target); the pc comes
+    from the static's record, the rest from its instruction.  An
     in-memory segment builds them once for the whole segment; a windowed
     decode appends as new statics arrive — statics always precede their
     first referencing step, so tables extended through the end of a
@@ -357,10 +361,12 @@ class _StaticTables:
         self.flags: List[int] = []
         self.target: List[int] = []
 
-    def extend(self, instrs: List[Instruction]) -> None:
-        """Ingest every instruction past the already-tabled prefix."""
-        for instr in instrs[len(self.pc):]:
-            self.pc.append(instr.address)
+    def extend(self, instrs: List[Instruction], pcs: List[int]) -> None:
+        """Ingest every static past the already-tabled prefix:
+        ``instrs[i]``, executed at ``pcs[i]``."""
+        known = len(self.pc)
+        self.pc += pcs[known:]
+        for instr in instrs[known:]:
             self.kind.append(instr.kind_code)
             self.rs.append(instr.rs)
             self.rt.append(instr.rt)
@@ -504,36 +510,36 @@ def trace_exhausted(steps: int) -> TraceError:
         "recorded one — re-record with a larger window")
 
 
-def iter_steps(source) -> Iterator[Tuple[Instruction, int]]:
-    """Every step of a window source's stream as ``(instruction, aux)``,
-    window after window.  Raises :func:`trace_exhausted` past the end,
-    so a consumer stops at its own budget or at a HALT."""
+def iter_steps(source) -> Iterator[Tuple[int, Instruction, int]]:
+    """Every step of a window source's stream as ``(pc, instruction,
+    aux)``, window after window.  Raises :func:`trace_exhausted` past
+    the end, so a consumer stops at its own budget or at a HALT."""
     instrs = source.instructions
     steps = 0
     while True:
         cols = source.next_window()
         if cols is None:
             raise trace_exhausted(steps)
-        for index, aux in zip(cols.index, cols.aux):
-            yield instrs[index], aux
+        for pc, index, aux in zip(cols.pc, cols.index, cols.aux):
+            yield pc, instrs[index], aux
         steps += cols.steps
 
 
-def committed_steps(program, skip: int,
-                    count: int) -> Iterator[Tuple[Instruction, int]]:
+def committed_steps(program, skip: int, count: int
+                    ) -> Iterator[Tuple[int, Instruction, int]]:
     """Steps ``skip`` to ``skip + count - 1`` of ``program``'s committed
     stream (see :meth:`~repro.isa.program.Program.window_source`) as
-    ``(instruction, aux)``, ending early after a HALT — the functional
-    view the experiments read besides the engine (Table 4's dynamic
-    branch classes, the data-side CFR)."""
+    ``(pc, instruction, aux)``, ending early after a HALT — the
+    functional view the experiments read besides the engine (Table 4's
+    dynamic branch classes, the data-side CFR)."""
     if count <= 0:
         return
     end = skip + count
     source = program.window_source(end)
     try:
-        for position, (instr, aux) in enumerate(iter_steps(source), 1):
+        for position, (pc, instr, aux) in enumerate(iter_steps(source), 1):
             if position > skip:
-                yield instr, aux
+                yield pc, instr, aux
             if position == end or instr.kind_code == 14:  # HALT
                 return
     finally:
@@ -562,10 +568,10 @@ class _MemoryWindowSource:
 class TraceSegment:
     """One binary pass of a trace.
 
-    An in-memory segment (decoded eagerly, executed live, or imported)
-    holds its interned statics and its stream as the ``index``/``aux``
-    arrays the decoder or a :class:`MemorySink` filled; its columns are
-    built from them on first use.  A file-backed segment
+    An in-memory segment (decoded eagerly, executed live, derived, or
+    imported) holds its interned statics with their pcs and its stream
+    as the ``index``/``aux`` arrays the decoder or a :class:`MemorySink`
+    filled; its columns are built from them on first use.  A file-backed segment
     (``window_steps`` > 0) holds only its position in the file and
     decodes its stream in windows of that many steps, per consumer.
     """
@@ -573,6 +579,8 @@ class TraceSegment:
     meta: dict
     #: interned static instructions, in first-execution order
     instructions: List[Instruction] = field(default_factory=list)
+    #: the pc each static executed at (``instructions[i]`` at ``pcs[i]``)
+    pcs: List[int] = field(default_factory=list)
     #: dynamic stream: static index and aux payload (-1 when none) of
     #: every step
     index: array = field(default_factory=lambda: array("q"))
@@ -608,7 +616,7 @@ class TraceSegment:
         LRU) reuses one set of arrays."""
         if self._columns is None:
             tables = _StaticTables()
-            tables.extend(self.instructions)
+            tables.extend(self.instructions, self.pcs)
             self._columns = SegmentColumns(tables, self.index, self.aux)
         return self._columns
 
@@ -792,15 +800,17 @@ def _static_op(fields: tuple, path: Path) -> Opcode:
 
 def _parse_items(reader: _StreamReader, kinds: List[int], limit: int,
                  instrs: Optional[List[Instruction]] = None,
+                 pcs: Optional[List[int]] = None,
                  index: Optional[array] = None,
                  aux: Optional[array] = None) -> int:
     """Parse the current segment's items until ``limit`` steps or its end
     tag; returns the step count (fewer than ``limit`` means the end tag
     was consumed).
 
-    The one reading of a segment body.  Given ``instrs``, ``index`` and
-    ``aux`` it decodes: statics become :class:`Instruction`\\ s and each
-    step appends its static index and aux payload — a whole segment
+    The one reading of a segment body.  Given ``instrs``, ``pcs``,
+    ``index`` and ``aux`` it decodes: statics become
+    :class:`Instruction`\\ s beside their pcs and each step appends its
+    static index and aux payload — a whole segment
     with no limit, one window with the window's.  Without them it skips
     (the segment index scan, reaching segment *n* of a gzip stream):
     statics are checked but never built and steps are sized but not
@@ -860,8 +870,8 @@ def _parse_items(reader: _StreamReader, kinds: List[int], limit: int,
                         target=None if target == _NO_TARGET else target,
                         inpage_hint=bool(flags & _STATIC_FLAG_INPAGE),
                         is_boundary_branch=bool(
-                            flags & _STATIC_FLAG_BOUNDARY),
-                        address=address))
+                            flags & _STATIC_FLAG_BOUNDARY)))
+                    pcs.append(address)
             elif tag == TAG_END_SEGMENT:
                 pos += 1
                 break
@@ -898,7 +908,7 @@ def _read_trace(path: Union[str, Path], window_steps: int) -> TraceFile:
             else:
                 segment = TraceSegment(meta)
                 _parse_items(reader, [], _NO_LIMIT, segment.instructions,
-                             segment.index, segment.aux)
+                             segment.pcs, segment.index, segment.aux)
             segments.append(segment)
     finally:
         reader.close()
@@ -940,8 +950,8 @@ class _StreamWindowSource:
     """Decodes one file-backed segment's stream in windows of at most
     ``window_steps`` steps.
 
-    Each source owns its reader, interned-instruction list, and static
-    tables — two sources over the same segment (say, the plain and
+    Each source owns its reader, interned-instruction and pc lists, and
+    static tables — two sources over the same segment (say, the plain and
     instrumented passes of one job, or a retry) never share mutable
     state.  ``instructions`` grows in place as statics arrive, so an
     engine may bind it once: indices in earlier windows stay valid
@@ -951,6 +961,8 @@ class _StreamWindowSource:
     def __init__(self, path: Union[str, Path], ordinal: int,
                  window_steps: int) -> None:
         self.instructions: List[Instruction] = []
+        #: the pc of each of ``instructions``, from its static record
+        self.pcs: List[int] = []
         self._kinds: List[int] = []
         self._tables = _StaticTables()
         self._window_steps = window_steps
@@ -986,12 +998,12 @@ class _StreamWindowSource:
         index = array("q")
         aux = array("q")
         steps = _parse_items(self._reader, self._kinds, self._window_steps,
-                             self.instructions, index, aux)
+                             self.instructions, self.pcs, index, aux)
         if steps < self._window_steps:
             self.close()
         if not steps:
             return None
-        self._tables.extend(self.instructions)
+        self._tables.extend(self.instructions, self.pcs)
         window = SegmentColumns(self._tables, index, aux)
         nbytes = COLUMN_BYTES_PER_STEP * steps
         note_stream_window(nbytes, time.perf_counter() - started)

@@ -477,8 +477,7 @@ def emit_segment(importer: Importer, scan: ScanResult,
             instr = Instruction(
                 entry.op, rd=entry.rd, rs=entry.rs, rt=entry.rt,
                 target=(None if entry.target is None
-                        else entry.target + delta),
-                address=event.pc + delta)
+                        else entry.target + delta))
             intern[event.pc] = instr
         # the step's aux payload (see repro.trace.format.step_aux)
         kind = instr.kind_code
@@ -503,7 +502,7 @@ def emit_segment(importer: Importer, scan: ScanResult,
                     "no effective address")
             aux = ((data_map[addr >> shift] << shift)
                    | (addr & offset_mask & ~3))
-        sink.write_record(instr, aux)
+        sink.write_record(event.pc + delta, instr, aux)
         steps += 1
     return steps
 
@@ -648,7 +647,8 @@ class ImportedTraceWorkload:
                 (page_bytes, twin),
                 TraceSegment(meta=geometry.meta(self.profile.name, twin),
                              instructions=segment.instructions,
-                             index=segment.index, aux=segment.aux))
+                             pcs=segment.pcs, index=segment.index,
+                             aux=segment.aux))
         return ReplayProgram(segment)
 
     def describe(self) -> str:

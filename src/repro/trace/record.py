@@ -1,13 +1,14 @@
 """Recording: write the committed stream of a live run to a trace.
 
 A fast-engine pass consumes its program's committed stream, which the
-program keeps once it has executed (see
-:meth:`repro.isa.program.Program.window_source`).  Recording is
-therefore no engine feature: :func:`record_trace` runs the standard
-two-pass :func:`~repro.sim.multi.run_all_schemes` evaluation, then
-writes each pass's stream — the first ``warmup + instructions`` useful
-instructions of it — through a
-:class:`~repro.trace.format.TraceWriter`, one segment per binary.  It
+program keeps once built (see :meth:`repro.isa.program.Program.stream`):
+the plain binary executes once, and each instrumented binary's stream is
+derived from the plain one.  Recording is therefore no engine feature:
+:func:`record_trace` runs the standard two-pass
+:func:`~repro.sim.multi.run_all_schemes` evaluation, then writes each
+binary's stream — the first ``warmup + instructions`` useful
+instructions of it — through a :class:`~repro.trace.format.TraceWriter`,
+one segment per binary, each static at the pc its steps carry.  It
 returns the live run, so callers can immediately check record→replay
 equivalence.
 """
@@ -33,8 +34,8 @@ def write_pass(writer: TraceWriter, program, budget: int) -> None:
     try:
         useful = 0
         steps = iter_steps(source) if budget > 0 else ()
-        for instr, aux in steps:
-            writer.write_record(instr, aux)
+        for pc, instr, aux in steps:
+            writer.write_record(pc, instr, aux)
             if instr.kind_code == 14:  # HALT
                 break
             if not instr.is_boundary_branch:
@@ -83,7 +84,7 @@ def record_trace(workload, config: MachineConfig, *,
     }
     budget = warmup + instructions
     # the slot hands the writer the very programs the passes ran on,
-    # whose streams are already executed
+    # whose streams are already built
     with TraceWriter(path, header=header) as writer, link_slot():
         primary = None
         for size in sizes:

@@ -108,13 +108,13 @@ def dynamic_branch_classes(program: Program, *, instructions: int,
     page_bytes = program.page_bytes
     analyzable = in_page = total = 0
     # the program's committed stream (recorded, for a replayed trace)
-    for instr, _ in committed_steps(program, warmup, instructions):
+    for pc, instr, _ in committed_steps(program, warmup, instructions):
         if not instr.is_control:
             continue
         total += 1
         if instr.op.is_analyzable_control and instr.target is not None:
             analyzable += 1
-            if (instr.address // page_bytes) == (instr.target // page_bytes):
+            if (pc // page_bytes) == (instr.target // page_bytes):
                 in_page += 1
     return analyzable, in_page, total
 

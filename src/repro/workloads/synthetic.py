@@ -42,7 +42,11 @@ from repro.isa.registers import (
     REG_SP,
     REG_ZERO,
 )
-from repro.compiler.instrument import instrument_module, link_plain
+from repro.compiler.instrument import (
+    instrument_module,
+    instrument_program,
+    link_plain,
+)
 
 # register conventions used by generated code
 _RNG = 23  # s7: xorshift32 state
@@ -158,7 +162,9 @@ ReleaseHook = Callable[["SyntheticWorkload", int, Dict[bool, Program]], None]
 
 class _LinkSlot:
     """The plain and instrumented binary of one (workload, page size),
-    plus the workload's plain layout, kept across its page sizes.
+    plus the workload's plain layout, kept across its page sizes: every
+    plain binary of the workload is a copy of it and every instrumented
+    one is derived from it, stream included.
 
     Held by identity of the workload object: a workload re-registered
     under the same name is a new object and can never be served the old
@@ -170,9 +176,11 @@ class _LinkSlot:
         self.workload: Optional["SyntheticWorkload"] = None
         self.page_bytes = 0
         self.programs: Dict[bool, Program] = {}
-        #: the plain program served last: without boundary branches the
+        #: the workload's one plain link: without boundary branches the
         #: layout is the same at every page size, so the workload's other
-        #: page sizes copy it (:meth:`Program.with_page_bytes`)
+        #: page sizes copy it (:meth:`Program.with_page_bytes`), and its
+        #: instrumented layouts are derived from it
+        #: (:func:`~repro.compiler.instrument.instrument_program`)
         self.plain: Optional[Program] = None
         self.on_release = on_release
 
@@ -221,10 +229,12 @@ def link_slot(on_release: Optional[ReleaseHook] = None) -> Iterator[None]:
     what one job holds anyway.  The plain layout does not depend on the
     page size, so the slot keeps it until a link for another workload:
     the workload's other page sizes copy it, memoized stream included,
-    instead of linking and executing it again.  The slot is dropped on
-    exit, so nothing linked inside outlives the block.  A block nested
-    in an open one shares the open slot; the slot belongs to the thread
-    that opened it.
+    instead of linking and executing it again, and every instrumented
+    binary is derived from it — its image remapped, its stream derived
+    from the plain stream — so a workload is placed and executed once
+    per block.  The slot is dropped on exit, so nothing linked inside
+    outlives the block.  A block nested in an open one shares the open
+    slot; the slot belongs to the thread that opened it.
 
     ``on_release(workload, page_bytes, programs)`` runs each time the
     slot is about to drop a pair — for another pair, or when the block
@@ -273,13 +283,16 @@ class SyntheticWorkload:
             slot.page_bytes = page_bytes
         program = slot.programs.get(instrumented)
         if program is None:
-            if instrumented or slot.plain is None:
-                program = self._link(page_bytes, instrumented)
+            plain = slot.plain
+            if plain is None:
+                plain = slot.plain = self._link(page_bytes, False)
+            if instrumented:
+                program = instrument_program(plain, page_bytes=page_bytes)
+            elif plain.page_bytes == page_bytes:
+                program = plain
             else:
-                program = slot.plain.with_page_bytes(page_bytes)
+                program = plain.with_page_bytes(page_bytes)
             slot.programs[instrumented] = program
-            if not instrumented:
-                slot.plain = program
         return program
 
     def _link(self, page_bytes: int, instrumented: bool) -> Program:

@@ -462,7 +462,7 @@ class TestSegmentColumns:
                     assert window.steps == 1
                     idx, aux = window.index[0], window.aux[0]
                     instr = source.instructions[idx]
-                    assert cols.pc[i] == instr.address
+                    assert cols.pc[i] == source.pcs[idx]
                     assert cols.kind[i] == instr.kind_code
                     assert cols.aux[i] == aux
                     assert cols.index[i] == idx

@@ -108,27 +108,30 @@ class TestGshare:
 
 
 class TestFrontEndPredictor:
-    def _branch(self, pc=0x400000, target=0x400100):
-        return Instruction(Opcode.BNE, rs=1, rt=2, target=target, address=pc)
+    #: where the branch sits
+    PC = 0x400000
+
+    def _branch(self, target=0x400100):
+        return Instruction(Opcode.BNE, rs=1, rt=2, target=target)
 
     def test_conditional_needs_btb_for_taken(self):
         fe = FrontEndPredictor(BranchPredictorConfig())
         instr = self._branch()
         # train direction taken but BTB cold: effective prediction not-taken
-        fe.direction.update(instr.address, True)
-        fe.direction.update(instr.address, True)
-        pred = fe.predict(instr.address, instr)
+        fe.direction.update(self.PC, True)
+        fe.direction.update(self.PC, True)
+        pred = fe.predict(self.PC, instr)
         assert not pred.predicted_taken
-        fe.train(instr.address, instr, pred, True, instr.target)
-        pred2 = fe.predict(instr.address, instr)
+        fe.train(self.PC, instr, pred, True, instr.target)
+        pred2 = fe.predict(self.PC, instr)
         assert pred2.predicted_taken
         assert pred2.predicted_target == instr.target
 
     def test_mispredict_flag_direction(self):
         fe = FrontEndPredictor(BranchPredictorConfig())
         instr = self._branch()
-        pred = fe.predict(instr.address, instr)
-        outcome = fe.train(instr.address, instr, pred, True, instr.target)
+        pred = fe.predict(self.PC, instr)
+        outcome = fe.train(self.PC, instr, pred, True, instr.target)
         assert outcome.mispredicted  # predicted NT, was taken
 
     def test_degenerate_branch_no_path_divergence(self):
@@ -136,25 +139,25 @@ class TestFrontEndPredictor:
         no wrong-path fetch (the OoO desync regression)."""
         instr = self._branch(target=0x400004)
         fe = FrontEndPredictor(BranchPredictorConfig())
-        pred = fe.predict(instr.address, instr)
-        outcome = fe.train(instr.address, instr, pred, True, 0x400004)
+        pred = fe.predict(self.PC, instr)
+        outcome = fe.train(self.PC, instr, pred, True, 0x400004)
         assert outcome.mispredicted
         assert not outcome.path_diverged
 
     def test_ras_predicts_returns(self):
         fe = FrontEndPredictor(BranchPredictorConfig(ras_entries=8))
-        call = Instruction(Opcode.JAL, target=0x400800, address=0x400000)
-        ret = Instruction(Opcode.JR, rs=REG_RA, address=0x400800)
-        pred = fe.predict(call.address, call)
-        fe.train(call.address, call, pred, True, call.target)
-        pred_ret = fe.predict(ret.address, ret)
+        call = Instruction(Opcode.JAL, target=0x400800)
+        ret = Instruction(Opcode.JR, rs=REG_RA)
+        pred = fe.predict(0x400000, call)
+        fe.train(0x400000, call, pred, True, call.target)
+        pred_ret = fe.predict(0x400800, ret)
         assert pred_ret.from_ras
         assert pred_ret.predicted_target == 0x400004
 
     def test_no_ras_returns_use_btb(self):
         fe = FrontEndPredictor(BranchPredictorConfig(ras_entries=0))
-        ret = Instruction(Opcode.JR, rs=REG_RA, address=0x400800)
-        pred = fe.predict(ret.address, ret)
+        ret = Instruction(Opcode.JR, rs=REG_RA)
+        pred = fe.predict(0x400800, ret)
         assert not pred.from_ras
         assert not pred.predicted_taken  # BTB cold
 
@@ -171,7 +174,7 @@ class TestFrontEndPredictor:
     def test_static_kind_taken(self):
         fe = FrontEndPredictor(BranchPredictorConfig(kind="taken"))
         instr = self._branch()
-        fe.train(instr.address, instr,
-                 fe.predict(instr.address, instr), True, instr.target)
-        pred = fe.predict(instr.address, instr)
+        fe.train(self.PC, instr,
+                 fe.predict(self.PC, instr), True, instr.target)
+        pred = fe.predict(self.PC, instr)
         assert pred.predicted_taken

@@ -47,7 +47,7 @@ class TestAnalysis:
         addi = program.instructions[0]
         assert not addi.is_control
         with pytest.raises(ValueError):
-            classify_branch(addi, 4096)
+            classify_branch(addi, program.text_base, 4096)
 
     def test_boundary_branches_excluded_by_default(self):
         program = instrument_module(_module_with_branches())

@@ -121,8 +121,8 @@ def program_digest(program) -> str:
         "instructions": [
             [instr.op.name, instr.rd, instr.rs, instr.rt, instr.imm,
              instr.target, instr.inpage_hint, instr.is_boundary_branch,
-             instr.address, instr.label]
-            for instr in program.instructions],
+             program.text_base + 4 * index, instr.label]
+            for index, instr in enumerate(program.instructions)],
         "labels": program.labels,
         "data_words": sorted(program.data_words.items()),
         "entry": program.entry,

@@ -387,11 +387,11 @@ class TestGem5Semantics:
         from repro.isa.instructions import InstrKind
         from repro.isa.program import TEXT_BASE
         segment = TraceReader(out).read().segments[0]
-        by_addr = {i.address: i for i in segment.instructions}
+        by_addr = dict(zip(segment.pcs, segment.instructions))
         assert by_addr[TEXT_BASE].kind is InstrKind.STORE
         cols = segment.columns()
         index, aux = cols.index[0], cols.aux[0]
-        assert segment.instructions[index].address == TEXT_BASE
+        assert segment.pcs[index] == TEXT_BASE
         assert aux != -1  # the remapped store address rode along
 
     def test_final_direct_transfer_is_dropped(self, tmp_path):
@@ -434,14 +434,14 @@ class TestGem5Semantics:
         out = tmp_path / "out.trace"
         import_trace("gem5", _gem5_file(tmp_path, body), out)
         segment = TraceReader(out).read().segments[0]
-        by_addr = {i.address: i for i in segment.instructions}
+        by_addr = dict(zip(segment.pcs, segment.instructions))
         from repro.isa.instructions import Opcode
         from repro.isa.program import TEXT_BASE
         assert by_addr[TEXT_BASE].op is Opcode.JR
         # both dynamic instances carry their own observed destination
         cols = segment.columns()
         dests = [aux for idx, aux in zip(cols.index, cols.aux)
-                 if segment.instructions[idx].address == TEXT_BASE]
+                 if segment.pcs[idx] == TEXT_BASE]
         assert len(dests) == 2 and dests[0] != dests[1]
 
 

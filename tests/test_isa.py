@@ -54,8 +54,7 @@ class TestInstructionConstructor:
 
     #: every constructor argument, in signature order
     ARGS = dict(rd=1, rs=2, rt=3, imm=-4, target=TEXT_BASE + 16,
-                inpage_hint=True, is_boundary_branch=False,
-                address=TEXT_BASE, label="blk")
+                inpage_hint=True, is_boundary_branch=False, label="blk")
 
     def test_every_opcode_carries_its_kind_code(self):
         for op in Opcode:
@@ -79,18 +78,17 @@ class TestInstructionConstructor:
         assert repr(instr) == (
             "Instruction(op=<Opcode.NOP: ('nop', <InstrKind.NOP: 13>, 1)>, "
             "rd=0, rs=0, rt=0, imm=0, target=None, inpage_hint=False, "
-            "is_boundary_branch=False, address=-1, label='', kind_code=13, "
+            "is_boundary_branch=False, label='', kind_code=13, "
             "latency=1)")
         assert instr == Instruction(Opcode.NOP)
-        assert instr != Instruction(Opcode.NOP, address=0)
+        assert instr != Instruction(Opcode.NOP, label="blk")
         assert instr != Instruction(Opcode.HALT)
 
     def test_fields(self):
         fields = dataclasses.fields(Instruction)
         assert [f.name for f in fields] == [
             "op", "rd", "rs", "rt", "imm", "target", "inpage_hint",
-            "is_boundary_branch", "address", "label", "kind_code",
-            "latency"]
+            "is_boundary_branch", "label", "kind_code", "latency"]
         assert [f.name for f in fields if not f.init] \
             == ["kind_code", "latency"]
         assert not hasattr(Instruction(Opcode.ADD), "__dict__")
@@ -121,27 +119,28 @@ class TestRegisters:
 
 
 class TestEncoding:
-    def _roundtrip(self, instr: Instruction) -> Instruction:
-        return decode(encode(instr), instr.address)
+    def _roundtrip(self, instr: Instruction,
+                   pc: int = 0x400000) -> Instruction:
+        return decode(encode(instr, pc), pc)
 
     def test_rtype_roundtrip(self):
-        instr = Instruction(Opcode.ADD, rd=3, rs=4, rt=5, address=0x400000)
+        instr = Instruction(Opcode.ADD, rd=3, rs=4, rt=5)
         out = self._roundtrip(instr)
         assert (out.op, out.rd, out.rs, out.rt) == (Opcode.ADD, 3, 4, 5)
 
     def test_itype_negative_imm(self):
-        instr = Instruction(Opcode.ADDI, rd=2, rs=2, imm=-7, address=0x400000)
+        instr = Instruction(Opcode.ADDI, rd=2, rs=2, imm=-7)
         assert self._roundtrip(instr).imm == -7
 
     def test_branch_roundtrip_with_hint(self):
         instr = Instruction(Opcode.BNE, rs=1, rt=2, target=0x400100,
-                            inpage_hint=True, address=0x400000)
+                            inpage_hint=True)
         out = self._roundtrip(instr)
         assert out.target == 0x400100
         assert out.inpage_hint
 
     def test_jump_roundtrip(self):
-        instr = Instruction(Opcode.JAL, target=0x0048_0000, address=0x400000)
+        instr = Instruction(Opcode.JAL, target=0x0048_0000)
         assert self._roundtrip(instr).target == 0x0048_0000
 
     def test_unlinked_branch_rejected(self):
@@ -150,27 +149,25 @@ class TestEncoding:
 
     def test_branch_out_of_encoding_range(self):
         instr = Instruction(Opcode.BNE, rs=1, rt=2,
-                            target=0x400000 + (1 << 20), address=0x400000)
+                            target=0x400000 + (1 << 20))
         with pytest.raises(AssemblyError):
-            encode(instr)
+            encode(instr, 0x400000)
 
     @given(rd=st.integers(0, 31), rs=st.integers(0, 31),
            imm=st.integers(-(1 << 15), (1 << 15) - 1))
     @settings(max_examples=60)
     def test_itype_roundtrip_property(self, rd, rs, imm):
-        instr = Instruction(Opcode.XORI, rd=rd, rs=rs, imm=imm,
-                            address=0x400000)
+        instr = Instruction(Opcode.XORI, rd=rd, rs=rs, imm=imm)
         out = decode(encode(instr), 0x400000)
         assert (out.rd, out.rs, out.imm) == (rd, rs, imm)
 
     @pytest.mark.parametrize("op", [Opcode.LUI, Opcode.ORI, Opcode.XORI])
     def test_low_half_imm_accepts_unsigned(self, op):
-        instr = Instruction(op, rd=5, rs=5, imm=0xF44E, address=0x400000)
+        instr = Instruction(op, rd=5, rs=5, imm=0xF44E)
         assert self._roundtrip(instr).imm & 0xFFFF == 0xF44E
 
     def test_andi_imm_stays_signed(self):
-        instr = Instruction(Opcode.ANDI, rd=5, rs=5, imm=0xF44E,
-                            address=0x400000)
+        instr = Instruction(Opcode.ANDI, rd=5, rs=5, imm=0xF44E)
         with pytest.raises(AssemblyError):
             encode(instr)
 
@@ -183,13 +180,15 @@ class TestEncoding:
             if instr.op in (Opcode.LUI, Opcode.ORI, Opcode.XORI):
                 imm &= 0xFFFF  # all the executor reads of these
             return (instr.op, instr.rd, instr.rs, instr.rt, imm,
-                    instr.target, instr.inpage_hint, instr.address)
+                    instr.target, instr.inpage_hint)
 
         workload = load_benchmark(bench)
         for instrumented in (False, True):
             program = workload.link(instrumented=instrumented)
-            for instr in program.instructions:
-                assert executed(self._roundtrip(instr)) == executed(instr)
+            for index, instr in enumerate(program.instructions):
+                pc = program.text_base + 4 * index
+                assert executed(self._roundtrip(instr, pc)) \
+                    == executed(instr)
 
     @given(off_words=st.integers(-(1 << 14) + 1, (1 << 14) - 1),
            hint=st.booleans())
@@ -198,8 +197,8 @@ class TestEncoding:
         pc = 0x0100_0000
         instr = Instruction(Opcode.BLT, rs=3, rt=4,
                             target=pc + 4 + 4 * off_words,
-                            inpage_hint=hint, address=pc)
-        out = decode(encode(instr), pc)
+                            inpage_hint=hint)
+        out = decode(encode(instr, pc), pc)
         assert out.target == instr.target
         assert out.inpage_hint == hint
 
@@ -301,10 +300,11 @@ class TestBoundaryInstrumentation:
     def test_boundary_invariant_validated(self):
         program = link(self._big_module(), boundary_branches=True)
         page = program.page_bytes
-        for instr in program.instructions:
+        for index, instr in enumerate(program.instructions):
             if instr.is_boundary_branch:
-                assert instr.address % page == page - 4
-                assert instr.target == instr.address + 4
+                address = program.text_base + 4 * index
+                assert address % page == page - 4
+                assert instr.target == address + 4
 
     def test_plain_binary_has_no_boundary_branches(self):
         program = link(self._big_module(), boundary_branches=False)
@@ -333,12 +333,6 @@ class TestBoundaryInstrumentation:
         with pytest.raises(MemoryFault):
             program.fetch(program.text_end)
 
-    def test_validate_rejects_corrupt_addresses(self):
-        program = link(self._big_module())
-        program.instructions[5].address += 4
-        with pytest.raises(LayoutError):
-            program.validate()
-
     def test_validate_rejects_targets_outside_text(self):
         program = link(self._big_module(), boundary_branches=True)
         branch = program.instructions[program.page_bytes // 4 - 1]
@@ -354,20 +348,21 @@ class TestBoundaryInstrumentation:
         """The per-word walk the stride check replaced: the message of
         the lowest-address violation, or None."""
         page = program.page_bytes
-        for instr in program.instructions:
-            next_addr = instr.address + 4
+        for index, instr in enumerate(program.instructions):
+            address = program.text_base + 4 * index
+            next_addr = address + 4
             if next_addr >= program.text_end:
                 continue
-            if instr.address % page == page - 4:
+            if address % page == page - 4:
                 if not instr.is_boundary_branch:
                     return (f"instrumented binary: page-end slot "
-                            f"{instr.address:#x} is {instr.op.mnemonic}, "
+                            f"{address:#x} is {instr.op.mnemonic}, "
                             "not a boundary branch")
                 if instr.target != next_addr:
-                    return (f"boundary branch at {instr.address:#x} targets "
+                    return (f"boundary branch at {address:#x} targets "
                             f"{instr.target:#x}, expected {next_addr:#x}")
             elif instr.is_boundary_branch:
-                return (f"boundary branch at {instr.address:#x} is not at "
+                return (f"boundary branch at {address:#x} is not at "
                         "a page end")
         return None
 
@@ -390,7 +385,7 @@ class TestBoundaryInstrumentation:
             if action == "flip":
                 instr.is_boundary_branch = not instr.is_boundary_branch
             else:
-                instr.target = instr.address + 8
+                instr.target = program.text_base + 4 * index + 8
         expected = self._reference_boundary_error(program)
         if expected is None:
             program._validate_boundary_invariant()

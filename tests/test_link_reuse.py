@@ -4,11 +4,12 @@
 instrumented binary of one (workload, page size) while a
 :class:`SweepRunner` executes its backend, and the planner runs the jobs
 that share those binaries back to back; a workload's plain layout is
-kept across its page sizes.  These tests pin the contract: one plain
-link per workload and one instrumented link per (workload, page size)
-per sweep, fresh programs outside a sweep, nothing kept after it, never
-a stale image after a re-registration, and engines that leave a shared
-program untouched.
+kept across its page sizes, and every instrumented binary is derived
+from it.  These tests pin the contract: one plain link per workload and
+one instrumented derivation per (workload, page size) per sweep, one
+functional execution per workload, fresh programs outside a sweep,
+nothing kept after it, never a stale image after a re-registration, and
+engines that leave a shared program untouched.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ def _image(program) -> tuple:
     """Every field a linked program carries, as a comparable value."""
     return (
         [(instr.op, instr.rd, instr.rs, instr.rt, instr.imm, instr.target,
-          instr.inpage_hint, instr.is_boundary_branch, instr.address,
-          instr.label) for instr in program.instructions],
+          instr.inpage_hint, instr.is_boundary_branch,
+          program.text_base + 4 * index, instr.label)
+         for index, instr in enumerate(program.instructions)],
         dict(program.labels), dict(program.data_words), program.entry,
         program.data_size, program.boundary_branch_count,
         program.instrumented, program.page_bytes, program.name,
@@ -61,25 +63,25 @@ def _grid_specs() -> list:
 
 @pytest.fixture()
 def link_calls(monkeypatch):
-    """Count the linker entry points a workload's ``link`` calls, by
-    (kind, module, page size), and keep a weak reference to each
-    program they return."""
+    """Count the linker entry points a workload's ``link`` calls in a
+    link slot, by (kind, name of the program made, page size), and keep
+    a weak reference to each program they return."""
     calls = []
     programs = []
 
     def counting(kind, original):
-        def wrapper(module, **kwargs):
-            program = original(module, **kwargs)
-            calls.append((kind, id(module), kwargs["page_bytes"]))
+        def wrapper(source, **kwargs):
+            program = original(source, **kwargs)
+            calls.append((kind, program.name, kwargs["page_bytes"]))
             programs.append(weakref.ref(program))
             return program
         return wrapper
 
     monkeypatch.setattr(synthetic, "link_plain",
                         counting("plain", synthetic.link_plain))
-    monkeypatch.setattr(synthetic, "instrument_module",
+    monkeypatch.setattr(synthetic, "instrument_program",
                         counting("instrumented",
-                                 synthetic.instrument_module))
+                                 synthetic.instrument_program))
     return calls, programs
 
 
@@ -91,9 +93,9 @@ class TestSweepSharesLinks:
         assert len(results) == 12
         # the plain layout is the same at every page size: one link per
         # stand-in; the instrumented one, one per stand-in and page size
-        plain = [module for k, module, _ in calls if k == "plain"]
+        plain = [name for k, name, _ in calls if k == "plain"]
         assert len(plain) == len(set(plain)) == 2
-        instrumented = [(module, page) for k, module, page in calls
+        instrumented = [(name, page) for k, name, page in calls
                         if k == "instrumented"]
         assert len(instrumented) == len(set(instrumented)) == 4
 
@@ -116,8 +118,9 @@ class TestSweepSharesLinks:
     def test_longest_window_first_builds_each_stream_once(
             self, monkeypatch):
         """Two windows on one stand-in: the longer one runs first, so
-        each binary executes functionally once and the shorter window
-        replays a prefix of its stream."""
+        the plain binary executes functionally once, the instrumented
+        stream is derived from it, and the shorter window replays a
+        prefix of each stream."""
         from repro.cpu import functional
         builds = []
         original = functional.committed_stream
@@ -131,7 +134,7 @@ class TestSweepSharesLinks:
                          instructions=instructions, warmup=1000)
                  for instructions in (4000, 5000)]
         together = SweepRunner(store=ResultStore()).run(specs)
-        assert sorted(builds) == [(False, 6000), (True, 6000)]
+        assert sorted(builds) == [(False, 6000)]
         for spec, result in zip(specs, together):
             (alone,) = SweepRunner(store=ResultStore()).run([spec])
             assert result.spec.key == spec.key
@@ -282,7 +285,7 @@ class TestPlainLayoutAcrossPageSizes:
         results = SweepRunner(store=ResultStore()).run(specs)
         assert all(result.ok for result in results)
         assert builds.count(False) == 1
-        assert builds.count(True) == 3
+        assert builds.count(True) == 0  # derived, never executed
         assert [kind for kind, _, _ in calls].count("plain") == 1
         for spec, result in zip(specs, results):
             assert result.run.to_dict() == spec.run().to_dict()
@@ -295,8 +298,9 @@ class TestPlainLayoutAcrossPageSizes:
         assert copy.instructions is program.instructions
         assert copy.labels is program.labels
         assert copy.data_words is program.data_words
-        assert copy._stream is program._stream is not None
-        assert copy._stream_budget == program._stream_budget == 400
+        assert copy._stream is program._stream
+        assert program._stream.segment is not None
+        assert program._stream.budget == 400
         assert _image(copy)[:-2] == _image(program)[:-2]
 
     def test_with_page_bytes_refuses_what_it_cannot_copy(self):

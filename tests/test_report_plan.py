@@ -9,6 +9,7 @@ exactly the cells they declare, without running a sweep.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 
@@ -64,9 +65,9 @@ def sweeps(monkeypatch):
 
 @pytest.fixture()
 def images(monkeypatch):
-    """The links (through a workload's ``link``) and the live-stream
-    builds of the report's stand-ins, each as (workload, page size,
-    instrumented)."""
+    """The links and instrumented derivations (through a workload's
+    ``link``) and the executed-stream builds of the report's stand-ins,
+    each as (workload, page size, instrumented)."""
     links, streams = [], []
 
     def counting_link(original, instrumented):
@@ -78,8 +79,8 @@ def images(monkeypatch):
 
     monkeypatch.setattr(synthetic, "link_plain",
                         counting_link(synthetic.link_plain, False))
-    monkeypatch.setattr(synthetic, "instrument_module",
-                        counting_link(synthetic.instrument_module, True))
+    monkeypatch.setattr(synthetic, "instrument_program",
+                        counting_link(synthetic.instrument_program, True))
     original_stream = functional.committed_stream
 
     def counting_stream(program, budget):
@@ -136,6 +137,32 @@ class TestOnePlan:
         sections = [e["name"] for e in events
                     if e["event"] == "report.section"]
         assert sections == [name for name, _ in ALL_EXPERIMENTS]
+
+    def test_each_workload_executes_once_and_plain(self, fresh_store,
+                                                   tmp_path):
+        """Every stream the report builds is announced at the seam: one
+        execution per workload, of its plain binary, and every
+        instrumented stream derived from it."""
+        log = tmp_path / "events.jsonl"
+        telemetry.configure(level="debug", json_path=str(log),
+                            propagate=False)
+        try:
+            run_all(SETTINGS, verbose=False)
+        finally:
+            telemetry.disable()
+        streams = [event for event in map(json.loads,
+                                          log.read_text().splitlines())
+                   if event["event"] == "program.stream"]
+        executed = [event for event in streams if not event["derived"]]
+        workloads = {workload for workload, _, _ in _distinct_images()}
+        assert sorted(event["program"] for event in executed) \
+            == sorted(workloads)
+        assert {event["binary"] for event in executed} == {"plain"}
+        derived = [event for event in streams if event["derived"]]
+        assert derived and {event["binary"] for event in derived} \
+            == {"instrumented"}
+        assert all(event["steps"] > 0 and event["seconds"] >= 0
+                   for event in streams)
 
     def test_tables_match_each_experiment_run_alone(self, fresh_store):
         planned = [result.to_markdown()

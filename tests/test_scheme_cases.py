@@ -52,16 +52,20 @@ def _counters(policy, itlb):
     return scheme_result(policy, itlb, extra_cycles=0, cycles=0).counters
 
 
-def _branch_instr(pc=0x400000, target=0x402000, boundary=False, hint=False):
-    return Instruction(Opcode.BNE, rs=1, rt=2, target=target, address=pc,
+#: where the branch of most cases sits
+PC = 0x400000
+
+
+def _branch_instr(target=0x402000, boundary=False, hint=False):
+    return Instruction(Opcode.BNE, rs=1, rt=2, target=target,
                        is_boundary_branch=boundary, inpage_hint=hint)
 
 
 def _outcome(instr, predicted_taken, predicted_target, taken, next_pc,
-             mispredicted):
+             mispredicted, pc=PC):
     prediction = Prediction(predicted_taken, predicted_target,
                             btb_hit=predicted_target is not None)
-    return BranchOutcome(pc=instr.address, instr=instr,
+    return BranchOutcome(pc=pc, instr=instr,
                          prediction=prediction, taken=taken,
                          next_pc=next_pc, mispredicted=mispredicted)
 
@@ -79,7 +83,7 @@ class TestIACases:
         ia = self._seeded_ia()
         instr = _branch_instr()
         ia.on_control(_outcome(instr, False, None, False,
-                               instr.address + 4, mispredicted=False))
+                               PC + 4, mispredicted=False))
         assert ia.counters.lookups == 0
         assert ia.covered
 
@@ -105,10 +109,10 @@ class TestIACases:
         ia = self._seeded_ia()
         instr = _branch_instr(target=0x402000)
         ia.on_control(_outcome(instr, True, instr.target, False,
-                               instr.address + 4, mispredicted=True))
+                               PC + 4, mispredicted=True))
         assert ia.counters.lookups == 1  # up-front for the predicted page
         assert not ia.covered  # the not-taken path re-looks-up at fetch
-        assert ia.wants_lookup((instr.address + 4) // PAGE)
+        assert ia.wants_lookup((PC + 4) // PAGE)
 
     def test_same_page_predicted_taken_no_lookup(self):
         ia = self._seeded_ia()
@@ -122,7 +126,7 @@ class TestIACases:
         ia = self._seeded_ia()
         instr = _branch_instr()
         ia.on_control(_outcome(instr, False, None, False,
-                               instr.address + 4, False))
+                               PC + 4, False))
         assert ia.counters.btb_compares == 0
         ia.on_control(_outcome(instr, True, instr.target, True,
                                instr.target, False))
@@ -145,17 +149,17 @@ class TestSoCASoLACases:
         soca.lookup(1, LookupReason.START)
         instr = _branch_instr()
         soca.on_control(_outcome(instr, False, None, False,
-                                 instr.address + 4, False))
+                                 PC + 4, False))
         assert not soca.covered
         assert soca.pending_reason is LookupReason.BRANCH
 
     def test_soca_boundary_reason(self):
         soca = _policy(SchemeName.SOCA)
         soca.lookup(1, LookupReason.START)
-        instr = Instruction(Opcode.J, target=0x401000, address=0x400FFC,
+        instr = Instruction(Opcode.J, target=0x401000,
                             is_boundary_branch=True)
         soca.on_control(_outcome(instr, True, instr.target, True,
-                                 instr.target, False))
+                                 instr.target, False, pc=0x400FFC))
         assert soca.pending_reason is LookupReason.BOUNDARY
 
     def test_sola_hinted_branch_keeps_coverage(self):

@@ -144,9 +144,9 @@ def _steps(path, instructions, warmup, *, stream):
         program = TraceWorkload(path, trace).link(
             page_bytes=segment.page_bytes,
             instrumented=segment.binary == "instrumented")
-        steps.append([(instr.address, instr.kind_code, aux)
-                      for instr, aux in committed_steps(program, warmup,
-                                                        instructions)])
+        steps.append([(pc, instr.kind_code, aux)
+                      for pc, instr, aux in committed_steps(
+                          program, warmup, instructions)])
     return steps
 
 

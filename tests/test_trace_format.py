@@ -39,8 +39,8 @@ def _meta(**overrides):
     return meta
 
 
-def _step(instr, **kw):
-    defaults = dict(pc=instr.address, next_pc=instr.address + 4,
+def _step(instr, pc, **kw):
+    defaults = dict(pc=pc, next_pc=pc + 4,
                     taken=False, mem_addr=None, is_store=False)
     defaults.update(kw)
     return StepResult(instr=instr, **defaults)
@@ -48,22 +48,23 @@ def _step(instr, **kw):
 
 def _write_sample(path):
     """A small two-segment trace exercising every aux payload."""
-    alu = Instruction(Opcode.ADDI, rd=8, rs=8, imm=1, address=0x400000)
-    load = Instruction(Opcode.LW, rd=9, rs=8, imm=0, address=0x400004)
-    br = Instruction(Opcode.BNE, rs=8, rt=0, target=0x400000,
-                     address=0x400008)
-    ret = Instruction(Opcode.JR, rs=31, address=0x40000C)
+    alu = Instruction(Opcode.ADDI, rd=8, rs=8, imm=1)
+    load = Instruction(Opcode.LW, rd=9, rs=8, imm=0)
+    br = Instruction(Opcode.BNE, rs=8, rt=0, target=0x400000)
+    ret = Instruction(Opcode.JR, rs=31)
     with TraceWriter(path, header={"workload": "sample",
                                    "instructions": 4}) as writer:
         writer.begin_segment(_meta())
-        writer.write_step(_step(alu))
-        writer.write_step(_step(load, mem_addr=0x10000000))
-        writer.write_step(_step(br, taken=True, next_pc=0x400000))
-        writer.write_step(_step(alu))
-        writer.write_step(_step(ret, taken=True, next_pc=0x400010))
+        writer.write_step(_step(alu, 0x400000))
+        writer.write_step(_step(load, 0x400004, mem_addr=0x10000000))
+        writer.write_step(_step(br, 0x400008, taken=True,
+                                next_pc=0x400000))
+        writer.write_step(_step(alu, 0x400000))
+        writer.write_step(_step(ret, 0x40000C, taken=True,
+                                next_pc=0x400010))
         writer.begin_segment(_meta(binary="instrumented",
                                    instrumented=True))
-        writer.write_step(_step(alu))
+        writer.write_step(_step(alu, 0x400000))
     return path
 
 
@@ -251,9 +252,9 @@ class TestMalformedInput:
 
     def test_write_step_outside_segment(self, tmp_path):
         writer = TraceWriter(tmp_path / "w.trace", header={})
-        instr = Instruction(Opcode.NOP, address=0x400000)
+        instr = Instruction(Opcode.NOP)
         with pytest.raises(TraceError, match="outside a segment"):
-            writer.write_step(_step(instr))
+            writer.write_step(_step(instr, 0x400000))
         writer.close()
 
 
