@@ -6,8 +6,9 @@ Three passes over programs:
   control instructions are statically analyzable, and which of those stay
   on their own page (the static half of the paper's Table 4);
 * :mod:`repro.compiler.instrument` — produce the instrumented binary
-  SoCA/SoLA/IA execute: page-boundary branches (via the linker) and
-  in-page bits on qualifying branches;
+  SoCA/SoLA/IA execute from the plain one: page-boundary branches (via
+  the linker) and in-page bits on qualifying branches, and its
+  committed stream, derived from the plain binary's;
 * :mod:`repro.compiler.layout` — the future-work extension from the
   paper's conclusion: code layout transformations that place call-affine
   functions on the same page to increase CFR reuse.
@@ -19,7 +20,13 @@ from repro.compiler.analysis import (
     analyze_program,
     classify_branch,
 )
-from repro.compiler.instrument import instrument_module, link_plain, mark_inpage_hints
+from repro.compiler.instrument import (
+    derive_stream,
+    instrument_module,
+    instrument_program,
+    link_plain,
+    mark_inpage_hints,
+)
 from repro.compiler.layout import layout_by_affinity
 
 __all__ = [
@@ -27,7 +34,9 @@ __all__ = [
     "StaticBranchStats",
     "analyze_program",
     "classify_branch",
+    "derive_stream",
     "instrument_module",
+    "instrument_program",
     "layout_by_affinity",
     "link_plain",
     "mark_inpage_hints",

@@ -36,7 +36,12 @@ from repro.isa.registers import (
     reg_name,
 )
 from repro.isa.program import Program, TEXT_BASE, DATA_BASE
-from repro.isa.assembler import Assembler, Module, link
+from repro.isa.assembler import (
+    Assembler,
+    Module,
+    link,
+    place_boundary_branches,
+)
 
 __all__ = [
     "Assembler",
@@ -57,5 +62,6 @@ __all__ = [
     "decode",
     "encode",
     "link",
+    "place_boundary_branches",
     "reg_name",
 ]

@@ -27,6 +27,7 @@ from repro.isa.program import DATA_BASE, Program, TEXT_BASE
 
 _B_OFF_LIMIT = (1 << 14) - 1  # 15-bit signed word offset
 _COND_BRANCH = int(InstrKind.COND_BRANCH)
+_NOP = Opcode.NOP
 
 TargetRef = Union[str, int]
 
@@ -313,6 +314,7 @@ def link(
     unresolved: List[Tuple[int, TargetRef]] = []
     cursor = text_base
     pending_labels: List[str] = []
+    nops: Dict[str, Instruction] = {}
 
     # placement allocates one Instruction per slot and no reference
     # cycles; with the cyclic collector running, those allocations set
@@ -330,6 +332,17 @@ def link(
                 pending_labels.clear()
             if item.target is not None:
                 unresolved.append((len(placed), item.target))
+            elif item.op is _NOP and not (item.rd or item.rs or item.rt
+                                          or item.imm):
+                # an instruction carries no address, so a block's NOP
+                # padding can be one object (most text words are NOPs)
+                nop = nops.get(item.label)
+                if nop is None:
+                    nop = nops[item.label] = Instruction(
+                        _NOP, 0, 0, 0, 0, None, False, False, item.label)
+                placed.append(nop)
+                cursor += 4
+                continue
             placed.append(Instruction(item.op, item.rd, item.rs, item.rt,
                                       item.imm, None, False, False,
                                       item.label))
