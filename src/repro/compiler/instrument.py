@@ -119,7 +119,7 @@ def derive_stream(program: Program, plain_stream: TraceSegment,
     plain pc.
     """
     plain = program.source
-    if plain is None or plain.instrumented:
+    if plain is None:
         raise LayoutError(f"{program.name}: no plain layout to derive "
                           "its stream from")
     base = program.text_base
