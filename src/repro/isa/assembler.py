@@ -449,6 +449,9 @@ def place_boundary_branches(plain: Program, *, page_bytes: int,
     if base % page_bytes:
         raise LayoutError("text base must be page aligned")
     per_page = page_bytes // 4 - 1
+    if per_page < 1:
+        raise LayoutError(f"a {page_bytes}-byte page has no slot besides "
+                          "its boundary branch")
     source = plain.instructions
     count = len(source)
     placed: List[Instruction] = []

@@ -113,6 +113,13 @@ class TestDerivedImage:
             assert (id(instr) in shared) == (instr.target is None)
         assert derived.source is plain
 
+    def test_page_without_a_slot_besides_its_boundary(self):
+        asm = Assembler()
+        asm.label("main")
+        asm.halt()
+        with pytest.raises(LayoutError, match="no slot besides"):
+            link(asm.module, page_bytes=4, boundary_branches=True)
+
     def test_branch_out_of_range_only_once_instrumented(self):
         """16,382 words back fit a conditional branch's 15-bit offset;
         the boundary branches inserted over them push it out."""
