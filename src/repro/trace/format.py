@@ -31,8 +31,8 @@ carrying only the dynamic facts the instruction itself cannot supply.  A
 static's ``address`` is the pc it executed at: instructions carry no
 address of their own, so writers intern by the pc each step brings.
 ``op`` is the declaration index in :class:`~repro.isa.instructions.Opcode`
-— reordering that enum is a format break and requires a :data:`TRACE_VERSION` bump
-(the golden-trace regression test pins this).
+— reordering that enum is a format break and requires a
+:data:`TRACE_VERSION` bump (the golden-trace regression test pins this).
 
 Files whose name ends in ``.gz`` are written gzip-compressed (with a
 zeroed mtime, so identical streams produce identical bytes — the
@@ -571,9 +571,10 @@ class TraceSegment:
     An in-memory segment (decoded eagerly, executed live, derived, or
     imported) holds its interned statics with their pcs and its stream
     as the ``index``/``aux`` arrays the decoder or a :class:`MemorySink`
-    filled; its columns are built from them on first use.  A file-backed segment
-    (``window_steps`` > 0) holds only its position in the file and
-    decodes its stream in windows of that many steps, per consumer.
+    filled; its columns are built from them on first use.  A
+    file-backed segment (``window_steps`` > 0) holds only its position
+    in the file and decodes its stream in windows of that many steps,
+    per consumer.
     """
 
     meta: dict

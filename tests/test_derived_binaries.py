@@ -164,11 +164,6 @@ def _module(body, *, table=()):
     return asm.module
 
 
-def _derive(module, budget, page_bytes=4096):
-    program = instrument_module(module, page_bytes=page_bytes)
-    return program, program.stream(budget)
-
-
 class TestFailsLoudly:
     """A step the remap cannot map raises, naming the step and its
     plain pc, and no stream is kept."""
@@ -178,7 +173,6 @@ class TestFailsLoudly:
         with pytest.raises(TraceError, match=match):
             program.stream(budget)
         assert program._stream.segment is None
-        return program
 
     def test_indirect_target_that_is_no_instruction(self):
         def body(asm):
@@ -235,8 +229,9 @@ class TestFailsLoudly:
     def test_return_through_a_boundary_slot(self):
         """The call's successor slot is the page's boundary branch: the
         return lands there, and the boundary step follows it."""
-        program, derived = _derive(_module(self._call_at_a_page_end), 100,
-                                   page_bytes=256)
+        program = instrument_module(_module(self._call_at_a_page_end),
+                                    page_bytes=256)
+        derived = program.stream(100)
         assert stream_mismatches(derived,
                                  committed_stream(program, 100)) == []
         boundary = TEXT_BASE + 252
