@@ -242,8 +242,8 @@ def _run_sweep(args: argparse.Namespace,
                 f"{result.error.strip().splitlines()[-1]}")
             continue
         for name, scheme in result.run.schemes.items():
-            # the instrumented pass's Base reference rides along in the
-            # result; only show what the user asked for
+            # each pass's Base reference rides along in the result;
+            # only show what the user asked for
             if schemes is not None and name not in schemes:
                 continue
             table.add_row(**{
@@ -697,8 +697,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "repeat invocations")
     p_sweep.add_argument("--json", action="store_true",
                          help="machine-readable output (full simulation "
-                              "records, including the normalization Base "
-                              "pass even under --schemes)")
+                              "records, including each pass's Base "
+                              "normalization reference even under "
+                              "--schemes)")
     _add_trace_window_arg(p_sweep)
     p_sweep.add_argument("--profile", default=None, metavar="OUT.pstats",
                          help="profile the whole sweep with cProfile "

@@ -117,13 +117,17 @@ run_dcfr = planned(dcfr_cells, build_dcfr)
 
 def layout_cells(settings: ExperimentSettings) -> Cells:
     """Each generated benchmark's default VI-PT run (the accounting
-    extension's own cell), and the same run on its ``@affinity`` variant."""
+    extension's own cell), and an IA-only run of its ``@affinity``
+    variant: :func:`build_layout` reads IA and the instrumented pass, so
+    the variant's plain binary never executes."""
     vipt = default_config(CacheAddressing.VIPT)
-    return {("layout", label, bench): job_for(bench + suffix, vipt, settings)
+    return {("layout", label, bench): dataclasses.replace(
+                job_for(bench + suffix, vipt, settings), schemes=schemes)
             for bench in settings.benchmarks
             if getattr(resolve(bench), "chunks", None)
-            for label, suffix in (("original", ""),
-                                  ("affinity", AFFINITY_SUFFIX))}
+            for label, suffix, schemes in (
+                ("original", "", None),
+                ("affinity", AFFINITY_SUFFIX, (SchemeName.IA,)))}
 
 
 def build_layout(settings: ExperimentSettings,

@@ -2,11 +2,13 @@
 
 Base, HoA, and OPT execute the plain binary; SoCA, SoLA, and IA execute
 the compiler-instrumented binary (boundary branches + in-page bits).
-:func:`run_all_schemes` performs the two passes over the same workload and
-merges them into a :class:`CombinedRun`, which also remembers the *useful*
-instruction count both passes share so energies and cycles are comparable
-(the instrumented pass retires a few extra boundary branches for the same
-work — the overhead the paper calls negligible, measured here).
+:func:`run_all_schemes` executes a binary iff its scheme set names a
+scheme of that binary, and merges the passes into a
+:class:`CombinedRun`.  Every fast pass carries Base as its same-binary
+normalization reference; both passes count the same *useful*
+instructions, so energies and cycles are comparable (the instrumented
+pass retires a few extra boundary branches for the same work — the
+overhead the paper calls negligible, measured here).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import MachineConfig, SchemeName
 from repro.cpu.results import EngineResult, SchemeResult, SharedStats
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.sim.simulator import run_program_grid
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -28,12 +30,12 @@ INSTRUMENTED_SCHEMES = (SchemeName.SOCA, SchemeName.SOLA, SchemeName.IA)
 class CombinedRun:
     """Merged view over the plain-binary and instrumented-binary passes.
 
-    A run that needed one binary holds one pass under both names: with
-    no instrumented scheme, ``instrumented`` is ``plain``; a detailed
-    (``"ooo"``) run of instrumented schemes only has no plain binary,
-    so ``plain`` is the instrumented pass, :attr:`shared` refuses, and
-    only :meth:`scheme` reads are meaningful (there is no Base to
-    normalize against)."""
+    A run that executed one binary holds its pass under both names:
+    with no instrumented scheme, ``instrumented`` is ``plain``; with no
+    plain scheme, ``plain`` is ``instrumented`` and :attr:`shared`
+    refuses.  A fast pass holds Base beside its schemes, so each scheme
+    normalizes against Base on its own binary; a detailed (``"ooo"``)
+    pass holds its one scheme and no Base to normalize against."""
 
     workload_name: str
     config: MachineConfig
@@ -49,8 +51,8 @@ class CombinedRun:
     @property
     def schemes(self) -> Dict[SchemeName, SchemeResult]:
         """Every scheme's canonical result (Base/HoA/OPT from the plain
-        binary, SoCA/SoLA/IA from the instrumented one; the instrumented
-        pass's normalization-only Base copy is shadowed)."""
+        binary, SoCA/SoLA/IA from the instrumented one; when both ran,
+        the instrumented pass's normalization-only Base is shadowed)."""
         merged: Dict[SchemeName, SchemeResult] = {}
         merged.update(self.instrumented.schemes)
         merged.update(self.plain.schemes)
@@ -83,13 +85,15 @@ class CombinedRun:
         """Base from the *same binary* the scheme ran on.  The plain and
         instrumented binaries have slightly different layouts (hence cache
         behaviour); normalizing within a binary removes that layout noise
-        from the scheme-vs-base comparison.  Both passes run Base for this
-        purpose."""
+        from the scheme-vs-base comparison.  Every fast pass runs Base for
+        this purpose; a detailed pass does not."""
         source = (self.instrumented if name.needs_instrumented_binary
                   else self.plain)
-        if SchemeName.BASE in source.schemes:
-            return source.schemes[SchemeName.BASE]
-        return self.scheme(SchemeName.BASE)
+        if SchemeName.BASE not in source.schemes:
+            raise SimulationError(
+                f"{self.workload_name}: the {source.engine!r} pass for "
+                f"{name.value} carries no Base to normalize against")
+        return source.schemes[SchemeName.BASE]
 
     def normalized_energy(self, name: SchemeName) -> float:
         """iTLB energy of ``name`` relative to Base (same iL1 addressing,
@@ -144,8 +148,8 @@ def run_all_schemes(
     schemes: Optional[Sequence[SchemeName]] = None,
     engine: str = "fast",
 ) -> CombinedRun:
-    """Two-pass evaluation of every scheme over one workload: a
-    one-member :func:`run_all_schemes_grid`.
+    """Evaluation of ``schemes`` (default: every scheme) over one
+    workload: a one-member :func:`run_all_schemes_grid`.
 
     ``workload`` is anything with a ``profile.name`` and a
     ``link(page_bytes=..., instrumented=...)`` — a generated
@@ -169,44 +173,34 @@ def run_all_schemes_grid(
 ) -> List[CombinedRun]:
     """:func:`run_all_schemes` for a whole config grid in shared passes.
 
-    One plain-binary pass (and, when instrumented schemes are selected,
-    one instrumented-binary pass) scores every member of ``configs``
-    side by side via :func:`~repro.sim.simulator.run_program_grid`.
-    Returns one :class:`CombinedRun` per config, in order, each
-    bit-identical to a one-member call for its config — including the
-    instrumented-aliases-plain object identity when no instrumented
-    scheme is requested.
-
-    The detailed engine runs one scheme per pass: an ``"ooo"`` run gets
-    no Base rider, and one that selects only instrumented schemes runs
-    no plain pass (its ``plain`` then aliases ``instrumented``).
+    A binary is linked and executed iff ``schemes`` names a scheme of
+    that binary; its pass (via
+    :func:`~repro.sim.simulator.run_program_grid`) scores every member
+    of ``configs`` side by side.  A fast pass also runs Base, appended
+    when not selected, as its same-binary normalization reference; an
+    ``"ooo"`` pass runs its one scheme.  Returns one :class:`CombinedRun`
+    per config, in order, each bit-identical to a one-member call for
+    its config — including the aliasing of a binary that did not run.
     """
     selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
-    plain_set = tuple(s for s in selected if not s.needs_instrumented_binary)
-    instr_set = tuple(s for s in selected if s.needs_instrumented_binary)
+    if not selected:
+        raise ConfigError("a run needs at least one scheme")
     page_bytes = configs[0].mem.page_bytes if configs else 0
-    detailed = engine == "ooo"
-
-    plain_results = instr_results = None
-    if plain_set or not (detailed and instr_set):
-        plain_program = workload.link(page_bytes=page_bytes,
-                                      instrumented=False)
-        plain_results = run_program_grid(
-            plain_program, configs, instructions=instructions,
-            warmup=warmup, schemes=plain_set or (SchemeName.BASE,),
-            engine=engine)
-
-    if instr_set:
-        instr_program = workload.link(page_bytes=page_bytes,
-                                      instrumented=True)
-        # Base rides along on the instrumented binary purely as the
-        # same-binary normalization reference (see CombinedRun._base_for)
-        rider = () if detailed else (SchemeName.BASE,)
-        instr_results = run_program_grid(
-            instr_program, configs, instructions=instructions,
-            warmup=warmup, schemes=instr_set + rider, engine=engine)
-    plain_results = plain_results or instr_results
-    instr_results = instr_results or plain_results
+    passes: Dict[bool, List[EngineResult]] = {}
+    for instrumented in (False, True):
+        chosen = tuple(s for s in selected
+                       if s.needs_instrumented_binary == instrumented)
+        if not chosen:
+            continue
+        if engine == "fast" and SchemeName.BASE not in chosen:
+            chosen += (SchemeName.BASE,)
+        program = workload.link(page_bytes=page_bytes,
+                                instrumented=instrumented)
+        passes[instrumented] = run_program_grid(
+            program, configs, instructions=instructions, warmup=warmup,
+            schemes=chosen, engine=engine)
+    plain_results = passes.get(False) or passes[True]
+    instr_results = passes.get(True) or plain_results
 
     return [
         CombinedRun(

@@ -44,27 +44,17 @@ def attach_energy(result: EngineResult,
         model = CactiLikeModel(config.energy)
     for scheme in result.schemes.values():
         counters = scheme.counters
-        if config.itlb_two_level is not None:
-            scheme.energy = itlb_energy_nj(
-                model,
-                two_level=config.itlb_two_level,
-                lookups=counters.lookups,
-                l2_probes=counters.l2_probes,
-                misses=counters.misses,
-                comparator_ops=counters.comparator_ops,
-                cfr_reads=counters.cfr_reads,
-                btb_compares=counters.btb_compares,
-            )
-        else:
-            scheme.energy = itlb_energy_nj(
-                model,
-                mono=config.itlb,
-                lookups=counters.lookups,
-                misses=counters.misses,
-                comparator_ops=counters.comparator_ops,
-                cfr_reads=counters.cfr_reads,
-                btb_compares=counters.btb_compares,
-            )
+        scheme.energy = itlb_energy_nj(
+            model,
+            mono=None if config.itlb_two_level else config.itlb,
+            two_level=config.itlb_two_level,
+            lookups=counters.lookups,
+            l2_probes=counters.l2_probes,
+            misses=counters.misses,
+            comparator_ops=counters.comparator_ops,
+            cfr_reads=counters.cfr_reads,
+            btb_compares=counters.btb_compares,
+        )
     return result
 
 

@@ -4,7 +4,7 @@ A fast-engine pass consumes its program's committed stream, which the
 program keeps once built (see :meth:`repro.isa.program.Program.stream`):
 the plain binary executes once, and each instrumented binary's stream is
 derived from the plain one.  Recording is therefore no engine feature:
-:func:`record_trace` runs the standard two-pass
+:func:`record_trace` runs the standard
 :func:`~repro.sim.multi.run_all_schemes` evaluation, then writes each
 binary's stream — the first ``warmup + instructions`` useful
 instructions of it — through a :class:`~repro.trace.format.TraceWriter`,
@@ -93,8 +93,11 @@ def record_trace(workload, config: MachineConfig, *,
             run = run_all_schemes(
                 workload, sized, instructions=instructions, warmup=warmup,
                 schemes=schemes)
+            # the plain stream always (the instrumented one is derived
+            # from it), the instrumented one when the run executed it
             binaries = [False]
-            if run.instrumented is not run.plain:
+            if any(name.needs_instrumented_binary
+                   for name in run.instrumented.schemes):
                 binaries.append(True)
             for instrumented in binaries:
                 write_pass(writer, workload.link(

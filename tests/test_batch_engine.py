@@ -37,10 +37,11 @@ from repro.config import (
 )
 from repro.cpu.fast import FastEngine
 from repro.cpu.functional import committed_stream
-from repro.errors import ConfigError, TraceError
+from repro.errors import ConfigError, SimulationError, TraceError
 from repro.runner import FileQueueBackend, JobSpec, ResultStore, SweepRunner
+from repro.sim import multi
 from repro.sim.multi import run_all_schemes
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, run_program_grid
 from repro.trace.format import (
     COLUMN_BYTES_PER_STEP,
     PLAIN_KINDS,
@@ -95,6 +96,16 @@ def _digest(run) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _full_and_subset(schemes):
+    """The mesa golden trace's full evaluation and its ``schemes``
+    subset, over the pinned window."""
+    workload = load_trace_workload(GOLDEN_MESA)
+    window = dict(instructions=MESA_INSTRUCTIONS, warmup=MESA_WARMUP)
+    return (run_all_schemes(workload, default_config(), **window),
+            run_all_schemes(workload, default_config(), schemes=schemes,
+                            **window))
+
+
 def _assert_pinned(workload, addressing, digests, name):
     """A replay must reproduce the digest the per-instruction loop
     pinned for the live program at 4 KB pages."""
@@ -147,20 +158,49 @@ class TestEquivalence:
         (SchemeName.HOA, SchemeName.SOLA),
     ], ids=["base", "opt", "soca+ia", "hoa+sola"])
     def test_scheme_subsets(self, schemes):
-        """Schemes ride along without perturbing each other: a subset's
-        numbers are the full evaluation's, scheme by scheme."""
-        workload = load_trace_workload(GOLDEN_MESA)
-        config = default_config()
-        full = run_all_schemes(workload, config,
-                               instructions=MESA_INSTRUCTIONS,
-                               warmup=MESA_WARMUP)
-        subset = run_all_schemes(workload, config,
-                                 instructions=MESA_INSTRUCTIONS,
-                                 warmup=MESA_WARMUP, schemes=schemes)
-        assert subset.shared.to_dict() == full.shared.to_dict()
+        """Schemes ride along without perturbing each other: a subset
+        executes only the binaries its schemes name, and each executed
+        pass's numbers are the full evaluation's, scheme by scheme."""
+        full, subset = _full_and_subset(schemes)
         for scheme in schemes:
             assert (subset.scheme(scheme).to_dict()
                     == full.scheme(scheme).to_dict())
+        if any(s.needs_instrumented_binary for s in schemes):
+            assert (subset.instrumented.shared.to_dict()
+                    == full.instrumented.shared.to_dict())
+        else:
+            assert subset.instrumented is subset.plain
+        if all(s.needs_instrumented_binary for s in schemes):
+            assert subset.plain is subset.instrumented
+            with pytest.raises(SimulationError, match="only the "
+                               "instrumented binary"):
+                subset.shared
+        else:
+            assert subset.shared.to_dict() == full.shared.to_dict()
+
+    @pytest.mark.parametrize("schemes", [
+        (SchemeName.OPT, SchemeName.IA),
+        (SchemeName.OPT,),
+        (SchemeName.SOCA, SchemeName.IA),
+        (SchemeName.HOA, SchemeName.SOLA),
+        (SchemeName.IA,),
+    ], ids=["opt+ia", "opt", "soca+ia", "hoa+sola", "ia"])
+    def test_subset_normalizes_like_the_full_run(self, schemes):
+        """Each scheme normalizes against Base on its own binary, whatever
+        else the run selected."""
+        full, subset = _full_and_subset(schemes)
+        for scheme in schemes:
+            assert (subset.scheme(scheme).to_dict()
+                    == full.scheme(scheme).to_dict())
+            assert (subset.normalized_energy(scheme)
+                    == full.normalized_energy(scheme))
+            assert (subset.normalized_cycles(scheme)
+                    == full.normalized_cycles(scheme))
+
+    def test_empty_scheme_set_is_refused(self):
+        with pytest.raises(ConfigError, match="at least one scheme"):
+            run_all_schemes(load_trace_workload(GOLDEN_MESA),
+                            default_config(), instructions=100, schemes=())
 
     def test_zero_warmup_and_tiny_windows(self):
         """Live and replayed streams agree at the smallest windows (a
@@ -429,6 +469,33 @@ class TestEngineSelection:
         with pytest.raises(TraceError):
             Simulator(default_config()).run_program(
                 program, instructions=100, engine="ooo")
+
+    @pytest.mark.parametrize("engine", ["fast", "ooo"])
+    def test_instrumented_only_run_executes_one_binary(self, monkeypatch,
+                                                       engine):
+        """An instrumented-only run executes the instrumented binary and
+        nothing else; a fast pass carries Base to normalize against, a
+        detailed one does not."""
+        calls = []
+
+        def counting(program, configs, **kwargs):
+            calls.append((program.instrumented, kwargs["schemes"]))
+            return run_program_grid(program, configs, **kwargs)
+
+        monkeypatch.setattr(multi, "run_program_grid", counting)
+        run = run_all_schemes(resolve("micro.counted_loop"),
+                              default_config(), instructions=300,
+                              warmup=50, schemes=(SchemeName.IA,),
+                              engine=engine)
+        assert [instrumented for instrumented, _ in calls] == [True]
+        assert run.plain is run.instrumented
+        if engine == "fast":
+            assert calls[0][1] == (SchemeName.IA, SchemeName.BASE)
+            assert run.normalized_cycles(SchemeName.IA) > 0.0
+        else:
+            assert calls[0][1] == (SchemeName.IA,)
+            with pytest.raises(SimulationError, match="no Base"):
+                run.normalized_cycles(SchemeName.IA)
 
     def test_exhaustion_raises_trace_error(self):
         workload = load_trace_workload(GOLDEN_MESA)

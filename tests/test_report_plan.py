@@ -164,6 +164,25 @@ class TestOnePlan:
         assert all(event["steps"] > 0 and event["seconds"] >= 0
                    for event in streams)
 
+    def test_no_plain_pass_over_an_affinity_layout(self, fresh_store,
+                                                   monkeypatch):
+        """The layout extension reads IA and the instrumented pass of
+        each ``@affinity`` variant, so only that binary runs."""
+        passes = []
+        original = multi.run_program_grid
+
+        def counting(program, configs, **kwargs):
+            passes.append((program.name, program.instrumented))
+            return original(program, configs, **kwargs)
+
+        monkeypatch.setattr(multi, "run_program_grid", counting)
+        run_all(SETTINGS, verbose=False)
+        affinity = [pass_ for pass_ in passes
+                    if registry.AFFINITY_SUFFIX in pass_[0]]
+        assert sorted(affinity) == [
+            (f"{bench}{registry.AFFINITY_SUFFIX}+instr", True)
+            for bench in sorted(SETTINGS.benchmarks)]
+
     def test_tables_match_each_experiment_run_alone(self, fresh_store):
         planned = [result.to_markdown()
                    for result in run_all(SETTINGS, verbose=False)]

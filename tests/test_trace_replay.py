@@ -112,6 +112,17 @@ class TestRecordReplayEquivalence:
                                  instructions=600, warmup=100)
         assert _canonical(replay) == _canonical(live)
 
+    def test_scheme_subset_records_both_binaries(self, trace_dir,
+                                                 loop_trace):
+        """A recording under an instrumented-only scheme set still holds
+        the plain segment: the file is the one a full-set recording
+        writes."""
+        path = trace_dir / "ia-only.trace.gz"
+        record_trace("micro.taken_pattern", default_config(),
+                     instructions=1500, warmup=200, path=path,
+                     schemes=(SchemeName.IA,))
+        assert path.read_bytes() == loop_trace[0].read_bytes()
+
     def test_window_longer_than_trace_raises(self, loop_trace):
         path, _ = loop_trace
         with pytest.raises(TraceError, match="exhausted"):
