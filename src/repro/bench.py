@@ -33,7 +33,9 @@ Four views are measured per workload:
     records ``peak_window_bytes`` — the largest decoded window a run
     held at once (for eager, the full segment) — so the JSON carries
     the memory bound next to the throughput cost of honouring it.  The
-    two runs are compared for bit-identity.
+    two runs are compared for bit-identity.  Each row is timed over at
+    least :data:`STREAM_MIN_SECONDS`, its run count derived from the
+    first run's duration.
 
 Timing uses ``time.perf_counter`` around engine execution only (trace
 recording and column decoding happen before the timed region, except in
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import platform
 import sys
 import time
@@ -78,6 +81,10 @@ MESA = "177.mesa"
 #: iTLB geometries the ``grid`` view sweeps (fully associative entries)
 GRID_POINTS = (1, 2, 4, 8, 16, 32)
 
+#: the least wall time a ``stream`` row is timed over: best-of-5 of a
+#: micro job (tens of ms) swings the ratio past :data:`RATIO_DROP_LIMIT`
+STREAM_MIN_SECONDS = 1.0
+
 #: how far a view's ratio may fall below the previous report's before
 #: :func:`compare_reports` calls it a regression.  Ratios, not instr/s,
 #: are compared, so the speed of the host cancels out.
@@ -107,18 +114,23 @@ class BenchRecord:
         return dataclasses.asdict(self)
 
 
-def _time(fn: Callable[[], int], repeats: int) -> tuple:
-    """Run ``fn`` ``repeats`` times; returns (best, mean, instructions).
+def _time(fn: Callable[[], int], repeats: int,
+          min_seconds: float = 0.0) -> tuple:
+    """Run ``fn`` ``repeats`` times, or as many more as the first run's
+    duration fits into ``min_seconds``; returns (best, mean,
+    instructions, runs).
 
     ``fn`` returns the number of instructions it retired; min-of-N wall
     time filters scheduler noise (the canonical bench discipline)."""
     times: List[float] = []
     instructions = 0
-    for _ in range(repeats):
+    while len(times) < repeats:
         start = time.perf_counter()
         instructions = fn()
         times.append(time.perf_counter() - start)
-    return min(times), sum(times) / len(times), instructions
+        if len(times) == 1 and times[0] > 0:
+            repeats = max(repeats, math.ceil(min_seconds / times[0]))
+    return min(times), sum(times) / len(times), instructions, len(times)
 
 
 def ensure_trace(workload: str, trace_dir: Union[str, Path], *,
@@ -157,14 +169,14 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
     records: List[BenchRecord] = []
 
     def record(engine_name: str, mode: str, fn: Callable[[], int],
-               note: str = "") -> None:
-        best, mean, retired = _time(fn, repeats)
+               note: str = "", min_seconds: float = 0.0) -> None:
+        best, mean, retired, runs = _time(fn, repeats, min_seconds)
         records.append(BenchRecord(
             workload=workload, engine=engine_name, mode=mode,
-            instructions=retired, repeats=repeats, best_seconds=best,
+            instructions=retired, repeats=runs, best_seconds=best,
             mean_seconds=mean, instr_per_sec=retired / best))
         log(f"{workload:24s} {engine_name:11s} {mode:6s} "
-            f"{retired / best:>12,.0f} instr/s (best of {repeats}: "
+            f"{retired / best:>12,.0f} instr/s (best of {runs}: "
             f"{best:.3f}s{note})")
 
     # -- engine view: one plain-binary pass, decode excluded ------------
@@ -258,7 +270,8 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
         return go
 
     for engine_name, window in (("eager", None), ("windowed", window_bytes)):
-        record(engine_name, "stream", run_stream(engine_name, window))
+        record(engine_name, "stream", run_stream(engine_name, window),
+               min_seconds=STREAM_MIN_SECONDS)
         records[-1].peak_window_bytes = (
             full_bytes if window is None else stream_peak["bytes"])
     if (json.dumps(stream_runs["eager"].to_dict(), sort_keys=True)

@@ -29,6 +29,26 @@ from repro.errors import ConfigError
 class CacheAddressing(str, Enum):
     """How the iL1 cache is indexed and tagged (paper Section 2).
 
+    A cache access needs an *index* address (selects the set) and a *tag*
+    address (matched against resident tags).  Each discipline draws them
+    from the virtual or the physical address:
+
+    ============  =========  =======
+    discipline    index      tag
+    ============  =========  =======
+    VI-VT         virtual    virtual
+    VI-PT         virtual    physical
+    PI-PT         physical   physical
+    ============  =========  =======
+
+    :class:`~repro.mem.hierarchy.MemoryHierarchy` routes iL1 accesses by
+    :attr:`index_is_physical` and :attr:`tag_is_physical`; the engines in
+    :mod:`repro.cpu` charge the timing that follows.  PI-PT must translate
+    before indexing, so the iTLB is on the fetch critical path (the paper
+    puts no page-offset-only limit on iL1 geometry).  VI-PT needs the
+    physical tag for a hit, so it translates on every access, in parallel
+    with indexing.  VI-VT translates only after a miss, to reach the L2.
+
     The L2 cache is always PI-PT, as in the paper.  PI-VT exists in the
     taxonomy but is not modelled (the paper excludes it as well).
     """

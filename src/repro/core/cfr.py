@@ -3,9 +3,10 @@
     < Virtual Page Number, Physical Frame Number, Protection/Other Bits >
 
 The CFR holds the translation of the page currently being executed.  It is
-not architecturally visible to user code; the OS may read, write, and
-invalidate it in supervisor mode (Section 3.2), and it is saved/restored
-with the rest of the register context on a context switch.
+not architecturally visible to user code.  The model runs one address space
+and no OS events, so of Section 3.2's OS access (read, write, invalidate,
+save/restore on a context switch) none is modelled: no table depends on it.
+The owning policy counts the fills (``SchemeCounters.cfr_writes``).
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ class CFR:
     pfn: int = -1
     prot: Protection = Protection.NONE
     valid: bool = False
-    reads: int = 0
-    writes: int = 0
-    invalidations: int = 0
 
     def load(self, vpn: int, pfn: int, prot: Protection) -> None:
         """Hardware fill after an iTLB lookup (moves the matching entry's
@@ -34,32 +32,7 @@ class CFR:
         self.pfn = pfn
         self.prot = prot
         self.valid = True
-        self.writes += 1
 
     def matches(self, vpn: int) -> bool:
         """The HoA comparator: does the fetch VPN equal the CFR's VPN?"""
         return self.valid and self.vpn == vpn
-
-    def frame(self) -> int:
-        """Read the physical frame number (counted: this is the register
-        read the energy accounting can optionally charge)."""
-        self.reads += 1
-        return self.pfn
-
-    def invalidate(self) -> None:
-        """OS-initiated invalidation (page eviction/remap, context switch)."""
-        self.valid = False
-        self.vpn = -1
-        self.pfn = -1
-        self.prot = Protection.NONE
-        self.invalidations += 1
-
-    def snapshot(self) -> tuple[int, int, bool]:
-        """(vpn, pfn, valid) — what the OS saves on a context switch."""
-        return self.vpn, self.pfn, self.valid
-
-    def restore(self, vpn: int, pfn: int, valid: bool) -> None:
-        self.vpn = vpn
-        self.pfn = pfn
-        self.valid = valid
-        self.writes += 1

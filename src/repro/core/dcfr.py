@@ -75,6 +75,3 @@ class DataCFR:
             self._file.popitem(last=False)
         self._file[vpn] = pfn
         return pfn
-
-    def invalidate(self) -> None:
-        self._file.clear()

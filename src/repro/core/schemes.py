@@ -56,7 +56,7 @@ class LookupReason(IntEnum):
 
     BRANCH = 0
     BOUNDARY = 1
-    START = 2  #: program start / post-context-switch seed
+    START = 2  #: program start
 
 
 @dataclass
@@ -183,12 +183,6 @@ class ITLBPolicy:
         cfr = self.cfr
         cfr.vpn, cfr.pfn, cfr.valid, self.covered, self.pending_reason = (
             snap[0], snap[1], snap[2], snap[3], snap[4])
-
-    def invalidate(self) -> None:
-        """OS hook: page eviction or context switch makes the CFR stale."""
-        self.cfr.invalidate()
-        self.covered = False
-        self.pending_reason = LookupReason.START
 
     # -- bulk accounting (fast-engine optimization) -----------------------------
 

@@ -152,22 +152,7 @@ class Cache:
             return _CLEAN_MISS_RESULT
         return AccessResult(hit=False, writeback_pa=writeback_pa)
 
-    # -- maintenance --------------------------------------------------------
-
-    def invalidate_all(self) -> int:
-        """Flush the cache; returns the number of dirty lines dropped."""
-        dirty = 0
-        for entry_set in self._sets:
-            if entry_set is not None:
-                dirty += sum(1 for line in entry_set.values() if line.dirty)
-                entry_set.clear()
-        return dirty
-
     # -- introspection ------------------------------------------------------
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets if s is not None)
 
     def __contains__(self, addr: int) -> bool:
         """Membership by a same-index-and-tag address (PI-PT style)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.config import CacheAddressing, MemoryConfig
+from repro.config import MemoryConfig
 from repro.mem.cache import Cache
 from repro.mem.dram import DRAM
 
@@ -56,15 +56,12 @@ class MemoryHierarchy:
         self.dl1 = Cache(config.dl1)
         self.l2 = Cache(config.l2)
         self.dram = DRAM(config.dram_latency, config.dram_banks)
-        self.il1_addressing = config.il1_addressing
-        # precomputed per-discipline address routing (addressing_pair,
-        # resolved once) and shared hit outcomes: instruction fetch and
-        # data hits are the hot path, and both engines only *read* the
-        # returned records
-        self._il1_index_virtual = config.il1_addressing in (
-            CacheAddressing.VIVT, CacheAddressing.VIPT)
-        self._il1_tag_virtual = (config.il1_addressing
-                                 is CacheAddressing.VIVT)
+        # the discipline's address routing (CacheAddressing), resolved
+        # once, and shared hit outcomes: instruction fetch and data hits
+        # are the hot path, and both engines only *read* the returned
+        # records
+        self._il1_index_virtual = not config.il1_addressing.index_is_physical
+        self._il1_tag_virtual = not config.il1_addressing.tag_is_physical
         self._il1_hit = FetchOutcome(il1_hit=True, l2_hit=True,
                                      latency=config.il1.hit_latency)
         self._dl1_hit = DataOutcome(dl1_hit=True, l2_hit=True,

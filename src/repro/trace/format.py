@@ -927,23 +927,29 @@ class TraceReader:
         return _read_trace(self.path, 0)
 
     def info(self) -> dict:
-        """Header plus per-segment step/static counts (full decode, but
-        no :class:`TraceFile` retained)."""
-        trace = self.read()
+        """Header plus per-segment step/static counts, from the skip
+        scan: no instruction is built and no stream is kept, so memory
+        stays constant however long the trace."""
+        reader = _StreamReader(self.path)
+        segments = []
+        try:
+            while (meta := reader.next_segment_meta()) is not None:
+                kinds: List[int] = []  # one entry per static
+                steps = _parse_items(reader, kinds, _NO_LIMIT)
+                segments.append({
+                    "binary": TraceSegment(meta).binary,
+                    "steps": steps,
+                    "distinct_instructions": len(kinds),
+                    "meta": meta,
+                })
+        finally:
+            reader.close()
         return {
             "path": str(self.path),
             "version": TRACE_VERSION,
-            "header": trace.header,
+            "header": reader.header,
             "digest": file_digest(self.path),
-            "segments": [
-                {
-                    "binary": s.binary,
-                    "steps": s.steps,
-                    "distinct_instructions": len(s.instructions),
-                    "meta": s.meta,
-                }
-                for s in trace.segments
-            ],
+            "segments": segments,
         }
 
 

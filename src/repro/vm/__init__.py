@@ -1,4 +1,4 @@
-"""Virtual memory substrate: page tables, TLBs, and a minimal OS model.
+"""Virtual memory substrate: page tables, TLBs, and an address space.
 
 The paper assumes an ordinary demand-paged OS.  The pieces modelled here are
 the ones its mechanisms interact with:
@@ -8,18 +8,19 @@ the ones its mechanisms interact with:
   addresses than virtually-addressed ones;
 * LRU TLBs, fully- or set-associative, including the paper's two-level
   iTLB organizations (Section 4.3.2);
-* an OS model providing page-fault handling, page protection, pinning of
-  the CFR's current page (Section 3.2), and context-switch hooks that save,
-  restore, or invalidate the CFR.
+* one address space per run, its code and static data premapped.
+
+Scope: one address space and no OS events.  Section 3.2's OS duties
+around the CFR (pin, invalidate, save/restore) are not modelled: no
+table depends on them.
 """
 
 from repro.vm.page_table import PageTable, Protection, PTE
 from repro.vm.tlb import TLB, TLBStats, TwoLevelTLB, build_itlb
-from repro.vm.os_model import OSModel, AddressSpace
+from repro.vm.os_model import AddressSpace
 
 __all__ = [
     "AddressSpace",
-    "OSModel",
     "PTE",
     "PageTable",
     "Protection",

@@ -10,7 +10,7 @@ the way a long-running OS free list would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntFlag
 from typing import Dict, Iterator, Optional
 
@@ -36,9 +36,6 @@ class PTE:
     vpn: int
     pfn: int
     prot: Protection
-    referenced: bool = False
-    dirty: bool = False
-    pinned: bool = False  #: OS support for the CFR: page must not be remapped
 
 
 def _mix(value: int) -> int:
@@ -93,9 +90,6 @@ class PageTable:
             self.faults += 1
         if prot and not (entry.prot & prot):
             raise ProtectionFault(vpn << self.page_shift, prot.name or str(prot))
-        entry.referenced = True
-        if prot & Protection.WRITE:
-            entry.dirty = True
         return entry
 
     # -- mapping -------------------------------------------------------------
@@ -113,38 +107,6 @@ class PageTable:
         self._entries[vpn] = entry
         self._used_frames.add(pfn)
         return entry
-
-    def unmap_page(self, vpn: int) -> PTE:
-        """Remove a mapping (refused for pinned pages)."""
-        entry = self._entries.get(vpn)
-        if entry is None:
-            raise MemoryFault(vpn << self.page_shift, "unmapping unmapped page")
-        if entry.pinned:
-            raise MemoryFault(vpn << self.page_shift,
-                              "unmapping a pinned (CFR-current) page")
-        del self._entries[vpn]
-        self._used_frames.discard(entry.pfn)
-        return entry
-
-    def remap_page(self, vpn: int) -> PTE:
-        """Move a page to a *different* frame (models eviction + reload).
-        The old frame stays reserved during allocation so the hashed probe
-        cannot hand the same frame straight back."""
-        old = self.unmap_page(vpn)
-        self._used_frames.add(old.pfn)
-        try:
-            new = self.map_page(vpn, old.prot)
-        finally:
-            self._used_frames.discard(old.pfn)
-        return new
-
-    def pin(self, vpn: int, pinned: bool = True) -> None:
-        """Pin/unpin a page (OS support keeping the CFR's page resident,
-        paper Section 3.2)."""
-        entry = self._entries.get(vpn)
-        if entry is None:
-            raise MemoryFault(vpn << self.page_shift, "pinning unmapped page")
-        entry.pinned = pinned
 
     def _allocate_frame(self, vpn: int) -> int:
         probe = _mix((vpn << 8) ^ _mix(self.asid + 0x9E3779B9))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.config import TLBConfig, TwoLevelTLBConfig
@@ -33,6 +33,9 @@ class TLBStats:
     accesses: int = 0
     hits: int = 0
     misses: int = 0
+    #: always 0: nothing invalidates or flushes a TLB (one address
+    #: space, no OS events), but result bytes, the golden files and the
+    #: benchmark digests hash every field of :meth:`to_dict`
     invalidations: int = 0
     flushes: int = 0
 
@@ -178,26 +181,7 @@ class TLB:
         ``miss_penalty`` walk per miss."""
         return self.stats.misses * miss_penalty
 
-    # -- maintenance ------------------------------------------------------
-
-    def invalidate(self, vpn: int) -> bool:
-        entry_set = self._sets[vpn & self._set_mask]
-        if vpn in entry_set:
-            del entry_set[vpn]
-            self.stats.invalidations += 1
-            return True
-        return False
-
-    def flush(self) -> None:
-        for entry_set in self._sets:
-            entry_set.clear()
-        self.stats.flushes += 1
-
     # -- introspection ------------------------------------------------------
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
 
     def resident_vpns(self) -> List[int]:
         return [vpn for s in self._sets for vpn in s]
@@ -313,15 +297,6 @@ class TwoLevelTLB:
         if self.config.serial:
             cycles += self.l2_probes * self.config.l2_extra_latency
         return cycles
-
-    def invalidate(self, vpn: int) -> None:
-        self.level1.invalidate(vpn)
-        self.level2.invalidate(vpn)
-
-    def flush(self) -> None:
-        self.level1.flush()
-        self.level2.flush()
-        self.stats.flushes += 1
 
 
 AnyTLB = Union[TLB, TwoLevelTLB]

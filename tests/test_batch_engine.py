@@ -713,6 +713,21 @@ class TestBenchHarness:
         assert 0 < peaks["windowed"] < peaks["eager"]
         assert set(speedups(records)["177.mesa"]) == {"grid", "stream"}
 
+    def test_stream_rows_repeat_to_the_minimum_time(self, monkeypatch):
+        """A row's run count comes from its first run's duration: runs
+        of 0.25 s fill a 1 s minimum in 4, and a long first run keeps
+        the requested count."""
+        from repro import bench
+        clock = iter(range(1000))
+        step = 0.25  # a run spans one clock tick
+        monkeypatch.setattr(bench.time, "perf_counter",
+                            lambda: next(clock) * step)
+        assert bench._time(lambda: 7, 1, 1.0) == (0.25, 0.25, 7, 4)
+        assert bench._time(lambda: 7, 5, 1.0)[3] == 5
+        assert bench._time(lambda: 7, 2)[3] == 2
+        step = 2.0  # longer than the minimum
+        assert bench._time(lambda: 7, 1, 1.0)[3] == 1
+
     def test_cli_bench_writes_report(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "BENCH_test.json"

@@ -152,7 +152,9 @@ class TestSchemeName:
                                 SchemeName.IA}
 
     def test_addressing_flags(self):
-        assert CacheAddressing.PIPT.index_is_physical
+        assert not CacheAddressing.VIVT.index_is_physical
+        assert not CacheAddressing.VIVT.tag_is_physical
         assert not CacheAddressing.VIPT.index_is_physical
         assert CacheAddressing.VIPT.tag_is_physical
-        assert not CacheAddressing.VIVT.tag_is_physical
+        assert CacheAddressing.PIPT.index_is_physical
+        assert CacheAddressing.PIPT.tag_is_physical

@@ -47,8 +47,8 @@ class TestFunctional:
         module = microbench.memory_walker(words=64, iterations=2)
         executor, space = _execute(module)
         base = space.program.labels["walk_array"]
-        assert space.load_word(base) == 2
-        assert space.load_word(base + 4) == 2
+        assert space.memory[base] == 2
+        assert space.memory[base + 4] == 2
 
     def test_r0_hardwired(self):
         asm = Assembler()

@@ -5,12 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheAddressing, CacheConfig, default_config
-from repro.mem.addressing import (
-    addressing_pair,
-    needs_translation_before_index,
-    needs_translation_for_hit,
-    needs_translation_on_miss_only,
-)
 from repro.mem.cache import Cache
 from repro.mem.dram import DRAM
 from repro.mem.hierarchy import MemoryHierarchy
@@ -66,13 +60,6 @@ class TestCache:
         result = cache.access(0x40, 0x6000, pa_block=0x6000)
         assert result.writeback_pa == 0x5000
 
-    def test_invalidate_all_counts_dirty(self):
-        cache = _small_cache()
-        cache.access(0x0, 0x0, write=True)
-        cache.access(0x40, 0x40)
-        assert cache.invalidate_all() == 1
-        assert cache.occupancy == 0
-
     def test_probe_of_an_unfilled_set_creates_nothing(self):
         cache = _small_cache(assoc=2, sets=4, block=32)
         cache.access(0x0, 0x0)  # fills set 0 only
@@ -87,13 +74,12 @@ class TestCache:
         cache.access(0x0, 0x0, write=True)  # set 0
         cache.access(0x80, 0x80)  # set 0, second way
         cache.access(0x40, 0x40, write=True)  # set 2
-        assert cache.occupancy == 3
-        assert cache.invalidate_all() == 2
-        assert cache.occupancy == 0
-        assert cache.invalidate_all() == 0
-        assert not cache.probe(0x0, 0x0)
+        assert [len(s or ()) for s in cache._sets] == [2, 0, 1, 0]
+        assert cache._sets[1] is None and cache._sets[3] is None
         assert not cache.access(0x60, 0x60).hit  # set 3, first fill
-        assert cache.occupancy == 1
+        assert cache.probe(0x60, 0x60)
+        assert [len(s or ()) for s in cache._sets] == [2, 0, 1, 1]
+        assert cache.stats.misses == 4 and cache.stats.hits == 0
 
     @given(st.lists(st.tuples(st.integers(0, 16), st.booleans()),
                     min_size=1, max_size=300))
@@ -116,16 +102,40 @@ class TestCache:
 
 
 class TestAddressing:
+    """The paper's Section 2 table, one (discipline, index/tag) case at a
+    time: which address, virtual or physical, indexes and tags the iL1."""
+
+    #: discipline -> (index is physical, tag is physical)
+    TABLE = {CacheAddressing.VIVT: (False, False),
+             CacheAddressing.VIPT: (False, True),
+             CacheAddressing.PIPT: (True, True)}
+
     def test_pairs(self):
-        assert addressing_pair(CacheAddressing.VIVT, 1, 2) == (1, 1)
-        assert addressing_pair(CacheAddressing.VIPT, 1, 2) == (1, 2)
-        assert addressing_pair(CacheAddressing.PIPT, 1, 2) == (2, 2)
+        for addressing, (index, tag) in self.TABLE.items():
+            assert addressing.index_is_physical is index, addressing
+            assert addressing.tag_is_physical is tag, addressing
 
     def test_translation_requirements(self):
-        assert needs_translation_before_index(CacheAddressing.PIPT)
-        assert not needs_translation_before_index(CacheAddressing.VIPT)
-        assert needs_translation_for_hit(CacheAddressing.VIPT)
-        assert needs_translation_on_miss_only(CacheAddressing.VIVT)
+        """PI-PT translates before indexing; VI-PT and PI-PT translate to
+        declare a hit; VI-VT translates on a miss only."""
+        before_index = {a for a in CacheAddressing if a.index_is_physical}
+        for_hit = {a for a in CacheAddressing if a.tag_is_physical}
+        assert before_index == {CacheAddressing.PIPT}
+        assert for_hit == {CacheAddressing.VIPT, CacheAddressing.PIPT}
+        assert set(CacheAddressing) - for_hit == {CacheAddressing.VIVT}
+
+    def test_hierarchy_routes_by_the_table(self):
+        """A fetch fills the iL1 line the table names, and only it: of
+        the four (index, tag) pairs drawn from va and pa, exactly one
+        probes as resident."""
+        va, pa = 0x400000, 0x9020  # different iL1 sets and tags
+        for addressing, (index, tag) in self.TABLE.items():
+            hier = MemoryHierarchy(default_config(addressing).mem)
+            hier.fetch(va, pa)
+            resident = {(i, t) for i in (va, pa) for t in (va, pa)
+                        if hier.il1.probe(i, t)}
+            assert resident == {(pa if index else va,
+                                 pa if tag else va)}, addressing
 
 
 class TestHierarchy:

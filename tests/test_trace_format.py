@@ -10,12 +10,15 @@ import gzip
 import json
 import lzma
 import struct
+from pathlib import Path
 
 import pytest
 
 from repro.cpu.functional import StepResult
 from repro.errors import TraceError
 from repro.isa.instructions import Instruction, Opcode
+from repro.trace import format as trace_format
+from repro.trace import import_trace
 from repro.trace.format import (
     MAGIC,
     TAG_SEGMENT,
@@ -25,6 +28,7 @@ from repro.trace.format import (
     TraceReader,
     TraceWriter,
     file_digest,
+    load_trace,
 )
 
 
@@ -270,3 +274,41 @@ class TestFileDigest:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(TraceError, match="cannot stat"):
             file_digest(tmp_path / "absent")
+
+
+class TestInfo:
+    """``info`` counts each segment with the skip scan: the same counts
+    as an eager decode, without building the decoded trace."""
+
+    @staticmethod
+    def _sources(tmp_path):
+        golden = Path(__file__).parent / "golden" / "mesa.trace.gz"
+        imported = import_trace(
+            "eio", Path(__file__).parent / "fixtures" / "twopage.eio.txt",
+            tmp_path / "eio.trace.gz")
+        assert imported["steps"] > 0
+        return [golden, tmp_path / "eio.trace.gz",
+                _write_sample(tmp_path / "sample.trace")]
+
+    def test_counts_equal_the_eager_decode(self, tmp_path):
+        for path in self._sources(tmp_path):
+            info = TraceReader(path).info()
+            trace = load_trace(path, use_cache=False)
+            assert info["header"] == trace.header
+            assert info["digest"] == file_digest(path)
+            assert [(s["binary"], s["steps"], s["distinct_instructions"],
+                     s["meta"]) for s in info["segments"]] == [
+                (s.binary, s.steps, len(s.instructions), s.meta)
+                for s in trace.segments], path
+
+    def test_builds_no_instruction(self, tmp_path, monkeypatch):
+        paths = self._sources(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("info() built an Instruction")
+
+        monkeypatch.setattr(trace_format, "Instruction", refuse)
+        for path in paths:
+            assert TraceReader(path).info()["segments"]
+        with pytest.raises(AssertionError, match="built an Instruction"):
+            TraceReader(paths[0]).read()  # the patch does bite a decode

@@ -1,12 +1,15 @@
-"""Virtual memory: page table, TLBs (vs a reference model), OS model."""
+"""Virtual memory: page table, TLBs (vs a reference model), address
+space."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import FULL_ASSOC, TLBConfig, TwoLevelTLBConfig
+from repro.cpu.functional import Executor
 from repro.errors import MemoryFault, ProtectionFault
 from repro.isa.assembler import Assembler, link
-from repro.vm.os_model import AddressSpace, OSModel, SavedContext
+from repro.isa.program import DATA_BASE
+from repro.vm.os_model import AddressSpace
 from repro.vm.page_table import PageTable, Protection
 from repro.vm.tlb import TLB, TwoLevelTLB
 
@@ -69,26 +72,6 @@ class TestPageTable:
         with pytest.raises(MemoryFault):
             table.translate(7, prot=Protection.READ, allocate=False)
 
-    def test_pinned_page_cannot_unmap(self):
-        table = PageTable(4096)
-        table.map_page(3, Protection.RX)
-        table.pin(3)
-        with pytest.raises(MemoryFault):
-            table.unmap_page(3)
-        table.pin(3, False)
-        table.unmap_page(3)
-        assert 3 not in table
-
-    def test_remap_changes_frame(self):
-        table = PageTable(4096)
-        old = table.map_page(4, Protection.RW).pfn
-        new = table.remap_page(4).pfn
-        assert new != old
-
-    def test_write_sets_dirty(self):
-        table = PageTable(4096)
-        pte = table.translate(9, prot=Protection.WRITE)
-        assert pte.dirty and pte.referenced
 
 
 class TestTLB:
@@ -130,15 +113,6 @@ class TestTLB:
         assert not hit
         pfn2, hit2 = tlb.translate(5, table)
         assert hit2 and pfn2 == pfn
-
-    def test_invalidate_and_flush(self):
-        tlb = TLB(TLBConfig(entries=4))
-        tlb.fill(1, 10)
-        assert tlb.invalidate(1)
-        assert not tlb.invalidate(1)
-        tlb.fill(2, 20)
-        tlb.flush()
-        assert tlb.occupancy == 0
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=200))
     @settings(max_examples=40)
@@ -310,58 +284,46 @@ class TestTwoLevelTLB:
 
 
 class TestAddressSpaceAndOS:
+    """The one address space a run executes in (no OS events are
+    modelled), and the executor's accesses to its data memory."""
+
+    @staticmethod
+    def _execute(*body):
+        """Run ``main: body...; halt`` in a fresh address space, with
+        ``r8`` holding the data segment's base address."""
+        asm = Assembler()
+        asm.label("main")
+        asm.li(8, DATA_BASE)
+        for emit in body:
+            emit(asm)
+        asm.halt()
+        asm.data_words("d", [1, 2, 3])
+        program = link(asm.module)
+        space = AddressSpace(program)
+        executor = Executor(program, space)
+        executor.run(100)
+        return executor, space
+
     def test_text_premapped_executable(self):
         space = AddressSpace(_tiny_program())
-        pa = space.translate_fetch(space.program.entry)
-        assert pa != space.program.entry  # non-identity mapping
+        table = space.page_table
+        vpn = space.program.entry >> table.page_shift
+        pte = table.translate(vpn, prot=Protection.EXEC, allocate=False)
+        assert pte.pfn != vpn  # non-identity mapping
 
     def test_data_initialized(self):
         space = AddressSpace(_tiny_program())
         base = space.program.labels["d"]
-        assert space.load_word(base + 4) == 2
+        assert space.memory[base + 4] == 2
 
     def test_store_load_roundtrip(self):
-        space = AddressSpace(_tiny_program())
-        space.store_word(0x2000_0000, 0xDEADBEEF)
-        assert space.load_word(0x2000_0000) == 0xDEADBEEF
+        executor, space = self._execute(
+            lambda asm: asm.li(9, 0xDEADBEEF),
+            lambda asm: asm.sw(9, 8, 0x100),
+            lambda asm: asm.lw(10, 8, 0x100))
+        assert space.memory[DATA_BASE + 0x100] == 0xDEADBEEF
+        assert executor.regs[10] == 0xDEADBEEF
 
     def test_misaligned_access_faults(self):
-        space = AddressSpace(_tiny_program())
         with pytest.raises(MemoryFault):
-            space.load_word(0x2000_0002)
-
-    def test_cfr_invalidate_hook_fires_on_eviction(self):
-        space = AddressSpace(_tiny_program())
-        os_model = OSModel(space)
-        fired = []
-        os_model.register_cfr_invalidate_hook(lambda: fired.append(1))
-        vpn = space.program.entry >> 12
-        os_model.pin_cfr_page(vpn)
-        os_model.evict_page(vpn)
-        assert fired
-
-    def test_eviction_of_other_page_keeps_cfr(self):
-        space = AddressSpace(_tiny_program())
-        os_model = OSModel(space)
-        fired = []
-        os_model.register_cfr_invalidate_hook(lambda: fired.append(1))
-        os_model.pin_cfr_page(space.program.entry >> 12)
-        other = space.program.data_base >> 12
-        os_model.evict_page(other)
-        assert not fired
-
-    def test_context_switch_saves_and_invalidates(self):
-        space = AddressSpace(_tiny_program())
-        os_model = OSModel(space)
-        fired = []
-        os_model.register_cfr_invalidate_hook(lambda: fired.append(1))
-        os_model.context_switch(SavedContext(asid=0, cfr_vpn=5, cfr_pfn=9,
-                                             cfr_valid=True))
-        assert fired
-        assert os_model.context_switches == 1
-
-    def test_due_for_context_switch(self):
-        space = AddressSpace(_tiny_program())
-        os_model = OSModel(space, context_switch_interval=1000)
-        assert os_model.due_for_context_switch(2000)
-        assert not os_model.due_for_context_switch(1500)
+            self._execute(lambda asm: asm.lw(9, 8, 2))
