@@ -35,7 +35,11 @@ Four views are measured per workload:
     the memory bound next to the throughput cost of honouring it.  The
     two runs are compared for bit-identity.  Each row is timed over at
     least :data:`STREAM_MIN_SECONDS`, its run count derived from the
-    first run's duration.
+    first runs' durations.
+
+The two rows of a ``grid`` or ``stream`` view run in turn, run by run
+(independent, grid, independent, ...), so drift in the host's speed
+hits both rows alike instead of moving their ratio.
 
 Timing uses ``time.perf_counter`` around engine execution only (trace
 recording and column decoding happen before the timed region, except in
@@ -114,23 +118,31 @@ class BenchRecord:
         return dataclasses.asdict(self)
 
 
-def _time(fn: Callable[[], int], repeats: int,
-          min_seconds: float = 0.0) -> tuple:
-    """Run ``fn`` ``repeats`` times, or as many more as the first run's
-    duration fits into ``min_seconds``; returns (best, mean,
-    instructions, runs).
+def _time_rows(fns: Sequence[Callable[[], int]], repeats: int,
+               min_seconds: float = 0.0) -> List[tuple]:
+    """Time the rows ``fns`` run by run in turn (a, b, a, b, ...), so
+    host drift hits every row alike; returns one (best, mean,
+    instructions, runs) per row.
 
-    ``fn`` returns the number of instructions it retired; min-of-N wall
-    time filters scheduler noise (the canonical bench discipline)."""
-    times: List[float] = []
-    instructions = 0
-    while len(times) < repeats:
-        start = time.perf_counter()
-        instructions = fn()
-        times.append(time.perf_counter() - start)
-        if len(times) == 1 and times[0] > 0:
-            repeats = max(repeats, math.ceil(min_seconds / times[0]))
-    return min(times), sum(times) / len(times), instructions, len(times)
+    Every row runs ``repeats`` times, or as many more as the slowest
+    row's first run needs to fill ``min_seconds``.  Each ``fn`` returns
+    the number of instructions it retired; min-of-N wall time filters
+    scheduler noise (the canonical bench discipline)."""
+    times: List[List[float]] = [[] for _ in fns]
+    retired = [0] * len(fns)
+    rounds = 0
+    while rounds < repeats:
+        for row, fn in enumerate(fns):
+            start = time.perf_counter()
+            retired[row] = fn()
+            times[row].append(time.perf_counter() - start)
+        rounds += 1
+        if rounds == 1:
+            for row in times:
+                if row[0] > 0:
+                    repeats = max(repeats, math.ceil(min_seconds / row[0]))
+    return [(min(row), sum(row) / rounds, count, rounds)
+            for row, count in zip(times, retired)]
 
 
 def ensure_trace(workload: str, trace_dir: Union[str, Path], *,
@@ -168,16 +180,20 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
     trace_name = f"trace:{trace_path}"
     records: List[BenchRecord] = []
 
-    def record(engine_name: str, mode: str, fn: Callable[[], int],
+    def record(mode: str, rows: Sequence[Tuple[str, Callable[[], int]]],
                note: str = "", min_seconds: float = 0.0) -> None:
-        best, mean, retired, runs = _time(fn, repeats, min_seconds)
-        records.append(BenchRecord(
-            workload=workload, engine=engine_name, mode=mode,
-            instructions=retired, repeats=runs, best_seconds=best,
-            mean_seconds=mean, instr_per_sec=retired / best))
-        log(f"{workload:24s} {engine_name:11s} {mode:6s} "
-            f"{retired / best:>12,.0f} instr/s (best of {runs}: "
-            f"{best:.3f}s{note})")
+        """Time ``rows`` of (engine name, fn) run by run in turn; one
+        record per row."""
+        timings = _time_rows([fn for _, fn in rows], repeats, min_seconds)
+        for (engine_name, _), (best, mean, retired, runs) in zip(rows,
+                                                                 timings):
+            records.append(BenchRecord(
+                workload=workload, engine=engine_name, mode=mode,
+                instructions=retired, repeats=runs, best_seconds=best,
+                mean_seconds=mean, instr_per_sec=retired / best))
+            log(f"{workload:24s} {engine_name:11s} {mode:6s} "
+                f"{retired / best:>12,.0f} instr/s (best of {runs}: "
+                f"{best:.3f}s{note})")
 
     # -- engine view: one plain-binary pass, decode excluded ------------
     # stream=False pins the eager decode even under a forced
@@ -195,7 +211,7 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
                                 instrumented=False), config)
         return engine.run(instructions, warmup).shared.instructions + warmup
 
-    record("fast", "engine", run_engine)
+    record("engine", [("fast", run_engine)])
 
     # -- job view: full run_all_schemes, resolve included ---------------
     def run_job() -> int:
@@ -204,7 +220,7 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
         return (run.plain.shared.instructions
                 + run.instrumented.shared.instructions + 2 * warmup)
 
-    record("fast", "job", run_job)
+    record("job", [("fast", run_job)])
 
     # -- grid view: N geometries, independent jobs vs one shared pass ---
     grid_configs = [config.with_itlb(TLBConfig(entries=entries))
@@ -231,10 +247,9 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
         grid_runs["grid"] = runs
         return _retired(runs)
 
-    for engine_name, fn in (("independent", run_independent),
-                            ("grid", run_gridded)):
-        record(engine_name, "grid", fn,
-               f", {len(GRID_POINTS)} geometries")
+    record("grid", [("independent", run_independent),
+                    ("grid", run_gridded)],
+           f", {len(GRID_POINTS)} geometries")
     for solo, member in zip(grid_runs["independent"], grid_runs["grid"]):
         if (json.dumps(solo.to_dict(), sort_keys=True)
                 != json.dumps(member.to_dict(), sort_keys=True)):
@@ -269,11 +284,11 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
                     + run.instrumented.shared.instructions + 2 * warmup)
         return go
 
-    for engine_name, window in (("eager", None), ("windowed", window_bytes)):
-        record(engine_name, "stream", run_stream(engine_name, window),
-               min_seconds=STREAM_MIN_SECONDS)
-        records[-1].peak_window_bytes = (
-            full_bytes if window is None else stream_peak["bytes"])
+    record("stream", [("eager", run_stream("eager", None)),
+                      ("windowed", run_stream("windowed", window_bytes))],
+           min_seconds=STREAM_MIN_SECONDS)
+    records[-2].peak_window_bytes = full_bytes
+    records[-1].peak_window_bytes = stream_peak["bytes"]
     if (json.dumps(stream_runs["eager"].to_dict(), sort_keys=True)
             != json.dumps(stream_runs["windowed"].to_dict(),
                           sort_keys=True)):

@@ -110,9 +110,9 @@ def derive_stream(program: Program, plain_stream: TraceSegment,
       on the layout as long as code addresses are used only as jump
       targets (the contract of :meth:`Program.stream`).
 
-    The statics come out in first-execution order, as a
-    :class:`~repro.trace.format.MemorySink` over an execution would
-    intern them.  Raises :class:`TraceError` for a step the remap cannot
+    The statics come out in first-execution order, as
+    :func:`~repro.cpu.functional.committed_stream` interns them for an
+    execution.  Raises :class:`TraceError` for a step the remap cannot
     map — an indirect target that is not a plain instruction start, a
     return address that is also a label-valued data word at a page end,
     a load or store inside the text segment — naming the step and its

@@ -240,18 +240,59 @@ def committed_stream(program: Program, budget: int):
     """Execute ``program`` until ``budget`` useful (non-boundary)
     instructions have retired, or it halts, and return the committed
     stream as an in-memory :class:`~repro.trace.format.TraceSegment` —
-    the same steps a trace recorded over that window holds."""
-    from repro.trace.format import MemorySink, program_meta
-    sink = MemorySink()
-    sink.begin_segment(program_meta(
+    the same steps a trace recorded over that window holds.
+
+    Statics are interned by pc on first execution; each step appends
+    its static index and the aux payload its kind carries (see
+    :func:`~repro.trace.format.step_aux`)."""
+    from repro.trace.format import (
+        AUX_MEM_ADDR,
+        AUX_NEXT_PC,
+        AUX_NONE,
+        AUX_TAKEN,
+        TraceSegment,
+        aux_kind,
+        program_meta,
+    )
+    segment = TraceSegment(meta=program_meta(
         program, "instrumented" if program.instrumented else "plain"))
-    write = sink.write_step
-    executor = Executor(program, AddressSpace(program))
-    step = executor.step
+    instructions = segment.instructions
+    pcs = segment.pcs
+    index = segment.index.append
+    aux = segment.aux.append
+    # per text word: its static index (-1 until it executes); per
+    # static: the aux kind it carries (HALT: -1, it ends the stream)
+    # and whether it is useful
+    interned = [-1] * len(program.instructions)
+    aux_kinds: List[int] = []
+    useful_of: List[int] = []
+    text_base = program.text_base
+    step = Executor(program, AddressSpace(program)).step
     useful = 0
-    while useful < budget and not executor.halted:
+    while useful < budget:
         result = step()
-        write(result)
-        if not result.instr.is_boundary_branch:
-            useful += 1
-    return sink.segments[0]
+        word = (result.pc - text_base) >> 2
+        static = interned[word]
+        if static < 0:
+            instr = result.instr
+            static = interned[word] = len(instructions)
+            instructions.append(instr)
+            pcs.append(result.pc)
+            aux_kinds.append(-1 if instr.kind_code == 14
+                             else aux_kind(instr.kind_code))
+            useful_of.append(0 if instr.is_boundary_branch else 1)
+        index(static)
+        kind = aux_kinds[static]
+        if kind == AUX_NONE:
+            aux(-1)
+        elif kind == AUX_MEM_ADDR:
+            aux(result.mem_addr)
+        elif kind == AUX_TAKEN:
+            aux(1 if result.taken else 0)
+        elif kind == AUX_NEXT_PC:
+            aux(result.next_pc)
+        else:  # HALT
+            aux(-1)
+            break
+        useful += useful_of[static]
+    return segment

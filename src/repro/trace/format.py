@@ -145,13 +145,32 @@ def program_meta(program, binary: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+#: uncompressed bytes a :class:`TraceWriter` gathers before it hands
+#: them to its file: one ``GzipFile.write`` per mebibyte, not two or
+#: three per step
+_WRITE_CHUNK = 1 << 20
+
+#: a step record's fixed head: the tag and the static index
+_STEP_HEAD = struct.Struct("<BI")
+
+
 class TraceWriter:
-    """Streaming trace writer (one pass, constant memory).
+    """Streaming trace writer (one pass, bounded memory).
 
     Use as a context manager; :meth:`begin_segment` opens a segment for
-    each binary pass and :meth:`write_step` appends one committed
-    :class:`~repro.cpu.functional.StepResult`, interning its instruction
-    into the segment's static table the first time its pc executes.
+    each binary pass.  Steps arrive one at a time (:meth:`write_record`,
+    the importers' path) or as the leading steps of a
+    :class:`SegmentColumns` window (:meth:`write_columns`, recording's
+    path).  Either way an instruction is interned into the
+    segment's static table the first time its pc executes, so a static
+    always precedes its first step.
+
+    Items are encoded into one in-memory buffer, handed to the (gzip or
+    raw) file once it passes :data:`_WRITE_CHUNK` bytes (checked after
+    each record and after each window) and at :meth:`close`;
+    :meth:`abort` drops it with the partial file.
+    Deflate output does not depend on how its input is chunked, so the
+    file holds the bytes item-by-item writes would give.
     """
 
     def __init__(self, path: Union[str, Path], *, header: dict) -> None:
@@ -171,15 +190,29 @@ class TraceWriter:
         else:
             self._fh = raw
             self._raw = None
-        self.steps_written = 0
-        self.segments_written = 0
+        self._buf = bytearray()
+        self._handed = 0
         self._in_segment = False
         self._intern: Dict[int, int] = {}
         self._statics = 0
+        # write_columns: per source static index, its step head (None
+        # until first seen) and its aux kind
+        self._heads: List[Optional[bytes]] = []
+        self._aux_kinds: List[int] = []
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        self._fh.write(_PREAMBLE.pack(MAGIC, TRACE_VERSION, 0,
-                                      len(header_bytes)))
-        self._fh.write(header_bytes)
+        self._buf += _PREAMBLE.pack(MAGIC, TRACE_VERSION, 0,
+                                    len(header_bytes))
+        self._buf += header_bytes
+
+    @property
+    def bytes_written(self) -> int:
+        """Uncompressed bytes of every item written so far."""
+        return self._handed + len(self._buf)
+
+    def _hand_off(self) -> None:
+        self._fh.write(self._buf)
+        self._handed += len(self._buf)
+        self._buf = bytearray()
 
     # -- segments ------------------------------------------------------
 
@@ -187,30 +220,41 @@ class TraceWriter:
         if self._in_segment:
             self.end_segment()
         meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-        self._fh.write(_U8.pack(TAG_SEGMENT))
-        self._fh.write(_U32.pack(len(meta_bytes)))
-        self._fh.write(meta_bytes)
+        self._buf += _U8.pack(TAG_SEGMENT)
+        self._buf += _U32.pack(len(meta_bytes))
+        self._buf += meta_bytes
         self._in_segment = True
         self._intern = {}
         self._statics = 0
-        self.segments_written += 1
+        self._heads = []
+        self._aux_kinds = []
 
     def end_segment(self) -> None:
         if self._in_segment:
-            self._fh.write(_U8.pack(TAG_END_SEGMENT))
+            self._buf += _U8.pack(TAG_END_SEGMENT)
             self._in_segment = False
 
     # -- records -------------------------------------------------------
 
-    def _intern_instruction(self, pc: int, instr: Instruction) -> int:
+    def _check_segment(self) -> None:
+        if not self._in_segment:
+            raise TraceError("step written outside a segment "
+                             "(call begin_segment first)")
+
+    def _index_of(self, pc: int, instr: Instruction) -> int:
+        """The segment's static index of ``pc``, interning ``instr`` at
+        it the first time."""
+        index = self._intern.get(pc)
+        if index is not None:
+            return index
         index = self._statics
         flags = ((_STATIC_FLAG_INPAGE if instr.inpage_hint else 0)
                  | (_STATIC_FLAG_BOUNDARY if instr.is_boundary_branch else 0))
         target = _NO_TARGET if instr.target is None else instr.target
-        self._fh.write(_U8.pack(TAG_STATIC))
-        self._fh.write(_STATIC.pack(pc, _OP_TO_NUM[instr.op],
-                                    instr.rd, instr.rs, instr.rt,
-                                    instr.imm, target, flags))
+        self._buf += _U8.pack(TAG_STATIC)
+        self._buf += _STATIC.pack(pc, _OP_TO_NUM[instr.op],
+                                  instr.rd, instr.rs, instr.rt,
+                                  instr.imm, target, flags)
         self._intern[pc] = index
         self._statics = index + 1
         return index
@@ -223,20 +267,54 @@ class TraceWriter:
     def write_record(self, pc: int, instr: Instruction, aux: int) -> None:
         """Append one step record: ``instr``, executed at ``pc``, with
         its dynamic payload ``aux`` (see :func:`step_aux`)."""
-        if not self._in_segment:
-            raise TraceError("write_step outside a segment "
-                             "(call begin_segment first)")
-        index = self._intern.get(pc)
-        if index is None:
-            index = self._intern_instruction(pc, instr)
-        self._fh.write(_U8.pack(TAG_STEP))
-        self._fh.write(_U32.pack(index))
+        self._check_segment()
+        index = self._index_of(pc, instr)
+        buf = self._buf
+        buf += _STEP_HEAD.pack(TAG_STEP, index)
         kind = aux_kind(instr.kind_code)
         if kind == AUX_TAKEN:
-            self._fh.write(_U8.pack(1 if aux else 0))
+            buf.append(1 if aux else 0)
         elif kind != AUX_NONE:
-            self._fh.write(_U32.pack(aux))
-        self.steps_written += 1
+            buf += _U32.pack(aux)
+        if len(buf) >= _WRITE_CHUNK:
+            self._hand_off()
+
+    def write_columns(self, cols: "SegmentColumns",
+                      instructions: List[Instruction], stop: int) -> None:
+        """Append steps ``[0, stop)`` of ``cols``, one window of a stream
+        whose static ``i`` is ``instructions[i]`` — every window written
+        into one segment must index the same (growing) list, as a window
+        source's ``instructions`` does.
+
+        Each source static maps once to its step head and aux kind, so
+        a step costs a list lookup and one or two buffer appends."""
+        self._check_segment()
+        heads = self._heads
+        aux_kinds = self._aux_kinds
+        missing = len(instructions) - len(heads)
+        if missing > 0:
+            heads.extend([None] * missing)
+            aux_kinds.extend([AUX_NONE] * missing)
+        pcs = cols.pc
+        pack = _U32.pack
+        buf = self._buf
+        for i, idx, aux in zip(range(stop), cols.index, cols.aux):
+            head = heads[idx]
+            if head is None:
+                instr = instructions[idx]
+                head = heads[idx] = _STEP_HEAD.pack(
+                    TAG_STEP, self._index_of(pcs[i], instr))
+                aux_kinds[idx] = aux_kind(instr.kind_code)
+            buf += head
+            kind = aux_kinds[idx]
+            if kind == AUX_NONE:
+                continue
+            if kind == AUX_TAKEN:
+                buf.append(1 if aux else 0)
+            else:
+                buf += pack(aux)
+        if len(buf) >= _WRITE_CHUNK:
+            self._hand_off()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -244,19 +322,21 @@ class TraceWriter:
         if self._fh is None:
             return
         self.end_segment()
-        self._fh.write(_U8.pack(TAG_END_TRACE))
+        self._buf += _U8.pack(TAG_END_TRACE)
+        self._hand_off()
         self._fh.close()
         if self._raw is not None:
             self._raw.close()
         self._fh = None
 
     def abort(self) -> None:
-        """Discard the output: close without finalizing and delete the
-        partial file.  A recording that died mid-run must not leave a
-        well-formed-looking trace whose header promises a window it
-        never captured."""
+        """Discard the output: drop the buffer, close without
+        finalizing and delete the partial file.  A recording that died
+        mid-run must not leave a well-formed-looking trace whose header
+        promises a window it never captured."""
         if self._fh is None:
             return
+        self._buf = bytearray()
         try:
             self._fh.close()
         except OSError:
@@ -284,9 +364,8 @@ class TraceWriter:
 
 class MemorySink:
     """Builds :class:`TraceSegment` objects in memory, mirroring the
-    :class:`TraceWriter` surface (``begin_segment`` / ``write_step`` /
-    ``write_record``), so a producer of committed steps is
-    sink-agnostic."""
+    :class:`TraceWriter` surface (``begin_segment`` / ``write_record``),
+    so an importer is sink-agnostic."""
 
     def __init__(self) -> None:
         self.segments: List["TraceSegment"] = []
@@ -295,9 +374,6 @@ class MemorySink:
     def begin_segment(self, meta: dict) -> None:
         self.segments.append(TraceSegment(meta=meta))
         self._intern = {}
-
-    def write_step(self, step) -> None:
-        self.write_record(step.pc, step.instr, step_aux(step))
 
     def write_record(self, pc: int, instr: Instruction, aux: int) -> None:
         segment = self.segments[-1]

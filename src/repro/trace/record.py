@@ -8,43 +8,85 @@ derived from the plain one.  Recording is therefore no engine feature:
 :func:`~repro.sim.multi.run_all_schemes` evaluation, then writes each
 binary's stream — the first ``warmup + instructions`` useful
 instructions of it — through a :class:`~repro.trace.format.TraceWriter`,
-one segment per binary, each static at the pc its steps carry.  It
+one segment per binary, each static at the pc its steps carry.  The
+writer takes the stream's columns a window at a time, not step by step
+(:func:`write_pass`).  It
 returns the live run, so callers can immediately check record→replay
 equivalence.
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig, SchemeName
-from repro.trace.format import TraceWriter, iter_steps, program_meta
+from repro.trace.format import (
+    COL_FLAG_BOUNDARY,
+    TraceWriter,
+    program_meta,
+    trace_exhausted,
+)
 from repro.workloads.synthetic import link_slot
 
 
-def write_pass(writer: TraceWriter, program, budget: int) -> None:
+def _window_cut(cols, need: int) -> Tuple[int, int]:
+    """Where a pass that still needs ``need`` useful (non-boundary)
+    steps stops in the window ``cols``.
+
+    Returns ``(stop, left)``: the pass takes steps ``[0, stop)``.  When
+    its ``need``-th useful step or a HALT falls in the window, ``stop``
+    is just past it and ``left`` is 0; otherwise ``stop`` is the
+    window's length and ``left`` the useful steps still needed."""
+    n = cols.steps
+    try:
+        halt = cols.kind.index(14)  # HALT
+    except ValueError:
+        halt = n
+    # the need-th useful step sits one slot later per boundary step
+    # at or before it
+    last = need - 1
+    boundaries = (i for i, flag in enumerate(cols.flags)
+                  if flag & COL_FLAG_BOUNDARY)
+    for position in boundaries:
+        if position > last:
+            break
+        last += 1
+    end = min(last, halt)
+    if end < n:
+        return end + 1, 0
+    return n, last - n + 1
+
+
+def write_pass(writer: TraceWriter, program, budget: int) -> int:
     """Write ``program``'s committed stream as one segment: every step
     up to the ``budget``-th useful (non-boundary) instruction, or up to
     a HALT — exactly the steps a fast-engine pass of that window
-    retires."""
+    retires.  Returns the steps written.
+
+    The stream is walked window by window: each window's cut comes
+    from its ``kind`` and ``flags`` columns, and its leading steps go
+    to :meth:`~repro.trace.format.TraceWriter.write_columns` in one
+    call."""
     binary = "instrumented" if program.instrumented else "plain"
     writer.begin_segment(program_meta(program, binary))
-    source = program.window_source(budget)
-    try:
-        useful = 0
-        steps = iter_steps(source) if budget > 0 else ()
-        for pc, instr, aux in steps:
-            writer.write_record(pc, instr, aux)
-            if instr.kind_code == 14:  # HALT
-                break
-            if not instr.is_boundary_branch:
-                useful += 1
-                if useful == budget:
-                    break
-    finally:
-        source.close()
+    steps = 0
+    if budget > 0:
+        source = program.window_source(budget)
+        try:
+            need = budget
+            while need:
+                cols = source.next_window()
+                if cols is None:
+                    raise trace_exhausted(steps)
+                stop, need = _window_cut(cols, need)
+                writer.write_columns(cols, source.instructions, stop)
+                steps += stop
+        finally:
+            source.close()
     writer.end_segment()
+    return steps
 
 
 def record_trace(workload, config: MachineConfig, *,
@@ -64,8 +106,15 @@ def record_trace(workload, config: MachineConfig, *,
     repeats it under that size), so one trace file can serve the
     page-size sensitivity sweep; the returned run is always the one at
     ``config``'s own page size.
+
+    Each segment written emits a debug ``trace.record`` event
+    (``binary``, ``page_bytes``, ``steps``, uncompressed ``bytes``, and
+    the ``seconds`` of the write alone, so a run can tell recording from
+    the engine passes this function also runs; the writer's last buffer
+    hand-off, at close, falls in no segment).
     """
     from repro.sim.multi import run_all_schemes
+    from repro.telemetry import emit
 
     if isinstance(workload, str):
         from repro.workloads.registry import resolve
@@ -100,8 +149,16 @@ def record_trace(workload, config: MachineConfig, *,
                    for name in run.instrumented.schemes):
                 binaries.append(True)
             for instrumented in binaries:
-                write_pass(writer, workload.link(
-                    page_bytes=size, instrumented=instrumented), budget)
+                program = workload.link(page_bytes=size,
+                                        instrumented=instrumented)
+                before = writer.bytes_written
+                started = time.perf_counter()
+                steps = write_pass(writer, program, budget)
+                emit("trace.record", level="debug",
+                     binary="instrumented" if instrumented else "plain",
+                     page_bytes=size, steps=steps,
+                     bytes=writer.bytes_written - before,
+                     seconds=round(time.perf_counter() - started, 6))
             if size == config.mem.page_bytes:
                 primary = run
         return primary

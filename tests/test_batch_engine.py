@@ -722,11 +722,56 @@ class TestBenchHarness:
         step = 0.25  # a run spans one clock tick
         monkeypatch.setattr(bench.time, "perf_counter",
                             lambda: next(clock) * step)
-        assert bench._time(lambda: 7, 1, 1.0) == (0.25, 0.25, 7, 4)
-        assert bench._time(lambda: 7, 5, 1.0)[3] == 5
-        assert bench._time(lambda: 7, 2)[3] == 2
+        assert bench._time_rows([lambda: 7], 1, 1.0) \
+            == [(0.25, 0.25, 7, 4)]
+        assert bench._time_rows([lambda: 7], 5, 1.0)[0][3] == 5
+        assert bench._time_rows([lambda: 7], 2)[0][3] == 2
         step = 2.0  # longer than the minimum
-        assert bench._time(lambda: 7, 1, 1.0)[3] == 1
+        assert bench._time_rows([lambda: 7], 1, 1.0)[0][3] == 1
+
+    def test_two_row_views_run_their_rows_in_turn(self, monkeypatch):
+        """The rows of a two-row view alternate run by run, so host
+        drift hits both alike: independent/grid and eager/windowed
+        interleave, and every row of a view runs equally often."""
+        import itertools
+
+        from repro import bench
+        ticks = itertools.count()
+        step = 0.25
+        monkeypatch.setattr(bench.time, "perf_counter",
+                            lambda: next(ticks) * step)
+        calls = []
+
+        def row(name):
+            return lambda: calls.append(name) or 7
+
+        # the slower first run sets the count for both rows
+        assert bench._time_rows([row("a"), row("b")], 1, 1.0) \
+            == [(0.25, 0.25, 7, 4), (0.25, 0.25, 7, 4)]
+        assert calls == ["a", "b"] * 4
+
+        calls.clear()
+        step = 2.0  # every run outlasts the stream minimum
+        solo, grid = bench.run_all_schemes, bench.run_all_schemes_grid
+
+        def logged_solo(workload, *args, **kwargs):
+            windowed = getattr(workload, "trace", None) is not None \
+                and workload.trace.window_steps
+            calls.append("windowed" if windowed else "solo")
+            return solo(workload, *args, **kwargs)
+
+        def logged_grid(*args, **kwargs):
+            calls.append("grid")
+            return grid(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_all_schemes", logged_solo)
+        monkeypatch.setattr(bench, "run_all_schemes_grid", logged_grid)
+        bench.bench_workload("177.mesa", GOLDEN_MESA, instructions=300,
+                             warmup=50, repeats=2)
+        independent = ["solo"] * len(bench.GRID_POINTS)
+        assert calls == (["solo"] * 2  # job view
+                         + (independent + ["grid"]) * 2
+                         + ["solo", "windowed"] * 2)
 
     def test_cli_bench_writes_report(self, tmp_path, capsys):
         from repro.cli import main
