@@ -3,9 +3,9 @@
 Demonstrates the trace subsystem end to end:
 
 1. record the committed stream of a microbenchmark (both binaries) to a
-   gzip trace file, keeping the live result;
-2. replay the file through the unchanged machinery and verify the runs
-   are bit-identical;
+   gzip trace file;
+2. run the workload live and replay the file through the unchanged
+   machinery, and verify the two runs are bit-identical;
 3. sweep iTLB sizes over the *trace* through the runner — the committed
    stream is architectural, so one recording serves every same-page-size
    machine configuration.
@@ -27,6 +27,7 @@ from repro import (
     record_trace,
     run_all_schemes,
 )
+from repro.workloads import registry
 
 INSTRUCTIONS, WARMUP = 4_000, 800
 
@@ -34,13 +35,14 @@ workdir = Path(tempfile.mkdtemp(prefix="repro-trace-"))
 trace_path = workdir / "taken_pattern.trace.gz"
 config = default_config()
 
-# 1. record (runs the workload live; the trace is a side effect)
-live = record_trace("micro.taken_pattern", config,
-                    instructions=INSTRUCTIONS, warmup=WARMUP,
-                    path=trace_path)
+# 1. record (writes the committed streams; runs no evaluation)
+record_trace("micro.taken_pattern", config, instructions=INSTRUCTIONS,
+             warmup=WARMUP, path=trace_path)
 print(f"recorded {trace_path} ({trace_path.stat().st_size:,} bytes)")
 
-# 2. replay and compare, counter for counter
+# 2. run live, replay, and compare, counter for counter
+live = run_all_schemes(registry.resolve("micro.taken_pattern"), config,
+                       instructions=INSTRUCTIONS, warmup=WARMUP)
 workload = load_trace_workload(trace_path)
 replay = run_all_schemes(workload, config, instructions=INSTRUCTIONS,
                          warmup=WARMUP)

@@ -24,7 +24,8 @@ Four views are measured per workload:
     :func:`~repro.sim.multi.run_all_schemes_grid` pass.  Both rows
     retire the same summed instruction count, so the speedup ratio is
     a pure wall-clock ratio, and every member is compared with its
-    independent job for bit-identity.
+    independent job for bit-identity.  Each row is timed over at least
+    :data:`ROW_MIN_SECONDS`, as the ``stream`` rows are.
 ``stream``
     The memory/speed trade of windowed decode: a full job with the
     decoded-trace cache cleared, once decoding eagerly (``eager`` row)
@@ -34,7 +35,7 @@ Four views are measured per workload:
     held at once (for eager, the full segment) — so the JSON carries
     the memory bound next to the throughput cost of honouring it.  The
     two runs are compared for bit-identity.  Each row is timed over at
-    least :data:`STREAM_MIN_SECONDS`, its run count derived from the
+    least :data:`ROW_MIN_SECONDS`, its run count derived from the
     first runs' durations.
 
 The two rows of a ``grid`` or ``stream`` view run in turn, run by run
@@ -85,9 +86,10 @@ MESA = "177.mesa"
 #: iTLB geometries the ``grid`` view sweeps (fully associative entries)
 GRID_POINTS = (1, 2, 4, 8, 16, 32)
 
-#: the least wall time a ``stream`` row is timed over: best-of-5 of a
-#: micro job (tens of ms) swings the ratio past :data:`RATIO_DROP_LIMIT`
-STREAM_MIN_SECONDS = 1.0
+#: the least wall time a row of a two-row view (``grid``, ``stream``)
+#: is timed over: best-of-5 of a micro job or grid pass (tens of ms)
+#: swings the ratio past :data:`RATIO_DROP_LIMIT`
+ROW_MIN_SECONDS = 1.0
 
 #: how far a view's ratio may fall below the previous report's before
 #: :func:`compare_reports` calls it a regression.  Ratios, not instr/s,
@@ -124,10 +126,11 @@ def _time_rows(fns: Sequence[Callable[[], int]], repeats: int,
     host drift hits every row alike; returns one (best, mean,
     instructions, runs) per row.
 
-    Every row runs ``repeats`` times, or as many more as the slowest
-    row's first run needs to fill ``min_seconds``.  Each ``fn`` returns
-    the number of instructions it retired; min-of-N wall time filters
-    scheduler noise (the canonical bench discipline)."""
+    Every row runs ``repeats`` times, or as many more as the fastest
+    row's first run needs to fill ``min_seconds``, so each row is timed
+    over at least that.  Each ``fn`` returns the number of instructions
+    it retired; min-of-N wall time filters scheduler noise (the
+    canonical bench discipline)."""
     times: List[List[float]] = [[] for _ in fns]
     retired = [0] * len(fns)
     rounds = 0
@@ -249,7 +252,7 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
 
     record("grid", [("independent", run_independent),
                     ("grid", run_gridded)],
-           f", {len(GRID_POINTS)} geometries")
+           f", {len(GRID_POINTS)} geometries", ROW_MIN_SECONDS)
     for solo, member in zip(grid_runs["independent"], grid_runs["grid"]):
         if (json.dumps(solo.to_dict(), sort_keys=True)
                 != json.dumps(member.to_dict(), sort_keys=True)):
@@ -286,7 +289,7 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
 
     record("stream", [("eager", run_stream("eager", None)),
                       ("windowed", run_stream("windowed", window_bytes))],
-           min_seconds=STREAM_MIN_SECONDS)
+           min_seconds=ROW_MIN_SECONDS)
     records[-2].peak_window_bytes = full_bytes
     records[-1].peak_window_bytes = stream_peak["bytes"]
     if (json.dumps(stream_runs["eager"].to_dict(), sort_keys=True)

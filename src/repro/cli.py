@@ -311,9 +311,8 @@ def _run_trace(args: argparse.Namespace,
         return 0
     if args.trace_command == "record":
         _check_workloads([args.workload], parser)
-        config = default_config(CacheAddressing(args.il1))
         try:
-            record_trace(args.workload, config,
+            record_trace(args.workload, default_config(),
                          instructions=args.instructions,
                          warmup=args.warmup, path=args.output,
                          page_sizes=args.page_sizes)
@@ -720,11 +719,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "(replays can use any window up to "
                                "warmup + instructions)")
     t_record.add_argument("--warmup", type=int, default=20_000)
-    t_record.add_argument("--il1", default="vi-pt",
-                          choices=[a.value for a in CacheAddressing],
-                          help="recording configuration (only the page "
-                               "size binds the trace; any same-page-size "
-                               "machine can replay it)")
     t_record.add_argument("--page-sizes", nargs="*", type=int, default=None,
                           metavar="BYTES",
                           help="record extra binary pairs at these page "

@@ -244,7 +244,7 @@ def committed_stream(program: Program, budget: int):
 
     Statics are interned by pc on first execution; each step appends
     its static index and the aux payload its kind carries (see
-    :func:`~repro.trace.format.step_aux`)."""
+    :func:`~repro.trace.format.aux_kind` and docs/trace-format.md)."""
     from repro.trace.format import (
         AUX_MEM_ADDR,
         AUX_NEXT_PC,

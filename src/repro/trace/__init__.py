@@ -2,12 +2,12 @@
 
 The paper's evaluation is driven by instruction streams; this subsystem
 makes streams first-class.  :func:`~repro.trace.record.record_trace`
-writes the committed stream of any live run into a versioned,
+writes the committed streams of any workload into a versioned,
 self-describing binary file (:mod:`repro.trace.format`), and
 :class:`~repro.trace.replay.TraceWorkload` replays such a file through
 the unchanged TLB/cache/branch/energy machinery — bit-identical to the
-recorded run, and sweepable over any configuration that shares the
-trace's page size.
+live run, and sweepable over any configuration that shares the trace's
+page size.
 
 Trace files enter the rest of the system by *name*: the workload
 registry resolves ``trace:<path>``, and :class:`~repro.runner.JobSpec`

@@ -108,20 +108,6 @@ def aux_kind(kind_code: int) -> int:
     return AUX_NONE
 
 
-def step_aux(step) -> int:
-    """The dynamic payload a step record of ``step`` (a
-    :class:`~repro.cpu.functional.StepResult`) carries: the taken flag,
-    the indirect target, the memory address, or ``-1``."""
-    kind = aux_kind(step.instr.kind_code)
-    if kind == AUX_TAKEN:
-        return 1 if step.taken else 0
-    if kind == AUX_NEXT_PC:
-        return step.next_pc
-    if kind == AUX_MEM_ADDR:
-        return step.mem_addr
-    return -1
-
-
 def program_meta(program, binary: str) -> dict:
     """The segment metadata replay needs: which binary this is, plus the
     program geometry that makes :class:`~repro.vm.os_model.AddressSpace`
@@ -259,14 +245,11 @@ class TraceWriter:
         self._statics = index + 1
         return index
 
-    def write_step(self, step) -> None:
-        """Append one committed step (a
-        :class:`~repro.cpu.functional.StepResult`)."""
-        self.write_record(step.pc, step.instr, step_aux(step))
-
     def write_record(self, pc: int, instr: Instruction, aux: int) -> None:
         """Append one step record: ``instr``, executed at ``pc``, with
-        its dynamic payload ``aux`` (see :func:`step_aux`)."""
+        its dynamic payload ``aux``: the taken flag, the indirect
+        target, the memory address, or ``-1``, as :func:`aux_kind` of
+        its kind selects (see docs/trace-format.md)."""
         self._check_segment()
         index = self._index_of(pc, instr)
         buf = self._buf

@@ -479,7 +479,8 @@ def emit_segment(importer: Importer, scan: ScanResult,
                 target=(None if entry.target is None
                         else entry.target + delta))
             intern[event.pc] = instr
-        # the step's aux payload (see repro.trace.format.step_aux)
+        # the step's aux payload (see repro.trace.format.aux_kind
+        # and docs/trace-format.md)
         kind = instr.kind_code
         aux = -1
         if kind == InstrKind.COND_BRANCH:

@@ -1,18 +1,16 @@
-"""Recording: write the committed stream of a live run to a trace.
+"""Recording: write a workload's committed streams to a trace.
 
 A fast-engine pass consumes its program's committed stream, which the
 program keeps once built (see :meth:`repro.isa.program.Program.stream`):
 the plain binary executes once, and each instrumented binary's stream is
-derived from the plain one.  Recording is therefore no engine feature:
-:func:`record_trace` runs the standard
-:func:`~repro.sim.multi.run_all_schemes` evaluation, then writes each
-binary's stream — the first ``warmup + instructions`` useful
+derived from the plain one.  Recording is therefore no engine feature
+and runs no evaluation: :func:`record_trace` links each binary and
+writes its stream — the first ``warmup + instructions`` useful
 instructions of it — through a :class:`~repro.trace.format.TraceWriter`,
 one segment per binary, each static at the pc its steps carry.  The
 writer takes the stream's columns a window at a time, not step by step
-(:func:`write_pass`).  It
-returns the live run, so callers can immediately check record→replay
-equivalence.
+(:func:`write_pass`).  To compare a replay against the live run, run
+the live workload with :func:`~repro.sim.multi.run_all_schemes`.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.config import MachineConfig, SchemeName
+from repro.config import MachineConfig
 from repro.trace.format import (
     COL_FLAG_BOUNDARY,
     TraceWriter,
@@ -92,28 +90,29 @@ def write_pass(writer: TraceWriter, program, budget: int) -> int:
 def record_trace(workload, config: MachineConfig, *,
                  instructions: int, warmup: int = 0,
                  path: Union[str, Path],
-                 schemes: Optional[Sequence[SchemeName]] = None,
-                 page_sizes: Optional[Sequence[int]] = None):
-    """Run ``workload`` live (both binaries) while recording it to
-    ``path``; returns the live :class:`~repro.sim.multi.CombinedRun`.
+                 page_sizes: Optional[Sequence[int]] = None) -> None:
+    """Record ``workload``'s committed streams (both binaries) to
+    ``path``.
 
     ``workload`` is a registry name or a workload object.  The recorded
     window is ``warmup + instructions`` useful instructions per binary —
-    a replay can use any window up to that size.  ``page_sizes`` records
-    additional binary pairs linked at other page sizes (the instrumented
-    binary's layout, hence its committed stream, depends on the page
-    size; the plain stream does not, and each size's plain segment
-    repeats it under that size), so one trace file can serve the
-    page-size sensitivity sweep; the returned run is always the one at
-    ``config``'s own page size.
+    a replay can use any window up to that size.  Only ``config``'s page
+    size binds the trace: any machine at that page size can replay it.
+    ``page_sizes`` records additional binary pairs linked at other page
+    sizes (the instrumented binary's layout, hence its committed stream,
+    depends on the page size; the plain stream does not, and each size's
+    plain segment repeats it under that size), so one trace file can
+    serve the page-size sensitivity sweep.
 
     Each segment written emits a debug ``trace.record`` event
     (``binary``, ``page_bytes``, ``steps``, uncompressed ``bytes``, and
-    the ``seconds`` of the write alone, so a run can tell recording from
-    the engine passes this function also runs; the writer's last buffer
-    hand-off, at close, falls in no segment).
+    ``seconds``).  No engine pass runs, so writing a segment also builds
+    its stream unless an earlier segment did — it executes the program,
+    derives the stream from the plain one, or decodes the trace — and
+    its ``seconds`` then covers that build as well as the write (the
+    ``program.stream`` event times a live program's build on its own).
+    The writer's last buffer hand-off, at close, falls in no segment.
     """
-    from repro.sim.multi import run_all_schemes
     from repro.telemetry import emit
 
     if isinstance(workload, str):
@@ -132,23 +131,11 @@ def record_trace(workload, config: MachineConfig, *,
         "page_sizes": sizes,
     }
     budget = warmup + instructions
-    # the slot hands the writer the very programs the passes ran on,
-    # whose streams are already built
+    # in the slot, the plain layout is linked and executed once; every
+    # page size's binaries are made from it
     with TraceWriter(path, header=header) as writer, link_slot():
-        primary = None
         for size in sizes:
-            sized = (config if size == config.mem.page_bytes
-                     else config.with_page_bytes(size))
-            run = run_all_schemes(
-                workload, sized, instructions=instructions, warmup=warmup,
-                schemes=schemes)
-            # the plain stream always (the instrumented one is derived
-            # from it), the instrumented one when the run executed it
-            binaries = [False]
-            if any(name.needs_instrumented_binary
-                   for name in run.instrumented.schemes):
-                binaries.append(True)
-            for instrumented in binaries:
+            for instrumented in (False, True):
                 program = workload.link(page_bytes=size,
                                         instrumented=instrumented)
                 before = writer.bytes_written
@@ -159,6 +146,3 @@ def record_trace(workload, config: MachineConfig, *,
                      page_bytes=size, steps=steps,
                      bytes=writer.bytes_written - before,
                      seconds=round(time.perf_counter() - started, 6))
-            if size == config.mem.page_bytes:
-                primary = run
-        return primary

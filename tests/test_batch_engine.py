@@ -443,7 +443,8 @@ class TestEngineSelection:
             program, instructions=200)
         assert result.engine == "fast"
 
-    def test_recording_falls_back_to_scalar(self, tmp_path):
+    def test_re_recording_a_trace_writes_the_replayed_stream(self,
+                                                             tmp_path):
         """Recording over a replay writes the replayed stream back out:
         the same bytes a recording of the live stand-in writes."""
         out = tmp_path / "rerecord.trace.gz"
@@ -729,6 +730,35 @@ class TestBenchHarness:
         step = 2.0  # longer than the minimum
         assert bench._time_rows([lambda: 7], 1, 1.0)[0][3] == 1
 
+    def test_the_faster_row_sets_the_run_count(self, monkeypatch):
+        """Rows of 0.5 s and 0.125 s under a 1 s minimum both run 8
+        times, so the faster row too is timed over the minimum; the
+        grid and stream views both ask for it."""
+        from repro import bench
+        clock = [0.0]
+        monkeypatch.setattr(bench.time, "perf_counter", lambda: clock[0])
+
+        def row(seconds):
+            def run():
+                clock[0] += seconds
+                return 7
+            return run
+
+        assert bench._time_rows([row(0.5), row(0.125)], 2, 1.0) \
+            == [(0.5, 0.5, 7, 8), (0.125, 0.125, 7, 8)]
+        asked = []
+
+        def once(fns, repeats, min_seconds=0.0):
+            asked.append((len(fns), min_seconds))
+            return [(1.0, 1.0, fn(), repeats) for fn in fns]
+
+        monkeypatch.setattr(bench, "_time_rows", once)
+        bench.bench_workload("177.mesa", GOLDEN_MESA, instructions=300,
+                             warmup=50, repeats=1)
+        assert asked == [(1, 0.0), (1, 0.0),
+                         (2, bench.ROW_MIN_SECONDS),
+                         (2, bench.ROW_MIN_SECONDS)]
+
     def test_two_row_views_run_their_rows_in_turn(self, monkeypatch):
         """The rows of a two-row view alternate run by run, so host
         drift hits both alike: independent/grid and eager/windowed
@@ -745,13 +775,13 @@ class TestBenchHarness:
         def row(name):
             return lambda: calls.append(name) or 7
 
-        # the slower first run sets the count for both rows
+        # both rows run as often as the minimum needs
         assert bench._time_rows([row("a"), row("b")], 1, 1.0) \
             == [(0.25, 0.25, 7, 4), (0.25, 0.25, 7, 4)]
         assert calls == ["a", "b"] * 4
 
         calls.clear()
-        step = 2.0  # every run outlasts the stream minimum
+        step = 2.0  # every run outlasts the row minimum
         solo, grid = bench.run_all_schemes, bench.run_all_schemes_grid
 
         def logged_solo(workload, *args, **kwargs):

@@ -21,6 +21,7 @@ import pytest
 from reference_link import reference_link
 from repro.compiler.instrument import instrument_module, instrument_program
 from repro.config import default_config
+from repro.cpu.fast import FastEngine
 from repro.cpu.functional import committed_stream
 from repro.errors import AssemblyError, LayoutError, TraceError
 from repro.isa.assembler import Assembler, link, place_boundary_branches
@@ -247,15 +248,23 @@ class TestFailsLoudly:
 
 class TestRecordedBytes:
     @pytest.mark.parametrize("bench", BENCHMARK_NAMES)
-    def test_recording_equals_the_executed_streams(self, tmp_path, bench):
+    def test_recording_equals_the_executed_streams(self, tmp_path, bench,
+                                                   monkeypatch):
         """A trace recorded from derived streams has the bytes of one
-        written from executed ones, at 4 and 8 KB pages."""
+        written from executed ones, at 4 and 8 KB pages; the recording
+        runs no engine pass."""
         config = default_config()
         instructions, warmup = 1200, 300
         budget = instructions + warmup
         recorded = tmp_path / "recorded.trace.gz"
-        record_trace(bench, config, instructions=instructions,
-                     warmup=warmup, path=recorded, page_sizes=[8192])
+
+        def no_engine_pass(*args, **kwargs):
+            raise AssertionError("recording ran an engine pass")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(FastEngine, "_run_measured", no_engine_pass)
+            record_trace(bench, config, instructions=instructions,
+                         warmup=warmup, path=recorded, page_sizes=[8192])
         executed = tmp_path / "executed.trace.gz"
         header = {
             "format": "repro-itlb instruction trace", "workload": bench,

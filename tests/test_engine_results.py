@@ -150,13 +150,11 @@ def test_live_and_replay_reproduce_the_digests(golden, stream, tmp_path):
     first = cases[0]
     path = tmp_path / "case.trace"  # uncompressed: quicker to write
     with _workload(first) as workload, link_slot():
-        # recording runs the first case live; the other cases share the
-        # programs, and so the stream, it executed
-        live = {first.id: _digest(record_trace(
-            workload, first.config(), instructions=INSTRUCTIONS,
-            warmup=first.warmup, path=path))}
-        live.update((case.id, _digest(_run(workload, case)))
-                    for case in cases[1:])
+        # the live runs share the programs, and so the streams, the
+        # recording built
+        record_trace(workload, first.config(), instructions=INSTRUCTIONS,
+                     warmup=first.warmup, path=path)
+        live = {case.id: _digest(_run(workload, case)) for case in cases}
     assert live == expected
     replay = load_trace_workload(path)
     assert {case.id: _digest(_run(replay, case))

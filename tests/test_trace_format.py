@@ -17,7 +17,6 @@ import pytest
 
 from repro import telemetry
 from repro.config import default_config
-from repro.cpu.functional import StepResult
 from repro.errors import TraceError
 from repro.isa.instructions import Instruction, Opcode
 from repro.trace import format as trace_format
@@ -57,13 +56,6 @@ def _meta(**overrides):
     return meta
 
 
-def _step(instr, pc, **kw):
-    defaults = dict(pc=pc, next_pc=pc + 4,
-                    taken=False, mem_addr=None, is_store=False)
-    defaults.update(kw)
-    return StepResult(instr=instr, **defaults)
-
-
 def _write_sample(path):
     """A small two-segment trace exercising every aux payload."""
     alu = Instruction(Opcode.ADDI, rd=8, rs=8, imm=1)
@@ -73,16 +65,14 @@ def _write_sample(path):
     with TraceWriter(path, header={"workload": "sample",
                                    "instructions": 4}) as writer:
         writer.begin_segment(_meta())
-        writer.write_step(_step(alu, 0x400000))
-        writer.write_step(_step(load, 0x400004, mem_addr=0x10000000))
-        writer.write_step(_step(br, 0x400008, taken=True,
-                                next_pc=0x400000))
-        writer.write_step(_step(alu, 0x400000))
-        writer.write_step(_step(ret, 0x40000C, taken=True,
-                                next_pc=0x400010))
+        writer.write_record(0x400000, alu, -1)
+        writer.write_record(0x400004, load, 0x10000000)  # mem_addr
+        writer.write_record(0x400008, br, 1)  # taken
+        writer.write_record(0x400000, alu, -1)
+        writer.write_record(0x40000C, ret, 0x400010)  # next_pc
         writer.begin_segment(_meta(binary="instrumented",
                                    instrumented=True))
-        writer.write_step(_step(alu, 0x400000))
+        writer.write_record(0x400000, alu, -1)
     return path
 
 
@@ -272,7 +262,7 @@ class TestMalformedInput:
         writer = TraceWriter(tmp_path / "w.trace", header={})
         instr = Instruction(Opcode.NOP)
         with pytest.raises(TraceError, match="outside a segment"):
-            writer.write_step(_step(instr, 0x400000))
+            writer.write_record(0x400000, instr, -1)
         writer.close()
 
 

@@ -36,10 +36,13 @@ def trace_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def loop_trace(trace_dir):
-    """One recorded microbenchmark shared by the runner tests."""
+    """One recorded microbenchmark, and its live run, shared by the
+    runner tests."""
     path = trace_dir / "loop.trace.gz"
-    live = record_trace("micro.taken_pattern", default_config(),
-                        instructions=1500, warmup=200, path=path)
+    record_trace("micro.taken_pattern", default_config(),
+                 instructions=1500, warmup=200, path=path)
+    live = run_all_schemes(registry.resolve("micro.taken_pattern"),
+                           default_config(), instructions=1500, warmup=200)
     return path, live
 
 
@@ -49,8 +52,10 @@ class TestRecordReplayEquivalence:
     def test_every_microbenchmark_round_trips(self, name, trace_dir):
         config = default_config()
         path = trace_dir / f"{name}.trace.gz"
-        live = record_trace(name, config, instructions=2000, warmup=200,
-                            path=path)
+        record_trace(name, config, instructions=2000, warmup=200,
+                     path=path)
+        live = run_all_schemes(registry.resolve(name), config,
+                               instructions=2000, warmup=200)
         replay = run_all_schemes(load_trace_workload(path), config,
                                  instructions=2000, warmup=200)
         assert _canonical(replay) == _canonical(live)
@@ -65,9 +70,10 @@ class TestRecordReplayEquivalence:
         for short in registry.MICROBENCH_NAMES:
             name = f"micro.{short}"
             path = trace_dir / f"{name}.par.trace.gz"
-            live_runs.append(record_trace(name, config,
-                                          instructions=2000, warmup=200,
-                                          path=path))
+            record_trace(name, config, instructions=2000, warmup=200,
+                         path=path)
+            live_runs.append(run_all_schemes(registry.resolve(name), config,
+                                             instructions=2000, warmup=200))
             specs.append(JobSpec(workload=f"trace:{path}", config=config,
                                  instructions=2000, warmup=200))
         results = SweepRunner(workers=2).run(specs)
@@ -78,8 +84,10 @@ class TestRecordReplayEquivalence:
     def test_spec_standin_round_trips(self, trace_dir, mesa_workload):
         config = default_config()
         path = trace_dir / "mesa.trace.gz"
-        live = record_trace(mesa_workload, config, instructions=4000,
-                            warmup=800, path=path)
+        record_trace(mesa_workload, config, instructions=4000,
+                     warmup=800, path=path)
+        live = run_all_schemes(mesa_workload, config, instructions=4000,
+                               warmup=800)
         replay = run_all_schemes(load_trace_workload(path), config,
                                  instructions=4000, warmup=800)
         assert _canonical(replay) == _canonical(live)
@@ -112,17 +120,6 @@ class TestRecordReplayEquivalence:
                                  instructions=600, warmup=100)
         assert _canonical(replay) == _canonical(live)
 
-    def test_scheme_subset_records_both_binaries(self, trace_dir,
-                                                 loop_trace):
-        """A recording under an instrumented-only scheme set still holds
-        the plain segment: the file is the one a full-set recording
-        writes."""
-        path = trace_dir / "ia-only.trace.gz"
-        record_trace("micro.taken_pattern", default_config(),
-                     instructions=1500, warmup=200, path=path,
-                     schemes=(SchemeName.IA,))
-        assert path.read_bytes() == loop_trace[0].read_bytes()
-
     def test_window_longer_than_trace_raises(self, loop_trace):
         path, _ = loop_trace
         with pytest.raises(TraceError, match="exhausted"):
@@ -138,6 +135,20 @@ class TestRecordReplayEquivalence:
         with pytest.raises(TraceError, match="exhausted"):
             record_trace(load_trace_workload(path), default_config(),
                          instructions=50_000, warmup=200, path=out)
+        assert not out.exists()
+
+    def test_re_recording_at_a_missing_page_size_leaves_no_file(
+            self, loop_trace, tmp_path):
+        """Re-recording a trace at a page size it lacks fails when that
+        size's binary is linked, after the file's own sizes were
+        written, and still leaves no file."""
+        path, _ = loop_trace
+        out = tmp_path / "resized.trace.gz"
+        with pytest.raises(TraceError, match="no plain segment for "
+                                             "8192-byte pages"):
+            record_trace(f"trace:{path}", default_config(),
+                         instructions=1500, warmup=200, path=out,
+                         page_sizes=[8192])
         assert not out.exists()
 
     def test_detailed_engine_rejected(self, loop_trace):
