@@ -974,8 +974,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"'{args.trace_window}' (try '4m', '512k', or a plain "
                 "byte count)")
         # environment, not a parameter: pool/queue workers inherit it,
-        # so one flag sizes the whole fleet (the REPRO_TRACE_LRU_*
-        # precedent)
+        # so one flag sizes the whole fleet
         os.environ["REPRO_TRACE_WINDOW"] = args.trace_window
     if getattr(args, "backend", None) is not None:
         # fail fast for report/experiment too, where the string would

@@ -1162,52 +1162,13 @@ def trace_window_bytes() -> Optional[int]:
 # Decoded-trace memoization
 # ---------------------------------------------------------------------------
 
-#: how many decoded traces one process keeps alive at once.  Sweeps
-#: typically iterate configs over a handful of traces; the decoded form
-#: (instructions + flat columns) is a few MB per trace, so a
-#: small LRU captures the reuse without unbounded growth.  The default
-#: can be overridden per process with ``REPRO_TRACE_LRU_CAPACITY``
-#: (pool and queue workers inherit the parent's environment, so one
-#: export sizes the whole fleet).
+#: how many decoded traces one process keeps alive at once.  A sweep
+#: runs a trace's units back to back, so it reuses the newest entry;
+#: the other slots serve pool and queue workers, which take units in
+#: any order.  The decoded form (instructions + flat columns) is a few
+#: MB per trace, so a small LRU captures the reuse without unbounded
+#: growth.
 TRACE_CACHE_CAPACITY = 8
-
-#: decoded-byte budget for the LRU; 0 = unbounded (the entry cap alone
-#: governs).  Override per process with ``REPRO_TRACE_LRU_BYTES`` —
-#: a handful of huge traces can blow memory while staying comfortably
-#: under the 8-entry cap, and a byte budget is the honest unit.
-TRACE_CACHE_BYTES = 0
-
-
-def trace_cache_bytes() -> int:
-    """The effective LRU byte budget: ``$REPRO_TRACE_LRU_BYTES`` when
-    set to a parsable positive size (``k``/``m``/``g`` suffixes), else
-    :data:`TRACE_CACHE_BYTES` (0 = no byte bound)."""
-    value = parse_byte_size(os.environ.get("REPRO_TRACE_LRU_BYTES"))
-    return value if value else TRACE_CACHE_BYTES
-
-
-def _trace_nbytes(trace: TraceFile) -> int:
-    """Decoded-column footprint estimate of one cached trace: the flat
-    columns dominate the decoded form, so the byte-budgeted eviction
-    charges :data:`COLUMN_BYTES_PER_STEP` per step."""
-    return sum(COLUMN_BYTES_PER_STEP * segment.steps
-               for segment in trace.segments)
-
-
-def trace_cache_capacity() -> int:
-    """The effective LRU capacity: ``$REPRO_TRACE_LRU_CAPACITY`` when
-    set to a positive integer, else :data:`TRACE_CACHE_CAPACITY`.
-    Unparsable or non-positive values are ignored rather than fatal —
-    a misspelled environment variable must not fail every sweep."""
-    raw = os.environ.get("REPRO_TRACE_LRU_CAPACITY")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return TRACE_CACHE_CAPACITY
-        if value > 0:
-            return value
-    return TRACE_CACHE_CAPACITY
 
 #: (realpath, sha256) -> decoded TraceFile, most recently used last.
 #: Keyed by *content*, not just path: an edited trace digests
@@ -1216,8 +1177,7 @@ def trace_cache_capacity() -> int:
 _TRACE_LRU: "OrderedDict[Tuple[str, str], TraceFile]" = OrderedDict()
 
 
-def load_trace(path: Union[str, Path], *, use_cache: bool = True,
-               stream=None) -> TraceFile:
+def load_trace(path: Union[str, Path], *, stream=None) -> TraceFile:
     """Read and decode ``path``, memoizing per process.
 
     A six-config sweep over one trace used to gunzip and re-decode the
@@ -1225,8 +1185,8 @@ def load_trace(path: Union[str, Path], *, use_cache: bool = True,
     parent or one pool/queue worker) shares a single decoded
     :class:`TraceFile` — and therefore a single set of flat
     :class:`SegmentColumns`.  The cached object is shared, never copied:
-    segments and their columns are read-only to every consumer.
-    ``use_cache=False`` forces a fresh decode (diagnostics/tests).
+    segments and their columns are read-only to every consumer.  A
+    fresh, uncached decode is ``TraceReader(path).read()``.
 
     ``stream`` selects the decode strategy:
 
@@ -1236,14 +1196,15 @@ def load_trace(path: Union[str, Path], *, use_cache: bool = True,
       :data:`DEFAULT_WINDOW_BYTES` windows and smaller files decode
       eagerly (the historical behaviour, bit for bit).
     * ``False`` — always eager (bench's decode-excluded views).
-    * ``True`` or an ``int`` byte budget — always streaming.
+    * an ``int`` byte budget — always streaming, at that window size.
 
     A streamed trace is a :class:`TraceFile` of file-backed segments:
     loading it only skip-parses the file for its segment index, and
     nothing enters the LRU — each engine pass re-reads the file
-    forward, holding at most one window's columns, so replay memory is bounded by the window budget instead
-    of the trace.  Results are bit-identical either way (the streaming
-    equivalence suite pins this)."""
+    forward, holding at most one window's columns, so replay memory is
+    bounded by the window budget instead of the trace.  Results are
+    bit-identical either way (the streaming equivalence suite pins
+    this)."""
     from repro.telemetry import emit, note_decode
     from repro.faults import fire
     fire("trace.decode", path=str(path))
@@ -1257,14 +1218,11 @@ def load_trace(path: Union[str, Path], *, use_cache: bool = True,
             stream = DEFAULT_WINDOW_BYTES \
                 if size > STREAM_THRESHOLD_BYTES else False
     if stream:
-        window_bytes = DEFAULT_WINDOW_BYTES if stream is True else int(stream)
-        window_steps = max(1, window_bytes // COLUMN_BYTES_PER_STEP)
+        window_steps = max(1, stream // COLUMN_BYTES_PER_STEP)
         trace = _read_trace(path, window_steps)
         emit("trace.stream_open", level="debug", path=str(path),
-             window_bytes=window_bytes, window_steps=window_steps)
+             window_bytes=stream, window_steps=window_steps)
         return trace
-    if not use_cache:
-        return TraceReader(path).read()
     key = (os.path.realpath(str(path)), file_digest(path))
     cached = _TRACE_LRU.get(key)
     if cached is not None:
@@ -1279,20 +1237,10 @@ def load_trace(path: Union[str, Path], *, use_cache: bool = True,
     emit("trace.decode", level="debug", path=str(path),
          seconds=round(elapsed, 6), segments=len(trace.segments))
     _TRACE_LRU[key] = trace
-    capacity = trace_cache_capacity()
-    budget = trace_cache_bytes()
-    total = (sum(_trace_nbytes(t) for t in _TRACE_LRU.values())
-             if budget else 0)
-    # the newest entry always survives: evicting the trace the caller
-    # is about to replay would only guarantee an immediate re-decode
-    while (len(_TRACE_LRU) > capacity
-           or (budget and total > budget and len(_TRACE_LRU) > 1)):
-        evicted_key, evicted = _TRACE_LRU.popitem(last=False)
-        freed = _trace_nbytes(evicted)
-        total -= freed
+    if len(_TRACE_LRU) > TRACE_CACHE_CAPACITY:
+        evicted_key, _ = _TRACE_LRU.popitem(last=False)
         emit("trace.lru_evict", level="debug", path=evicted_key[0],
-             capacity=capacity, bytes_freed=freed,
-             budget_bytes=budget or None)
+             capacity=TRACE_CACHE_CAPACITY)
     return trace
 
 

@@ -46,6 +46,7 @@ from repro.trace.format import (
     COLUMN_BYTES_PER_STEP,
     PLAIN_KINDS,
     TRACE_CACHE_CAPACITY,
+    TraceReader,
     clear_trace_cache,
     load_trace,
 )
@@ -436,7 +437,7 @@ class TestEngineSelection:
                 simulator.run_program(program, instructions=100,
                                       engine=retired)
 
-    def test_scalar_forces_fast_engine_on_traces(self):
+    def test_replay_pass_reports_the_fast_engine(self):
         workload = load_trace_workload(GOLDEN_MESA)
         program = workload.link(page_bytes=4096)
         result = Simulator(default_config()).run_program(
@@ -455,8 +456,8 @@ class TestEngineSelection:
                      instructions=500, warmup=0, path=live)
         rerecorded = load_trace_workload(out)
         assert rerecorded.trace.segments
-        replayed = load_trace(out, use_cache=False).segments[0].columns()
-        recorded = load_trace(live, use_cache=False).segments[0].columns()
+        replayed = TraceReader(out).read().segments[0].columns()
+        recorded = TraceReader(live).read().segments[0].columns()
         assert replayed.index == recorded.index
         assert replayed.aux == recorded.aux
 
@@ -508,7 +509,7 @@ class TestEngineSelection:
 
 class TestSegmentColumns:
     def test_columns_memoized_per_segment(self):
-        trace = load_trace(GOLDEN_MESA, use_cache=False)
+        trace = TraceReader(GOLDEN_MESA).read()
         segment = trace.segments[0]
         cols = segment.columns()
         assert segment.columns() is cols
@@ -519,7 +520,7 @@ class TestSegmentColumns:
     def test_columns_agree_with_records(self):
         """The whole-segment columns against an independent decode of
         the same segment: a stream of one-step windows."""
-        trace = load_trace(GOLDEN_MESA, use_cache=False)
+        trace = TraceReader(GOLDEN_MESA).read()
         streamed = load_trace(GOLDEN_MESA, stream=COLUMN_BYTES_PER_STEP)
         for segment, single in zip(trace.segments, streamed.segments):
             cols = segment.columns()
@@ -539,7 +540,7 @@ class TestSegmentColumns:
                 source.close()
 
     def test_run_lengths(self):
-        trace = load_trace(GOLDEN_MESA, use_cache=False)
+        trace = TraceReader(GOLDEN_MESA).read()
         cols = trace.segments[0].columns()
         n = cols.steps
         for i in range(min(n, 2000)):
@@ -630,38 +631,14 @@ class TestTraceMemoization:
         assert second.workload_name == "micro.taken_pattern"
 
     def test_lru_capacity_bounds_the_cache(self, tmp_path):
+        """The LRU holds :data:`TRACE_CACHE_CAPACITY` decodes, and every
+        eviction is a visible ``trace.lru_evict`` event."""
+        from repro import telemetry
+        from repro.trace.format import _TRACE_LRU
+
         clear_trace_cache()
         paths = []
         for i in range(TRACE_CACHE_CAPACITY + 2):
-            path = tmp_path / f"t{i}.trace.gz"
-            record_trace("micro.counted_loop", default_config(),
-                         instructions=100 + i, warmup=0, path=path)
-            paths.append(path)
-        loaded = [load_trace(p) for p in paths]
-        # the first entries were evicted: reloading decodes afresh
-        assert load_trace(paths[0]) is not loaded[0]
-        # the most recent survives
-        assert load_trace(paths[-1]) is loaded[-1]
-        clear_trace_cache()
-
-    def test_use_cache_false_bypasses(self):
-        clear_trace_cache()
-        cached = load_trace(GOLDEN_MESA)
-        assert load_trace(GOLDEN_MESA, use_cache=False) is not cached
-
-    def test_env_capacity_override_and_evict_events(self, tmp_path,
-                                                    monkeypatch):
-        """``REPRO_TRACE_LRU_CAPACITY`` resizes the decoded-trace LRU
-        (the hard-coded 8 starved >8-trace sweeps), and every eviction
-        is a visible ``trace.lru_evict`` event."""
-        from repro import telemetry
-        from repro.trace.format import _TRACE_LRU, trace_cache_capacity
-
-        clear_trace_cache()
-        monkeypatch.setenv("REPRO_TRACE_LRU_CAPACITY", "4")
-        assert trace_cache_capacity() == 4
-        paths = []
-        for i in range(9):
             path = tmp_path / f"t{i}.trace.gz"
             record_trace("micro.counted_loop", default_config(),
                          instructions=100 + i, warmup=0, path=path)
@@ -670,31 +647,35 @@ class TestTraceMemoization:
         telemetry.configure(level="debug", json_path=str(log),
                             propagate=False)
         try:
-            for path in paths:
-                load_trace(path)
+            loaded = [load_trace(p) for p in paths]
         finally:
             telemetry.disable()
-        assert len(_TRACE_LRU) == 4
+        assert len(_TRACE_LRU) == TRACE_CACHE_CAPACITY
         evicts = [json.loads(line)
                   for line in log.read_text().splitlines()
                   if json.loads(line)["event"] == "trace.lru_evict"]
-        # nine distinct traces through a four-slot LRU: five evictions
-        assert len(evicts) == 5
-        assert all(event["capacity"] == 4 for event in evicts)
-        assert all(event["path"] for event in evicts)
+        # two traces past a full LRU: two evictions
+        assert len(evicts) == 2
+        for event in evicts:
+            assert event["capacity"] == 8
+            assert event["path"]
+        # the first entries were evicted: reloading decodes afresh
+        assert load_trace(paths[0]) is not loaded[0]
+        # the most recent survives
+        assert load_trace(paths[-1]) is loaded[-1]
         clear_trace_cache()
-
-    def test_bogus_capacity_env_falls_back_to_default(self, monkeypatch):
-        from repro.trace.format import trace_cache_capacity
-        for bogus in ("banana", "0", "-3", ""):
-            monkeypatch.setenv("REPRO_TRACE_LRU_CAPACITY", bogus)
-            assert trace_cache_capacity() == TRACE_CACHE_CAPACITY
-        monkeypatch.delenv("REPRO_TRACE_LRU_CAPACITY")
-        assert trace_cache_capacity() == TRACE_CACHE_CAPACITY
 
 
 class TestBenchHarness:
-    def test_bench_workload_structure_and_equivalence_gate(self, tmp_path):
+    @pytest.fixture
+    def one_run_rows(self, monkeypatch):
+        """Rows run only their requested repeats: the fake-clock tests
+        pin the minimum-time rule, so the end-to-end tests skip its wall
+        time."""
+        monkeypatch.setattr("repro.bench.ROW_MIN_SECONDS", 0.0)
+
+    def test_bench_workload_structure_and_equivalence_gate(
+            self, tmp_path, one_run_rows):
         from repro.bench import bench_workload, speedups
         records = bench_workload(
             "177.mesa", GOLDEN_MESA, instructions=800, warmup=100,
@@ -803,7 +784,7 @@ class TestBenchHarness:
                          + (independent + ["grid"]) * 2
                          + ["solo", "windowed"] * 2)
 
-    def test_cli_bench_writes_report(self, tmp_path, capsys):
+    def test_cli_bench_writes_report(self, tmp_path, capsys, one_run_rows):
         from repro.cli import main
         out = tmp_path / "BENCH_test.json"
         code = main(["bench", "--quick", "--instructions", "600",
@@ -853,7 +834,7 @@ class TestBenchHarness:
         assert not out.exists()  # refused before benching
 
     def test_cli_bench_compare_fails_on_a_ratio_drop(self, tmp_path,
-                                                     capsys):
+                                                     capsys, one_run_rows):
         from repro.cli import main
         previous = tmp_path / "BENCH_prev.json"
         previous.write_text(json.dumps({

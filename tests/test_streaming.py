@@ -12,10 +12,9 @@ run-length run, a truncated final window, a window larger than the
 whole trace, re-recording from a streamed replay, and a pass that stops
 before its stream ends (the file handle must still close).
 
-The decode *policy* (``REPRO_TRACE_WINDOW``, the size threshold, the
-byte-budgeted LRU of satellite ``REPRO_TRACE_LRU_BYTES``) and the
-``JobMetrics`` accounting (``stream_windows`` / ``stream_peak_bytes``)
-are pinned here too.
+The decode *policy* (``REPRO_TRACE_WINDOW`` and the size threshold)
+and the ``JobMetrics`` accounting (``stream_windows`` /
+``stream_peak_bytes``) are pinned here too.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from repro.trace.format import (
     COLUMN_BYTES_PER_STEP,
     DEFAULT_WINDOW_BYTES,
     _TRACE_LRU,
+    TraceReader,
     committed_steps,
     iter_steps,
     parse_byte_size,
@@ -138,7 +138,7 @@ def _replay(path, instructions, warmup, *, window=None):
 def _steps(path, instructions, warmup, *, stream):
     """The committed steps of both binaries' windows as a step-at-a-time
     reader sees them (recording, calibration, the dCFR experiment)."""
-    trace = load_trace(path, use_cache=False, stream=stream)
+    trace = load_trace(path, stream=stream)
     steps = []
     for segment in trace.segments:
         program = TraceWorkload(path, trace).link(
@@ -332,7 +332,7 @@ class TestWindowEdges:
         """A window size that does not divide the record count leaves a
         short final window; it must decode and retire like any other."""
         path, instructions, warmup = traces["177.mesa"]
-        trace = load_trace(path, use_cache=False, stream=False)
+        trace = TraceReader(path).read()
         steps = trace.segments[0].steps
         window_steps = 13
         assert steps % window_steps != 0  # the case under test
@@ -350,7 +350,7 @@ class TestWindowEdges:
 
         def exhaust(stream):
             clear_trace_cache()
-            trace = load_trace(path, use_cache=False, stream=stream)
+            trace = load_trace(path, stream=stream)
             program = TraceWorkload(path, trace).link(page_bytes=4096)
             with pytest.raises(TraceError) as err:
                 FastEngine(program, default_config()).run(10_000_000)
@@ -365,7 +365,7 @@ class TestWindowEdges:
 
         def exhaust(stream):
             clear_trace_cache()
-            trace = load_trace(path, use_cache=False, stream=stream)
+            trace = load_trace(path, stream=stream)
             program = TraceWorkload(path, trace).link(page_bytes=4096)
             with pytest.raises(TraceError) as err:
                 for _ in committed_steps(program, 0, 10_000_000):
@@ -501,7 +501,8 @@ class TestDecodePolicy:
     def test_small_file_defaults_to_eager(self, monkeypatch):
         monkeypatch.delenv(WINDOW_ENV, raising=False)
         clear_trace_cache()
-        assert _in_memory(load_trace(GOLDEN_MESA, use_cache=False))
+        assert _in_memory(load_trace(GOLDEN_MESA))
+        clear_trace_cache()
 
     def test_env_forces_streaming(self, monkeypatch):
         monkeypatch.setenv(WINDOW_ENV, "8k")
@@ -515,23 +516,18 @@ class TestDecodePolicy:
     def test_explicit_stream_false_beats_env(self, monkeypatch):
         monkeypatch.setenv(WINDOW_ENV, "8k")
         clear_trace_cache()
-        assert _in_memory(
-            load_trace(GOLDEN_MESA, use_cache=False, stream=False))
+        assert _in_memory(load_trace(GOLDEN_MESA, stream=False))
         clear_trace_cache()
-
-    def test_explicit_stream_true_uses_default_window(self, monkeypatch):
-        monkeypatch.delenv(WINDOW_ENV, raising=False)
-        trace = load_trace(GOLDEN_MESA, stream=True)
-        assert _file_backed(trace)
-        assert (trace.window_steps
-                == DEFAULT_WINDOW_BYTES // COLUMN_BYTES_PER_STEP)
 
     def test_large_file_auto_streams(self, monkeypatch):
         monkeypatch.delenv(WINDOW_ENV, raising=False)
         monkeypatch.setattr("repro.trace.format.STREAM_THRESHOLD_BYTES",
                             1)
         clear_trace_cache()
-        assert _file_backed(load_trace(GOLDEN_MESA))
+        trace = load_trace(GOLDEN_MESA)
+        assert _file_backed(trace)
+        assert (trace.window_steps
+                == DEFAULT_WINDOW_BYTES // COLUMN_BYTES_PER_STEP)
         assert not _TRACE_LRU
         clear_trace_cache()
 
@@ -539,78 +535,13 @@ class TestDecodePolicy:
         """A trace opened for windowed decode has the eager lookup
         surface, including the typed no-such-segment error."""
         trace = load_trace(GOLDEN_MESA, stream=4096)
-        eager = load_trace(GOLDEN_MESA, use_cache=False, stream=False)
+        eager = TraceReader(GOLDEN_MESA).read()
         assert trace.workload_name == eager.workload_name
         assert len(trace.segments) == len(eager.segments)
         segment = trace.segment_for(instrumented=False, page_bytes=4096)
         assert segment.page_bytes == 4096
         with pytest.raises(TraceError, match="no .* segment"):
             trace.segment_for(instrumented=False, page_bytes=123456)
-
-
-class TestByteBudgetedLRU:
-    """Satellite: ``REPRO_TRACE_LRU_BYTES`` bounds the decoded-trace
-    cache by bytes, not just entries."""
-
-    def _record(self, tmp_path, i):
-        path = tmp_path / f"t{i}.trace.gz"
-        record_trace("micro.counted_loop", default_config(),
-                     instructions=300 + i, warmup=0, path=path)
-        return path
-
-    def test_byte_budget_evicts_oldest(self, tmp_path, monkeypatch):
-        from repro import telemetry
-        from repro.trace.format import _trace_nbytes
-
-        clear_trace_cache()
-        paths = [self._record(tmp_path, i) for i in range(4)]
-        one = load_trace(paths[0], use_cache=False)
-        footprint = _trace_nbytes(one)
-        # room for roughly two decoded traces
-        monkeypatch.setenv("REPRO_TRACE_LRU_BYTES",
-                           str(2 * footprint + footprint // 2))
-        log = tmp_path / "events.jsonl"
-        telemetry.configure(level="debug", json_path=str(log),
-                            propagate=False)
-        try:
-            loaded = [load_trace(p) for p in paths]
-        finally:
-            telemetry.disable()
-        assert len(_TRACE_LRU) == 2
-        # newest survives, oldest decode afresh
-        assert load_trace(paths[-1]) is loaded[-1]
-        evicts = [json.loads(line)
-                  for line in log.read_text().splitlines()
-                  if json.loads(line)["event"] == "trace.lru_evict"]
-        assert len(evicts) == 2
-        for event in evicts:
-            assert event["bytes_freed"] > 0
-            assert event["budget_bytes"] == 2 * footprint \
-                + footprint // 2
-            assert event["path"]
-            assert event["capacity"] > 0
-        clear_trace_cache()
-
-    def test_budget_never_evicts_the_only_entry(self, tmp_path,
-                                                monkeypatch):
-        """A budget smaller than one decoded trace keeps the newest
-        entry anyway: an over-tight knob must degrade to capacity-1
-        caching, not disable reuse entirely."""
-        clear_trace_cache()
-        path = self._record(tmp_path, 0)
-        monkeypatch.setenv("REPRO_TRACE_LRU_BYTES", "1")
-        first = load_trace(path)
-        assert load_trace(path) is first
-        assert len(_TRACE_LRU) == 1
-        clear_trace_cache()
-
-    def test_bogus_budget_is_ignored(self, monkeypatch):
-        from repro.trace.format import trace_cache_bytes
-        for bogus in ("banana", "0", "-3", ""):
-            monkeypatch.setenv("REPRO_TRACE_LRU_BYTES", bogus)
-            assert trace_cache_bytes() == 0
-        monkeypatch.delenv("REPRO_TRACE_LRU_BYTES")
-        assert trace_cache_bytes() == 0
 
 
 class TestCLI:

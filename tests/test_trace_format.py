@@ -297,7 +297,7 @@ class TestInfo:
     def test_counts_equal_the_eager_decode(self, tmp_path):
         for path in self._sources(tmp_path):
             info = TraceReader(path).info()
-            trace = load_trace(path, use_cache=False)
+            trace = TraceReader(path).read()
             assert info["header"] == trace.header
             assert info["digest"] == file_digest(path)
             assert [(s["binary"], s["steps"], s["distinct_instructions"],
@@ -388,8 +388,7 @@ def _hand_program(tmp_path, halt: bool, window_steps: int = 0):
         writer.begin_segment(segment.meta)
         for index, aux in zip(segment.index, segment.aux):
             writer.write_record(statics[index][0], statics[index][1], aux)
-    trace = load_trace(path, use_cache=False,
-                       stream=COLUMN_BYTES_PER_STEP * window_steps)
+    trace = load_trace(path, stream=COLUMN_BYTES_PER_STEP * window_steps)
     assert trace.segments[0].window_steps == window_steps
     return ReplayProgram(trace.segments[0]), steps
 
