@@ -18,7 +18,6 @@ from repro import (
     generate,
     run_all_schemes,
 )
-from repro.workloads.calibration import measure_characteristics
 
 #: a deliberately cache-hostile, call-heavy "transaction processing"
 #: profile: big flat code footprint, low loop reuse, branchy dispatch
@@ -45,16 +44,15 @@ def main() -> None:
     program = workload.link()
     print(program.summary())
 
-    chars = measure_characteristics(workload, instructions=INSTRUCTIONS,
-                                    warmup=WARMUP)
-    print(f"\nmeasured: branch% {100 * chars.branch_fraction:.1f}  "
-          f"iL1 mr {chars.il1_miss_rate:.4f}  "
-          f"crossings/kinst {chars.crossings_per_kinst:.1f}  "
-          f"accuracy {chars.predictor_accuracy_pct:.1f}%")
-
     for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT):
         run = run_all_schemes(workload, default_config(addressing),
                               instructions=INSTRUCTIONS, warmup=WARMUP)
+        if addressing is CacheAddressing.VIPT:
+            shared = run.shared
+            print(f"\nmeasured: branch% {100 * shared.branch_fraction:.1f}  "
+                  f"iL1 mr {shared.il1.miss_rate:.4f}  crossings/kinst "
+                  f"{1000 * shared.page_crossings / shared.instructions:.1f}"
+                  f"  accuracy {100 * shared.predictor.accuracy:.1f}%")
         ia = 100 * run.normalized_energy(SchemeName.IA)
         ia_cycles = 100 * run.normalized_cycles(SchemeName.IA)
         print(f"{addressing.value}: IA energy {ia:.1f}% of base, "

@@ -25,7 +25,8 @@ Subcommands:
   ``queue:<dir>`` fleet: queue depth, worker liveness/throughput,
   stale leases, error tail; ``--json`` for scripts,
   ``--metrics-out`` for a Prometheus textfile collector
-* ``calibrate``    — print the workload-calibration report
+* ``calibrate``    — print the workload-calibration table (measured
+  characteristics beside the paper's)
 * ``config``       — print the default (Table 1) machine
 * ``simulate``     — one workload, all schemes, summary output
 
@@ -60,6 +61,7 @@ from repro.config import (
     itlb_sweep_label,
 )
 from repro.errors import ConfigError, ReproError
+from repro.experiments import calibration
 from repro.experiments.common import TableResult, default_settings
 from repro.experiments.report import (
     ALL_EXPERIMENTS,
@@ -77,7 +79,6 @@ from repro.runner import (
     run_worker,
 )
 from repro.sim.multi import run_all_schemes
-from repro.workloads.calibration import calibration_report
 from repro.workloads.spec2000 import BENCHMARK_NAMES
 from repro.workloads import registry
 
@@ -115,17 +116,18 @@ def _add_trace_window_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_args(parser: argparse.ArgumentParser, *,
-                  workers: bool = False) -> None:
+                  benchmarks: bool = True, workers: bool = False) -> None:
     parser.add_argument("--instructions", type=int, default=120_000,
                         help="useful instructions to measure per pass")
     parser.add_argument("--warmup", type=int, default=20_000,
                         help="warmup instructions before measurement")
-    parser.add_argument("--benchmarks", nargs="*", default=None,
-                        metavar="WORKLOAD",
-                        help="registry workload names (SPEC stand-ins, "
-                             "micro.*, trace:<path>, "
-                             "import:<format>:<path>; default: the six "
-                             "SPEC stand-ins)")
+    if benchmarks:
+        parser.add_argument("--benchmarks", nargs="*", default=None,
+                            metavar="WORKLOAD",
+                            help="registry workload names (SPEC "
+                                 "stand-ins, micro.*, trace:<path>, "
+                                 "import:<format>:<path>; default: the "
+                                 "six SPEC stand-ins)")
     if workers:
         parser.add_argument("--workers", type=int, default=1,
                             help="worker processes for simulation batches "
@@ -169,7 +171,7 @@ def _check_workloads(names, parser: argparse.ArgumentParser) -> None:
 def _settings(args: argparse.Namespace):
     return default_settings(instructions=args.instructions,
                             warmup=args.warmup,
-                            benchmarks=args.benchmarks,
+                            benchmarks=getattr(args, "benchmarks", None),
                             workers=getattr(args, "workers", 1),
                             backend=getattr(args, "backend", None))
 
@@ -901,7 +903,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "pstats dump (read with: "
                             "python -m pstats OUT.pstats)")
     _add_trace_window_arg(p_sim)
-    _add_sim_args(p_sim)
+    _add_sim_args(p_sim, benchmarks=False)
 
     p_lint = sub.add_parser(
         "lint",
@@ -1032,8 +1034,7 @@ def _dispatch(args: argparse.Namespace,
         from repro.analysis.lint import run_lint_cli
         return run_lint_cli(args)
     if args.command == "calibrate":
-        print(calibration_report(instructions=args.instructions,
-                                 warmup=args.warmup))
+        print(calibration.run(_settings(args)).render())
         return 0
     if args.command == "config":
         print(default_config().describe())

@@ -60,7 +60,7 @@ def link_plain(module: Module, *, page_bytes: int = 4096,
                name: str = "a.out") -> Program:
     """The uninstrumented binary (Base/HoA/OPT)."""
     return link(module, text_base=text_base, data_base=data_base,
-                page_bytes=page_bytes, boundary_branches=False, name=name)
+                page_bytes=page_bytes, name=name)
 
 
 def instrument_program(plain: Program, *, page_bytes: int) -> Program:

@@ -23,8 +23,27 @@ from repro.experiments.common import (
 )
 from repro.isa.program import Program
 from repro.runner import JobSpec
-from repro.workloads.calibration import dynamic_branch_classes
+from repro.trace.format import committed_steps
 from repro.workloads.spec2000 import paper_row_for
+
+
+def dynamic_branch_classes(program: Program, *, instructions: int,
+                           warmup: int) -> tuple[int, int, int]:
+    """Count (analyzable, analyzable-and-in-page, total) over the dynamic
+    control instructions of ``program``'s committed stream — Table 4's
+    dynamic half."""
+    page_bytes = program.page_bytes
+    analyzable = in_page = total = 0
+    # the program's committed stream (recorded, for a replayed trace)
+    for pc, instr, _ in committed_steps(program, warmup, instructions):
+        if not instr.is_control:
+            continue
+        total += 1
+        if instr.op.is_analyzable_control and instr.target is not None:
+            analyzable += 1
+            if (pc // page_bytes) == (instr.target // page_bytes):
+                in_page += 1
+    return analyzable, in_page, total
 
 
 def _branch_statistics(program: Program, spec: JobSpec) -> tuple:
@@ -37,10 +56,16 @@ def _branch_statistics(program: Program, spec: JobSpec) -> tuple:
                                    warmup=spec.warmup))
 
 
+def branch_probe(bench: str, settings: ExperimentSettings) -> ImageProbe:
+    """Table 4's cell for ``bench``: its static analysis and dynamic
+    branch classes on the default machine's plain image."""
+    return ImageProbe("table4.branch_statistics",
+                      job_for(bench, default_config(), settings),
+                      _branch_statistics)
+
+
 def cells(settings: ExperimentSettings) -> Cells:
-    return {bench: ImageProbe("table4.branch_statistics",
-                              job_for(bench, default_config(), settings),
-                              _branch_statistics)
+    return {bench: branch_probe(bench, settings)
             for bench in settings.benchmarks}
 
 

@@ -291,17 +291,11 @@ def link(
     text_base: int = TEXT_BASE,
     data_base: int = DATA_BASE,
     page_bytes: int = 4096,
-    boundary_branches: bool = False,
     name: str = "a.out",
 ) -> Program:
-    """Lay out ``module`` and resolve every label.
-
-    With ``boundary_branches=True`` the linker reproduces the paper's
-    compiler support for the BOUNDARY case: the plain layout goes
-    through :func:`place_boundary_branches`, which puts an
-    unconditional ``J`` to the next address in the last slot of every
-    code page and moves everything after it.
-    """
+    """Lay out ``module`` and resolve every label: the plain layout.
+    The paper's compiler support for the BOUNDARY case is
+    :func:`place_boundary_branches` applied to the result."""
     if text_base % page_bytes:
         raise LayoutError("text base must be page aligned")
     if text_base % 4 or data_base % 4:
@@ -410,9 +404,6 @@ def link(
         code_words=tuple(code_words),
     )
     program.validate()
-    if boundary_branches:
-        return place_boundary_branches(program, page_bytes=page_bytes,
-                                       name=name)
     return program
 
 

@@ -52,13 +52,6 @@ def _reject_nonfinite(token: str) -> float:
     raise ValueError(f"non-finite JSON token {token!r} in store entry")
 
 
-def _fsync_enabled() -> bool:
-    """fsync-before-rename is on by default (crash durability: the rename
-    must never become visible before its data).  ``REPRO_FSYNC=0`` disables
-    it for test suites that churn thousands of tiny files."""
-    return os.environ.get("REPRO_FSYNC", "1") != "0"
-
-
 def _fsync_dir(directory: Path) -> None:
     """Best-effort fsync of a directory so the rename itself is durable;
     not all filesystems support opening directories, hence best-effort."""
@@ -82,16 +75,14 @@ def atomic_write_text(path: Path, text: str) -> None:
     machines) see the old content or the new, never a torn write.  The
     temp file is fsynced before the rename (and the directory after,
     best-effort) so a power loss cannot surface the new name with torn
-    or empty content; see :func:`_fsync_enabled` for the test escape
-    hatch."""
+    or empty content."""
     faults.fire("atomic_write", path=str(path))
     tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
-            if _fsync_enabled():
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         faults.fire("atomic_write.rename", path=str(path), tmp=str(tmp),
                     text=text)
         os.replace(tmp, path)
@@ -101,8 +92,7 @@ def atomic_write_text(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
-    if _fsync_enabled():
-        _fsync_dir(path.parent)
+    _fsync_dir(path.parent)
 
 
 class ResultStore:
@@ -122,9 +112,7 @@ class ResultStore:
 
     @staticmethod
     def _slug(workload: str) -> str:
-        """Filename-safe form of a workload name (uncapped); shared by
-        the current and legacy path schemes so they can never drift —
-        drift would silently break the legacy-migration probe."""
+        """Filename-safe form of a workload name (uncapped)."""
         return "".join(c if c.isalnum() or c in "._-" else "_"
                        for c in workload)
 
@@ -143,17 +131,6 @@ class ResultStore:
             "utf-8")[-MAX_SLUG_BYTES:].decode("utf-8", "ignore")
         slug = slug.lstrip(".") or "workload"  # never a dotfile
         return self.root / f"{slug}.{spec.key[:16]}.json"
-
-    def _legacy_path_for(self, spec: JobSpec) -> Optional[Path]:
-        """The uncapped filename earlier releases used, when it differs
-        from :meth:`path_for`'s — so caches written before the slug cap
-        keep answering (entries found there are renamed on first hit,
-        not orphaned)."""
-        if self.root is None:
-            return None
-        legacy = (self.root
-                  / f"{self._slug(spec.workload)}.{spec.key[:16]}.json")
-        return None if legacy == self.path_for(spec) else legacy
 
     # -- lookup --------------------------------------------------------
 
@@ -174,16 +151,8 @@ class ResultStore:
 
     def _load(self, spec: JobSpec, key: str) -> Optional[CombinedRun]:
         path = self.path_for(spec)
-        if path is None:
+        if path is None or not path.exists():
             return None
-        if not path.exists():
-            legacy = self._legacy_path_for(spec)
-            if legacy is None or not legacy.exists():
-                return None
-            try:  # migrate the pre-cap entry to its capped name
-                os.replace(legacy, path)
-            except OSError:
-                path = legacy  # migration is best-effort: read in place
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:

@@ -4,8 +4,8 @@ The paper evaluates 177.mesa, 186.crafty, 191.fma3d, 252.eon, 254.gap, and
 255.vortex — the SPEC2000 members that stress the iTLB most (worst
 instruction locality).  Each gets a :class:`WorkloadProfile` whose knobs
 were tuned so the *measured* characteristics of the generated program land
-near the paper's Table 2/4/5 rows; ``tests/test_workload_calibration.py``
-pins the bands.
+near the paper's Table 2/4/5 rows; ``tests/test_workloads.py`` pins the
+bands.
 
 ``PAPER_REFERENCE`` carries the published numbers (at 250M simulated
 instructions) so the experiment harness can print paper-vs-measured side
@@ -36,8 +36,8 @@ class PaperRow:
     energy_vivt_mj: float
     il1_miss_rate: float
     branch_fraction: float  #: dynamic branches / instructions
-    boundary_crossings: int  #: Table 2, BOUNDARY page crossings
-    branch_crossings: int  #: Table 2, BRANCH page crossings
+    boundary_crossings: float  #: Table 2, BOUNDARY page crossings
+    branch_crossings: float  #: Table 2, BRANCH page crossings
     analyzable_pct: float  #: Table 4, dynamic analyzable branches (%)
     crossing_pct: float  #: Table 4, crossings among analyzable (%)
     in_page_pct: float  #: Table 4, in-page among analyzable (%)
@@ -71,11 +71,11 @@ PAPER_REFERENCE: Dict[str, PaperRow] = {
 
 
 #: placeholder row for workloads the paper never measured (recorded
-#: traces, custom profiles): NaN floats render as ``nan`` in the paper
-#: comparison columns instead of crashing the experiment
+#: traces, custom profiles): every field, and so every derived
+#: quantity, is NaN, which renders as ``nan`` in the paper comparison
+#: columns instead of crashing the experiment
 _NAN = float("nan")
-UNKNOWN_PAPER_ROW = PaperRow(_NAN, _NAN, _NAN, _NAN, _NAN, _NAN,
-                             0, 0, _NAN, _NAN, _NAN, _NAN)
+UNKNOWN_PAPER_ROW = PaperRow(*[_NAN] * 12)
 
 
 def paper_row_for(name: str) -> PaperRow:

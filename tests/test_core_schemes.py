@@ -17,7 +17,7 @@ from repro.config import CacheAddressing, SchemeName, default_config
 from repro.core.cfr import CFR
 from repro.core.schemes import LookupReason, build_all_policies, build_policy
 from repro.cpu.fast import FastEngine
-from repro.isa.assembler import link
+from repro.isa.assembler import link, place_boundary_branches
 from repro.sim.multi import run_all_schemes
 from repro.sim.simulator import run_program_grid
 from repro.vm.page_table import PageTable, Protection
@@ -28,7 +28,9 @@ from repro.workloads.spec2000 import BENCHMARK_NAMES, load_benchmark
 
 def _run(module, addressing=CacheAddressing.VIPT, instrumented=False,
          instructions=6000, schemes=None):
-    program = link(module, boundary_branches=instrumented)
+    program = link(module)
+    if instrumented:
+        program = place_boundary_branches(program, page_bytes=4096)
     engine = FastEngine(program, default_config(addressing), schemes=schemes)
     return engine.run(instructions, warmup=0)
 

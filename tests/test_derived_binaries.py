@@ -119,7 +119,8 @@ class TestDerivedImage:
         asm.label("main")
         asm.halt()
         with pytest.raises(LayoutError, match="no slot besides"):
-            link(asm.module, page_bytes=4, boundary_branches=True)
+            place_boundary_branches(link(asm.module, page_bytes=4),
+                                    page_bytes=4)
 
     def test_branch_out_of_range_only_once_instrumented(self):
         """16,382 words back fit a conditional branch's 15-bit offset;
@@ -207,7 +208,8 @@ class TestFailsLoudly:
             for _ in range(2000):
                 asm.nop()
             asm.halt()
-        instrumented = link(_module(body), boundary_branches=True)
+        instrumented = place_boundary_branches(link(_module(body)),
+                                               page_bytes=4096)
         with pytest.raises(LayoutError, match="already has boundary"):
             instrument_program(instrumented, page_bytes=4096)
         relabelled = dataclasses.replace(instrumented, instrumented=False)

@@ -217,21 +217,14 @@ class TestAtomicWrite:
         assert target.read_text() == "01234"
         assert list(tmp_path.glob("*.tmp*")) == []
 
-    def test_fsync_before_rename_gated_by_env(self, tmp_path,
-                                              monkeypatch):
+    def test_fsync_before_rename(self, tmp_path, monkeypatch):
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync",
                             lambda fd: synced.append(fd) or real_fsync(fd))
-        monkeypatch.delenv("REPRO_FSYNC", raising=False)
         atomic_write_text(tmp_path / "a.json", "x")
-        assert synced  # durable by default: file (and dir, best-effort)
-
-        synced.clear()
-        monkeypatch.setenv("REPRO_FSYNC", "0")
-        atomic_write_text(tmp_path / "b.json", "x")
-        assert synced == []  # the test-suite escape hatch
-        assert (tmp_path / "b.json").read_text() == "x"
+        assert synced  # durable: file (and dir, best-effort)
+        assert (tmp_path / "a.json").read_text() == "x"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AssemblyError, LayoutError, MemoryFault
-from repro.isa.assembler import Assembler, link
+from repro.isa.assembler import Assembler, link, place_boundary_branches
 from repro.isa.instructions import (
     ANALYZABLE_KINDS,
     CONTROL_KINDS,
@@ -293,12 +293,14 @@ class TestBoundaryInstrumentation:
         return asm.module
 
     def test_boundary_branches_inserted(self):
-        program = link(self._big_module(), boundary_branches=True)
+        program = place_boundary_branches(link(self._big_module()),
+                                          page_bytes=4096)
         assert program.instrumented
         assert program.boundary_branch_count >= 2
 
     def test_boundary_invariant_validated(self):
-        program = link(self._big_module(), boundary_branches=True)
+        program = place_boundary_branches(link(self._big_module()),
+                                          page_bytes=4096)
         page = program.page_bytes
         for index, instr in enumerate(program.instructions):
             if instr.is_boundary_branch:
@@ -307,7 +309,7 @@ class TestBoundaryInstrumentation:
                 assert instr.target == address + 4
 
     def test_plain_binary_has_no_boundary_branches(self):
-        program = link(self._big_module(), boundary_branches=False)
+        program = link(self._big_module())
         assert program.boundary_branch_count == 0
         assert not program.instrumented
 
@@ -321,7 +323,7 @@ class TestBoundaryInstrumentation:
         asm.label("landing")
         asm.addi(1, 0, 7)
         asm.j("landing")
-        program = link(asm.module, boundary_branches=True)
+        program = place_boundary_branches(link(asm.module), page_bytes=4096)
         landing = program.labels["landing"]
         instr = program.fetch(landing)
         assert instr.op is Opcode.ADDI
@@ -334,7 +336,8 @@ class TestBoundaryInstrumentation:
             program.fetch(program.text_end)
 
     def test_validate_rejects_targets_outside_text(self):
-        program = link(self._big_module(), boundary_branches=True)
+        program = place_boundary_branches(link(self._big_module()),
+                                          page_bytes=4096)
         branch = program.instructions[program.page_bytes // 4 - 1]
         branch.target = program.text_end
         with pytest.raises(LayoutError, match="outside the text segment"):
@@ -374,8 +377,8 @@ class TestBoundaryInstrumentation:
                                                            corruptions):
         """Stray, missing and mistargeted boundary branches, alone or
         several at once: the error is the lowest-address one."""
-        program = link(self._big_module(290), page_bytes=256,
-                       boundary_branches=True)
+        program = place_boundary_branches(
+            link(self._big_module(290), page_bytes=256), page_bytes=256)
         page_ends = [index for index, instr in enumerate(program)
                      if instr.is_boundary_branch]
         for number, at_page_end, action in corruptions:
@@ -406,8 +409,8 @@ class TestMicrobenchModules:
     ])
     def test_links_both_ways(self, builder):
         module = builder()
-        plain = link(module, boundary_branches=False)
-        instr = link(module, boundary_branches=True)
+        plain = link(module)
+        instr = place_boundary_branches(plain, page_bytes=4096)
         assert len(instr) >= len(plain)
         plain.validate()
         instr.validate()

@@ -272,24 +272,6 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         assert store.put(a, micro_run) != store.put(b, micro_run)
 
-    def test_precap_entries_migrate_instead_of_orphaning(self, tmp_path,
-                                                         micro_run):
-        """A cache written before the slug cap (81..236-char names that
-        were legal then) must keep answering: the entry is found at its
-        legacy filename and renamed to the capped one on first hit."""
-        spec = _spec(workload="trace:/runs/" + "y" * 120,
-                     workload_digest="3" * 64)
-        store = ResultStore(tmp_path)
-        capped = store.put(spec, micro_run)
-        legacy = store._legacy_path_for(spec)
-        assert legacy is not None and legacy != capped
-        capped.rename(legacy)  # what a pre-cap release left on disk
-        fresh = ResultStore(tmp_path)
-        reread = fresh.get(spec)
-        assert reread is not None
-        assert _canonical(reread) == _canonical(micro_run)
-        assert capped.exists() and not legacy.exists()  # migrated
-
 
 class TestResultStoreEviction:
     def _fill(self, tmp_path, micro_run, count=4):

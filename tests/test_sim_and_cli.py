@@ -20,7 +20,7 @@ from repro.sim.simulator import Simulator, attach_energy
 from repro.vm.os_model import AddressSpace
 from repro.vm.page_table import PageTable
 from repro.vm.tlb import TLB
-from repro.workloads.spec2000 import load_benchmark
+from repro.workloads.spec2000 import BENCHMARK_NAMES, load_benchmark
 
 
 class TestSimulator:
@@ -206,6 +206,24 @@ class TestCLI:
     def test_rejects_unknown_benchmark(self):
         with pytest.raises(SystemExit):
             cli_main(["simulate", "999.nope"])
+
+    def test_simulate_has_no_benchmarks_flag(self):
+        """``simulate`` runs only its positional workload, so a
+        ``--benchmarks`` list there is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["simulate", "micro.straight_line",
+                      "--benchmarks", "177.mesa"])
+        assert excinfo.value.code == 2
+
+    def test_calibrate_reads_benchmarks(self, capsys):
+        assert cli_main(["calibrate", "--benchmarks", "micro.straight_line",
+                         "--instructions", "2000", "--warmup", "500"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines()
+                if "micro.straight_line" in line]
+        assert len(rows) == 7
+        assert all(row[2] == "nan" for row in rows)  # the paper column
+        assert not any(bench in out for bench in BENCHMARK_NAMES)
 
     def test_version_flag(self, capsys):
         from repro import __version__

@@ -6,16 +6,19 @@ EXPERIMENTS.md); they exist to catch regressions, not to assert perfect
 SPEC equivalence.
 """
 
+import functools
+import math
+from types import SimpleNamespace
+
 import pytest
 
-from repro.workloads.calibration import (
-    compare_to_paper,
-    measure_characteristics,
-)
+from repro.experiments import calibration
+from repro.experiments.common import default_settings
 from repro.workloads.spec2000 import (
     BENCHMARK_NAMES,
     PAPER_REFERENCE,
     load_benchmark,
+    paper_row_for,
     profile_for,
     spec2000_suite,
 )
@@ -73,15 +76,20 @@ class TestGenerator:
         assert set(suite) == set(BENCHMARK_NAMES)
 
 
-_MEASURE_CACHE: dict = {}
+@functools.lru_cache(maxsize=None)
+def _calibration():
+    """The calibration table over the six stand-ins, computed once and
+    shared across the parametrized band tests."""
+    return calibration.run(default_settings(instructions=30_000,
+                                            warmup=8_000))
 
 
 def _measured_for(bench):
-    """Memoized measurement shared across the parametrized band tests."""
-    if bench not in _MEASURE_CACHE:
-        _MEASURE_CACHE[bench] = measure_characteristics(
-            load_benchmark(bench), instructions=30_000, warmup=8_000)
-    return _MEASURE_CACHE[bench]
+    """``bench``'s measured characteristics, one attribute per metric
+    row of the calibration table."""
+    return SimpleNamespace(**{row["metric"]: row["measured"]
+                              for row in _calibration().rows
+                              if row["benchmark"] == bench})
 
 
 @pytest.mark.parametrize("bench", BENCHMARK_NAMES)
@@ -143,12 +151,29 @@ class TestSuiteOrderings:
         eon = all_measured["252.eon"].predictor_accuracy_pct
         assert vortex > eon
 
-    def test_comparison_helper(self, all_measured):
-        comparison = compare_to_paper(all_measured["177.mesa"])
-        assert set(comparison) >= {"branch_fraction", "il1_miss_rate",
-                                   "predictor_accuracy_pct"}
-        for paper_v, measured_v in comparison.values():
-            assert paper_v >= 0 and measured_v >= 0
+    def test_table_pairs_paper_and_measured(self):
+        table = _calibration()
+        assert table.columns == ["benchmark", "metric", "paper",
+                                 "measured"]
+        assert len(table.rows) == 7 * len(BENCHMARK_NAMES)
+        mesa = {row["metric"]: row for row in table.rows
+                if row["benchmark"] == "177.mesa"}
+        assert set(mesa) >= {"branch_fraction", "il1_miss_rate",
+                             "predictor_accuracy_pct"}
+        paper = PAPER_REFERENCE["177.mesa"]
+        assert mesa["branch_fraction"]["paper"] == paper.branch_fraction
+        assert mesa["boundary_share_pct"]["paper"] \
+            == paper.boundary_share_pct
+        for row in table.rows:
+            assert row["paper"] >= 0 and row["measured"] >= 0
+
+
+def test_unknown_paper_row_is_nan():
+    """A workload the paper never measured has no published crossings,
+    so its derived crossing figures are NaN, not a division by zero."""
+    row = paper_row_for("micro.straight_line")
+    assert math.isnan(row.boundary_share_pct)
+    assert math.isnan(row.crossings_per_kinst)
 
 
 class TestRegistry:
