@@ -4,7 +4,7 @@ Three engines share the same substrates (memory hierarchy, TLBs,
 predictor, schemes):
 
 * :mod:`repro.cpu.fast` — a single-pass engine that consumes a
-  program's committed stream as flat-array columns
+  program's committed stream as index/aux arrays over static tables
   (:class:`~repro.trace.format.SegmentColumns`), evaluates **all iTLB
   schemes side by side**, and models timing with a dependency-aware
   list-scheduling approximation of the Table 1 core.  It scores N

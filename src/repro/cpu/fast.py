@@ -19,10 +19,11 @@ Two observations from the paper make this engine possible:
 The same observation makes a program's committed stream pure data: it
 depends only on the program (binary and page size) and the window.  So
 the engine never interprets instructions itself.  It consumes the
-stream as flat ``array('q')`` columns
-(:class:`~repro.trace.format.SegmentColumns`), one window at a time,
-from the program's window source: a live program executes functionally
-once into an in-memory segment (see
+stream one window at a time (:class:`~repro.trace.format.SegmentColumns`)
+from the program's window source: per step only a static index and an
+aux payload, with every other fact read through the index from the
+stream's static tables.  A live program executes functionally once
+into an in-memory segment (see
 :meth:`repro.isa.program.Program.window_source`), a replay decodes its
 trace, eagerly or in bounded windows.  Live and
 replayed runs therefore go through the one loop below, and stay
@@ -193,7 +194,7 @@ class FastEngine:
 
         # stream position: the window source is bound by the measured run
         self._source = None
-        self._window = None  #: current window's columns (None before one)
+        self._window = None  #: the current window (None before one)
         self._win_base = 0  #: absolute step offset of the current window
         self._pos = 0  #: position *within* the current window
         self._halted = False
@@ -342,7 +343,7 @@ class FastEngine:
     # -- main loop ----------------------------------------------------------
 
     def _run_window(self, budget: int) -> None:  # noqa: C901 - hot loop
-        """Execute ``budget`` useful instructions from the columns.
+        """Execute ``budget`` useful instructions from the stream.
 
         The engine's mutable scalar state (timing clocks, stream
         trackers, shared counters) lives in frame locals for the whole
@@ -358,10 +359,13 @@ class FastEngine:
           bookkeeping is one bulk-counter update and its timing is the
           plain-instruction subset of the list-scheduling model.
 
-        Columns come one window at a time.  When the position runs off
-        the current window's end the loop top pulls the next window and
-        rebinds the column locals; a run-length run truncated at a
-        window boundary simply resumes on the per-event path in the next
+        Each step's facts are ``table[idx]`` reads through its static
+        index ``idx``; its successor is resolved only at control steps,
+        and a run ends at the next byte set in the window's event map.
+        Windows come one at a time.  When the position runs off the
+        current window's end the loop top pulls the next window and
+        rebinds the locals; a run-length run truncated at a window
+        boundary simply resumes on the per-event path in the next
         window, which retires a plain step bit-identically (the
         streaming equivalence suite pins this).
         """
@@ -369,7 +373,7 @@ class FastEngine:
         instrs = source.instructions
         cols = self._window
         win_base = self._win_base
-        # the loop top binds the column locals: first to the window an
+        # the loop top binds the window locals: first to the window an
         # earlier call stopped in, if any, then to each next window
         resume = cols is not None
         n_records = 0
@@ -440,22 +444,24 @@ class FastEngine:
                         win_base += n_records
                         cols = nxt
                         pos = 0
-                    pcs = cols.pc
-                    nexts = cols.next_pc
-                    kinds = cols.kind
-                    auxs = cols.aux
-                    rss = cols.rs
-                    rts = cols.rt
-                    rds = cols.rd
-                    lats = cols.latency
-                    flagss = cols.flags
+                    tables = cols.tables
+                    s_pc = tables.pc
+                    s_kind = tables.kind
+                    s_rs = tables.rs
+                    s_rt = tables.rt
+                    s_rd = tables.rd
+                    s_lat = tables.lat
+                    s_flags = tables.flags
+                    s_target = tables.target
                     idxs = cols.index
-                    runs = cols.run
+                    auxs = cols.aux
+                    find_event = cols.events.find
                     n_records = cols.steps
                     continue
 
                 # =================== per-event path ====================
-                pc = pcs[pos]
+                idx = idxs[pos]
+                pc = s_pc[idx]
                 vpn = pc >> page_shift
 
                 # ---- page-change accounting and translation ----
@@ -510,10 +516,10 @@ class FastEngine:
                         if vivt:
                             _miss_path_lookups(policies, vpn)
 
-                # ---- retire (the columns hold the step facts) ----
-                kind = kinds[pos]
+                # ---- retire (the static tables hold the step facts) ----
+                kind = s_kind[idx]
                 aux = auxs[pos]
-                flags = flagss[pos]
+                flags = s_flags[idx]
                 c_instructions += 1
                 if flags & COL_FLAG_BOUNDARY:
                     c_boundary += 1
@@ -534,13 +540,17 @@ class FastEngine:
                 # ---- control resolution ----
                 outcome = None
                 if 8 <= kind <= 12:
-                    instr = instrs[idxs[pos]]
-                    taken = kind != 8 or aux != 0
+                    if kind >= 11:  # indirect: the recorded target
+                        taken = True
+                        next_pc = aux
+                    else:
+                        taken = kind != 8 or aux != 0
+                        next_pc = s_target[idx] if taken else pc + 4
                     c_branches += 1
                     if taken:
                         c_taken += 1
-                    outcome = predictor_observe(pc, instr, taken,
-                                                nexts[pos])
+                    instr = instrs[idx]
+                    outcome = predictor_observe(pc, instr, taken, next_pc)
                     prediction = outcome.prediction
                     for policy in event_policies:
                         # on_control(outcome), unrolled
@@ -565,9 +575,9 @@ class FastEngine:
                     fetch_t = oldest
                     fetch_clock = oldest
                 issue_t = fetch_t + _FRONT_DEPTH
-                rs = rss[pos]
-                rt = rts[pos]
-                rd = rds[pos]
+                rs = s_rs[idx]
+                rt = s_rt[idx]
+                rd = s_rd[idx]
                 # ready_int[0] is invariantly 0 (int-file writes are
                 # guarded by ``if rd:``), so r0 sources read directly
                 if 3 <= kind <= 5:  # FP ops read the FP file
@@ -598,7 +608,7 @@ class FastEngine:
                     if best_t > issue_t:
                         issue_t = best_t
                     pool[pool.index(best_t)] = issue_t + 1
-                latency = lats[pos]
+                latency = s_lat[idx]
                 if kind == 6:  # load: memory latency beyond a 1-cycle hit
                     latency += mem_stall
                 elif kind == 7:
@@ -651,7 +661,8 @@ class FastEngine:
                     continue
                 if pos >= n_records:
                     continue
-                run = runs[pos]
+                run = find_event(1, pos)
+                run = (n_records if run < 0 else run) - pos
                 if run == 0:
                     continue
                 remaining = budget - useful
@@ -659,7 +670,7 @@ class FastEngine:
                     run = remaining
 
                 while run > 0:
-                    pc = pcs[pos]
+                    pc = s_pc[idxs[pos]]
                     if pc >> page_shift != last_vpn:
                         break  # sequential crossing: event path handles it
                     # chunk ends at the iL1 block (or page) boundary;
@@ -706,11 +717,12 @@ class FastEngine:
                             fetch_t = oldest
                             fetch_clock = oldest
                         issue_t = fetch_t + _FRONT_DEPTH
-                        kind = kinds[pos]
-                        rs = rss[pos]
-                        rt = rts[pos]
+                        idx = idxs[pos]
+                        kind = s_kind[idx]
+                        rs = s_rs[idx]
+                        rt = s_rt[idx]
                         if 3 <= kind <= 5:  # FP ops read the FP file
-                            if flagss[pos] & COL_FLAG_CVTIF:
+                            if s_flags[idx] & COL_FLAG_CVTIF:
                                 src1 = ready_int[rs]
                             else:
                                 src1 = ready_fp[rs]
@@ -728,10 +740,10 @@ class FastEngine:
                             if best_t > issue_t:
                                 issue_t = best_t
                             pool[pool.index(best_t)] = issue_t + 1
-                        complete_t = issue_t + lats[pos]
-                        rd = rds[pos]
+                        complete_t = issue_t + s_lat[idx]
+                        rd = s_rd[idx]
                         if 3 <= kind <= 5:
-                            if flagss[pos] & COL_FLAG_CVTFI:
+                            if s_flags[idx] & COL_FLAG_CVTFI:
                                 if rd:
                                     ready_int[rd] = complete_t
                             else:

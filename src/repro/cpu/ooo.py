@@ -32,7 +32,7 @@ through its one iTLB and stalls for the latency the replay exposed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.branch.predictor import FrontEndPredictor, Prediction
 from repro.config import CacheAddressing, MachineConfig, SchemeName
@@ -267,11 +267,11 @@ class OutOfOrderEngine:
             self._last_commit_vpn = vpn
             self._last_commit_taken = step.instr.is_control and step.taken
             self._last_commit_boundary = step.instr.is_boundary_branch
-            # clear rename entries pointing at this retired instruction
-            for rename in (self._rename_int, self._rename_fp):
-                for i, producer in enumerate(rename):
-                    if producer is entry:
-                        rename[i] = None
+            # clear the one rename slot this entry set, unless a later
+            # producer of that register has taken it since
+            slot = self._rename_slot(entry.instr)
+            if slot is not None and slot[0][slot[1]] is entry:
+                slot[0][slot[1]] = None
             if self._last_store is entry:
                 self._last_store = None
         return committed
@@ -399,7 +399,9 @@ class OutOfOrderEngine:
                     self._last_store = entry
                 elif self._last_store is not None:
                     entry.deps.append(self._last_store)
-            self._set_rename(entry)
+            slot = self._rename_slot(step.instr)
+            if slot is not None:
+                slot[0][slot[1]] = entry
             if step.instr.is_control and head.prediction is not None:
                 predicted_next = (head.prediction.predicted_target
                                   if head.prediction.predicted_taken
@@ -440,25 +442,24 @@ class OutOfOrderEngine:
                     deps.append(src)
         return deps
 
-    def _set_rename(self, entry: _RUUEntry) -> None:
-        instr = entry.instr
+    def _rename_slot(self, instr
+                     ) -> Optional[Tuple[List[Optional[_RUUEntry]], int]]:
+        """The rename table and register ``instr`` writes, if any: an
+        instruction renames at most one register."""
         kind = instr.kind_code
         if kind in (3, 4, 5):
             if instr.op is Opcode.CVTFI:
-                if instr.rd:
-                    self._rename_int[instr.rd] = entry
-            else:
-                self._rename_fp[instr.rd] = entry
-        elif kind == int(InstrKind.LOAD):
+                return (self._rename_int, instr.rd) if instr.rd else None
+            return self._rename_fp, instr.rd
+        if kind == int(InstrKind.LOAD):
             if instr.op is Opcode.FLW:
-                self._rename_fp[instr.rd] = entry
-            elif instr.rd:
-                self._rename_int[instr.rd] = entry
-        elif kind <= 2:
-            if instr.rd:
-                self._rename_int[instr.rd] = entry
-        elif kind in (int(InstrKind.CALL), int(InstrKind.INDIRECT_CALL)):
-            self._rename_int[31] = entry
+                return self._rename_fp, instr.rd
+            return (self._rename_int, instr.rd) if instr.rd else None
+        if kind <= 2:
+            return (self._rename_int, instr.rd) if instr.rd else None
+        if kind in (int(InstrKind.CALL), int(InstrKind.INDIRECT_CALL)):
+            return self._rename_int, 31
+        return None
 
     def _fetch_stage(self) -> None:
         cycle = self.cycle

@@ -278,15 +278,15 @@ class TraceWriter:
         if missing > 0:
             heads.extend([None] * missing)
             aux_kinds.extend([AUX_NONE] * missing)
-        pcs = cols.pc
+        pcs = cols.tables.pc
         pack = _U32.pack
         buf = self._buf
-        for i, idx, aux in zip(range(stop), cols.index, cols.aux):
+        for _, idx, aux in zip(range(stop), cols.index, cols.aux):
             head = heads[idx]
             if head is None:
                 instr = instructions[idx]
                 head = heads[idx] = _STEP_HEAD.pack(
-                    TAG_STEP, self._index_of(pcs[i], instr))
+                    TAG_STEP, self._index_of(pcs[idx], instr))
                 aux_kinds[idx] = aux_kind(instr.kind_code)
             buf += head
             kind = aux_kinds[idx]
@@ -380,35 +380,39 @@ class MemorySink:
 #: are what the fast engine retires in bulk.
 PLAIN_KINDS = frozenset({0, 1, 2, 3, 4, 5, 13})
 
-#: :attr:`SegmentColumns.flags` bits (per step)
+#: :attr:`_StaticTables.flags` bits (per static instruction)
 COL_FLAG_BOUNDARY = 0x01  #: compiler-inserted page-boundary branch
 COL_FLAG_INPAGE = 0x02    #: SoLA in-page hint
 COL_FLAG_CVTIF = 0x04     #: Opcode.CVTIF (FP op reading the int file)
 COL_FLAG_CVTFI = 0x08     #: Opcode.CVTFI (FP op writing the int file)
 COL_FLAG_FLW = 0x10       #: Opcode.FLW (load filling the FP file)
 COL_FLAG_FSW = 0x20       #: Opcode.FSW (store reading the FP file)
+_OP_FLAGS = {Opcode.CVTIF: COL_FLAG_CVTIF, Opcode.CVTFI: COL_FLAG_CVTFI,
+             Opcode.FLW: COL_FLAG_FLW, Opcode.FSW: COL_FLAG_FSW}
 
-#: decoded-column footprint of one step record: 11 parallel ``array('q')``
-#: slots of 8 bytes each.  Window budgets (``REPRO_TRACE_WINDOW``, the
-#: byte-budgeted LRU) are stated in these bytes because the columns are
-#: what actually occupies memory during an engine pass.
-COLUMN_BYTES_PER_STEP = 88
+#: decoded footprint of one step: its ``index`` and ``aux`` slots (8
+#: bytes each) plus its byte of the plain/event map.  Window budgets
+#: (``REPRO_TRACE_WINDOW``) are stated in these bytes because the
+#: decoded window is what occupies memory during an engine pass.
+COLUMN_BYTES_PER_STEP = 17
 
 
 class _StaticTables:
     """Per-static lookup tables, grown incrementally.
 
-    The column fill loop needs eight facts per interned instruction
-    (pc, kind, operands, latency, flag bits, taken target); the pc comes
-    from the static's record, the rest from its instruction.  An
-    in-memory segment builds them once for the whole segment; a windowed
-    decode appends as new statics arrive — statics always precede their
-    first referencing step, so tables extended through the end of a
-    window cover every step in it.  Lists only ever append, so column
-    views built against an earlier length stay valid.
+    The engines read nine facts per interned instruction (pc, kind,
+    operands, latency, flag bits, taken target, and whether its steps
+    are events); the pc comes from the static's record, the rest from
+    its instruction.  An in-memory segment builds them once for the
+    whole segment; a windowed decode appends as new statics arrive —
+    statics always precede their first referencing step, so tables
+    extended through the end of a window cover every step in it.
+    Tables only ever append, so a window built against an earlier
+    length stays valid.
     """
 
-    __slots__ = ("pc", "kind", "rs", "rt", "rd", "lat", "flags", "target")
+    __slots__ = ("pc", "kind", "rs", "rt", "rd", "lat", "flags", "target",
+                 "event")
 
     def __init__(self) -> None:
         self.pc: List[int] = []
@@ -419,6 +423,8 @@ class _StaticTables:
         self.lat: List[int] = []
         self.flags: List[int] = []
         self.target: List[int] = []
+        #: 1 for a static whose kind is not in :data:`PLAIN_KINDS`
+        self.event = bytearray()
 
     def extend(self, instrs: List[Instruction], pcs: List[int]) -> None:
         """Ingest every static past the already-tabled prefix:
@@ -426,139 +432,68 @@ class _StaticTables:
         known = len(self.pc)
         self.pc += pcs[known:]
         for instr in instrs[known:]:
-            self.kind.append(instr.kind_code)
+            kind = instr.kind_code
+            self.kind.append(kind)
+            self.event.append(kind not in PLAIN_KINDS)
             self.rs.append(instr.rs)
             self.rt.append(instr.rt)
             self.rd.append(instr.rd)
             self.lat.append(instr.latency)
-            flag = 0
-            if instr.is_boundary_branch:
-                flag |= COL_FLAG_BOUNDARY
-            if instr.inpage_hint:
-                flag |= COL_FLAG_INPAGE
-            op = instr.op
-            if op is Opcode.CVTIF:
-                flag |= COL_FLAG_CVTIF
-            elif op is Opcode.CVTFI:
-                flag |= COL_FLAG_CVTFI
-            elif op is Opcode.FLW:
-                flag |= COL_FLAG_FLW
-            elif op is Opcode.FSW:
-                flag |= COL_FLAG_FSW
-            self.flags.append(flag)
+            self.flags.append(
+                _OP_FLAGS.get(instr.op, 0)
+                | (COL_FLAG_BOUNDARY if instr.is_boundary_branch else 0)
+                | (COL_FLAG_INPAGE if instr.inpage_hint else 0))
             self.target.append(
                 -1 if instr.target is None else instr.target)
 
 
 class SegmentColumns:
-    """Flat-array view of a segment's dynamic stream, or of one window
-    of it.
+    """A segment's dynamic stream, or one window of it, as the engines
+    read it.
 
-    Parallel ``array('q')`` columns, one slot per step, in stream
-    order — everything the fast engine consumes without
-    touching :class:`~repro.isa.instructions.Instruction` objects or
-    allocating :class:`~repro.cpu.functional.StepResult`\\ s:
+    Per step it holds only what the static instruction cannot supply:
 
-    ``pc``        byte address of the step's instruction
-    ``next_pc``   resolved successor (taken target, fall-through, or the
-                  recorded indirect destination; the pc itself for HALT)
-    ``kind``      :class:`~repro.isa.instructions.InstrKind` as an int
-    ``aux``       the step's recorded payload: taken flag (conditional
-                  branches), next pc (indirect control), memory address
-                  (loads/stores), else ``-1``
-    ``rs/rt/rd``  register operand indices
-    ``latency``   the opcode's execute latency
-    ``flags``     :data:`COL_FLAG_BOUNDARY` / :data:`COL_FLAG_INPAGE` /
-                  :data:`COL_FLAG_CVTIF` / :data:`COL_FLAG_CVTFI` /
-                  :data:`COL_FLAG_FLW` / :data:`COL_FLAG_FSW`
-    ``index``     the step's static-table index (recovers the
-                  ``Instruction`` object on the slow, per-event path)
-    ``run``       length of the maximal run of *plain* steps (kind in
-                  :data:`PLAIN_KINDS`) starting at this slot — the
-                  fast engine's run-length path consumes this many
-                  steps without per-step event checks.  In a windowed
-                  view runs are truncated at the window end; the
-                  engine's per-event path retires a plain step
-                  identically to the run-length path, so the
-                  truncation is invisible in the results (the
-                  streaming bit-identity suite pins this).
+    ``index``   the step's static-table index
+    ``aux``     the step's recorded payload: taken flag (conditional
+                branches), next pc (indirect control), memory address
+                (loads/stores), else ``-1``
+    ``events``  one byte per step, 1 when its kind is not in
+                :data:`PLAIN_KINDS` (a control transfer, memory access
+                or HALT the engine must react to), else 0
 
     ``index`` and ``aux`` are the arrays the decoder (or a
-    :class:`MemorySink`) filled, adopted as they are; every other
-    column is derived from them and the static ``tables``.  Columns are
-    immutable once built and safe to share across engines (and, via the
-    trace LRU, across jobs in one process).
+    :class:`MemorySink`) filled, adopted as they are.  Every other fact
+    of step ``i`` is read through its index from ``tables``: its pc is
+    ``tables.pc[index[i]]``, and likewise its kind, operands, latency,
+    :data:`COL_FLAG_BOUNDARY`-style flag bits and taken target.  Its
+    successor matters only at control steps: ``aux`` for indirect
+    control, the target for a taken branch, ``pc + 4`` otherwise.  The
+    run of plain steps starting at ``i`` — what the fast engine retires
+    without per-step event checks — ends at ``events.find(1, i)``, or
+    at ``steps`` when no event follows.  In a window runs are truncated
+    at the window end; the engine's per-event path retires a plain step
+    identically to the run-length path, so the truncation is invisible
+    in the results (the streaming bit-identity suite pins this).
+
+    A view is immutable once built and safe to share across engines
+    (and, via the trace LRU, across jobs in one process).
     """
 
-    __slots__ = ("pc", "next_pc", "kind", "aux", "rs", "rt", "rd",
-                 "latency", "flags", "index", "run", "steps")
+    __slots__ = ("tables", "index", "aux", "events", "steps")
 
     def __init__(self, tables: _StaticTables, index: array,
                  aux: array) -> None:
-        s_pc = tables.pc
-        s_kind = tables.kind
-        s_rs = tables.rs
-        s_rt = tables.rt
-        s_rd = tables.rd
-        s_lat = tables.lat
-        s_flags = tables.flags
-        s_target = tables.target
-
-        n = len(index)
-        self.steps = n
-        pc = array("q", bytes(8 * n))
-        next_pc = array("q", bytes(8 * n))
-        kind = array("q", bytes(8 * n))
-        rs = array("q", bytes(8 * n))
-        rt = array("q", bytes(8 * n))
-        rd = array("q", bytes(8 * n))
-        latency = array("q", bytes(8 * n))
-        flags = array("q", bytes(8 * n))
-        run = array("q", bytes(8 * n))
-        for i, idx in enumerate(index):
-            a = s_pc[idx]
-            k = s_kind[idx]
-            pc[i] = a
-            kind[i] = k
-            rs[i] = s_rs[idx]
-            rt[i] = s_rt[idx]
-            rd[i] = s_rd[idx]
-            latency[i] = s_lat[idx]
-            flags[i] = s_flags[idx]
-            if k == 8:  # COND_BRANCH: recorded direction picks the successor
-                next_pc[i] = s_target[idx] if aux[i] else a + 4
-            elif k in (9, 10):  # JUMP / CALL: static target
-                next_pc[i] = s_target[idx]
-            elif k in (11, 12):  # indirect: recorded target
-                next_pc[i] = aux[i]
-            elif k == 14:  # HALT
-                next_pc[i] = a
-            else:
-                next_pc[i] = a + 4
-        # run lengths, computed backward: run[i] counts the consecutive
-        # plain steps starting at i (0 when step i itself is an event)
-        plain = PLAIN_KINDS
-        streak = 0
-        for i in range(n - 1, -1, -1):
-            streak = streak + 1 if kind[i] in plain else 0
-            run[i] = streak
-        self.pc = pc
-        self.next_pc = next_pc
-        self.kind = kind
-        self.aux = aux
-        self.rs = rs
-        self.rt = rt
-        self.rd = rd
-        self.latency = latency
-        self.flags = flags
+        self.tables = tables
         self.index = index
-        self.run = run
+        self.aux = aux
+        self.events = bytes(map(tables.event.__getitem__, index))
+        self.steps = len(index)
 
     def nbytes(self) -> int:
-        """Total size of the column arrays (diagnostics)."""
-        return sum(getattr(self, name).itemsize * len(getattr(self, name))
-                   for name in ("pc", "next_pc", "kind", "aux", "rs", "rt",
-                                "rd", "latency", "flags", "index", "run"))
+        """Bytes of the view's per-step data: its two arrays and its
+        event map."""
+        return (self.index.itemsize * len(self.index)
+                + self.aux.itemsize * len(self.aux) + len(self.events))
 
 
 def trace_exhausted(steps: int) -> TraceError:
@@ -579,8 +514,9 @@ def iter_steps(source) -> Iterator[Tuple[int, Instruction, int]]:
         cols = source.next_window()
         if cols is None:
             raise trace_exhausted(steps)
-        for pc, index, aux in zip(cols.pc, cols.index, cols.aux):
-            yield pc, instrs[index], aux
+        pcs = cols.tables.pc
+        for index, aux in zip(cols.index, cols.aux):
+            yield pcs[index], instrs[index], aux
         steps += cols.steps
 
 
@@ -606,7 +542,7 @@ def committed_steps(program, skip: int, count: int
 
 
 class _MemoryWindowSource:
-    """An in-memory segment's window source: its memoized columns,
+    """An in-memory segment's window source: its memoized view,
     handed out as one window."""
 
     __slots__ = ("instructions", "_segment")
@@ -630,7 +566,7 @@ class TraceSegment:
     An in-memory segment (decoded eagerly, executed live, derived, or
     imported) holds its interned statics with their pcs and its stream
     as the ``index``/``aux`` arrays the decoder or a :class:`MemorySink`
-    filled; its columns are built from them on first use.  A
+    filled; its :meth:`columns` view is built from them on first use.  A
     file-backed segment (``window_steps`` > 0) holds only its position
     in the file and decodes its stream in windows of that many steps,
     per consumer.
@@ -645,13 +581,13 @@ class TraceSegment:
     #: every step
     index: array = field(default_factory=lambda: array("q"))
     aux: array = field(default_factory=lambda: array("q"))
-    #: file-backed segments: the file, this segment's position in it
-    #: (gzip cannot seek, so a window source skip-parses the segments
-    #: before it) and the window budget in steps
+    #: file-backed segments: the file, the decompressed offset of this
+    #: segment's record in it (a window source seeks there) and the
+    #: window budget in steps
     path: Optional[Path] = None
-    ordinal: int = 0
+    offset: int = 0
     window_steps: int = 0
-    #: memoized flat-array view (built on first :meth:`columns` call)
+    #: memoized stream view (built on first :meth:`columns` call)
     _columns: Optional[SegmentColumns] = field(
         default=None, repr=False, compare=False)
 
@@ -669,11 +605,12 @@ class TraceSegment:
         return len(self.index)
 
     def columns(self) -> SegmentColumns:
-        """The flat-array view of an in-memory segment's stream.
+        """The stream view of an in-memory segment: its own ``index``
+        and ``aux`` arrays, its static tables and its event map.
 
         Built on first use and memoized on the segment, so every engine
         pass (and every sweep job sharing this segment through the trace
-        LRU) reuses one set of arrays."""
+        LRU) reuses one view."""
         if self._columns is None:
             tables = _StaticTables()
             tables.extend(self.instructions, self.pcs)
@@ -686,7 +623,7 @@ class TraceSegment:
         window for an in-memory segment, bounded windows decoded on
         demand for a file-backed one."""
         if self.window_steps:
-            return _StreamWindowSource(self.path, self.ordinal,
+            return _StreamWindowSource(self.path, self.offset, self.meta,
                                        self.window_steps)
         return _MemoryWindowSource(self)
 
@@ -765,9 +702,11 @@ class _StreamReader:
             self._fh = open_sniffed(self.path)
         except OSError as exc:
             raise TraceError(f"cannot open trace {path}: {exc}") from exc
-        #: unread bytes are ``buf[pos:]``
+        #: unread bytes are ``buf[pos:]``; ``buf[0]`` is at decompressed
+        #: offset ``base``
         self.buf = b""
         self.pos = 0
+        self.base = 0
         try:
             self.header = self._read_preamble()
         except BaseException:
@@ -779,6 +718,7 @@ class _StreamReader:
 
     def top_up(self, count: int, what: str) -> None:
         """Buffer at least ``count`` unread bytes, or every byte left."""
+        self.base += self.pos
         chunks = [self.buf[self.pos:]]
         have = len(chunks[0])
         while have < count:
@@ -794,6 +734,24 @@ class _StreamReader:
             have += len(data)
         self.buf = b"".join(chunks)
         self.pos = 0
+
+    def tell(self) -> int:
+        """The decompressed offset of the next unread byte."""
+        return self.base + self.pos
+
+    def seek(self, offset: int) -> None:
+        """Make decompressed ``offset`` the next unread byte, by the
+        file's own seek (a compressed file decompresses up to it at C
+        speed).  An offset past the end leaves nothing to read."""
+        try:
+            self._fh.seek(offset)
+        except (OSError, EOFError, zlib.error, lzma.LZMAError) as exc:
+            raise TraceError(
+                f"{self.path}: corrupt trace stream while seeking to "
+                f"byte {offset} ({exc})") from exc
+        self.buf = b""
+        self.pos = 0
+        self.base = offset
 
     def exact(self, count: int, what: str) -> bytes:
         if len(self.buf) - self.pos < count:
@@ -872,7 +830,7 @@ def _parse_items(reader: _StreamReader, kinds: List[int], limit: int,
     :class:`Instruction`\\ s beside their pcs and each step appends its
     static index and aux payload — a whole segment
     with no limit, one window with the window's.  Without them it skips
-    (the segment index scan, reaching segment *n* of a gzip stream):
+    (the segment index scan and :meth:`TraceReader.info`):
     statics are checked but never built and steps are sized but not
     kept.  ``kinds`` holds the aux payload kind of every static seen so
     far in the segment, carried from window to window.
@@ -951,18 +909,20 @@ def _parse_items(reader: _StreamReader, kinds: List[int], limit: int,
 def _read_trace(path: Union[str, Path], window_steps: int) -> TraceFile:
     """Read ``path`` in one forward pass: every segment decoded into
     memory, or — given a window budget — skipped over and kept as a
-    file-backed segment (the segment index of a windowed decode)."""
+    file-backed segment at its offset (the segment index of a windowed
+    decode)."""
     reader = _StreamReader(path)
     try:
         segments: List[TraceSegment] = []
         while True:
+            offset = reader.tell()
             meta = reader.next_segment_meta()
             if meta is None:
                 return TraceFile(reader.path, reader.header, segments,
                                  window_steps)
             if window_steps:
                 segment = TraceSegment(meta, path=reader.path,
-                                       ordinal=len(segments),
+                                       offset=offset,
                                        window_steps=window_steps)
                 _parse_items(reader, [], _NO_LIMIT)
             else:
@@ -1022,9 +982,13 @@ class _StreamWindowSource:
     state.  ``instructions`` grows in place as statics arrive, so an
     engine may bind it once: indices in earlier windows stay valid
     forever.
+
+    The source seeks to the segment's ``offset`` from the index walk and
+    parses nothing before it; the segment record it finds there must
+    carry the indexed ``meta``, or the file changed since the walk.
     """
 
-    def __init__(self, path: Union[str, Path], ordinal: int,
+    def __init__(self, path: Union[str, Path], offset: int, meta: dict,
                  window_steps: int) -> None:
         self.instructions: List[Instruction] = []
         #: the pc of each of ``instructions``, from its static record
@@ -1034,19 +998,20 @@ class _StreamWindowSource:
         self._window_steps = window_steps
         self._base = 0
         self._exhausted = False
-        self._reader = _StreamReader(path)
+        self._reader = reader = _StreamReader(path)
         try:
-            for seen in range(ordinal + 1):
-                if self._reader.next_segment_meta() is None:
-                    raise TraceError(
-                        f"{self._reader.path}: trace holds only {seen} "
-                        f"segment(s); segment #{ordinal} disappeared "
-                        "between the index scan and the decode — was "
-                        "the file rewritten mid-run?")
-                if seen < ordinal:
-                    _parse_items(self._reader, [], _NO_LIMIT)
+            try:
+                reader.seek(offset)
+                found = reader.next_segment_meta()
+            except TraceError:
+                found = None
+            if found != meta:
+                raise TraceError(
+                    f"{reader.path}: the segment indexed at byte {offset} "
+                    "disappeared between the index scan and the decode — "
+                    "was the file rewritten mid-run?")
         except BaseException:
-            self._reader.close()
+            reader.close()
             raise
 
     def close(self) -> None:
@@ -1054,7 +1019,7 @@ class _StreamWindowSource:
         self._reader.close()
 
     def next_window(self) -> Optional[SegmentColumns]:
-        """Decode up to the window budget of steps into columns; ``None``
+        """Decode up to the window budget of steps; ``None``
         once the segment is exhausted (the file handle closes with
         it)."""
         if self._exhausted:
@@ -1071,7 +1036,7 @@ class _StreamWindowSource:
             return None
         self._tables.extend(self.instructions, self.pcs)
         window = SegmentColumns(self._tables, index, aux)
-        nbytes = COLUMN_BYTES_PER_STEP * steps
+        nbytes = window.nbytes()
         note_stream_window(nbytes, time.perf_counter() - started)
         emit("trace.stream_window", level="debug",
              path=str(self._reader.path), base=self._base, steps=steps,
@@ -1119,7 +1084,7 @@ def file_digest(path: Union[str, Path]) -> str:
 # ---------------------------------------------------------------------------
 
 #: traces whose file is at or below this size always decode eagerly
-#: when no explicit window is forced: the decoded columns of a small
+#: when no explicit window is forced: the decoded stream of a small
 #: trace cost less than re-parsing it per engine pass, and the LRU
 #: makes the decode free across a sweep's jobs
 STREAM_THRESHOLD_BYTES = 16 << 20
@@ -1165,9 +1130,9 @@ def trace_window_bytes() -> Optional[int]:
 #: how many decoded traces one process keeps alive at once.  A sweep
 #: runs a trace's units back to back, so it reuses the newest entry;
 #: the other slots serve pool and queue workers, which take units in
-#: any order.  The decoded form (instructions + flat columns) is a few
-#: MB per trace, so a small LRU captures the reuse without unbounded
-#: growth.
+#: any order.  The decoded form (instructions + index/aux arrays) is
+#: a few MB per trace, so a small LRU captures the reuse without
+#: unbounded growth.
 TRACE_CACHE_CAPACITY = 8
 
 #: (realpath, sha256) -> decoded TraceFile, most recently used last.
@@ -1183,9 +1148,10 @@ def load_trace(path: Union[str, Path], *, stream=None) -> TraceFile:
     A six-config sweep over one trace used to gunzip and re-decode the
     file once per job; with the LRU every job in a process (the sweep
     parent or one pool/queue worker) shares a single decoded
-    :class:`TraceFile` — and therefore a single set of flat
-    :class:`SegmentColumns`.  The cached object is shared, never copied:
-    segments and their columns are read-only to every consumer.  A
+    :class:`TraceFile` — and therefore a single
+    :class:`SegmentColumns` view per segment.  The cached object is
+    shared, never copied: segments and their views are read-only to
+    every consumer.  A
     fresh, uncached decode is ``TraceReader(path).read()``.
 
     ``stream`` selects the decode strategy:
@@ -1200,8 +1166,8 @@ def load_trace(path: Union[str, Path], *, stream=None) -> TraceFile:
 
     A streamed trace is a :class:`TraceFile` of file-backed segments:
     loading it only skip-parses the file for its segment index, and
-    nothing enters the LRU — each engine pass re-reads the file
-    forward, holding at most one window's columns, so replay memory is
+    nothing enters the LRU — each engine pass seeks to its segment and
+    reads it forward, holding at most one window, so replay memory is
     bounded by the window budget instead of the trace.  Results are
     bit-identical either way (the streaming equivalence suite pins
     this)."""

@@ -38,19 +38,25 @@ def _window_cut(cols, need: int) -> Tuple[int, int]:
     is just past it and ``left`` is 0; otherwise ``stop`` is the
     window's length and ``left`` the useful steps still needed."""
     n = cols.steps
-    try:
-        halt = cols.kind.index(14)  # HALT
-    except ValueError:
+    tables = cols.tables
+    # per step, read through its static index: 2 for a HALT, 1 for a
+    # boundary branch, else 0
+    code = bytes(2 if kind == 14 else 1 if flag & COL_FLAG_BOUNDARY else 0
+                 for kind, flag in zip(tables.kind, tables.flags))
+    marks = bytes(map(code.__getitem__, cols.index))
+    halt = marks.find(2)
+    if halt < 0:
         halt = n
     # the need-th useful step sits one slot later per boundary step
     # at or before it
     last = need - 1
-    boundaries = (i for i, flag in enumerate(cols.flags)
-                  if flag & COL_FLAG_BOUNDARY)
-    for position in boundaries:
-        if position > last:
+    seen = 0
+    while True:
+        extra = marks.count(1, seen, last + 1)
+        if not extra:
             break
-        last += 1
+        seen = last + 1
+        last += extra
     end = min(last, halt)
     if end < n:
         return end + 1, 0
@@ -64,7 +70,7 @@ def write_pass(writer: TraceWriter, program, budget: int) -> int:
     retires.  Returns the steps written.
 
     The stream is walked window by window: each window's cut comes
-    from its ``kind`` and ``flags`` columns, and its leading steps go
+    from the kinds and flags of its statics, and its leading steps go
     to :meth:`~repro.trace.format.TraceWriter.write_columns` in one
     call."""
     binary = "instrumented" if program.instrumented else "plain"

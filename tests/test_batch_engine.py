@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from reference_columns import engine_view
 from repro.config import (
     CacheAddressing,
     SchemeName,
@@ -514,41 +515,43 @@ class TestSegmentColumns:
         cols = segment.columns()
         assert segment.columns() is cols
         assert cols.steps == segment.steps
-        assert len(cols.pc) == cols.steps
+        assert cols.index is segment.index and cols.aux is segment.aux
+        assert len(cols.events) == cols.steps
         assert cols.nbytes() > 0
 
     def test_columns_agree_with_records(self):
-        """The whole-segment columns against an independent decode of
+        """The whole-segment view against an independent decode of
         the same segment: a stream of one-step windows."""
         trace = TraceReader(GOLDEN_MESA).read()
         streamed = load_trace(GOLDEN_MESA, stream=COLUMN_BYTES_PER_STEP)
         for segment, single in zip(trace.segments, streamed.segments):
-            cols = segment.columns()
+            view = engine_view(segment.columns())
             source = single.window_source()
             try:
-                for i in range(min(cols.steps, 2000)):
+                for i in range(min(segment.steps, 2000)):
                     window = source.next_window()
                     assert window.steps == 1
                     idx, aux = window.index[0], window.aux[0]
                     instr = source.instructions[idx]
-                    assert cols.pc[i] == source.pcs[idx]
-                    assert cols.kind[i] == instr.kind_code
-                    assert cols.aux[i] == aux
-                    assert cols.index[i] == idx
-                    assert cols.latency[i] == instr.latency
+                    assert view["pc"][i] == source.pcs[idx]
+                    assert view["kind"][i] == instr.kind_code
+                    assert view["aux"][i] == aux
+                    assert view["index"][i] == idx
+                    assert view["latency"][i] == instr.latency
             finally:
                 source.close()
 
     def test_run_lengths(self):
         trace = TraceReader(GOLDEN_MESA).read()
-        cols = trace.segments[0].columns()
-        n = cols.steps
+        view = engine_view(trace.segments[0].columns())
+        kinds, runs = view["kind"], view["run"]
+        n = len(runs)
         for i in range(min(n, 2000)):
-            if cols.kind[i] in PLAIN_KINDS:
-                expected = cols.run[i + 1] + 1 if i + 1 < n else 1
-                assert cols.run[i] == expected
+            if kinds[i] in PLAIN_KINDS:
+                expected = runs[i + 1] + 1 if i + 1 < n else 1
+                assert runs[i] == expected
             else:
-                assert cols.run[i] == 0
+                assert runs[i] == 0
 
 
 class TestLiveStream:
@@ -592,8 +595,8 @@ class TestLiveStream:
         assert gc.isenabled() == enabled
 
     def test_stream_holds_no_per_step_objects(self):
-        """A live stream is its flat columns: the eleven 8-byte slots
-        of a step and little else, with no Python object kept per
+        """A live stream is its flat arrays: a step's index and aux
+        slots and its event-map byte, with no Python object kept per
         step."""
         program = resolve("177.mesa").link()
         tracemalloc.start()

@@ -8,8 +8,9 @@ and that image's committed stream is the plain stream remapped
 premise on every registry workload and four page sizes: the derived
 image equals one placed word by word (:mod:`reference_link`), and the
 derived stream equals an execution of the instrumented image, in every
-column.  They also pin that a program the remap cannot follow fails
-loudly, and that recorded traces keep their bytes.
+per-step fact the fast engine reads.  They also pin that a program the
+remap cannot follow fails loudly, and that recorded traces keep their
+bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 
 import pytest
 
+from reference_columns import FACTS, engine_view
 from reference_link import reference_link
 from repro.compiler.instrument import instrument_module, instrument_program
 from repro.config import default_config
@@ -41,18 +43,15 @@ WORKLOADS = (tuple(BENCHMARK_NAMES) + MICROS
              + tuple(name + AFFINITY_SUFFIX for name in BENCHMARK_NAMES))
 PAGE_SIZES = (4096, 8192, 16384, 65536)
 
-#: the eleven stream columns the fast engine reads
-COLUMNS = ("pc", "next_pc", "kind", "aux", "rs", "rt", "rd", "latency",
-           "flags", "index", "run")
-
 
 def stream_mismatches(derived, executed) -> list:
     """What differs between two in-memory segments: the names of the
-    columns that differ, plus ``"statics"`` when the interned statics
-    (matched by pc) do."""
-    found = [name for name in COLUMNS
-             if getattr(derived.columns(), name)
-             != getattr(executed.columns(), name)]
+    per-step facts the fast engine reads that differ
+    (:data:`reference_columns.FACTS`), plus ``"statics"`` when the
+    interned statics (matched by pc) do."""
+    ours = engine_view(derived.columns())
+    theirs = engine_view(executed.columns())
+    found = [name for name in FACTS if ours[name] != theirs[name]]
     if (derived.pcs != executed.pcs
             or derived.instructions != executed.instructions):
         found.append("statics")
@@ -238,9 +237,9 @@ class TestFailsLoudly:
         assert stream_mismatches(derived,
                                  committed_stream(program, 100)) == []
         boundary = TEXT_BASE + 252
-        columns = derived.columns()
-        assert columns.aux[63] == boundary  # the return
-        assert columns.pc[64] == boundary
+        view = engine_view(derived.columns())
+        assert view["aux"][63] == boundary  # the return
+        assert view["pc"][64] == boundary
 
     def test_return_address_that_is_also_a_table_label(self):
         self._refused(_module(self._call_at_a_page_end, table=["after"]),

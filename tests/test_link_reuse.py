@@ -21,6 +21,7 @@ import weakref
 
 import pytest
 
+from reference_columns import engine_view
 from repro.config import TLBConfig, default_config
 from repro.runner import JobSpec, ResultStore, SweepRunner
 from repro.sim.simulator import Simulator
@@ -234,10 +235,6 @@ class TestEnginesLeaveSharedProgramsAlone:
 
 
 #: the eleven stream columns the fast engine reads
-_COLUMNS = ("pc", "next_pc", "kind", "aux", "rs", "rt", "rd", "latency",
-            "flags", "index", "run")
-
-
 class TestPlainLayoutAcrossPageSizes:
     """Without boundary branches the linker places nothing by page size,
     so a sweep links and executes each stand-in's plain layout once and
@@ -256,8 +253,7 @@ class TestPlainLayoutAcrossPageSizes:
             assert program.page_bytes == page_bytes
             columns = committed_stream(program, 1500).columns()
             image = _image(dataclasses.replace(program, page_bytes=4096))
-            stream = {name: list(getattr(columns, name))
-                      for name in _COLUMNS}
+            stream = engine_view(columns)
             if reference is None:
                 reference = image, stream
             assert (image, stream) == reference, page_bytes
