@@ -10,7 +10,9 @@ of the program's recorded trace.
 The cases are the twelve registered workloads (six SPEC stand-ins, six
 micros) under PI-PT, VI-PT and VI-VT at 4 KB and 64 KB pages, each
 stand-in under four more generator seeds at VI-PT / 4 KB (registered
-under its own name, as ``perfbench`` does), and one zero-warmup window.
+under its own name, as ``perfbench`` does), one zero-warmup window, and
+the register-corner loop (:mod:`register_corners`) under PI-PT, VI-PT
+and VI-VT at 4 KB.
 
 Regenerate (only for an intentional change to the model) with::
 
@@ -29,6 +31,8 @@ from typing import Dict, List, NamedTuple
 
 import pytest
 
+from register_corners import NAME as CORNERS
+from register_corners import corner_workload
 from repro.config import CacheAddressing, default_config
 from repro.sim.multi import run_all_schemes
 from repro.trace.record import record_trace
@@ -86,6 +90,7 @@ def _cases() -> List[Case]:
     cases += [Case(workload, seed, CacheAddressing.VIPT, 4096)
               for workload in BENCHMARK_NAMES for seed in EXTRA_SEEDS]
     cases.append(Case("177.mesa", 0, CacheAddressing.VIPT, 4096, warmup=0))
+    cases += [Case(CORNERS, 0, addressing, 4096) for addressing in ADDRESSINGS]
     return cases
 
 
@@ -104,7 +109,12 @@ def _digest(run) -> str:
 @contextmanager
 def _workload(case: Case):
     """The case's workload; an extra seed is registered under the
-    stand-in's own name for the duration, then the builtin restored."""
+    stand-in's own name for the duration, then the builtin restored, and
+    the corner loop only for the duration."""
+    if case.workload == CORNERS:
+        with corner_workload() as workload:
+            yield workload
+        return
     if not case.seed:
         yield resolve(case.workload)
         return

@@ -9,7 +9,8 @@ when it translates, not just how many lookups it decides.
 The cases are mesa, vortex and ``micro.page_ping_pong`` under PI-PT,
 VI-PT and VI-VT with every scheme on the default iTLB, plus mesa Base
 and IA under each addressing on a 1-entry iTLB and on serial (1+32) and
-parallel (2+16) two-level iTLBs.
+parallel (2+16) two-level iTLBs, and the register-corner loop
+(:mod:`register_corners`) Base and IA under each addressing.
 
 Regenerate (only for an intentional change to the model) with::
 
@@ -21,11 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, NamedTuple
 
 import pytest
 
+from register_corners import NAME as CORNERS
+from register_corners import corner_workload
 from repro.config import (
     CacheAddressing,
     MachineConfig,
@@ -82,6 +86,9 @@ def _cases() -> List[Case]:
               for shape in SHAPES
               for addressing in ADDRESSINGS
               for scheme in (SchemeName.BASE, SchemeName.IA)]
+    cases += [Case(CORNERS, addressing, scheme)
+              for addressing in ADDRESSINGS
+              for scheme in (SchemeName.BASE, SchemeName.IA)]
     return cases
 
 
@@ -89,9 +96,11 @@ CASES = _cases()
 
 
 def _digest(case: Case) -> str:
-    run = run_all_schemes(resolve(case.workload), case.config(),
-                          instructions=INSTRUCTIONS, warmup=WARMUP,
-                          schemes=(case.scheme,), engine="ooo")
+    with (corner_workload() if case.workload == CORNERS
+          else nullcontext(resolve(case.workload))) as workload:
+        run = run_all_schemes(workload, case.config(),
+                              instructions=INSTRUCTIONS, warmup=WARMUP,
+                              schemes=(case.scheme,), engine="ooo")
     canonical = json.dumps(run.to_dict(), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -4,7 +4,10 @@ an event-map byte, and a window source that seeks to its segment.
 Every per-step fact the fast engine reads must equal what the old
 eleven-column build gave (:mod:`reference_columns`), on every registry
 image, on the golden trace streamed in windows (so runs truncated at a
-window edge), and on the imported fixtures.  A decoded window must hold
+window edge), on the imported fixtures, and on an image of every opcode
+with every mix of register 0 and a nonzero register in its operands (no
+registry image executes ``CVTIF``, ``CVTFI``, ``FLW`` or ``FMOV``).  A
+decoded window must hold
 no more than :data:`~repro.trace.format.COLUMN_BYTES_PER_STEP` bytes per
 step, and a streamed segment's source must parse nothing of the
 segments before it.
@@ -12,6 +15,7 @@ segments before it.
 
 from __future__ import annotations
 
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -19,10 +23,13 @@ import pytest
 from reference_columns import view_mismatches
 from repro.config import default_config
 from repro.errors import TraceError
+from repro.isa.instructions import ANALYZABLE_KINDS, Instruction, Opcode
+from repro.isa.program import TEXT_BASE
 from repro.telemetry.metrics import collect
 from repro.trace import format as trace_format
 from repro.trace.format import (
     COLUMN_BYTES_PER_STEP,
+    MemorySink,
     TraceReader,
     load_trace,
 )
@@ -44,6 +51,22 @@ def _windows(segment):
             yield source, window
     finally:
         source.close()
+
+
+def _every_opcode_segment():
+    """One step of each static: every opcode with each of ``rd``,
+    ``rs`` and ``rt`` set to 0 or 5."""
+    sink = MemorySink()
+    sink.begin_segment({})
+    pc = TEXT_BASE
+    for op in Opcode:
+        for rd, rs, rt in product((0, 5), repeat=3):
+            target = pc + 64 if op.kind in ANALYZABLE_KINDS else None
+            aux = pc + 8 if op in (Opcode.JR, Opcode.JALR) else rs & 1
+            sink.write_record(pc, Instruction(op, rd=rd, rs=rs, rt=rt,
+                                              target=target), aux)
+            pc += 4
+    return sink.segments[0]
 
 
 class TestSameFactsAsTheElevenColumns:
@@ -76,6 +99,12 @@ class TestSameFactsAsTheElevenColumns:
                 truncated += window.events[-1] == 0
             assert steps == whole.steps
         assert truncated
+
+    def test_every_opcode_and_register_corner(self):
+        segment = _every_opcode_segment()
+        assert segment.steps == 8 * len(Opcode)
+        assert view_mismatches(segment.columns(), segment.instructions,
+                               segment.pcs) == []
 
     @pytest.mark.parametrize("fmt", sorted(FIXTURE_FOR))
     def test_imported_fixture(self, fmt):
