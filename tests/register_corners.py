@@ -17,7 +17,14 @@ what in-order commit would hide:
 * ``fsw`` of ``f0`` (a store of register 0 waits on nothing) and of
   ``f5``, ``sw`` of an integer register;
 * ``flw`` (a load filling the FP file) and ``fmov``;
-* a ``jal`` whose callee reads ``ra`` before returning through it.
+* a ``jal`` whose callee reads ``ra`` before returning through it;
+* every eighth pass, an ``flw`` and an ``fsw`` of fresh data blocks,
+  which miss the caches, with an FP chain between them.
+
+In-order commit still hides some rules from the digests: a call's
+``ra`` is ready before the callee can issue, and in the fast engine a
+store delays only its own commit.  The per-static check
+(``test_stream_layout.py``) covers every rule.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from repro.workloads.synthetic import SyntheticWorkload, WorkloadProfile
 #: the registry name the engine pins use
 NAME = "corner.registers"
 
-_T0, _T1, _T2, _T3, _T4 = 8, 9, 10, 11, 12
+_T0, _T1, _T2, _T3, _T4, _T5, _T6 = 8, 9, 10, 11, 12, 13, 14
 _S0, _S1 = 16, 17
 
 
@@ -47,6 +54,7 @@ def corner_program(iterations: int = 200) -> Module:
     asm.addi(_S1, REG_ZERO, 7)
     asm.addi(_T0, REG_ZERO, 3)
     asm.sw(_T0, REG_GP, 0)
+    asm.or_(_T5, REG_GP, REG_ZERO)
     asm.label("loop")
     # an integer write to r0 is dropped: the add does not wait on it
     asm.div(REG_ZERO, _S0, _S1)
@@ -77,6 +85,16 @@ def corner_program(iterations: int = 200) -> Module:
     asm.fmov(6, 5)
     asm.fdiv(6, 6, 6)
     asm.fsw(5, REG_GP, 8)
+    # every eighth pass, a fresh data block: the flw and the fsw miss
+    asm.andi(_T6, _S0, 7)
+    asm.bne(_T6, REG_ZERO, "hit")
+    asm.addi(_T5, _T5, 256)
+    asm.flw(7, _T5, 0)
+    asm.fmov(8, 7)
+    asm.fdiv(8, 8, 8)
+    asm.fdiv(8, 8, 8)
+    asm.fsw(8, _T5, 128)
+    asm.label("hit")
     asm.sw(_T3, REG_GP, 12)
     asm.lw(_T4, REG_GP, 12)
     asm.mul(_T4, _T4, _T4)
@@ -89,7 +107,7 @@ def corner_program(iterations: int = 200) -> Module:
     asm.add(_T4, REG_RA, REG_ZERO)
     asm.mul(_T4, _T4, _S1)
     asm.jr(REG_RA)
-    asm.data_space("corners", 8)
+    asm.data_space("corners", 2048)
     return asm.module
 
 
