@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigError
 
@@ -263,6 +263,15 @@ class CoreConfig:
                      "decode_width", "issue_width", "commit_width", "int_alus",
                      "int_mult_div", "fp_alus", "fp_mult_div"):
             _require(getattr(self, name) >= 1, f"{name} must be >= 1")
+
+    def unit_counts(self) -> Dict[int, int]:
+        """Functional units per ``InstrKind`` code, for both timing
+        engines; a kind not listed has no structural limit.  Multiply
+        and divide get separate pools (sharing one would move every
+        pinned number); loads and stores each have two cache ports."""
+        return {0: self.int_alus, 1: self.int_mult_div,
+                2: self.int_mult_div, 3: self.fp_alus,
+                4: self.fp_mult_div, 5: self.fp_mult_div, 6: 2, 7: 2}
 
 
 @dataclass(frozen=True)

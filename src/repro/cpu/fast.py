@@ -47,6 +47,7 @@ the detailed out-of-order engine (see ``benchmarks/test_validation.py``).
 
 from __future__ import annotations
 
+from heapq import heapreplace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.branch.predictor import FrontEndPredictor
@@ -65,16 +66,10 @@ from repro.cpu.results import (
     scheme_result,
 )
 from repro.errors import ConfigError
+from repro.isa.instructions import REGISTER_SLOTS
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.trace.format import (
-    COL_FLAG_BOUNDARY,
-    COL_FLAG_CVTFI,
-    COL_FLAG_CVTIF,
-    COL_FLAG_FLW,
-    COL_FLAG_FSW,
-    trace_exhausted,
-)
+from repro.trace.format import trace_exhausted
 from repro.vm.os_model import AddressSpace
 from repro.vm.page_table import Protection
 from repro.vm.tlb import TLB, AnyTLB, build_itlb
@@ -166,21 +161,14 @@ class FastEngine:
         self._fetch_width = core.fetch_width
         self._commit_width = core.commit_width
         self._mispredict_penalty = config.branch.mispredict_penalty
-        self._ready_int = [0] * 32
-        self._ready_fp = [0.0] * 32
-        # functional-unit pools, indexed by kind_code (None = no structural
-        # limit for that kind).  A flat list beats the previous dict: the
-        # timing loop consults it once per retired instruction, and list
-        # indexing skips the hash.
+        #: ready cycle per register slot; a ready time of 0 never
+        #: exceeds an issue time (fetch + 3), so all start at int 0
+        self._ready = [0] * REGISTER_SLOTS
+        #: per kind code, a heap of the cycles each functional unit is
+        #: next free (None = no structural limit)
         self._fu_pools: List[Optional[List[int]]] = [None] * 15
-        self._fu_pools[0] = [0] * core.int_alus        # INT_ALU
-        self._fu_pools[1] = [0] * core.int_mult_div    # INT_MULT
-        self._fu_pools[2] = [0] * core.int_mult_div    # INT_DIV (shares unit)
-        self._fu_pools[3] = [0] * core.fp_alus         # FP_ALU
-        self._fu_pools[4] = [0] * core.fp_mult_div     # FP_MULT
-        self._fu_pools[5] = [0] * core.fp_mult_div     # FP_DIV
-        self._fu_pools[6] = [0, 0]                     # LOAD (2 cache ports)
-        self._fu_pools[7] = [0, 0]                     # STORE
+        for kind, count in core.unit_counts().items():
+            self._fu_pools[kind] = [0] * count
         self._ring_size = core.ruu_size
         self._commit_ring = [0] * self._ring_size
         self._ring_pos = 0
@@ -362,6 +350,10 @@ class FastEngine:
         Each step's facts are ``table[idx]`` reads through its static
         index ``idx``; its successor is resolved only at control steps,
         and a run ends at the next byte set in the window's event map.
+        Both paths time a step alike: it issues once its source slots
+        are ready in the one ``ready`` list and its kind's unit heap has
+        a free unit, then writes its completion to its destination slot
+        (:func:`~repro.isa.instructions.register_slots`).
         Windows come one at a time.  When the position runs off the
         current window's end the loop top pulls the next window and
         rebinds the locals; a run-length run truncated at a window
@@ -395,8 +387,7 @@ class FastEngine:
         fetch_width = self._fetch_width
         commit_width = self._commit_width
         mispredict_penalty = self._mispredict_penalty
-        ready_int = self._ready_int
-        ready_fp = self._ready_fp
+        ready = self._ready
         pools = self._fu_pools
         ring = self._commit_ring
         ring_size = self._ring_size
@@ -447,11 +438,12 @@ class FastEngine:
                     tables = cols.tables
                     s_pc = tables.pc
                     s_kind = tables.kind
-                    s_rs = tables.rs
-                    s_rt = tables.rt
-                    s_rd = tables.rd
+                    s_src1 = tables.src1
+                    s_src2 = tables.src2
+                    s_src3 = tables.src3
+                    s_dst = tables.dst
                     s_lat = tables.lat
-                    s_flags = tables.flags
+                    s_boundary = tables.boundary
                     s_target = tables.target
                     idxs = cols.index
                     auxs = cols.aux
@@ -519,9 +511,8 @@ class FastEngine:
                 # ---- retire (the static tables hold the step facts) ----
                 kind = s_kind[idx]
                 aux = auxs[pos]
-                flags = s_flags[idx]
                 c_instructions += 1
-                if flags & COL_FLAG_BOUNDARY:
+                if s_boundary[idx]:
                     c_boundary += 1
                 else:
                     useful += 1
@@ -575,39 +566,21 @@ class FastEngine:
                     fetch_t = oldest
                     fetch_clock = oldest
                 issue_t = fetch_t + _FRONT_DEPTH
-                rs = s_rs[idx]
-                rt = s_rt[idx]
-                rd = s_rd[idx]
-                # ready_int[0] is invariantly 0 (int-file writes are
-                # guarded by ``if rd:``), so r0 sources read directly
-                if 3 <= kind <= 5:  # FP ops read the FP file
-                    if flags & COL_FLAG_CVTIF:
-                        src1 = ready_int[rs]
-                    else:
-                        src1 = ready_fp[rs]
-                    src2 = ready_fp[rt]
-                    if src1 > issue_t:
-                        issue_t = src1
-                    if src2 > issue_t:
-                        issue_t = src2
-                else:
-                    src1 = ready_int[rs]
-                    src2 = ready_int[rt]
-                    if src1 > issue_t:
-                        issue_t = src1
-                    if src2 > issue_t:
-                        issue_t = src2
-                    if kind == 7 and rd:  # stores also read the value
-                        src3 = (ready_fp[rd] if flags & COL_FLAG_FSW
-                                else ready_int[rd])
-                        if src3 > issue_t:
-                            issue_t = src3
+                src = ready[s_src1[idx]]
+                if src > issue_t:
+                    issue_t = src
+                src = ready[s_src2[idx]]
+                if src > issue_t:
+                    issue_t = src
+                src = ready[s_src3[idx]]  # a store's value register
+                if src > issue_t:
+                    issue_t = src
                 pool = pools[kind]
                 if pool is not None:
-                    best_t = min(pool)
+                    best_t = pool[0]
                     if best_t > issue_t:
                         issue_t = best_t
-                    pool[pool.index(best_t)] = issue_t + 1
+                    heapreplace(pool, issue_t + 1)
                 latency = s_lat[idx]
                 if kind == 6:  # load: memory latency beyond a 1-cycle hit
                     latency += mem_stall
@@ -616,22 +589,7 @@ class FastEngine:
                     if mem_stall:
                         latency += mem_stall >> 3
                 complete_t = issue_t + latency
-                if 3 <= kind <= 5:
-                    if flags & COL_FLAG_CVTFI:
-                        if rd:
-                            ready_int[rd] = complete_t
-                    else:
-                        ready_fp[rd] = complete_t
-                elif kind == 6:  # loads (FLW fills the FP file)
-                    if flags & COL_FLAG_FLW:
-                        ready_fp[rd] = complete_t
-                    elif rd:
-                        ready_int[rd] = complete_t
-                elif kind <= 2:
-                    if rd:
-                        ready_int[rd] = complete_t
-                elif kind == 10 or kind == 12:  # calls write ra
-                    ready_int[31] = complete_t
+                ready[s_dst[idx]] = complete_t
                 candidate = complete_t + 1
                 if candidate > commit_cycle:
                     commit_cycle = candidate
@@ -718,39 +676,21 @@ class FastEngine:
                             fetch_clock = oldest
                         issue_t = fetch_t + _FRONT_DEPTH
                         idx = idxs[pos]
-                        kind = s_kind[idx]
-                        rs = s_rs[idx]
-                        rt = s_rt[idx]
-                        if 3 <= kind <= 5:  # FP ops read the FP file
-                            if s_flags[idx] & COL_FLAG_CVTIF:
-                                src1 = ready_int[rs]
-                            else:
-                                src1 = ready_fp[rs]
-                            src2 = ready_fp[rt]
-                        else:
-                            src1 = ready_int[rs]
-                            src2 = ready_int[rt]
-                        if src1 > issue_t:
-                            issue_t = src1
-                        if src2 > issue_t:
-                            issue_t = src2
-                        pool = pools[kind]
+                        # plain steps have no third source (no store)
+                        src = ready[s_src1[idx]]
+                        if src > issue_t:
+                            issue_t = src
+                        src = ready[s_src2[idx]]
+                        if src > issue_t:
+                            issue_t = src
+                        pool = pools[s_kind[idx]]
                         if pool is not None:
-                            best_t = min(pool)
+                            best_t = pool[0]
                             if best_t > issue_t:
                                 issue_t = best_t
-                            pool[pool.index(best_t)] = issue_t + 1
+                            heapreplace(pool, issue_t + 1)
                         complete_t = issue_t + s_lat[idx]
-                        rd = s_rd[idx]
-                        if 3 <= kind <= 5:
-                            if s_flags[idx] & COL_FLAG_CVTFI:
-                                if rd:
-                                    ready_int[rd] = complete_t
-                            else:
-                                ready_fp[rd] = complete_t
-                        elif kind <= 2:
-                            if rd:
-                                ready_int[rd] = complete_t
+                        ready[s_dst[idx]] = complete_t
                         candidate = complete_t + 1
                         if candidate > commit_cycle:
                             commit_cycle = candidate

@@ -32,7 +32,8 @@ through its one iTLB and stalls for the latency the replay exposed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from heapq import heapreplace
+from typing import List, Optional
 
 from repro.branch.predictor import FrontEndPredictor, Prediction
 from repro.config import CacheAddressing, MachineConfig, SchemeName
@@ -40,7 +41,7 @@ from repro.core.schemes import ITLBPolicy, SchemeCounters, build_policy
 from repro.cpu.functional import StepResult
 from repro.cpu.results import EngineResult, SharedStats, scheme_result
 from repro.errors import SimulationError
-from repro.isa.instructions import InstrKind, Opcode
+from repro.isa.instructions import REGISTER_SLOTS, InstrKind, register_slots
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.vm.os_model import AddressSpace
@@ -66,16 +67,17 @@ class _FetchEntry:
 
 
 class _RUUEntry:
-    __slots__ = ("seq", "pc", "instr", "step", "deps", "state",
+    __slots__ = ("seq", "pc", "instr", "step", "deps", "dst", "state",
                  "complete_cycle", "prediction", "snapshot", "is_mem")
 
-    def __init__(self, seq: int, step: StepResult, deps, prediction,
-                 snapshot) -> None:
+    def __init__(self, seq: int, step: StepResult, deps, dst: int,
+                 prediction, snapshot) -> None:
         self.seq = seq
         self.pc = step.pc
         self.instr = step.instr
         self.step = step
         self.deps = deps
+        self.dst = dst  #: the register slot this entry renames
         self.state = _WAITING
         self.complete_cycle = 0
         self.prediction = prediction
@@ -131,19 +133,13 @@ class OutOfOrderEngine:
         self._redirect_cycle: Optional[int] = None
         self._redirect_pc = 0
         self._last_fetch_predicted_taken = False
-        self._rename_int: List[Optional[_RUUEntry]] = [None] * 32
-        self._rename_fp: List[Optional[_RUUEntry]] = [None] * 32
+        #: the in-flight producer of each register slot
+        #: (:func:`~repro.isa.instructions.register_slots`)
+        self._rename: List[Optional[_RUUEntry]] = [None] * REGISTER_SLOTS
         self._last_store: Optional[_RUUEntry] = None
-        self._fu_busy: Dict[int, List[int]] = {
-            0: [0] * core.int_alus,
-            1: [0] * core.int_mult_div,
-            2: [0] * core.int_mult_div,
-            3: [0] * core.fp_alus,
-            4: [0] * core.fp_mult_div,
-            5: [0] * core.fp_mult_div,
-            6: [0, 0],
-            7: [0, 0],
-        }
+        #: per kind code, a heap of the cycles each unit is next free
+        self._fu_busy = {kind: [0] * count
+                         for kind, count in core.unit_counts().items()}
         # commit-side stream tracking (page crossings on the true stream)
         self._last_commit_vpn = -1
         self._last_commit_taken = False
@@ -269,9 +265,8 @@ class OutOfOrderEngine:
             self._last_commit_boundary = step.instr.is_boundary_branch
             # clear the one rename slot this entry set, unless a later
             # producer of that register has taken it since
-            slot = self._rename_slot(entry.instr)
-            if slot is not None and slot[0][slot[1]] is entry:
-                slot[0][slot[1]] = None
+            if self._rename[entry.dst] is entry:
+                self._rename[entry.dst] = None
             if self._last_store is entry:
                 self._last_store = None
         return committed
@@ -315,10 +310,9 @@ class OutOfOrderEngine:
             kind = entry.instr.kind_code
             pool = self._fu_busy.get(kind)
             if pool is not None:
-                unit = min(range(len(pool)), key=pool.__getitem__)
-                if pool[unit] > cycle:
-                    continue  # structural hazard
-                pool[unit] = cycle + 1
+                if pool[0] > cycle:
+                    continue  # structural hazard: no unit free
+                heapreplace(pool, cycle + 1)
             latency = entry.instr.op.latency
             if kind == int(InstrKind.LOAD):
                 latency += self._load_latency(entry.step)
@@ -389,8 +383,11 @@ class OutOfOrderEngine:
             self._fetch_queue.pop(0)
             dispatched += 1
             step = self.executor.step()
-            deps = self._collect_deps(step)
-            entry = _RUUEntry(head.seq, step, deps, head.prediction,
+            *sources, dst = register_slots(step.instr)
+            rename = self._rename
+            deps = [rename[slot] for slot in sources
+                    if rename[slot] is not None]
+            entry = _RUUEntry(head.seq, step, deps, dst, head.prediction,
                               head.snapshot)
             self._ruu.append(entry)
             if is_mem:
@@ -399,9 +396,7 @@ class OutOfOrderEngine:
                     self._last_store = entry
                 elif self._last_store is not None:
                     entry.deps.append(self._last_store)
-            slot = self._rename_slot(step.instr)
-            if slot is not None:
-                slot[0][slot[1]] = entry
+            rename[dst] = entry
             if step.instr.is_control and head.prediction is not None:
                 predicted_next = (head.prediction.predicted_target
                                   if head.prediction.predicted_taken
@@ -411,55 +406,6 @@ class OutOfOrderEngine:
                     # engine keeps running down the predicted (wrong) path
                     # until this branch resolves in writeback
                     self._wrong_from_seq = head.seq
-
-    def _collect_deps(self, step: StepResult) -> List[_RUUEntry]:
-        instr = step.instr
-        kind = instr.kind_code
-        deps: List[_RUUEntry] = []
-        rename_int = self._rename_int
-        rename_fp = self._rename_fp
-        if kind in (3, 4, 5):
-            src = (rename_int[instr.rs] if instr.op is Opcode.CVTIF
-                   else rename_fp[instr.rs])
-            if src is not None:
-                deps.append(src)
-            src2 = rename_fp[instr.rt]
-            if src2 is not None:
-                deps.append(src2)
-        else:
-            if instr.rs:
-                src = rename_int[instr.rs]
-                if src is not None:
-                    deps.append(src)
-            if instr.rt:
-                src = rename_int[instr.rt]
-                if src is not None:
-                    deps.append(src)
-            if kind == int(InstrKind.STORE) and instr.rd:
-                src = (rename_fp[instr.rd] if instr.op is Opcode.FSW
-                       else rename_int[instr.rd])
-                if src is not None:
-                    deps.append(src)
-        return deps
-
-    def _rename_slot(self, instr
-                     ) -> Optional[Tuple[List[Optional[_RUUEntry]], int]]:
-        """The rename table and register ``instr`` writes, if any: an
-        instruction renames at most one register."""
-        kind = instr.kind_code
-        if kind in (3, 4, 5):
-            if instr.op is Opcode.CVTFI:
-                return (self._rename_int, instr.rd) if instr.rd else None
-            return self._rename_fp, instr.rd
-        if kind == int(InstrKind.LOAD):
-            if instr.op is Opcode.FLW:
-                return self._rename_fp, instr.rd
-            return (self._rename_int, instr.rd) if instr.rd else None
-        if kind <= 2:
-            return (self._rename_int, instr.rd) if instr.rd else None
-        if kind in (int(InstrKind.CALL), int(InstrKind.INDIRECT_CALL)):
-            return self._rename_int, 31
-        return None
 
     def _fetch_stage(self) -> None:
         cycle = self.cycle

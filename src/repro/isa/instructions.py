@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import AssemblyError
+from repro.isa.registers import REG_RA
 
 
 class InstrKind(IntEnum):
@@ -215,6 +216,47 @@ class Instruction:
         if self.is_boundary_branch:
             parts.append("[boundary]")
         return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Register slots: which registers an instruction's timing reads and writes
+# ---------------------------------------------------------------------------
+
+_FP_SLOT = 32  #: slot of FP register ``f0``; integer ``r`` is slot ``r``
+_SINK_SLOT = 64  #: the destination of an instruction that writes nothing
+REGISTER_SLOTS = 65  #: size of the namespace :func:`register_slots` uses
+
+
+def register_slots(instr: Instruction) -> Tuple[int, int, int, int]:
+    """``(src1, src2, src3, dst)``: the register slots ``instr`` waits
+    on and the one it writes, in one namespace for both files.
+
+    Integer register ``r`` is slot ``r`` and FP register ``f`` is slot
+    ``32 + f``.  Slot 0 (``r0``, never written) is the source of an
+    operand that reads nothing; slot 64, a write sink, is the
+    destination of an instruction that writes nothing.  FP ops read and
+    write the FP file, except that ``CVTIF`` reads the integer file and
+    ``CVTFI`` writes it.  A store waits on its value register unless
+    that register is 0 (``FSW``'s is an FP register), and ``FLW`` fills
+    the FP file.  Integer writes to ``r0`` are dropped; ``f0`` is a
+    real register.  Calls write ``ra``."""
+    op = instr.op
+    kind = instr.kind_code
+    rd = instr.rd
+    if 3 <= kind <= 5:  # FP ops
+        src1 = instr.rs if op is Opcode.CVTIF else _FP_SLOT + instr.rs
+        dst = (rd or _SINK_SLOT) if op is Opcode.CVTFI else _FP_SLOT + rd
+        return src1, _FP_SLOT + instr.rt, 0, dst
+    src3, dst = 0, _SINK_SLOT
+    if kind == InstrKind.STORE and rd:
+        src3 = _FP_SLOT + rd if op is Opcode.FSW else rd
+    elif kind == InstrKind.LOAD and op is Opcode.FLW:
+        dst = _FP_SLOT + rd
+    elif kind <= InstrKind.LOAD:  # integer ops and LW
+        dst = rd or _SINK_SLOT
+    elif kind in (InstrKind.CALL, InstrKind.INDIRECT_CALL):
+        dst = REG_RA
+    return instr.rs, instr.rt, src3, dst
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,12 @@ from pathlib import Path
 from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import TraceError
-from repro.isa.instructions import ANALYZABLE_KINDS, Instruction, Opcode
+from repro.isa.instructions import (
+    ANALYZABLE_KINDS,
+    Instruction,
+    Opcode,
+    register_slots,
+)
 
 MAGIC = b"RITLBTRC"
 TRACE_VERSION = 1
@@ -380,16 +385,6 @@ class MemorySink:
 #: are what the fast engine retires in bulk.
 PLAIN_KINDS = frozenset({0, 1, 2, 3, 4, 5, 13})
 
-#: :attr:`_StaticTables.flags` bits (per static instruction)
-COL_FLAG_BOUNDARY = 0x01  #: compiler-inserted page-boundary branch
-COL_FLAG_INPAGE = 0x02    #: SoLA in-page hint
-COL_FLAG_CVTIF = 0x04     #: Opcode.CVTIF (FP op reading the int file)
-COL_FLAG_CVTFI = 0x08     #: Opcode.CVTFI (FP op writing the int file)
-COL_FLAG_FLW = 0x10       #: Opcode.FLW (load filling the FP file)
-COL_FLAG_FSW = 0x20       #: Opcode.FSW (store reading the FP file)
-_OP_FLAGS = {Opcode.CVTIF: COL_FLAG_CVTIF, Opcode.CVTFI: COL_FLAG_CVTFI,
-             Opcode.FLW: COL_FLAG_FLW, Opcode.FSW: COL_FLAG_FSW}
-
 #: decoded footprint of one step: its ``index`` and ``aux`` slots (8
 #: bytes each) plus its byte of the plain/event map.  Window budgets
 #: (``REPRO_TRACE_WINDOW``) are stated in these bytes because the
@@ -400,28 +395,30 @@ COLUMN_BYTES_PER_STEP = 17
 class _StaticTables:
     """Per-static lookup tables, grown incrementally.
 
-    The engines read nine facts per interned instruction (pc, kind,
-    operands, latency, flag bits, taken target, and whether its steps
-    are events); the pc comes from the static's record, the rest from
-    its instruction.  An in-memory segment builds them once for the
-    whole segment; a windowed decode appends as new statics arrive —
-    statics always precede their first referencing step, so tables
-    extended through the end of a window cover every step in it.
-    Tables only ever append, so a window built against an earlier
-    length stays valid.
+    The engines read ten facts per interned instruction: its pc, kind,
+    register slots (:func:`~repro.isa.instructions.register_slots`:
+    three sources and a destination), latency, whether it is a boundary
+    branch, its taken target, and whether its steps are events.  The pc
+    comes from the static's record, the rest from its instruction.  An
+    in-memory segment builds them once for the whole segment; a
+    windowed decode appends as new statics arrive — statics always
+    precede their first referencing step, so tables extended through
+    the end of a window cover every step in it.  Tables only ever
+    append, so a window built against an earlier length stays valid.
     """
 
-    __slots__ = ("pc", "kind", "rs", "rt", "rd", "lat", "flags", "target",
-                 "event")
+    __slots__ = ("pc", "kind", "src1", "src2", "src3", "dst", "lat",
+                 "boundary", "target", "event")
 
     def __init__(self) -> None:
         self.pc: List[int] = []
         self.kind: List[int] = []
-        self.rs: List[int] = []
-        self.rt: List[int] = []
-        self.rd: List[int] = []
+        self.src1: List[int] = []
+        self.src2: List[int] = []
+        self.src3: List[int] = []
+        self.dst: List[int] = []
         self.lat: List[int] = []
-        self.flags: List[int] = []
+        self.boundary = bytearray()  #: 1 for a page-boundary branch
         self.target: List[int] = []
         #: 1 for a static whose kind is not in :data:`PLAIN_KINDS`
         self.event = bytearray()
@@ -431,18 +428,15 @@ class _StaticTables:
         ``instrs[i]``, executed at ``pcs[i]``."""
         known = len(self.pc)
         self.pc += pcs[known:]
+        slots = (self.src1, self.src2, self.src3, self.dst)
         for instr in instrs[known:]:
             kind = instr.kind_code
             self.kind.append(kind)
             self.event.append(kind not in PLAIN_KINDS)
-            self.rs.append(instr.rs)
-            self.rt.append(instr.rt)
-            self.rd.append(instr.rd)
+            for table, slot in zip(slots, register_slots(instr)):
+                table.append(slot)
             self.lat.append(instr.latency)
-            self.flags.append(
-                _OP_FLAGS.get(instr.op, 0)
-                | (COL_FLAG_BOUNDARY if instr.is_boundary_branch else 0)
-                | (COL_FLAG_INPAGE if instr.inpage_hint else 0))
+            self.boundary.append(instr.is_boundary_branch)
             self.target.append(
                 -1 if instr.target is None else instr.target)
 
@@ -464,8 +458,8 @@ class SegmentColumns:
     ``index`` and ``aux`` are the arrays the decoder (or a
     :class:`MemorySink`) filled, adopted as they are.  Every other fact
     of step ``i`` is read through its index from ``tables``: its pc is
-    ``tables.pc[index[i]]``, and likewise its kind, operands, latency,
-    :data:`COL_FLAG_BOUNDARY`-style flag bits and taken target.  Its
+    ``tables.pc[index[i]]``, and likewise its kind, register slots,
+    latency, boundary bit and taken target.  Its
     successor matters only at control steps: ``aux`` for indirect
     control, the target for a taken branch, ``pc + 4`` otherwise.  The
     run of plain steps starting at ``i`` — what the fast engine retires
@@ -802,11 +796,14 @@ class _StreamReader:
 
 def _static_op(fields: tuple, path: Path) -> Opcode:
     """The opcode of an unpacked static entry, checked: a known opcode
-    number, and a taken target on every direct control instruction."""
-    address, opnum, _rd, _rs, _rt, _imm, target, _flags = fields
+    number, registers below 32 (a higher one would read as the other
+    file's), and a taken target on every direct control instruction."""
+    address, opnum, rd, rs, rt, _imm, target, _flags = fields
     op = _NUM_TO_OP.get(opnum)
     if op is None:
         raise TraceError(f"{path}: unknown opcode number {opnum}")
+    if max(rd, rs, rt) > 31:
+        raise TraceError(f"{path}: register number past 31 at {address:#010x}")
     if op.kind in ANALYZABLE_KINDS and target == _NO_TARGET:
         # direct control flow must carry its taken target or replay
         # would produce a None next_pc deep inside the engine

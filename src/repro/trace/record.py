@@ -20,12 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig
-from repro.trace.format import (
-    COL_FLAG_BOUNDARY,
-    TraceWriter,
-    program_meta,
-    trace_exhausted,
-)
+from repro.trace.format import TraceWriter, program_meta, trace_exhausted
 from repro.workloads.synthetic import link_slot
 
 
@@ -41,8 +36,8 @@ def _window_cut(cols, need: int) -> Tuple[int, int]:
     tables = cols.tables
     # per step, read through its static index: 2 for a HALT, 1 for a
     # boundary branch, else 0
-    code = bytes(2 if kind == 14 else 1 if flag & COL_FLAG_BOUNDARY else 0
-                 for kind, flag in zip(tables.kind, tables.flags))
+    code = bytes(2 if kind == 14 else boundary
+                 for kind, boundary in zip(tables.kind, tables.boundary))
     marks = bytes(map(code.__getitem__, cols.index))
     halt = marks.find(2)
     if halt < 0:
@@ -70,7 +65,7 @@ def write_pass(writer: TraceWriter, program, budget: int) -> int:
     retires.  Returns the steps written.
 
     The stream is walked window by window: each window's cut comes
-    from the kinds and flags of its statics, and its leading steps go
+    from the kinds and boundary bits of its statics, and its leading steps go
     to :meth:`~repro.trace.format.TraceWriter.write_columns` in one
     call."""
     binary = "instrumented" if program.instrumented else "plain"

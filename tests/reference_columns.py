@@ -10,34 +10,75 @@ columns.  :class:`ReferenceColumns` is that build, so tests can compare
 what the engine sees under both layouts, step for step:
 :func:`reference_view` reads the old columns, :func:`engine_view` reads
 a window the way the engine's loop does.
+
+The old columns carried each step's register operands and a byte of
+flag bits, and the engine's loop picked a register file by branching
+on kind and on those bits.  The engine now reads register slots
+(:func:`repro.isa.instructions.register_slots`) instead;
+:func:`reference_slots` restates the old branches over the old
+columns, so the slots are checked against them.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.isa.instructions import Instruction, Opcode
-from repro.trace.format import (
-    COL_FLAG_BOUNDARY,
-    COL_FLAG_CVTFI,
-    COL_FLAG_CVTIF,
-    COL_FLAG_FLW,
-    COL_FLAG_FSW,
-    COL_FLAG_INPAGE,
-    PLAIN_KINDS,
-)
+from repro.trace.format import PLAIN_KINDS
+
+#: the old columns' per-step flag bits
+COL_FLAG_BOUNDARY = 0x01  #: compiler-inserted page-boundary branch
+COL_FLAG_INPAGE = 0x02    #: SoLA in-page hint
+COL_FLAG_CVTIF = 0x04     #: Opcode.CVTIF (FP op reading the int file)
+COL_FLAG_CVTFI = 0x08     #: Opcode.CVTFI (FP op writing the int file)
+COL_FLAG_FLW = 0x10       #: Opcode.FLW (load filling the FP file)
+COL_FLAG_FSW = 0x20       #: Opcode.FSW (store reading the FP file)
 
 #: every per-step fact the engine reads, by name.  ``next_pc`` is the
 #: resolved successor at control steps and ``None`` elsewhere (the
 #: engine resolves it nowhere else); ``run`` is the length of the run
 #: of plain steps starting at the step, truncated at the window's end.
-FACTS = ("pc", "next_pc", "kind", "aux", "rs", "rt", "rd", "latency",
-         "flags", "index", "run")
+FACTS = ("pc", "next_pc", "kind", "aux", "src1", "src2", "src3", "dst",
+         "latency", "boundary", "index", "run")
+
+_FP, _SINK = 32, 64  #: slot of f0, and the write sink
 
 
 def _is_control(kind: int) -> bool:
     return 8 <= kind <= 12
+
+
+def reference_slots(kind: int, flags: int, rs: int, rt: int,
+                    rd: int) -> Tuple[int, int, int, int]:
+    """``(src1, src2, src3, dst)`` as the engine's loop chose them from
+    a step's kind, flag bits and operands before it read slot tables:
+    integer register ``r`` is slot ``r``, FP register ``f`` is slot
+    ``32 + f``, slot 0 reads as ready at cycle 0 and slot 64 is never
+    read."""
+    src3, dst = 0, _SINK
+    if 3 <= kind <= 5:  # FP ops read the FP file
+        src1 = rs if flags & COL_FLAG_CVTIF else _FP + rs
+        src2 = _FP + rt
+        if flags & COL_FLAG_CVTFI:
+            if rd:
+                dst = rd
+        else:
+            dst = _FP + rd
+        return src1, src2, src3, dst
+    if kind == 7 and rd:  # stores also read the value
+        src3 = _FP + rd if flags & COL_FLAG_FSW else rd
+    if kind == 6:  # loads (FLW fills the FP file)
+        if flags & COL_FLAG_FLW:
+            dst = _FP + rd
+        elif rd:
+            dst = rd
+    elif kind <= 2:
+        if rd:
+            dst = rd
+    elif kind == 10 or kind == 12:  # calls write ra
+        dst = 31
+    return rs, rt, src3, dst
 
 
 class ReferenceColumns:
@@ -120,6 +161,11 @@ class ReferenceColumns:
         self.flags = flags
         self.index = index
         self.run = run
+        slots = [reference_slots(*facts)
+                 for facts in zip(kind, flags, rs, rt, rd)]
+        self.src1, self.src2, self.src3, self.dst = (
+            [step[i] for step in slots] for i in range(4))
+        self.boundary = [flag & COL_FLAG_BOUNDARY for flag in flags]
 
 
 def reference_view(cols: ReferenceColumns) -> Dict[str, list]:
@@ -151,10 +197,10 @@ def engine_view(cols) -> Dict[str, list]:
         end = cols.events.find(1, i)
         for name, value in (
                 ("pc", pc), ("next_pc", next_pc), ("kind", kind),
-                ("aux", aux), ("rs", tables.rs[idx]),
-                ("rt", tables.rt[idx]), ("rd", tables.rd[idx]),
-                ("latency", tables.lat[idx]),
-                ("flags", tables.flags[idx]), ("index", idx),
+                ("aux", aux), ("src1", tables.src1[idx]),
+                ("src2", tables.src2[idx]), ("src3", tables.src3[idx]),
+                ("dst", tables.dst[idx]), ("latency", tables.lat[idx]),
+                ("boundary", tables.boundary[idx]), ("index", idx),
                 ("run", (n if end < 0 else end) - i)):
             view[name].append(value)
     return view

@@ -231,6 +231,21 @@ class TestMalformedInput:
         with pytest.raises(TraceError, match="unknown opcode number 250"):
             TraceReader(path).read()
 
+    def test_register_past_31_rejected(self, tmp_path):
+        from repro.trace.format import _OP_TO_NUM
+        path = tmp_path / "register.trace"
+        meta = json.dumps(_meta()).encode()
+        static = struct.pack("<IBBBBiIB", 0x400000,
+                             _OP_TO_NUM[Opcode.ADD], 40, 0, 0, 0,
+                             0xFFFFFFFF, 0)  # rd = 40
+        body = (struct.pack("<B", TAG_SEGMENT)
+                + struct.pack("<I", len(meta)) + meta
+                + struct.pack("<B", TAG_STATIC) + static)
+        path.write_bytes(struct.pack("<8sHHI", MAGIC, TRACE_VERSION, 0, 2)
+                         + b"{}" + body)
+        with pytest.raises(TraceError, match="register number past 31"):
+            TraceReader(path).read()
+
     def test_direct_control_without_target_rejected(self, tmp_path):
         from repro.trace.format import _OP_TO_NUM
         path = tmp_path / "notarget.trace"
