@@ -40,7 +40,9 @@ Four views are measured per workload:
 
 The two rows of a ``grid`` or ``stream`` view run in turn, run by run
 (independent, grid, independent, ...), so drift in the host's speed
-hits both rows alike instead of moving their ratio.
+hits both rows alike instead of moving their ratio.  The view's ratio
+is the median of its per-round ratios (the two rows' runs of one round
+against each other), so no single outlier run sets it.
 
 Timing uses ``time.perf_counter`` around engine execution only (trace
 recording and column decoding happen before the timed region, except in
@@ -55,6 +57,7 @@ import dataclasses
 import json
 import math
 import platform
+import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -91,6 +94,10 @@ GRID_POINTS = (1, 2, 4, 8, 16, 32)
 #: swings the ratio past :data:`RATIO_DROP_LIMIT`
 ROW_MIN_SECONDS = 1.0
 
+#: how :func:`speedups` reduces a view's rounds to its ratio, recorded
+#: in each report (reports without it took the best run of each row)
+SPEEDUP_STATISTIC = "median of per-round ratios"
+
 #: how far a view's ratio may fall below the previous report's before
 #: :func:`compare_reports` calls it a regression.  Ratios, not instr/s,
 #: are compared, so the speed of the host cancels out.
@@ -112,6 +119,8 @@ class BenchRecord:
     best_seconds: float
     mean_seconds: float
     instr_per_sec: float
+    #: every timed run's wall seconds, in run order (round by round)
+    run_seconds: List[float]
     #: largest decoded window held at once (``stream`` view only; the
     #: ``eager`` row reports the full largest-segment columns)
     peak_window_bytes: Optional[int] = None
@@ -121,16 +130,15 @@ class BenchRecord:
 
 
 def _time_rows(fns: Sequence[Callable[[], int]], repeats: int,
-               min_seconds: float = 0.0) -> List[tuple]:
+               min_seconds: float = 0.0) -> List[Tuple[List[float], int]]:
     """Time the rows ``fns`` run by run in turn (a, b, a, b, ...), so
-    host drift hits every row alike; returns one (best, mean,
-    instructions, runs) per row.
+    host drift hits every row alike; returns one (run seconds in run
+    order, instructions) per row.
 
     Every row runs ``repeats`` times, or as many more as the fastest
     row's first run needs to fill ``min_seconds``, so each row is timed
     over at least that.  Each ``fn`` returns the number of instructions
-    it retired; min-of-N wall time filters scheduler noise (the
-    canonical bench discipline)."""
+    it retired."""
     times: List[List[float]] = [[] for _ in fns]
     retired = [0] * len(fns)
     rounds = 0
@@ -144,8 +152,7 @@ def _time_rows(fns: Sequence[Callable[[], int]], repeats: int,
             for row in times:
                 if row[0] > 0:
                     repeats = max(repeats, math.ceil(min_seconds / row[0]))
-    return [(min(row), sum(row) / rounds, count, rounds)
-            for row, count in zip(times, retired)]
+    return list(zip(times, retired))
 
 
 def ensure_trace(workload: str, trace_dir: Union[str, Path], *,
@@ -186,14 +193,16 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
     def record(mode: str, rows: Sequence[Tuple[str, Callable[[], int]]],
                note: str = "", min_seconds: float = 0.0) -> None:
         """Time ``rows`` of (engine name, fn) run by run in turn; one
-        record per row."""
+        record per row, its rate from the min-of-N wall time (which
+        filters scheduler noise)."""
         timings = _time_rows([fn for _, fn in rows], repeats, min_seconds)
-        for (engine_name, _), (best, mean, retired, runs) in zip(rows,
-                                                                 timings):
+        for (engine_name, _), (seconds, retired) in zip(rows, timings):
+            best, runs = min(seconds), len(seconds)
             records.append(BenchRecord(
                 workload=workload, engine=engine_name, mode=mode,
                 instructions=retired, repeats=runs, best_seconds=best,
-                mean_seconds=mean, instr_per_sec=retired / best))
+                mean_seconds=sum(seconds) / runs,
+                instr_per_sec=retired / best, run_seconds=seconds))
             log(f"{workload:24s} {engine_name:11s} {mode:6s} "
                 f"{retired / best:>12,.0f} instr/s (best of {runs}: "
                 f"{best:.3f}s{note})")
@@ -311,7 +320,9 @@ def speedups(records: Sequence[BenchRecord]) -> Dict[str, Dict[str, float]]:
     """Per-workload instr-per-sec ratios of the two-row views:
     grid/independent for ``grid``, windowed/eager for ``stream``
     (typically ≤ 1 — it prices the memory bound, it does not chase a
-    speedup)."""
+    speedup).  A view's ratio is the median over its rounds of one
+    round's ratio: the rows alternate run by run, so round ``i`` pairs
+    the two rows' ``i``-th runs, timed side by side."""
     by_key: Dict[tuple, BenchRecord] = {
         (r.workload, r.mode, r.engine): r for r in records}
     out: Dict[str, Dict[str, float]] = {}
@@ -322,8 +333,11 @@ def speedups(records: Sequence[BenchRecord]) -> Dict[str, Dict[str, float]]:
                 ("stream", "eager", "windowed")):
             base = by_key.get((workload, mode, base_name))
             fast = by_key.get((workload, mode, fast_name))
-            if base and fast and base.instr_per_sec:
-                entry[mode] = fast.instr_per_sec / base.instr_per_sec
+            if base and fast and base.instructions:
+                entry[mode] = statistics.median(
+                    fast.instructions * base_s / (base.instructions * fast_s)
+                    for base_s, fast_s in zip(base.run_seconds,
+                                              fast.run_seconds))
         out[workload] = entry
     return out
 
@@ -349,6 +363,7 @@ def run_bench(*, workloads: Sequence[str] = DEFAULT_WORKLOADS,
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
         "results": [r.to_dict() for r in records],
+        "speedup_statistic": SPEEDUP_STATISTIC,
         "speedups": speedups(records),
     }
 

@@ -16,10 +16,8 @@ from it — exactly as the paper compares un/instrumented binaries.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AssemblyError, LayoutError
 from repro.isa.instructions import Instruction, InstrKind, Opcode
@@ -32,7 +30,7 @@ _NOP = Opcode.NOP
 TargetRef = Union[str, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class SymInstr:
     """A not-yet-linked instruction.  ``target`` may be a label name."""
 
@@ -183,8 +181,14 @@ class Assembler:
             self.ori(rd, rd, lower)
         return self
 
-    def nop(self) -> "Assembler":
-        return self.emit(SymInstr(Opcode.NOP))
+    def nop(self, count: int = 1) -> "Assembler":
+        """``count`` NOP words (none when ``count`` is 0).  They are one
+        operand-free :class:`SymInstr` repeated ``count`` times in the
+        text, so a long padding run costs one object; the linker places
+        the repeats as one shared NOP."""
+        sym = SymInstr(Opcode.NOP, label=self._current_label)
+        self.module.text += [sym] * count
+        return self
 
     # -- floating point -------------------------------------------------------
 
@@ -272,19 +276,6 @@ class Assembler:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Suspend the cyclic garbage collector for the block (reference
-    counting still frees everything that becomes unreachable)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def link(
     module: Module,
     *,
@@ -309,38 +300,44 @@ def link(
     cursor = text_base
     pending_labels: List[str] = []
     nops: Dict[str, Instruction] = {}
+    #: the operand-free NOP item placed last and its shared instruction;
+    #: an immediate repeat of that item (a padding run) places it again
+    last: Optional[SymInstr] = None
+    last_nop: Optional[Instruction] = None
 
-    # placement allocates one Instruction per slot and no reference
-    # cycles; with the cyclic collector running, those allocations set
-    # off full-heap scans that cost more than the placement itself
-    with collector_paused():
-        for item in module.text:
-            if isinstance(item, str):
-                if item in labels or item in pending_labels:
-                    raise AssemblyError(f"duplicate label '{item}'")
-                pending_labels.append(item)
-                continue
-            if pending_labels:
-                for lbl in pending_labels:
-                    labels[lbl] = cursor
-                pending_labels.clear()
-            if item.target is not None:
-                unresolved.append((len(placed), item.target))
-            elif item.op is _NOP and not (item.rd or item.rs or item.rt
-                                          or item.imm):
-                # an instruction carries no address, so a block's NOP
-                # padding can be one object (most text words are NOPs)
-                nop = nops.get(item.label)
-                if nop is None:
-                    nop = nops[item.label] = Instruction(
-                        _NOP, 0, 0, 0, 0, None, False, False, item.label)
-                placed.append(nop)
-                cursor += 4
-                continue
-            placed.append(Instruction(item.op, item.rd, item.rs, item.rt,
-                                      item.imm, None, False, False,
-                                      item.label))
+    for item in module.text:
+        if item is last:
+            placed.append(last_nop)
             cursor += 4
+            continue
+        if isinstance(item, str):
+            if item in labels or item in pending_labels:
+                raise AssemblyError(f"duplicate label '{item}'")
+            pending_labels.append(item)
+            last = None
+            continue
+        if pending_labels:
+            for lbl in pending_labels:
+                labels[lbl] = cursor
+            pending_labels.clear()
+        if item.target is not None:
+            unresolved.append((len(placed), item.target))
+        elif item.op is _NOP and not (item.rd or item.rs or item.rt
+                                      or item.imm):
+            # an instruction carries no address, so a block's NOP
+            # padding can be one object (most text words are NOPs)
+            nop = nops.get(item.label)
+            if nop is None:
+                nop = nops[item.label] = Instruction(
+                    _NOP, 0, 0, 0, 0, None, False, False, item.label)
+            placed.append(nop)
+            cursor += 4
+            last, last_nop = item, nop
+            continue
+        placed.append(Instruction(item.op, item.rd, item.rs, item.rt,
+                                  item.imm, None, False, False,
+                                  item.label))
+        cursor += 4
 
     # trailing labels bind to the end of text (valid only as data refs)
     for lbl in pending_labels:

@@ -43,14 +43,12 @@ def page_ping_pong(pages: int = 2, pad_instructions: int = 900,
     asm.addi(_T0, _T0, 1)
     asm.j("hop_1" if pages > 1 else "check")
     for page in range(1, pages):
-        for _ in range(pad_instructions):
-            asm.nop()
+        asm.nop(pad_instructions)
         asm.label(f"hop_{page}")
         asm.addi(_T0, _T0, 1)
         nxt = f"hop_{page + 1}" if page + 1 < pages else "check"
         asm.j(nxt)
-    for _ in range(pad_instructions):
-        asm.nop()
+    asm.nop(pad_instructions)
     asm.label("check")
     asm.addi(_S0, _S0, -1)
     asm.bne(_S0, REG_ZERO, "hop_0")

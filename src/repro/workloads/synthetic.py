@@ -455,7 +455,8 @@ class _Generator:
         padding: random dead words (page spread) plus alignment of the
         *next* function's start (boundary-share control).  Padding lives
         inside the chunk so layout transformations move it with the
-        function."""
+        function, and it is one :meth:`Assembler.nop` run: a single
+        object however many words it spans."""
         profile = self.profile
         items = asm.module.text
         count = sum(1 for item in items if isinstance(item, SymInstr))
@@ -470,8 +471,7 @@ class _Generator:
         lo, hi = profile.fn_pad_words
         if hi > 0:
             pad += self.rng.randrange(lo, hi + 1)
-        for _ in range(pad):
-            asm.nop()  # dead padding: never executed
+        asm.nop(pad)  # dead padding: never executed
         self._instr_total += pad
         self.chunks.append((name, items))
         self.asm.module.text.extend(items)
@@ -531,8 +531,7 @@ class _Generator:
             emitted = sum(1 for item in asm.module.text
                           if isinstance(item, SymInstr))
             pad = (align - (self._instr_total + emitted) % align) % align
-            for _ in range(pad):
-                asm.nop()
+            asm.nop(pad)
             asm.label(self._trampoline_label)
             asm.lw(REG_RA, REG_SP, 0)
             asm.addi(REG_SP, REG_SP, 8)

@@ -707,12 +707,11 @@ class TestBenchHarness:
         step = 0.25  # a run spans one clock tick
         monkeypatch.setattr(bench.time, "perf_counter",
                             lambda: next(clock) * step)
-        assert bench._time_rows([lambda: 7], 1, 1.0) \
-            == [(0.25, 0.25, 7, 4)]
-        assert bench._time_rows([lambda: 7], 5, 1.0)[0][3] == 5
-        assert bench._time_rows([lambda: 7], 2)[0][3] == 2
+        assert bench._time_rows([lambda: 7], 1, 1.0) == [([0.25] * 4, 7)]
+        assert len(bench._time_rows([lambda: 7], 5, 1.0)[0][0]) == 5
+        assert len(bench._time_rows([lambda: 7], 2)[0][0]) == 2
         step = 2.0  # longer than the minimum
-        assert bench._time_rows([lambda: 7], 1, 1.0)[0][3] == 1
+        assert len(bench._time_rows([lambda: 7], 1, 1.0)[0][0]) == 1
 
     def test_the_faster_row_sets_the_run_count(self, monkeypatch):
         """Rows of 0.5 s and 0.125 s under a 1 s minimum both run 8
@@ -729,12 +728,12 @@ class TestBenchHarness:
             return run
 
         assert bench._time_rows([row(0.5), row(0.125)], 2, 1.0) \
-            == [(0.5, 0.5, 7, 8), (0.125, 0.125, 7, 8)]
+            == [([0.5] * 8, 7), ([0.125] * 8, 7)]
         asked = []
 
         def once(fns, repeats, min_seconds=0.0):
             asked.append((len(fns), min_seconds))
-            return [(1.0, 1.0, fn(), repeats) for fn in fns]
+            return [([1.0] * repeats, fn()) for fn in fns]
 
         monkeypatch.setattr(bench, "_time_rows", once)
         bench.bench_workload("177.mesa", GOLDEN_MESA, instructions=300,
@@ -761,7 +760,7 @@ class TestBenchHarness:
 
         # both rows run as often as the minimum needs
         assert bench._time_rows([row("a"), row("b")], 1, 1.0) \
-            == [(0.25, 0.25, 7, 4), (0.25, 0.25, 7, 4)]
+            == [([0.25] * 4, 7), ([0.25] * 4, 7)]
         assert calls == ["a", "b"] * 4
 
         calls.clear()
@@ -797,8 +796,28 @@ class TestBenchHarness:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["bench_format"] == 1
+        assert payload["speedup_statistic"] == "median of per-round ratios"
         assert payload["speedups"]["177.mesa"]["grid"] > 0
         assert "177.mesa" in capsys.readouterr().out
+
+    def test_view_ratio_is_the_median_round_ratio(self):
+        """A view's ratio pairs its rows round by round: one fast
+        outlier run moves the median of the round ratios, not the
+        ratio of the two best runs (4x here)."""
+        from repro.bench import BenchRecord, speedups
+
+        def row(engine, instructions, seconds):
+            return BenchRecord(
+                workload="w", engine=engine, mode="grid",
+                instructions=instructions, repeats=len(seconds),
+                best_seconds=min(seconds),
+                mean_seconds=sum(seconds) / len(seconds),
+                instr_per_sec=instructions / min(seconds),
+                run_seconds=seconds)
+
+        records = [row("independent", 600, [1.0, 1.0, 2.0]),
+                   row("grid", 300, [0.25, 0.125, 0.5])]
+        assert speedups(records) == {"w": {"grid": 2.0}}
 
     def test_compare_reports_flags_ratio_drops(self):
         from repro.bench import compare_reports

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AssemblyError, LayoutError, MemoryFault
-from repro.isa.assembler import Assembler, link, place_boundary_branches
+from repro.isa.assembler import (
+    Assembler,
+    Module,
+    SymInstr,
+    link,
+    place_boundary_branches,
+)
 from repro.isa.instructions import (
     ANALYZABLE_KINDS,
     CONTROL_KINDS,
@@ -20,6 +26,7 @@ from repro.isa.instructions import (
 from repro.isa.program import TEXT_BASE
 from repro.isa.registers import REG_RA, REG_ZERO, reg_name, temp_regs
 from repro.workloads import microbench
+from repro.workloads.registry import AFFINITY_SUFFIX, resolve
 from repro.workloads.spec2000 import BENCHMARK_NAMES, load_benchmark
 
 
@@ -281,6 +288,62 @@ class TestAssemblerAndLinker:
         asm.nop()
         program = link(asm.module)
         assert program.entry == program.labels["main"]
+
+    def test_nop_run_links_to_its_words(self):
+        asm = Assembler()
+        asm.label("main")
+        asm.addi(1, 0, 1)
+        asm.label("pad")
+        asm.nop(5)
+        asm.label("after")
+        asm.halt()
+        assert asm.module.instruction_count == 7
+        program = link(asm.module)
+        pad = program.labels["pad"]
+        assert pad == TEXT_BASE + 4
+        assert program.labels["after"] == pad + 4 * 5
+        words = program.instructions[1:6]
+        assert [w.op for w in words] == [Opcode.NOP] * 5
+        assert {w.label for w in words} == {"pad"}
+        assert program.instructions[6].op is Opcode.HALT
+
+    def test_nop_zero_emits_nothing(self):
+        asm = Assembler()
+        asm.label("main")
+        asm.nop(0)
+        assert asm.module.text == ["main"]
+        asm.nop()
+        assert asm.module.instruction_count == 1
+
+    def test_repeated_nop_rebinds_labels_between_repeats(self):
+        """A label between two repeats of one NOP item still binds: the
+        linker's repeat fast path covers only an unbroken run."""
+        nop = SymInstr(Opcode.NOP, label="main")
+        module = Module(text=["main", nop, nop, "mid", nop, "end",
+                              SymInstr(Opcode.HALT, label="end")])
+        program = link(module)
+        assert program.labels["mid"] == TEXT_BASE + 8
+        assert program.labels["end"] == TEXT_BASE + 12
+        assert [w.op for w in program.instructions] \
+            == [Opcode.NOP] * 3 + [Opcode.HALT]
+
+    def test_sym_instr_has_no_dict(self):
+        assert not hasattr(SymInstr(Opcode.NOP), "__dict__")
+
+    @pytest.mark.parametrize("name", [
+        name + suffix for name in BENCHMARK_NAMES
+        for suffix in ("", AFFINITY_SUFFIX)])
+    def test_stand_in_padding_is_one_object_per_run(self, name):
+        """A stand-in holds one :class:`SymInstr` per non-NOP word and
+        per run of NOP words, however long the run."""
+        items = [item for item in resolve(name).module.text
+                 if isinstance(item, SymInstr)]
+        non_nop = sum(1 for item in items if item.op is not Opcode.NOP)
+        runs = sum(1 for i, item in enumerate(items)
+                   if item.op is Opcode.NOP
+                   and (i == 0 or items[i - 1].op is not Opcode.NOP))
+        assert len({id(item) for item in items}) <= non_nop + runs
+        assert len(items) - non_nop > 10 * runs  # runs are long
 
 
 class TestBoundaryInstrumentation:
