@@ -3,7 +3,7 @@
 PR 6's observability layer is cheap because it is *amortized*: one
 ``emit``/``count``/``span`` per phase, never per instruction.  The
 fast engine (``cpu/fast.py``, and ``cpu/grid.py`` on top of it)
-processes millions of stream records per second through run-length
+processes millions of stream records per second through tight
 inner loops; a single telemetry call lexically inside one of those
 loop bodies turns an O(phases) cost into an O(instructions) cost and
 destroys the throughput the bench harness pins.

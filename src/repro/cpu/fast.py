@@ -42,12 +42,12 @@ Timing is a dependency-aware list-scheduling model of the Table 1 core:
 Scheme-specific translation stalls (serial PI-PT lookups, VI-VT miss-path
 lookups, iTLB miss penalties) accumulate per scheme and are added to the
 shared pipeline cycle count — a first-order approximation validated against
-the detailed out-of-order engine (see ``benchmarks/test_validation.py``).
+the detailed out-of-order engine (see :mod:`repro.experiments.validation`).
 """
 
 from __future__ import annotations
 
-from heapq import heapreplace
+import heapq
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.branch.predictor import FrontEndPredictor
@@ -176,9 +176,8 @@ class FastEngine:
         self._fetch_clock = 0
         self._commit_cycle = 0
         self._commit_slots = 0
-        self._group_remaining = 0
+        self._group_remaining = 0  # 0: the next step starts a fetch group
         self._group_block = -1
-        self._redirect = True  # first fetch starts a group
 
         # stream position: the window source is bound by the measured run
         self._source = None
@@ -194,9 +193,7 @@ class FastEngine:
         self._last_dvpn = -1
         self._last_dpfn = -1
         self._last_dblock = -1
-        self._last_dblock_hit = False
         self._prev_outcome = None
-        self._first_fetch = True
         # bulk counters
         self._il1_bulk_hits = 0
         self._dtlb_bulk_hits = 0
@@ -335,31 +332,36 @@ class FastEngine:
 
         The engine's mutable scalar state (timing clocks, stream
         trackers, shared counters) lives in frame locals for the whole
-        window and is written back to the instance at its end.  The loop
-        alternates two regimes:
+        window and is written back to the instance at its end.  Each
+        iteration has one head and one timing statement:
 
-        * a **per-event path** (page changes, control transfers, memory
-          operations, HALT, and the first fetch after any of those) that
-          runs the full model for one record;
-        * a **run-length path** that retires whole straight-line runs of
-          plain instructions (no control, no memory access) in chunks
-          bounded by iL1-block and page ends: the chunk's stream
-          bookkeeping is one bulk-counter update and its timing is the
-          plain-instruction subset of the list-scheduling model.
+        * the **head** takes the step at ``pos`` — an event (page
+          change, control transfer, memory access, HALT) or the first
+          plain step of an iL1 block — through page-change accounting,
+          scheme triggers, the iL1 fetch, retirement, the data access
+          and control resolution;
+        * a head step with no control outcome and no HALT **widens**
+          ``end`` over the plain steps that follow it in the same iL1
+          block, up to the next byte set in the window's event map (and
+          never past the window end or the budget).  Those steps hit the
+          block just fetched, so their fetch and retire bookkeeping is
+          one bulk-counter update;
+        * one **timing loop** then list-schedules the steps in
+          ``[pos, end)``.  A step issues once its source slots are
+          ready in the one ``ready`` list and its kind's unit heap has
+          a free unit, then writes its completion to its destination
+          slot (:func:`~repro.isa.instructions.register_slots`).  The
+          head's memory latency is a one-shot ``extra_lat``, zero for
+          the plain steps after it.
 
         Each step's facts are ``table[idx]`` reads through its static
-        index ``idx``; its successor is resolved only at control steps,
-        and a run ends at the next byte set in the window's event map.
-        Both paths time a step alike: it issues once its source slots
-        are ready in the one ``ready`` list and its kind's unit heap has
-        a free unit, then writes its completion to its destination slot
-        (:func:`~repro.isa.instructions.register_slots`).
+        index ``idx``; its successor is resolved only at control steps.
         Windows come one at a time.  When the position runs off the
         current window's end the loop top pulls the next window and
-        rebinds the locals; a run-length run truncated at a window
-        boundary simply resumes on the per-event path in the next
-        window, which retires a plain step bit-identically (the
-        streaming equivalence suite pins this).
+        rebinds the locals; a block's plain steps split by a window
+        edge resume through the head in the next window, which times
+        them bit-identically (the streaming equivalence suite pins
+        this).
         """
         source = self._source
         instrs = source.instructions
@@ -399,10 +401,8 @@ class FastEngine:
         last_pfn = self._last_pfn
         last_fetch_block = self._last_fetch_block
         il1_bulk = self._il1_bulk_hits
-        first_fetch = self._first_fetch
         base_structural = self._base_structural
         prev_outcome = self._prev_outcome
-        redirect = self._redirect
         fetch_clock = self._fetch_clock
         commit_cycle = self._commit_cycle
         commit_slots = self._commit_slots
@@ -410,6 +410,9 @@ class FastEngine:
         group_block = self._group_block
         group_count = self._group_count
         ring_pos = self._ring_pos
+        # latency a load or store adds to its own step; the timing
+        # loop zeroes it after the step, so it is 0 between steps
+        extra_lat = 0
 
         # shared counters, local for the whole window
         c_instructions = 0
@@ -451,12 +454,13 @@ class FastEngine:
                     n_records = cols.steps
                     continue
 
-                # =================== per-event path ====================
+                # =================== the head ====================
                 idx = idxs[pos]
                 pc = s_pc[idx]
                 vpn = pc >> page_shift
 
                 # ---- page-change accounting and translation ----
+                # (last_vpn starts at -1, so the first fetch is a change)
                 if vpn != last_vpn:
                     page_changed = True
                     last_vpn = vpn
@@ -478,8 +482,7 @@ class FastEngine:
                 pa = (last_pfn << page_shift) | (pc & offset_mask)
 
                 # ---- scheme triggers at the fetch point (non-VI-VT) ----
-                if not vivt and (prev_outcome is not None or page_changed
-                                 or first_fetch):
+                if not vivt and (prev_outcome is not None or page_changed):
                     seq_boundary = not (prev_outcome is not None
                                         and prev_outcome.taken)
                     for policy in event_policies:
@@ -487,24 +490,23 @@ class FastEngine:
                             policy.extra_cycles += policy.serial_penalty
                             policy.lookup(
                                 vpn, policy.fetch_reason(seq_boundary))
-                    if base is not None and (page_changed or first_fetch):
+                    if base is not None and page_changed:
                         # one structural event per trigger (shared-stream
                         # driven); the fetches in between are repeats
                         base_structural += 1
                         base.extra_cycles += base.serial_penalty
                         base.lookup(vpn, LookupReason.BRANCH)
-                first_fetch = False
 
-                # ---- iL1 fetch (with same-block fast path) ----
+                # ---- iL1 fetch (with same-block fast path); a miss
+                # stalls the front end before this step is fetched ----
                 fetch_block = pa >> block_shift
-                fetch_stall = 0
                 if fetch_block == last_fetch_block:
                     il1_bulk += 1
                 else:
                     last_fetch_block = fetch_block
                     fetched = hier_fetch(pc, pa)
                     if not fetched.il1_hit:
-                        fetch_stall = fetched.latency - 1
+                        fetch_clock += fetched.latency - 1
                         if vivt:
                             _miss_path_lookups(policies, vpn)
 
@@ -518,18 +520,19 @@ class FastEngine:
                     useful += 1
 
                 # ---- data access ----
-                mem_stall = 0
-                if kind == 6:  # LOAD
-                    mem_stall = data_access(aux, False)
+                if kind == 6:  # LOAD: memory latency beyond a 1-cycle hit
+                    extra_lat = data_access(aux, False)
                     c_loads += 1
-                elif kind == 7:  # STORE
-                    mem_stall = data_access(aux, True)
+                elif kind == 7:  # STORE: completes into the store queue
+                    extra_lat = (1 + (data_access(aux, True) >> 3)
+                                 - s_lat[idx])
                     c_stores += 1
                 elif kind == 14:  # HALT
                     halted = True
 
                 # ---- control resolution ----
                 outcome = None
+                end = pos + 1
                 if 8 <= kind <= 12:
                     if kind >= 11:  # indirect: the recorded target
                         taken = True
@@ -547,168 +550,83 @@ class FastEngine:
                         # on_control(outcome), unrolled
                         policy.on_predict(instr, prediction)
                         policy.on_resolve(outcome)
-                prev_outcome = outcome
-
-                # ---- timing ----
-                vblock = pc >> block_shift
-                if redirect or group_remaining == 0 or vblock != group_block:
-                    fetch_clock += 1
-                    group_count += 1
-                    group_remaining = fetch_width
-                    group_block = vblock
-                    redirect = False
-                group_remaining -= 1
-                if fetch_stall:
-                    fetch_clock += fetch_stall
-                fetch_t = fetch_clock
-                oldest = ring[ring_pos]
-                if oldest > fetch_t:
-                    fetch_t = oldest
-                    fetch_clock = oldest
-                issue_t = fetch_t + _FRONT_DEPTH
-                src = ready[s_src1[idx]]
-                if src > issue_t:
-                    issue_t = src
-                src = ready[s_src2[idx]]
-                if src > issue_t:
-                    issue_t = src
-                src = ready[s_src3[idx]]  # a store's value register
-                if src > issue_t:
-                    issue_t = src
-                pool = pools[kind]
-                if pool is not None:
-                    best_t = pool[0]
-                    if best_t > issue_t:
-                        issue_t = best_t
-                    heapreplace(pool, issue_t + 1)
-                latency = s_lat[idx]
-                if kind == 6:  # load: memory latency beyond a 1-cycle hit
-                    latency += mem_stall
-                elif kind == 7:
-                    latency = 1  # stores complete into the store queue
-                    if mem_stall:
-                        latency += mem_stall >> 3
-                complete_t = issue_t + latency
-                ready[s_dst[idx]] = complete_t
-                candidate = complete_t + 1
-                if candidate > commit_cycle:
-                    commit_cycle = candidate
-                    commit_slots = 1
-                else:
-                    commit_slots += 1
-                    if commit_slots > commit_width:
-                        commit_cycle += 1
-                        commit_slots = 1
-                ring[ring_pos] = commit_cycle
-                ring_pos += 1
-                if ring_pos == ring_size:
-                    ring_pos = 0
-                if outcome is not None:
-                    if outcome.path_diverged:
-                        fetch_clock += mispredict_penalty
-                        redirect = True
-                    elif outcome.taken:
-                        redirect = True
-                pos += 1
-
-                # =================== run-length path ===================
-                # After an event-free step the stream is straight-line
-                # plain instructions until the next event; retire the
-                # whole run in chunks bounded by iL1-block/page ends.
-                if outcome is not None or halted or useful >= budget:
-                    continue
-                if pos >= n_records:
-                    continue
-                run = find_event(1, pos)
-                run = (n_records if run < 0 else run) - pos
-                if run == 0:
-                    continue
-                remaining = budget - useful
-                if run > remaining:
-                    run = remaining
-
-                while run > 0:
-                    pc = s_pc[idxs[pos]]
-                    if pc >> page_shift != last_vpn:
-                        break  # sequential crossing: event path handles it
-                    # chunk ends at the iL1 block (or page) boundary;
-                    # within a page the physical and virtual boundaries
-                    # coincide
-                    room = ((pc | block_low_mask) + 1 - pc) >> 2
-                    page_room = ((pc | offset_mask) + 1 - pc) >> 2
-                    if page_room < room:
-                        room = page_room
-                    n = run if run < room else room
-                    pa = (last_pfn << page_shift) | (pc & offset_mask)
-                    fetch_block = pa >> block_shift
-                    fs = 0
-                    if fetch_block == last_fetch_block:
-                        il1_bulk += n
-                    else:
-                        last_fetch_block = fetch_block
-                        fetched = hier_fetch(pc, pa)
-                        il1_bulk += n - 1
-                        if not fetched.il1_hit:
-                            fs = fetched.latency - 1
-                            if vivt:
-                                # the chunk never leaves last_vpn's page
-                                _miss_path_lookups(policies, last_vpn)
-                    vblock = pc >> block_shift
-
-                    # ---- plain-instruction timing (the subset of the
-                    # model reachable with no memory stall, no control
-                    # outcome, and no redirect pending) ----
-                    end = pos + n
-                    while pos < end:
-                        if group_remaining == 0 or vblock != group_block:
-                            fetch_clock += 1
-                            group_count += 1
-                            group_remaining = fetch_width
-                            group_block = vblock
-                        group_remaining -= 1
-                        if fs:
-                            fetch_clock += fs
-                            fs = 0
-                        fetch_t = fetch_clock
-                        oldest = ring[ring_pos]
-                        if oldest > fetch_t:
-                            fetch_t = oldest
-                            fetch_clock = oldest
-                        issue_t = fetch_t + _FRONT_DEPTH
-                        idx = idxs[pos]
-                        # plain steps have no third source (no store)
-                        src = ready[s_src1[idx]]
-                        if src > issue_t:
-                            issue_t = src
-                        src = ready[s_src2[idx]]
-                        if src > issue_t:
-                            issue_t = src
-                        pool = pools[s_kind[idx]]
-                        if pool is not None:
-                            best_t = pool[0]
-                            if best_t > issue_t:
-                                issue_t = best_t
-                            heapreplace(pool, issue_t + 1)
-                        complete_t = issue_t + s_lat[idx]
-                        ready[s_dst[idx]] = complete_t
-                        candidate = complete_t + 1
-                        if candidate > commit_cycle:
-                            commit_cycle = candidate
-                            commit_slots = 1
-                        else:
-                            commit_slots += 1
-                            if commit_slots > commit_width:
-                                commit_cycle += 1
-                                commit_slots = 1
-                        ring[ring_pos] = commit_cycle
-                        ring_pos += 1
-                        if ring_pos == ring_size:
-                            ring_pos = 0
-                        pos += 1
-
+                elif not halted:
+                    # widen over the plain steps left in this iL1 block
+                    # (a block never spans pages): they hit the block
+                    # just fetched and retire as useful instructions
+                    limit = pos + (((pc | block_low_mask) + 1 - pc) >> 2)
+                    if limit > n_records:
+                        limit = n_records
+                    room = end + budget - useful
+                    if limit > room:
+                        limit = room
+                    end = find_event(1, end, limit)
+                    if end < 0:
+                        end = limit
+                    n = end - pos - 1
+                    il1_bulk += n
                     c_instructions += n
                     useful += n
-                    run -= n
+                prev_outcome = outcome
+
+                # =============== the timing statement ================
+                vblock = pc >> block_shift
+                while pos < end:
+                    if group_remaining == 0 or vblock != group_block:
+                        fetch_clock += 1
+                        group_count += 1
+                        group_remaining = fetch_width
+                        group_block = vblock
+                    group_remaining -= 1
+                    fetch_t = fetch_clock
+                    oldest = ring[ring_pos]
+                    if oldest > fetch_t:
+                        fetch_t = oldest
+                        fetch_clock = oldest
+                    issue_t = fetch_t + _FRONT_DEPTH
+                    idx = idxs[pos]
+                    src = ready[s_src1[idx]]
+                    if src > issue_t:
+                        issue_t = src
+                    src = ready[s_src2[idx]]
+                    if src > issue_t:
+                        issue_t = src
+                    # a store's value register; slot 0 (never written)
+                    # for every other step
+                    src = ready[s_src3[idx]]
+                    if src > issue_t:
+                        issue_t = src
+                    pool = pools[s_kind[idx]]
+                    if pool is not None:
+                        best_t = pool[0]
+                        if best_t > issue_t:
+                            issue_t = best_t
+                        heapq.heapreplace(pool, issue_t + 1)
+                    complete_t = issue_t + s_lat[idx] + extra_lat
+                    extra_lat = 0
+                    ready[s_dst[idx]] = complete_t
+                    candidate = complete_t + 1
+                    if candidate > commit_cycle:
+                        commit_cycle = candidate
+                        commit_slots = 1
+                    else:
+                        commit_slots += 1
+                        if commit_slots > commit_width:
+                            commit_cycle += 1
+                            commit_slots = 1
+                    ring[ring_pos] = commit_cycle
+                    ring_pos += 1
+                    if ring_pos == ring_size:
+                        ring_pos = 0
+                    pos += 1
+                if outcome is not None:
+                    # a taken branch or a misprediction redirects fetch:
+                    # the next step starts a new group
+                    if outcome.path_diverged:
+                        fetch_clock += mispredict_penalty
+                        group_remaining = 0
+                    elif outcome.taken:
+                        group_remaining = 0
         finally:
             # write the hoisted engine state back (also on the
             # trace-exhausted raise, so the instance stays coherent)
@@ -720,10 +638,8 @@ class FastEngine:
             self._last_pfn = last_pfn
             self._last_fetch_block = last_fetch_block
             self._il1_bulk_hits = il1_bulk
-            self._first_fetch = first_fetch
             self._base_structural = base_structural
             self._prev_outcome = prev_outcome
-            self._redirect = redirect
             self._fetch_clock = fetch_clock
             self._commit_cycle = commit_cycle
             self._commit_slots = commit_slots
@@ -766,12 +682,12 @@ class FastEngine:
         pa = ((self._last_dpfn << self._page_shift)
               | (vaddr & self._offset_mask))
         dblock = pa >> self._dblock_shift
-        if dblock == self._last_dblock and self._last_dblock_hit:
+        if dblock == self._last_dblock:
             self._dl1_bulk_hits += 1
         else:
             self._last_dblock = dblock
+            # allocated on a miss, so the block is resident from here on
             outcome = self.hier.data(vaddr, pa, is_store)
-            self._last_dblock_hit = True  # allocated on miss: now resident
             if not outcome.dl1_hit:
                 stall += outcome.latency - 1
         return stall

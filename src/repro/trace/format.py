@@ -381,8 +381,9 @@ class MemorySink:
 
 
 #: kind codes whose steps carry no event the engines must react to — no
-#: control transfer, no memory access, no halt.  Maximal runs of these
-#: are what the fast engine retires in bulk.
+#: control transfer, no memory access, no halt.  The fast engine retires
+#: the plain steps that follow a step within its iL1 block in bulk, and
+#: times them in the same loop as that step.
 PLAIN_KINDS = frozenset({0, 1, 2, 3, 4, 5, 13})
 
 #: decoded footprint of one step: its ``index`` and ``aux`` slots (8
@@ -462,12 +463,14 @@ class SegmentColumns:
     latency, boundary bit and taken target.  Its
     successor matters only at control steps: ``aux`` for indirect
     control, the target for a taken branch, ``pc + 4`` otherwise.  The
-    run of plain steps starting at ``i`` — what the fast engine retires
-    without per-step event checks — ends at ``events.find(1, i)``, or
-    at ``steps`` when no event follows.  In a window runs are truncated
-    at the window end; the engine's per-event path retires a plain step
-    identically to the run-length path, so the truncation is invisible
-    in the results (the streaming bit-identity suite pins this).
+    plain steps that follow step ``i`` — what the fast engine retires
+    with it, without per-step event checks, up to its iL1 block's end —
+    end at ``events.find(1, i + 1)``, or at ``steps`` when no event
+    follows.  In a window they are cut short at the window end; the
+    next window's first step goes through the engine's head, which
+    times it exactly as the widened span would have, so the cut is
+    invisible in the results (the streaming bit-identity suite pins
+    this).
 
     A view is immutable once built and safe to share across engines
     (and, via the trace LRU, across jobs in one process).

@@ -7,8 +7,8 @@ content-addressed store filename, every step a per-step reader sees —
 for every workload, evaluation (solo / grid), and backend (serial /
 pool / queue).  This suite pins that over the six micro workloads, the
 mesa golden trace, and both converted foreign fixtures, plus the edge
-geometry that makes windowing subtle: a window boundary splitting a
-run-length run, a truncated final window, a window larger than the
+geometry that makes windowing subtle: a window boundary inside an iL1
+block's plain steps, a truncated final window, a window larger than the
 whole trace, re-recording from a streamed replay, and a pass that stops
 before its stream ends (the file handle must still close).
 
@@ -30,7 +30,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.config import SchemeName, TLBConfig, default_config
+from repro.config import (
+    CacheAddressing,
+    SchemeName,
+    TLBConfig,
+    default_config,
+)
 from repro.cpu.fast import FastEngine
 from repro.errors import TraceError
 from repro.runner import FileQueueBackend, JobSpec, ResultStore, SweepRunner
@@ -112,9 +117,10 @@ def _canon(run) -> str:
     return json.dumps(run.to_dict(), sort_keys=True)
 
 
-def _replay(path, instructions, warmup, *, window=None):
-    """One full evaluation, freshly loaded, optionally with a forced
-    streaming window."""
+def _replay(path, instructions, warmup, *, window=None,
+            addressing=CacheAddressing.VIPT):
+    """One full evaluation under ``addressing``, freshly loaded,
+    optionally with a forced streaming window."""
     clear_trace_cache()
     saved = os.environ.get(WINDOW_ENV)
     if window is not None:
@@ -125,7 +131,7 @@ def _replay(path, instructions, warmup, *, window=None):
         workload = load_trace_workload(path)
         if window is not None:
             assert _file_backed(workload.trace)
-        return run_all_schemes(workload, default_config(),
+        return run_all_schemes(workload, default_config(addressing),
                                instructions=instructions, warmup=warmup)
     finally:
         if saved is None:
@@ -302,19 +308,27 @@ class TestGridAndBackends:
 class TestWindowEdges:
     """The geometry that makes windowing subtle."""
 
-    def test_window_boundary_splits_run_length_runs(self, traces):
-        """micro.counted_loop is one long plain-kind run; a 4-step
-        window truncates the precomputed run column at every window
-        edge.  The run-length path must retire across the seam
-        bit-identically."""
-        path, instructions, warmup = traces["micro.counted_loop"]
-        eager = _replay(path, instructions, warmup)
-        for window in (TINY_WINDOW,  # 4 steps
-                       str(COLUMN_BYTES_PER_STEP),  # 1 step: worst case
-                       str(7 * COLUMN_BYTES_PER_STEP)):  # non-divisor
-            streamed = _replay(path, instructions, warmup,
-                               window=window)
-            assert _canon(eager) == _canon(streamed), window
+    def test_window_edges_split_il1_blocks(self, traces):
+        """The engine times a step together with the plain steps that
+        follow it in its iL1 block (8 steps); a window edge inside a
+        block cuts that span short, and the next window's first step
+        starts a new one.  Windows of 1, 4, 7, 8 and 9 steps put edges
+        at varying offsets within blocks, under every addressing mode
+        (VI-VT adds miss-path lookups at iL1 misses).  Every
+        evaluation must match the eager decode bit for bit."""
+        for name in ("micro.counted_loop", "micro.straight_line",
+                     "177.mesa"):
+            path, instructions, warmup = traces[name]
+            for addressing in CacheAddressing:
+                eager = _canon(_replay(path, instructions, warmup,
+                                       addressing=addressing))
+                for steps in (1, 4, 7, 8, 9):
+                    streamed = _replay(
+                        path, instructions, warmup,
+                        window=str(steps * COLUMN_BYTES_PER_STEP),
+                        addressing=addressing)
+                    assert eager == _canon(streamed), \
+                        (name, addressing.value, steps)
 
     def test_window_larger_than_trace(self, traces):
         path, instructions, warmup = traces["micro.counted_loop"]
